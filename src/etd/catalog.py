@@ -11,8 +11,9 @@ from typing import Optional
 from .cmap import automorphisms, build_from_faces, build_map
 from .surgery import tube
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, shadow
+from .groups import greedy_generators
 from .invariants import AbelianGroup
-from .symmetry import DiagramAction
+from .symmetry import DiagramAction, compose
 from .torus import TorusArrangement, affine_dart_map, arrangement, line
 
 
@@ -263,30 +264,7 @@ def _aut_action(d: ShadowDiagram) -> DiagramAction:
     """The full color-preserving symmetry group, with a small greedy
     generating set."""
     auts = sorted(tuple(a) for a in automorphisms(d.surface, d.dart_labels()))
-    ident = tuple(range(d.surface.n_darts))
-
-    def compose(a, b):
-        return tuple(a[x] for x in b)
-
-    gens = []
-    have = {ident}
-    for a in auts:
-        if a in have:
-            continue
-        gens.append(a)
-        frontier = [ident]
-        have = {ident}
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    c = compose(g, h)
-                    if c not in have:
-                        have.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        if len(have) == len(auts):
-            break
+    gens = greedy_generators(auts, tuple(range(d.surface.n_darts)), compose)
     return DiagramAction(gens, ["g%d" % (i + 1) for i in range(len(gens))])
 
 

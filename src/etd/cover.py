@@ -18,8 +18,8 @@ from typing import Optional
 
 from .cmap import CellId, CombMap, build_map
 from .diagram import ShadowDiagram
-from .groups import Group
-from .symmetry import DiagramAction, check_action
+from .groups import Group, greedy_generators
+from .symmetry import DiagramAction, base_darts, check_action
 
 
 class CoverError(ValueError):
@@ -112,19 +112,6 @@ class CoverResult:
             }
             out.append(ShadowDiagram(sub, color, marked))
         return out
-
-
-def _generating_subset(g: Group):
-    gens = []
-    have = {g.identity}
-    for x in g.elements:
-        if x in have:
-            continue
-        gens.append(x)
-        have = g.generated(gens)
-        if len(have) == len(g):
-            break
-    return gens
 
 
 def expected_lift_parameters(d: ShadowDiagram, va: VoltageAssignment):
@@ -311,15 +298,14 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
 
     gens = []
     names = []
-    for h in _generating_subset(g) or [g.identity]:
+    for h in greedy_generators(g.elements, g.identity, g.mul) or [g.identity]:
         perm = tuple(
             dart(proj[i][0], g.mul(proj[i][1], h)) for i in range(n * order)
         )
         gens.append(perm)
         names.append(str(h))
-    deck = DiagramAction(gens, names)
-
     comps = lifted.components()
+    deck = DiagramAction(gens, names, base_darts(lifted))
     if len(comps) > 1:
         warnings.warn(
             "voltages do not generate: cover has %d components" % len(comps),

@@ -137,12 +137,19 @@ def serialize_diagram(
     return "\n".join(lines) + "\n"
 
 
+def _int(tok: str, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise FileFormatError("line %d: %r is not an integer" % (lineno, tok))
+
+
 def parse_diagram_file(text: str) -> DiagramFile:
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
+    rows = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
+    rows = [(i, ln) for i, ln in rows if ln and not ln.startswith("#")]
     if not rows:
         raise FileFormatError("empty diagram file")
-    head = rows[0].split()
+    head = rows[0][1].split()
     if len(head) != 2 or head[0] != FORMAT_NAME:
         raise FileFormatError("not a %s file" % FORMAT_NAME)
     if head[1] != str(FORMAT_VERSION):
@@ -159,29 +166,29 @@ def parse_diagram_file(text: str) -> DiagramFile:
     meridian_rows = []  # (dart, token)
     cone_rows = []  # (kind, dart, order)
     expected = None
-    for ln in rows[1:]:
+    for lineno, ln in rows[1:]:
         parts = ln.split()
         key = parts[0]
         if key == "darts":
             if n is not None or len(parts) != 2:
                 raise FileFormatError("bad darts line")
-            n = int(parts[1])
+            n = _int(parts[1], lineno)
         elif key == "pairing":
             if pairing is not None:
                 raise FileFormatError("duplicate pairing line")
-            pairing = [int(x) for x in parts[1:]]
+            pairing = [_int(x, lineno) for x in parts[1:]]
         elif key == "rotation":
             if rotation is not None:
                 raise FileFormatError("duplicate rotation line")
-            rotation = [int(x) for x in parts[1:]]
+            rotation = [_int(x, lineno) for x in parts[1:]]
         elif key == "edge":
             if len(parts) != 3:
                 raise FileFormatError("bad edge line %r" % ln)
-            colors.append((int(parts[1]), parse_color(parts[2])))
+            colors.append((_int(parts[1], lineno), parse_color(parts[2])))
         elif key == "marked":
             if marked_darts is not None:
                 raise FileFormatError("duplicate marked line")
-            marked_darts = [int(x) for x in parts[1:]]
+            marked_darts = [_int(x, lineno) for x in parts[1:]]
         elif key == "group":
             if group is not None:
                 raise FileFormatError("duplicate group line")
@@ -192,26 +199,26 @@ def parse_diagram_file(text: str) -> DiagramFile:
         elif key == "action":
             if len(parts) < 3:
                 raise FileFormatError("bad action line %r" % ln)
-            action_rows.append((parts[1], [int(x) for x in parts[2:]]))
+            action_rows.append((parts[1], [_int(x, lineno) for x in parts[2:]]))
         elif key == "voltage":
             if len(parts) != 3:
                 raise FileFormatError("bad voltage line %r" % ln)
-            voltage_rows.append((int(parts[1]), parts[2]))
+            voltage_rows.append((_int(parts[1], lineno), parts[2]))
         elif key == "meridian":
             if len(parts) != 3:
                 raise FileFormatError("bad meridian line %r" % ln)
-            meridian_rows.append((int(parts[1]), parts[2]))
+            meridian_rows.append((_int(parts[1], lineno), parts[2]))
         elif key == "cone":
             if len(parts) != 4:
                 raise FileFormatError("bad cone line %r" % ln)
-            cone_rows.append((parts[1], int(parts[2]), int(parts[3])))
+            cone_rows.append((parts[1], _int(parts[2], lineno), _int(parts[3], lineno)))
         elif key == "expected":
             if expected is not None:
                 raise FileFormatError("duplicate expected line")
             if len(parts) != 5:
                 raise FileFormatError("bad expected line %r" % ln)
-            ks = tuple(None if p == "?" else int(p) for p in parts[2:])
-            expected = (int(parts[1]), ks)
+            ks = tuple(None if p == "?" else _int(p, lineno) for p in parts[2:])
+            expected = (_int(parts[1], lineno), ks)
         else:
             raise FileFormatError("unknown key %r" % key)
     if n is None or pairing is None or rotation is None:
@@ -238,7 +245,7 @@ def parse_diagram_file(text: str) -> DiagramFile:
 
     action = None
     if action_rows:
-        from .symmetry import DiagramAction
+        from .symmetry import DiagramAction, base_darts
 
         for name, perm in action_rows:
             if sorted(perm) != list(range(n)):
@@ -246,7 +253,9 @@ def parse_diagram_file(text: str) -> DiagramFile:
                     "action generator %s is not a dart permutation" % name
                 )
         action = DiagramAction(
-            [tuple(perm) for _, perm in action_rows], [name for name, _ in action_rows]
+            [tuple(perm) for _, perm in action_rows],
+            [name for name, _ in action_rows],
+            base_darts(m),
         )
 
     voltages = None

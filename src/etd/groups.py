@@ -82,6 +82,38 @@ class Group:
         )
 
 
+def greedy_generators(elements, identity, mul):
+    """A generating set of the finite group ``elements``: each element, in
+    the given order, that the ones chosen before it do not generate,
+    until they generate everything."""
+    elements = list(elements)
+    gens = []
+    have = {identity}
+    for x in elements:
+        if x in have:
+            continue
+        gens.append(x)
+        # the old subgroup is closed under the old generators, so only x
+        # moves it; new elements are then closed under all of them
+        frontier = []
+        for y in [mul(x, h) for h in have]:
+            if y not in have:
+                have.add(y)
+                frontier.append(y)
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for g in gens:
+                    y = mul(g, h)
+                    if y not in have:
+                        have.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        if len(have) == len(elements):
+            break
+    return gens
+
+
 def cyclic(n):
     return Group(range(n), lambda a, b: (a + b) % n, 0, name="cyclic %d" % n)
 

@@ -15,10 +15,11 @@ from .diagram import SCAFFOLD, ShadowDiagram, validate_trisection
 from .symmetry import (
     DEFAULT_CLOSURE_CAP,
     DiagramAction,
+    NotAutomorphism,
     SymmetryError,
-    act_on_cell,
+    base_darts,
     check_action,
-    compose,
+    check_automorphism,
     inverse,
 )
 
@@ -69,6 +70,26 @@ def _subdivided_diagram(d: ShadowDiagram, cells):
     return ShadowDiagram(m2, color, marked), origin
 
 
+def _orbits(n_darts, perms):
+    """Dart orbits of the group the permutations generate, numbered by
+    least dart: (orbit index of each dart, the orbits as dart lists)."""
+    orbit_id = [-1] * n_darts
+    orbits = []
+    for x in range(n_darts):
+        if orbit_id[x] >= 0:
+            continue
+        orbit_id[x] = len(orbits)
+        orb = [x]
+        for y in orb:
+            for p in perms:
+                z = p[y]
+                if orbit_id[z] < 0:
+                    orbit_id[z] = len(orbits)
+                    orb.append(z)
+        orbits.append(orb)
+    return orbit_id, orbits
+
+
 def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
              cap: int = DEFAULT_CLOSURE_CAP) -> QuotientResult:
     """Quotient the diagram by the subgroup N generated by
@@ -82,57 +103,47 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
         check_action(d, a, cap)
     except SymmetryError as e:
         raise NotValidAction(str(e))
-    g_elems = a.elements(cap)
+    m = d.surface
     if n_generators is None:
         n_sub = a
     else:
-        n_sub = DiagramAction(list(n_generators))
-        for g in n_sub.generators:
-            if g not in set(g_elems):
+        g_closure = a.closure(cap)
+        n_sub = DiagramAction(list(n_generators), base=a.base)
+        for g, name in zip(n_sub.generators, n_sub.names):
+            # an automorphism is the group element with its base images
+            try:
+                check_automorphism(m, g, name)
+            except NotAutomorphism as e:
+                raise NotNormal("subgroup generator is not in the group: %s" % e)
+            if g_closure.index(g_closure.key_of(g)) is None:
                 raise NotNormal("subgroup generator is not in the group")
-    n_elems = set(n_sub.elements(cap))
-    for g in g_elems:
+    n_closure = n_sub.closure(cap)
+    # in a finite group, N is normal iff g n g^-1 lies in N for every
+    # pair of generators g of G and n of N
+    for g in a.generators:
         g_inv = inverse(g)
-        for n in n_elems:
-            if compose(g, compose(n, g_inv)) not in n_elems:
+        for n in n_sub.generators:
+            key = tuple(g[n[g_inv[b]]] for b in a.base)
+            if n_closure.index(key) is None:
                 raise NotNormal("subgroup is not normal in the action")
+    order_n = len(n_closure)
 
-    m = d.surface
-    ident = tuple(range(m.n_darts))
-
-    # subdivide the full G-orbit of N-inverted edges, so that the whole
-    # group still acts afterwards
-    inverted = set()
-    for e in m.edges():
-        x = e.dart
-        if any(n[x] == m.edge_pairing[x] for n in n_elems):
-            inverted.add(e)
-    orbit_closed = set()
-    for e in inverted:
-        for g in g_elems:
-            orbit_closed.add(act_on_cell(m, g, e))
-    sub_d, origin = _subdivided_diagram(d, sorted(orbit_closed, key=lambda c: c.dart))
+    # N-inverted edges: both darts in one N-orbit.  N is normal, so the
+    # set is G-invariant and the whole group still acts after subdivision.
+    orbit_id, _ = _orbits(m.n_darts, n_sub.generators)
+    inverted = [e for e in m.edges() if orbit_id[e.dart] == orbit_id[m.edge_pairing[e.dart]]]
+    sub_d, origin = _subdivided_diagram(d, inverted)
     m2 = sub_d.surface
     n_old = m.n_darts
-    g_elems2 = [_extend_perm(g, m2, n_old) for g in g_elems]
-    n_elems2 = {_extend_perm(n, m2, n_old) for n in n_elems}
 
     # N-orbits of darts become the quotient darts
-    orbit_id = {}
-    reps = []
-    for x in range(m2.n_darts):
-        if x in orbit_id:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for n in n_elems2:
-            y = n[x]
-            if y in orbit_id and orbit_id[y] != idx:
-                raise QuotientError("inconsistent dart orbits")
-            orbit_id[y] = idx
-    k = len(reps)
-    if k * len(n_elems2) != m2.n_darts:
+    orbit_id, orbits = _orbits(
+        m2.n_darts, [_extend_perm(n, m2, n_old) for n in n_sub.generators]
+    )
+    if any(len(orb) != order_n for orb in orbits):
         raise QuotientError("subgroup does not act freely on darts after subdivision")
+    reps = [orb[0] for orb in orbits]
+    k = len(reps)
 
     ep_q = [orbit_id[m2.edge_pairing[reps[i]]] for i in range(k)]
     rot_q = [orbit_id[m2.rotation[reps[i]]] for i in range(k)]
@@ -145,14 +156,16 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
     dq = ShadowDiagram(mq, color_q, marked_q)
 
     # cone points: quotient vertices/faces whose preimage cells have a
-    # nontrivial N-stabilizer
+    # nontrivial N-stabilizer.  N is free on darts, so the stabilizer of
+    # a cell is its share of the N-orbit of its dart, and the orbit of
+    # the cell is the set of cells that dart orbit meets.
     cone = []
     for kind in ("vertex", "face"):
         for cell in (mq.vertices() if kind == "vertex" else mq.faces()):
             pre = m2.cell_of(kind, reps[cell.dart])
-            stab = sum(1 for n in n_elems2 if act_on_cell(m2, n, pre) == pre)
-            orbit_size = len({act_on_cell(m2, n, pre) for n in n_elems2})
-            if stab * orbit_size != len(n_elems2):
+            met = [m2.cell_of(kind, y) for y in orbits[cell.dart]]
+            stab = met.count(pre)
+            if stab * len(set(met)) != order_n:
                 raise QuotientError("orbit-stabilizer equality fails at %r" % (pre,))
             if stab > 1:
                 cone.append((cell, stab))
@@ -160,7 +173,6 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
     # Riemann-Hurwitz, exactly
     chi = m2.euler_characteristic()
     chi_q = mq.euler_characteristic()
-    order_n = len(n_elems2)
     defect = sum((order_n // mm) * (mm - 1) for _, mm in cone)
     if chi != order_n * chi_q - defect:
         raise QuotientError(
@@ -178,7 +190,7 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
     if not induced_gens:
         induced_gens = [tuple(range(k))]
         induced_names = ["e"]
-    induced = DiagramAction(induced_gens, induced_names)
+    induced = DiagramAction(induced_gens, induced_names, base_darts(mq))
     try:
         check_action(dq, induced, cap)
     except SymmetryError as e:

@@ -5,6 +5,15 @@ element commutes with the edge pairing and the rotation (so it is an
 orientation-preserving map automorphism; anti-automorphisms inverting the
 rotation are rejected), preserves each color family setwise, and preserves
 the marked set.
+
+A map automorphism is fixed by its images of one dart per connected
+component (Gross-Tucker, *Topological Graph Theory*, 1987): it commutes
+with the rotation and the edge pairing, which act transitively on each
+component.  So a group closure stores every element only as its images
+of the action's base darts, one dart per component, and is built in
+O(|G| * #generators * #components) steps with no n-length tuples.  Full
+dart permutations cost one composition each, O(|G| * #darts) for the
+whole group, and are built only where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -40,10 +49,6 @@ class ClosureCapExceeded(SymmetryError):
     pass
 
 
-class NonFaithful(SymmetryError):
-    pass
-
-
 def compose(p, q):
     """p after q as dart permutations."""
     return tuple(p[q[i]] for i in range(len(q)))
@@ -56,23 +61,102 @@ def inverse(p):
     return tuple(inv)
 
 
-def perm_order(p):
-    n = len(p)
-    e = tuple(range(n))
-    q = p
-    k = 1
-    while q != e:
-        q = compose(p, q)
-        k += 1
-    return k
+def base_darts(m) -> tuple:
+    """The least dart of each connected component of the map, ascending."""
+    return tuple(sorted(min(c) for c in m.components()))
+
+
+class GroupClosure:
+    """The elements of a group of map automorphisms, each stored as its
+    images of the base darts (its key), identity first, in the
+    breadth-first order of the generators.
+
+    Element ``i > 0`` is ``generators[via[i]]`` after element
+    ``parent[i]``.  Keys identify elements only when the base meets
+    every connected component of the map the generators act on; that is
+    what :func:`check_action` establishes.
+    """
+
+    def __init__(self, generators, base, cap: int = DEFAULT_CLOSURE_CAP):
+        self.generators = generators
+        self.base = tuple(base)
+        self.keys = [self.base]
+        self.parent = [-1]
+        self.via = [-1]
+        self._index = {self.base: 0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                key = self.keys[i]
+                for gi, g in enumerate(generators):
+                    k = tuple(g[x] for x in key)
+                    if k not in self._index:
+                        self._index[k] = len(self.keys)
+                        nxt.append(len(self.keys))
+                        self.keys.append(k)
+                        self.parent.append(i)
+                        self.via.append(gi)
+                        if len(self.keys) > cap:
+                            raise ClosureCapExceeded("closure exceeds %d elements" % cap)
+            frontier = nxt
+
+    def __len__(self):
+        return len(self.keys)
+
+    def key_of(self, perm) -> tuple:
+        return tuple(perm[x] for x in self.base)
+
+    def index(self, key) -> Optional[int]:
+        """The element with this key, or None."""
+        return self._index.get(key)
+
+    def _word(self, i) -> list:
+        """Generator permutations whose successive application is
+        element ``i``, first applied first."""
+        out = []
+        while i > 0:
+            out.append(self.generators[self.via[i]])
+            i = self.parent[i]
+        out.reverse()
+        return out
+
+    def orders(self) -> list:
+        """The order of every element: the least k whose k-th power
+        fixes the base darts, read by applying the element's word."""
+        out = []
+        for i, key in enumerate(self.keys):
+            word = self._word(i)
+            pts, k = key, 1
+            while pts != self.base:
+                for g in word:
+                    pts = tuple(g[x] for x in pts)
+                k += 1
+            out.append(k)
+        return out
+
+    def permutations(self) -> list:
+        """Every element as a full dart permutation, one composition per
+        search-tree edge."""
+        n = len(self.generators[0]) if self.generators else 0
+        out = [tuple(range(n))]
+        for i in range(1, len(self.keys)):
+            out.append(compose(self.generators[self.via[i]], out[self.parent[i]]))
+        return out
 
 
 @dataclass
 class DiagramAction:
-    """A finite group of dart permutations, given by generators."""
+    """A finite group of dart permutations, given by generators.
+
+    ``base`` holds one dart per connected component of the map acted on
+    (default: the map is connected, base dart 0); the group closure keys
+    every element by its images of these darts.
+    """
 
     generators: list  # of dart-permutation tuples
     names: Optional[list] = None
+    base: Optional[tuple] = None
 
     def __post_init__(self):
         self.generators = [tuple(g) for g in self.generators]
@@ -80,36 +164,25 @@ class DiagramAction:
             self.names = ["g%d" % i for i in range(len(self.generators))]
         if len(self.names) != len(self.generators):
             raise SymmetryError("one name per generator")
+        if self.base is None:
+            self.base = (0,) if self.n_darts() else ()
+        self.base = tuple(self.base)
 
     def n_darts(self):
         return len(self.generators[0]) if self.generators else 0
 
+    def closure(self, cap: int = DEFAULT_CLOSURE_CAP) -> GroupClosure:
+        """The group keyed by base-dart images; raises ClosureCapExceeded
+        past the cap."""
+        return GroupClosure(self.generators, self.base, cap)
+
     def elements(self, cap: int = DEFAULT_CLOSURE_CAP):
-        """The closure of the generators, identity first; raises
-        ClosureCapExceeded past the cap."""
-        n = self.n_darts()
-        ident = tuple(range(n))
-        seen = {ident}
-        frontier = [ident]
-        out = [ident]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in self.generators:
-                    h = compose(g, e)
-                    if h not in seen:
-                        seen.add(h)
-                        out.append(h)
-                        nxt.append(h)
-                        if len(seen) > cap:
-                            raise ClosureCapExceeded(
-                                "closure exceeds %d elements" % cap
-                            )
-            frontier = nxt
-        return out
+        """The closure of the generators as full permutations, identity
+        first; raises ClosureCapExceeded past the cap."""
+        return self.closure(cap).permutations()
 
     def order(self, cap: int = DEFAULT_CLOSURE_CAP):
-        return len(self.elements(cap))
+        return len(self.closure(cap))
 
 
 def identity_action(n_darts: int) -> DiagramAction:
@@ -148,22 +221,30 @@ def _structure_hint(order, orders_count):
     return "other"
 
 
+def check_automorphism(m, g, name):
+    """Raise NotAutomorphism unless g is a dart permutation commuting
+    with the map's edge pairing and rotation."""
+    n = m.n_darts
+    if len(g) != n or sorted(g) != list(range(n)):
+        raise NotAutomorphism(name, -1, "not a permutation of the darts")
+    for x in range(n):
+        if g[m.edge_pairing[x]] != m.edge_pairing[g[x]]:
+            raise NotAutomorphism(name, x, "does not commute with the edge pairing")
+        if g[m.rotation[x]] != m.rotation[g[x]]:
+            raise NotAutomorphism(name, x, "does not commute with the rotation")
+
+
 def check_action(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSURE_CAP) -> ActionReport:
     """Validate an action and report its order and a structure hint.
 
     The hint (trivial/cyclic/dihedral/other) is heuristic, from element
-    orders only; correctness never depends on it.
+    orders only; correctness never depends on it.  The action's base
+    darts must meet each connected component of the surface once, so
+    that they identify the elements of the closure.
     """
     m = d.surface
-    n = m.n_darts
     for g, name in zip(a.generators, a.names):
-        if len(g) != n or sorted(g) != list(range(n)):
-            raise NotAutomorphism(name, -1, "not a permutation of the darts")
-        for x in range(n):
-            if g[m.edge_pairing[x]] != m.edge_pairing[g[x]]:
-                raise NotAutomorphism(name, x, "does not commute with the edge pairing")
-            if g[m.rotation[x]] != m.rotation[g[x]]:
-                raise NotAutomorphism(name, x, "does not commute with the rotation")
+        check_automorphism(m, g, name)
         for e in m.edges():
             img = act_on_cell(m, g, e)
             if d.color[img] != d.color[e]:
@@ -171,21 +252,16 @@ def check_action(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSURE_
         marked_img = {act_on_cell(m, g, v) for v in d.marked}
         if marked_img != d.marked:
             raise ColorBroken(name, "marked set")
-    elems = a.elements(cap)
-    ident = tuple(range(n))
-    if m.is_connected():
-        for e in elems:
-            if e == ident:
-                continue
-            if any(e[x] == x for x in range(n)):
-                raise NonFaithful("a nonidentity element fixes a dart on a connected diagram")
+    comps = m.components()
+    if len(a.base) != len(comps) or any(
+        sum(1 for b in a.base if b in c) != 1 for c in comps
+    ):
+        raise SymmetryError("the action's base darts must meet each connected component once")
+    closure = a.closure(cap)
     orders_count = {}
-    for e in elems:
-        if e == ident:
-            continue
-        o = perm_order(e)
+    for o in closure.orders()[1:]:
         orders_count[o] = orders_count.get(o, 0) + 1
-    order = len(elems)
+    order = len(closure)
     return ActionReport(True, order, _structure_hint(order, orders_count), orders_count)
 
 
@@ -277,14 +353,11 @@ def singular_locus(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSUR
     (2g+2 fixed points on a genus-g surface)."""
     m = d.surface
     g = m.genus()
-    elems = a.elements(cap)
-    ident = tuple(range(m.n_darts))
+    closure = a.closure(cap)
     per = []
     hyper = []
-    for e in elems:
-        if e == ident:
-            continue
-        data = ElementFixedData(e, perm_order(e))
+    for e, order in zip(closure.permutations()[1:], closure.orders()[1:]):
+        data = ElementFixedData(e, order)
         for v in m.vertices():
             cyc = m.orbit(v)
             if act_on_cell(m, e, v) == v:

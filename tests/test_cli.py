@@ -28,6 +28,20 @@ def test_validate_truncated_file(tmp_path, capsys):
     assert main(["validate", str(p)]) == 1
 
 
+@pytest.mark.parametrize(
+    "line, bad",
+    [("darts", "darts x"), ("pairing", "pairing 1 0 x"), ("edge", "edge y shadow1")],
+)
+def test_validate_non_integer_field(tmp_path, capsys, line, bad):
+    rows = entry_file_text("cp2").splitlines()
+    i = next(i for i, r in enumerate(rows) if r.startswith(line + " "))
+    rows[i] = bad
+    p = tmp_path / "bad.diagram"
+    p.write_text("\n".join(rows) + "\n")
+    assert main(["validate", str(p)]) == 1
+    assert "parse error: line %d:" % (i + 1) in capsys.readouterr().err
+
+
 def test_validate_missing_file():
     assert main(["validate", "/nonexistent/nothing.diagram"]) == 1
 
@@ -103,6 +117,9 @@ def test_quotient_rejects_non_normal_subgroup(tmp_path):
     p = tmp_path / "m3.diagram"
     p.write_text(entry_file_text("natural_genus1(m=3)"))
     assert main(["quotient", str(p), "--subgroup", "nu"]) == 2
+    # an order-2 subgroup of the order-8 action of d4_double
+    p = write_catalog(tmp_path, "d4_double")
+    assert main(["quotient", str(p), "--subgroup", "g2"]) == 2
 
 
 def test_quotient_needs_action(tmp_path):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from etd.catalog import entry
 from etd.cmap import build_map, is_isomorphic
 from etd.diagram import ShadowDiagram, alpha
 from etd.quotient import (
@@ -141,6 +142,17 @@ def test_rejects_foreign_generator():
     ty = affine_dart_map(arr, I2, (0, F(1, 2)))
     with pytest.raises(NotNormal):
         quotient(d, a, [ty])
+
+
+@pytest.mark.parametrize(
+    "name, gen", [("d4_double", "g2"), ("d6_double", "g1"), ("d6_s4", "g1")]
+)
+def test_rejects_non_normal_subgroup(name, gen):
+    e = entry(name)
+    g = e.action.generators[e.action.names.index(gen)]
+    assert DiagramAction([g]).order() == 2
+    with pytest.raises(NotNormal):
+        quotient(e.diagram, e.action, [g])
 
 
 def test_rejects_invalid_action():
