@@ -116,6 +116,7 @@ class CombMap:
                 cid = CellId(kind, min(orbit))
                 for d in orbit:
                     self._cell_of[(kind, d)] = cid
+        self._components = None
 
     # ---- cells ----------------------------------------------------------
 
@@ -155,7 +156,12 @@ class CombMap:
         return len(self._vertex_orbits) - len(self._edge_orbits) + len(self._face_orbits)
 
     def components(self) -> list[set[int]]:
-        """Connected components as dart sets (orbits of <rotation, pairing>)."""
+        """Connected components as dart sets (orbits of <rotation, pairing>).
+
+        Computed once per map; callers must not mutate the result.
+        """
+        if self._components is not None:
+            return self._components
         parent = list(range(self.n_darts))
 
         def find(x):
@@ -172,7 +178,8 @@ class CombMap:
         comps = {}
         for d in range(self.n_darts):
             comps.setdefault(find(d), set()).add(d)
-        return list(comps.values())
+        self._components = list(comps.values())
+        return self._components
 
     def is_connected(self) -> bool:
         return self.n_darts == 0 or len(self.components()) == 1
@@ -415,41 +422,58 @@ def subdivide_edges(m: CombMap, edges: Iterable[CellId]):
 # canonical forms and isomorphism
 
 
-def _bfs_encoding(m: CombMap, labels, start: int):
-    """Relabel darts breadth-first from ``start``; return the code string."""
-    order = [-1] * m.n_darts  # dart -> new index
-    seq = [start]
-    order[start] = 0
-    i = 0
-    while i < len(seq):
-        d = seq[i]
-        i += 1
-        for nxt in (m.rotation[d], m.edge_pairing[d]):
-            if order[nxt] < 0:
-                order[nxt] = len(seq)
-                seq.append(nxt)
-    if len(seq) != m.n_darts:
-        return None  # disconnected from start
-    code = tuple(
-        (order[m.rotation[d]], order[m.edge_pairing[d]], labels[d] if labels else None)
-        for d in seq
-    )
-    return code, seq
-
-
 def canonical_form(m: CombMap, labels: Optional[Sequence] = None):
-    """A relabeling-invariant encoding of a connected decorated map."""
-    if m.n_darts == 0:
+    """A relabeling-invariant encoding of a connected decorated map.
+
+    Relabel the darts breadth-first from a start dart, visiting the
+    rotation successor before the edge partner of each dart; the start's
+    code lists, in that order, ``(new rotation successor, new partner,
+    label)`` for every dart.  The canonical form is the lexicographic
+    minimum of the codes over all start darts.
+
+    A start's BFS stops at the first entry that exceeds the best code's
+    entry at the same position: with an equal prefix that start can never
+    win, so the pruning leaves the minimum, and every code, unchanged.
+    One ``order`` array serves all starts and is reset through the visited
+    darts, so memory stays linear.
+    """
+    n = m.n_darts
+    if n == 0:
         return ()
-    best = None
-    for start in range(m.n_darts):
-        enc = _bfs_encoding(m, labels, start)
-        if enc is None:
-            raise NotConnected("canonical_form requires a connected map")
-        code, _ = enc
-        if best is None or code < best:
-            best = code
-    return best
+    rot, ep = m.rotation, m.edge_pairing
+    lab = labels if labels else [None] * n
+    order = [-1] * n  # dart -> new index for the current start
+    best = [None] * n
+    for start in range(n):
+        seq = [start]
+        order[start] = 0
+        below = start == 0  # prefix already below best: record every entry
+        i = 0
+        while i < len(seq):
+            d = seq[i]
+            r = rot[d]
+            if order[r] < 0:
+                order[r] = len(seq)
+                seq.append(r)
+            e = ep[d]
+            if order[e] < 0:
+                order[e] = len(seq)
+                seq.append(e)
+            entry = (order[r], order[e], lab[d])
+            if below:
+                best[i] = entry
+            elif entry != best[i]:
+                if entry > best[i]:
+                    break
+                below = True
+                best[i] = entry
+            i += 1
+        else:
+            if len(seq) != n:
+                raise NotConnected("canonical_form requires a connected map")
+        for d in seq:
+            order[d] = -1
+    return tuple(best)
 
 
 def _propagate(m1: CombMap, m2: CombMap, labels1, labels2, d1: int, d2: int):
@@ -479,6 +503,32 @@ def _propagate(m1: CombMap, m2: CombMap, labels1, labels2, d1: int, d2: int):
     return f
 
 
+def _degrees(m: CombMap):
+    """Per-dart vertex degrees and face degrees, as two lists."""
+    out = []
+    for orbits in (m._vertex_orbits, m._face_orbits):
+        deg = [0] * m.n_darts
+        for orbit in orbits:
+            for d in orbit:
+                deg[d] = len(orbit)
+        out.append(deg)
+    return out
+
+
+def _seed_images(m1: CombMap, m2: CombMap, labels1, labels2):
+    """The darts of m2, ascending, that match dart 0 of m1 in label, vertex
+    degree and face degree.  Isomorphisms preserve all three, so any other
+    image of dart 0 fails in :func:`_propagate`."""
+    v1, f1 = _degrees(m1)
+    v2, f2 = (v1, f1) if m2 is m1 else _degrees(m2)
+    return [
+        d2
+        for d2 in range(m2.n_darts)
+        if v2[d2] == v1[0] and f2[d2] == f1[0]
+        and (labels1 is None or labels1[0] == labels2[d2])
+    ]
+
+
 def is_isomorphic(m1: CombMap, m2: CombMap, labels1=None, labels2=None):
     """A label-preserving isomorphism (dart map m1 -> m2), or None."""
     if m1.n_darts != m2.n_darts:
@@ -487,7 +537,7 @@ def is_isomorphic(m1: CombMap, m2: CombMap, labels1=None, labels2=None):
         return []
     if not m1.is_connected() or not m2.is_connected():
         raise NotConnected("is_isomorphic requires connected maps")
-    for d2 in range(m2.n_darts):
+    for d2 in _seed_images(m1, m2, labels1, labels2):
         f = _propagate(m1, m2, labels1, labels2, 0, d2)
         if f is not None:
             return f
@@ -505,7 +555,7 @@ def automorphisms(m: CombMap, labels=None):
     if not m.is_connected():
         raise NotConnected("automorphisms requires a connected map")
     out = []
-    for d2 in range(m.n_darts):
+    for d2 in _seed_images(m, m, labels, labels):
         f = _propagate(m, m, labels, labels, 0, d2)
         if f is not None:
             out.append(f)

@@ -83,7 +83,8 @@ class ShadowDiagram:
     """A closed surface map with colored edges and marked bridge vertices.
 
     ``color`` maps edge CellIds to Colors; uncolored edges default to
-    scaffold.  ``marked`` is an iterable of vertex CellIds.
+    scaffold.  ``marked`` is an iterable of vertex CellIds.  ``dart_colors``
+    holds the same colors per dart, both darts of an edge sharing its color.
     """
 
     def __init__(self, surface: CombMap, color=None, marked=()):
@@ -101,6 +102,11 @@ class ShadowDiagram:
         for cell in edge_cells:
             col.setdefault(cell, SCAFFOLD)
         self.color = col
+        ep = surface.edge_pairing
+        dart_colors = [SCAFFOLD] * surface.n_darts
+        for cell, c in col.items():
+            dart_colors[cell.dart] = dart_colors[ep[cell.dart]] = c
+        self.dart_colors = tuple(dart_colors)
         marked = frozenset(marked)
         vertex_cells = set(surface.vertices())
         for v in marked:
@@ -111,19 +117,18 @@ class ShadowDiagram:
     # -- helpers ----------------------------------------------------------
 
     def dart_color(self, d: int) -> Color:
-        return self.color[self.surface.cell_of("edge", d)]
+        return self.dart_colors[d]
 
     def edges_of_color(self, c: Color):
         return [e for e in self.surface.edges() if self.color[e] == c]
 
     def dart_labels(self):
         """Per-dart decorations for canonical forms and isomorphism."""
-        out = []
-        for d in range(self.surface.n_darts):
-            col = self.dart_color(d)
-            mk = self.surface.cell_of("vertex", d) in self.marked
-            out.append((col.kind, col.index, mk))
-        return out
+        marked = [False] * self.surface.n_darts
+        for v in self.marked:
+            for d in self.surface.orbit(v):
+                marked[d] = True
+        return [(c.kind, c.index, mk) for c, mk in zip(self.dart_colors, marked)]
 
     def vertex_kind(self, v: CellId) -> str:
         if v in self.marked:
@@ -204,7 +209,7 @@ def _family_curves(d: ShadowDiagram, i: int):
     in traversal order).  Raises MalformedColoring on branching."""
     m = d.surface
     col = alpha(i)
-    darts = [x for x in range(m.n_darts) if d.dart_color(x) == col]
+    darts = [x for x, c in enumerate(d.dart_colors) if c == col]
     # at each vertex the family's darts must pair up (0 or 2)
     at_vertex = {}
     for x in darts:
@@ -536,7 +541,7 @@ def _shadow_components(d: ShadowDiagram, i: int):
     """Connected components of the Shadow(i) arc union, as dart sets."""
     m = d.surface
     col = shadow(i)
-    darts = [x for x in range(m.n_darts) if d.dart_color(x) == col]
+    darts = [x for x, c in enumerate(d.dart_colors) if c == col]
     parent = {x: x for x in darts}
 
     def find(x):
@@ -602,7 +607,7 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
 
     def family_darts(f):
         col = shadow(f)
-        return [x for x in range(m.n_darts) if d.dart_color(x) == col]
+        return [x for x, c in enumerate(d.dart_colors) if c == col]
 
     parent = {}
 

@@ -236,64 +236,6 @@ def cokernel(n_ambient, relation_rows) -> AbelianGroup:
 # surface homology
 
 
-def _kernel_basis(M):
-    """Integer basis of the kernel of the linear map x -> M x (columns)."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    D, U, V = smith_normal_form(M)
-    r = sum(1 for i in range(min(rows, cols)) if D[i][i])
-    # columns r..cols-1 of V span the kernel
-    basis = []
-    for j in range(r, cols):
-        basis.append([V[i][j] for i in range(cols)])
-    return basis
-
-
-def _solve_in_lattice(basis_rows, vectors):
-    """Express each vector in the given independent integer basis.
-
-    The basis rows are assumed primitive and saturated (a direct summand),
-    which holds for kernels of integer matrices.  Returns coefficient rows.
-    """
-    if not vectors:
-        return []
-    if not basis_rows:
-        for v in vectors:
-            if any(v):
-                raise InvariantError("vector outside the lattice")
-        return [[] for _ in vectors]
-    # solve c * B = v for each v using SNF of B
-    B = [list(r) for r in basis_rows]
-    D, U, V = smith_normal_form(B)
-    k = len(B)
-    n = len(B[0])
-    out = []
-    for v in vectors:
-        # v * V = c' * D with c' = c * U^{-1}; so c'_i = (v*V)_i / d_i
-        w = [sum(v[i] * V[i][j] for i in range(n)) for j in range(n)]
-        cprime = []
-        for i in range(k):
-            d = D[i][i]
-            if d == 0:
-                if w[i]:
-                    raise InvariantError("vector outside the lattice span")
-                cprime.append(0)
-            else:
-                if w[i] % d:
-                    raise InvariantError("vector not an integer combination")
-                cprime.append(w[i] // d)
-        for j in range(k, n):
-            if w[j]:
-                raise InvariantError("vector outside the lattice span")
-        c = [sum(cprime[i] * U[i][j] for i in range(k)) for j in range(k)]
-        out.append(c)
-    return out
-
-
 def surface_h1_mod(m: CombMap, extra_cycles=None) -> AbelianGroup:
     """H1 of a closed surface map modulo the listed extra cycle vectors.
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from etd.cli import main
-from etd.catalog import entry, entry_file_text
+from etd.catalog import entry, entry_file_text, frozen_file_text
 from etd.cmap import build_map
 from etd.diagio import parse_diagram, parse_diagram_file, serialize_diagram
 from etd.diagram import ShadowDiagram
@@ -179,3 +179,28 @@ def test_triang_parse_error(tmp_path):
     p = tmp_path / "junk.tri"
     p.write_text("not a triangulation\n")
     assert main(["triang", str(p)]) == 1
+
+
+def _no_traceback(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_validate_bad_family_index_exits_2(tmp_path, capsys):
+    text = frozen_file_text("d4_double").replace("edge 12 alpha1\n", "edge 12 alpha7\n")
+    p = tmp_path / "bad.diagram"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    assert "indexed 1..3" in _no_traceback(capsys)
+
+
+def test_validate_disconnected_map_exits_2(tmp_path, capsys):
+    # two disjoint one-vertex tori, four darts each
+    two_tori = build_map(8, [2, 3, 0, 1, 6, 7, 4, 5], [1, 2, 3, 0, 5, 6, 7, 4])
+    p = tmp_path / "two_tori.diagram"
+    p.write_text(serialize_diagram(ShadowDiagram(two_tori, {})))
+    assert main(["validate", str(p)]) == 2
+    assert "connected" in _no_traceback(capsys)
+
