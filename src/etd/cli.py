@@ -26,7 +26,7 @@ from .cmap import MapError
 from .cover import CoverError, derived_cover, expected_lift_parameters
 from .diagio import FileFormatError, parse_diagram_file, serialize_diagram
 from .diagram import DiagramError, validate_trisection
-from .invariants import h1_mod_curves
+from .invariants import InvariantError, h1_mod_curves
 from .quotient import QuotientError, demoted_diagram, quotient, quotient_is_trisection
 from .symmetry import SymmetryError
 from .triang import (
@@ -313,7 +313,9 @@ def main(argv=None) -> int:
     except FileFormatError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return PARSE_ERROR
-    except (CoverError, DiagramError, MapError, QuotientError, SymmetryError, TriangError) as err:
+    except (
+        CoverError, DiagramError, InvariantError, MapError, QuotientError, SymmetryError, TriangError
+    ) as err:
         print("error: %s" % err, file=sys.stderr)
         return SEMANTIC_ERROR
 

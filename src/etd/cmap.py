@@ -9,6 +9,12 @@ surfaces are representable; orientation is implicit in the rotation.
 
 A dart fixed by ``edge_pairing`` is a boundary half-edge; such maps must be
 built with ``allow_boundary=True``.
+
+Each map keeps three flat per-dart arrays, built once at construction:
+``vertex_of[d]``, ``edge_of[d]`` and ``face_of[d]`` are the positions of
+the vertex, edge and face containing dart ``d`` in the lists returned by
+``vertices()``, ``edges()`` and ``faces()``.  Cells are listed by
+ascending minimum dart, and ``cell_of`` is served from these arrays.
 """
 
 from __future__ import annotations
@@ -106,34 +112,42 @@ class CombMap:
                 self._edge_orbits.append([d])
             elif d < e:
                 self._edge_orbits.append([d, e])
-        self._cell_of = {}
+        # orbits are listed by ascending first dart, which is their minimum
+        self._cells = {}
         for kind, orbs in (
             ("vertex", self._vertex_orbits),
             ("edge", self._edge_orbits),
             ("face", self._face_orbits),
         ):
-            for orbit in orbs:
-                cid = CellId(kind, min(orbit))
+            of = [0] * n_darts
+            for i, orbit in enumerate(orbs):
                 for d in orbit:
-                    self._cell_of[(kind, d)] = cid
+                    of[d] = i
+            self._cells[kind] = ([CellId(kind, o[0]) for o in orbs], of)
+        self.vertex_of = self._cells["vertex"][1]
+        self.edge_of = self._cells["edge"][1]
+        self.face_of = self._cells["face"][1]
         self._components = None
+        self._h1_frame = None  # built by invariants.h1_frame on first use
 
     # ---- cells ----------------------------------------------------------
+    # The cell lists are built once per map; callers must not mutate them.
 
     def vertices(self):
-        return [CellId("vertex", min(o)) for o in self._vertex_orbits]
+        return self._cells["vertex"][0]
 
     def edges(self):
-        return [CellId("edge", min(o)) for o in self._edge_orbits]
+        return self._cells["edge"][0]
 
     def faces(self):
-        return [CellId("face", min(o)) for o in self._face_orbits]
+        return self._cells["face"][0]
 
     def cell_of(self, kind: str, dart: int) -> CellId:
-        try:
-            return self._cell_of[(kind, dart)]
-        except KeyError:
+        table = self._cells.get(kind)
+        if table is None or not (isinstance(dart, int) and 0 <= dart < self.n_darts):
             raise UnknownCell("no %s cell at dart %r" % (kind, dart))
+        cells, of = table
+        return cells[of[dart]]
 
     def orbit(self, cell: CellId) -> list[int]:
         perm = {"vertex": self.rotation, "edge": self.edge_pairing, "face": self.face_walk}[cell.kind]
@@ -254,7 +268,7 @@ class CutSurface:
         for cell in cut_edges:
             if cell.kind != "edge":
                 raise UnknownCell("cut_along expects edge cells")
-            if ("edge", cell.dart) not in base._cell_of or base.cell_of("edge", cell.dart) != cell:
+            if base.cell_of("edge", cell.dart) != cell:
                 raise UnknownCell("unknown edge %r" % (cell,))
             for d in base.orbit(cell):
                 cut_darts.add(d)
@@ -262,25 +276,26 @@ class CutSurface:
         self.cut_darts = cut_darts
 
         # corners: split each vertex orbit at its cut darts
-        corner_of = {}
+        corner_of = [0] * base.n_darts
         corners = []
         for orbit in base._vertex_orbits:
             local_cut = [d for d in orbit if d in cut_darts]
             if not local_cut:
-                corners.append(list(orbit))
-                for d in orbit:
-                    corner_of[d] = len(corners) - 1
+                runs = [list(orbit)]
             else:
                 # walk the rotation cycle; start a new corner at each cut dart
+                runs = []
                 for c in local_cut:
                     run = [c]
                     d = base.rotation[c]
                     while d not in cut_darts:
                         run.append(d)
                         d = base.rotation[d]
-                    corners.append(run)
-                    for x in run:
-                        corner_of[x] = len(corners) - 1
+                    runs.append(run)
+            for run in runs:
+                for x in run:
+                    corner_of[x] = len(corners)
+                corners.append(run)
         self.corners = corners
         self._corner_of = corner_of
 
@@ -294,7 +309,6 @@ class CutSurface:
 
         circles = []
         seen = set()
-        circle_of = {}
         for d in sorted(cut_darts):
             if d in seen:
                 continue
@@ -306,8 +320,6 @@ class CutSurface:
                 seen.add(x)
                 x = bwalk(x)
             circles.append(circ)
-            for x in circ:
-                circle_of[x] = len(circles) - 1
         self.boundary_circle_darts = circles
 
         # connectivity: corners joined by uncut edges, plus boundary walks
@@ -332,27 +344,29 @@ class CutSurface:
             for a, b in zip(circ, circ[1:]):
                 union(corner_of[a], corner_of[b])
 
-        comp_ids = {}
-        for i in range(len(corners)):
-            comp_ids.setdefault(find(i), []).append(i)
-
-        # distribute edges and faces to components
-        self.components = []
-        for root, corner_list in comp_ids.items():
-            corner_set = set(corner_list)
-            darts = set()
-            for i in corner_list:
-                darts.update(corners[i])
-            n_interior = sum(
-                1
-                for orb in base._edge_orbits
-                if orb[0] not in cut_darts and corner_of[orb[0]] in corner_set
-            )
-            n_boundary_edges = sum(1 for d in darts if d in cut_darts)
-            n_faces = sum(1 for orb in base._face_orbits if corner_of[orb[0]] in corner_set)
-            circles_here = [c for c in circles if corner_of[c[0]] in corner_set]
-            chi = len(corner_list) - (n_interior + n_boundary_edges) + n_faces
-            self.components.append(CutComponent(chi, circles_here, darts))
+        # number the components by their first corner, then count each
+        # one's corners, edges (a cut dart is one boundary edge), faces and
+        # boundary circles in one pass over each kind of cell
+        index = {}
+        comp_of = [index.setdefault(find(i), len(index)) for i in range(len(corners))]
+        k = len(index)
+        chi = [0] * k
+        darts = [set() for _ in range(k)]
+        circles_in = [[] for _ in range(k)]
+        for i, corner in enumerate(corners):
+            chi[comp_of[i]] += 1
+            darts[comp_of[i]].update(corner)
+        for orb in base._edge_orbits:
+            if orb[0] in cut_darts:
+                for x in orb:
+                    chi[comp_of[corner_of[x]]] -= 1
+            else:
+                chi[comp_of[corner_of[orb[0]]]] -= 1
+        for orb in base._face_orbits:
+            chi[comp_of[corner_of[orb[0]]]] += 1
+        for circ in circles:
+            circles_in[comp_of[corner_of[circ[0]]]].append(circ)
+        self.components = [CutComponent(*c) for c in zip(chi, circles_in, darts)]
 
     @property
     def n_components(self):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cmap import build_map
-from .diagram import SCAFFOLD, Color, ShadowDiagram, parse_color
+from .diagram import SCAFFOLD, Color, DiagramError, ShadowDiagram, parse_color
 from .groups import Group, GroupError, group_by_name
 
 FORMAT_NAME = "etd-diagram"
@@ -184,7 +184,11 @@ def parse_diagram_file(text: str) -> DiagramFile:
         elif key == "edge":
             if len(parts) != 3:
                 raise FileFormatError("bad edge line %r" % ln)
-            colors.append((_int(parts[1], lineno), parse_color(parts[2])))
+            dart = _int(parts[1], lineno)
+            try:
+                colors.append((dart, parse_color(parts[2])))
+            except DiagramError as err:
+                raise DiagramError("line %d: %s" % (lineno, err))
         elif key == "marked":
             if marked_darts is not None:
                 raise FileFormatError("duplicate marked line")

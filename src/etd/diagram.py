@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cmap import CellId, CombMap, canonical_form, cut_along, is_isomorphic
-from .invariants import AbelianGroup, surface_h1_mod
+from .invariants import h1_frame
 
 
 class DiagramError(ValueError):
@@ -71,7 +71,11 @@ def parse_color(text: str) -> Color:
         return SCAFFOLD
     for kind in ("alpha", "shadow"):
         if text.startswith(kind):
-            return Color(kind, int(text[len(kind):]))
+            try:
+                index = int(text[len(kind):])
+            except ValueError:
+                break
+            return Color(kind, index)
     raise DiagramError("unknown color %r" % (text,))
 
 
@@ -85,6 +89,10 @@ class ShadowDiagram:
     ``color`` maps edge CellIds to Colors; uncolored edges default to
     scaffold.  ``marked`` is an iterable of vertex CellIds.  ``dart_colors``
     holds the same colors per dart, both darts of an edge sharing its color.
+
+    Data derived from the diagram (each family's curves, cut-system
+    verdict and cycle classes) is computed once, on first use, and kept;
+    the surface, colors and marks must not change after construction.
     """
 
     def __init__(self, surface: CombMap, color=None, marked=()):
@@ -104,9 +112,13 @@ class ShadowDiagram:
         self.color = col
         ep = surface.edge_pairing
         dart_colors = [SCAFFOLD] * surface.n_darts
+        by_color = {}
         for cell, c in col.items():
             dart_colors[cell.dart] = dart_colors[ep[cell.dart]] = c
+            by_color.setdefault(c, []).extend((cell.dart, ep[cell.dart]))
         self.dart_colors = tuple(dart_colors)
+        self._darts_by_color = {c: sorted(ds) for c, ds in by_color.items()}
+        self._derived = {}
         marked = frozenset(marked)
         vertex_cells = set(surface.vertices())
         for v in marked:
@@ -118,6 +130,27 @@ class ShadowDiagram:
 
     def dart_color(self, d: int) -> Color:
         return self.dart_colors[d]
+
+    def darts_of_color(self, c: Color) -> list:
+        """The darts of color ``c``, ascending; callers must not mutate it."""
+        return self._darts_by_color.get(c, [])
+
+    def _once(self, key, build):
+        """``build()``, computed on the first call under ``key`` and kept.
+
+        A DiagramError it raises is kept too, and raised again, as the
+        same class with the same message, on every call.
+        """
+        got = self._derived.get(key)
+        if got is None:
+            try:
+                got = build()
+            except DiagramError as err:
+                got = err
+            self._derived[key] = got
+        if isinstance(got, DiagramError):
+            raise type(got)(*got.args)
+        return got
 
     def edges_of_color(self, c: Color):
         return [e for e in self.surface.edges() if self.color[e] == c]
@@ -208,16 +241,15 @@ def _family_curves(d: ShadowDiagram, i: int):
     """The Alpha(i) curves as lists of darts (one dart per traversed edge,
     in traversal order).  Raises MalformedColoring on branching."""
     m = d.surface
-    col = alpha(i)
-    darts = [x for x, c in enumerate(d.dart_colors) if c == col]
+    darts = d.darts_of_color(alpha(i))
     # at each vertex the family's darts must pair up (0 or 2)
     at_vertex = {}
     for x in darts:
-        at_vertex.setdefault(m.cell_of("vertex", x), []).append(x)
+        at_vertex.setdefault(m.vertex_of[x], []).append(x)
     for v, ds in at_vertex.items():
         if len(ds) != 2:
             raise MalformedColoring(
-                "alpha%d has %d darts at vertex %r" % (i, len(ds), v)
+                "alpha%d has %d darts at vertex %r" % (i, len(ds), m.vertices()[v])
             )
     partner = {}
     for ds in at_vertex.values():
@@ -225,7 +257,7 @@ def _family_curves(d: ShadowDiagram, i: int):
         partner[ds[1]] = ds[0]
     curves = []
     seen = set()
-    for x in sorted(darts):
+    for x in darts:
         if x in seen:
             continue
         curve = []
@@ -241,44 +273,52 @@ def _family_curves(d: ShadowDiagram, i: int):
     return curves
 
 
+def _curves(d: ShadowDiagram, i: int):
+    """The Alpha(i) curves of ``d``, extracted once per diagram; callers
+    must not mutate them.  Raises MalformedColoring on every call if the
+    family branches."""
+    return d._once(("curves", i), lambda: _family_curves(d, i))
+
+
+def _edge_cycle(m: CombMap, darts):
+    """The cycle traversing each dart once, as {edge index: coefficient};
+    an edge is oriented from its least dart."""
+    out = {}
+    for x in darts:
+        j = m.edge_of[x]
+        out[j] = out.get(j, 0) + (1 if x < m.edge_pairing[x] else -1)
+    return {j: a for j, a in out.items() if a}
+
+
+def _dense(m: CombMap, cycles):
+    out = []
+    for cycle in cycles:
+        vec = [0] * len(m.edges())
+        for j, a in cycle.items():
+            vec[j] = a
+        out.append(vec)
+    return out
+
+
 def curve_classes(d: ShadowDiagram, i: int):
     """One integer vector per Alpha(i) curve over the edge basis.
 
     Orientations per curve are arbitrary; downstream uses are
     sign-insensitive.
     """
-    m = d.surface
-    edges = m.edges()
-    e_index = {c: j for j, c in enumerate(edges)}
-    out = []
-    for curve in _family_curves(d, i):
-        vec = [0] * len(edges)
-        for x in curve:
-            cell = m.cell_of("edge", x)
-            vec[e_index[cell]] += 1 if x == cell.dart else -1
-        out.append(vec)
-    return out
+    return _dense(d.surface, (_edge_cycle(d.surface, c) for c in _curves(d, i)))
 
 
 def _shadow_cells(d: ShadowDiagram, i: int):
     """Edge cells of the Shadow(i) arcs."""
-    col = shadow(i)
-    return {e for e, c in d.color.items() if c == col}
-
-
-def shadow_cycle_classes(d: ShadowDiagram, i: int):
-    """A cycle-space basis for the Shadow(i) subgraph, over the edge basis.
-
-    Bridge disks attach to the handlebody along the family's arcs, so any
-    cycle supported on those arcs bounds on the handlebody side and counts
-    as a compression alongside the Alpha(i) curves.  Arc systems without
-    cycles (every diagram of a trivial tangle downstairs) contribute
-    nothing; cycles appear in lifted diagrams where arcs merge through
-    bridge points.
-    """
     m = d.surface
-    edges = m.edges()
-    e_index = {c: k for k, c in enumerate(edges)}
+    return {m.edges()[m.edge_of[x]] for x in d.darts_of_color(shadow(i))}
+
+
+def _shadow_cycles(d: ShadowDiagram, i: int):
+    """A cycle-space basis of the Shadow(i) subgraph, as sparse cycles
+    (see :func:`_edge_cycle`)."""
+    m = d.surface
     sub = sorted(_shadow_cells(d, i), key=lambda c: c.dart)
 
     parent = {}
@@ -291,15 +331,15 @@ def shadow_cycle_classes(d: ShadowDiagram, i: int):
     extra = []
     tree_at = {}
     for c in sub:
-        tail = m.cell_of("vertex", c.dart)
-        head = m.cell_of("vertex", m.edge_pairing[c.dart])
+        tail = m.vertex_of[c.dart]
+        head = m.vertex_of[m.edge_pairing[c.dart]]
         rt, rh = find(tail), find(head)
         if rt == rh:
             extra.append((c, tail, head))
         else:
             parent[rt] = rh
-            tree_at.setdefault(tail, []).append((c, head, 1))
-            tree_at.setdefault(head, []).append((c, tail, -1))
+            tree_at.setdefault(tail, []).append((c.dart, head))
+            tree_at.setdefault(head, []).append((m.edge_pairing[c.dart], tail))
     out = []
     for c, tail, head in extra:
         # close the non-tree edge with the tree path from head back to tail
@@ -308,27 +348,50 @@ def shadow_cycle_classes(d: ShadowDiagram, i: int):
         while frontier and tail not in prev:
             nxt = []
             for u in frontier:
-                for t, w, s in tree_at.get(u, ()):
+                for x, w in tree_at.get(u, ()):
                     if w not in prev:
-                        prev[w] = (u, t, s)
+                        prev[w] = (u, x)
                         nxt.append(w)
             frontier = nxt
-        vec = [0] * len(edges)
-        vec[e_index[c]] += 1
+        path = [c.dart]
         v = tail
         while prev[v] is not None:
-            u, t, s = prev[v]
-            vec[e_index[t]] += s
+            u, x = prev[v]
+            path.append(x)
             v = u
-        out.append(vec)
+        out.append(_edge_cycle(m, path))
     return out
+
+
+def shadow_cycle_classes(d: ShadowDiagram, i: int):
+    """A cycle-space basis for the Shadow(i) subgraph, over the edge basis.
+
+    Bridge disks attach to the handlebody along the family's arcs, so any
+    cycle supported on those arcs bounds on the handlebody side and counts
+    as a compression alongside the Alpha(i) curves.  Arc systems without
+    cycles (every diagram of a trivial tangle downstairs) contribute
+    nothing; cycles appear in lifted diagrams where arcs merge through
+    bridge points.
+    """
+    return _dense(d.surface, _shadow_cycles(d, i))
+
+
+def family_cycles(d: ShadowDiagram, i: int):
+    """The cycles that bound on the Alpha(i) handlebody side: one per
+    Alpha(i) curve, then the Shadow(i) cycle basis, as sparse cycles for
+    :meth:`etd.invariants.H1Frame.quotient`.  Computed once per diagram;
+    raises MalformedColoring if the family branches."""
+    return d._once(
+        ("cycles", i),
+        lambda: [_edge_cycle(d.surface, c) for c in _curves(d, i)] + _shadow_cycles(d, i),
+    )
 
 
 # ---------------------------------------------------------------------------
 # cut systems
 
 
-@dataclass
+@dataclass(frozen=True)
 class CutSystemVerdict:
     valid: bool
     tight: bool
@@ -351,11 +414,16 @@ def validate_cut_system(d: ShadowDiagram, i: int) -> CutSystemVerdict:
 
     The family may be redundant (parallel copies are allowed, as invariant
     systems typically are); it is ``tight`` when it consists of exactly g
-    curves, no arcs, and connected complement.
+    curves, no arcs, and connected complement.  The verdict is computed
+    once per diagram.
     """
+    return d._once(("cut", i), lambda: _cut_system_verdict(d, i))
+
+
+def _cut_system_verdict(d: ShadowDiagram, i: int) -> CutSystemVerdict:
     m = d.surface
     g = m.genus()
-    curves = _family_curves(d, i)  # raises MalformedColoring if branching
+    curves = _curves(d, i)  # raises MalformedColoring if branching
     arcs = _shadow_cells(d, i)
     if not curves and not arcs:
         verdict = g == 0
@@ -448,19 +516,15 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
     vj = validate_cut_system(d, j)
     if not (vi and vj):
         return HeegaardVerdict(FAILED, None, "not a cut system")
-    h = surface_h1_mod(
-        d.surface,
-        curve_classes(d, i) + curve_classes(d, j)
-        + shadow_cycle_classes(d, i) + shadow_cycle_classes(d, j),
-    )
+    h = h1_frame(d.surface).quotient(family_cycles(d, i) + family_cycles(d, j))
     if not h.is_free:
         return HeegaardVerdict(FAILED, None, "torsion %s in curve quotient" % (h,))
     k = h.rank
 
     # ---- tier 2 ---------------------------------------------------------
     m = d.surface
-    curves_i = _family_curves(d, i)
-    curves_j = _family_curves(d, j)
+    curves_i = _curves(d, i)
+    curves_j = _curves(d, j)
     counts = _crossing_counts(d, curves_i, curves_j)
     active_i = set(range(len(curves_i)))
     active_j = set(range(len(curves_j)))
@@ -540,8 +604,7 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
 def _shadow_components(d: ShadowDiagram, i: int):
     """Connected components of the Shadow(i) arc union, as dart sets."""
     m = d.surface
-    col = shadow(i)
-    darts = [x for x, c in enumerate(d.dart_colors) if c == col]
+    darts = d.darts_of_color(shadow(i))
     parent = {x: x for x in darts}
 
     def find(x):
@@ -558,7 +621,7 @@ def _shadow_components(d: ShadowDiagram, i: int):
     at_vertex = {}
     for x in darts:
         union(x, m.edge_pairing[x])
-        at_vertex.setdefault(m.cell_of("vertex", x), []).append(x)
+        at_vertex.setdefault(m.vertex_of[x], []).append(x)
     for ds in at_vertex.values():
         for a, b in zip(ds, ds[1:]):
             union(a, b)
@@ -604,11 +667,7 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
     """Components of the closed 1-manifold a_i u a_j (arc families joined
     at bridge points, plus closed components of either family)."""
     m = d.surface
-
-    def family_darts(f):
-        col = shadow(f)
-        return [x for x, c in enumerate(d.dart_colors) if c == col]
-
+    marked = {m.vertex_of[v.dart] for v in d.marked}
     parent = {}
 
     def find(x):
@@ -622,7 +681,7 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
         if ra != rb:
             parent[ra] = rb
 
-    allx = family_darts(i) + family_darts(j)
+    allx = d.darts_of_color(shadow(i)) + d.darts_of_color(shadow(j))
     for x in allx:
         parent[x] = x
     for x in allx:
@@ -630,9 +689,9 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
     # along each family, join the two darts at an unmarked pass-through
     for f in (i, j):
         at_vertex = {}
-        for x in family_darts(f):
-            v = m.cell_of("vertex", x)
-            if v not in d.marked:
+        for x in d.darts_of_color(shadow(f)):
+            v = m.vertex_of[x]
+            if v not in marked:
                 at_vertex.setdefault(v, []).append(x)
         for ds in at_vertex.values():
             for a, b in zip(ds, ds[1:]):
@@ -673,7 +732,7 @@ def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
         comps = _shadow_components(d, i)
         if not comps:
             continue
-        curves = _family_curves(d, i)
+        curves = _curves(d, i)
         cells = set()
         for curve in curves:
             for x in curve:

@@ -164,21 +164,18 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _invariant_factors_sparse(relation_rows):
-    """Invariant factors, eliminating unit pivots sparsely first.
+def _invariant_factors_sparse(rows):
+    """Invariant factors of the rows, each a dict {column: nonzero entry}.
 
     Relation matrices from surfaces are mostly 0/+-1; peeling unit pivots
     (each contributing an invariant factor 1) leaves a small residue for
-    the dense routine.
+    the dense routine.  The row dicts are consumed.
     """
-    rows = {}
+    rows = {ri: r for ri, r in enumerate(rows) if r}
     col_rows = {}
-    for ri, row in enumerate(relation_rows):
-        r = {j: int(v) for j, v in enumerate(row) if v}
-        if r:
-            rows[ri] = r
-            for j in r:
-                col_rows.setdefault(j, set()).add(ri)
+    for ri, r in rows.items():
+        for j in r:
+            col_rows.setdefault(j, set()).add(ri)
     n_unit = 0
     while True:
         pivot = None
@@ -223,17 +220,99 @@ def _invariant_factors_sparse(relation_rows):
     return residue
 
 
-def cokernel(n_ambient, relation_rows) -> AbelianGroup:
-    """Z^n modulo the subgroup generated by the given row vectors."""
-    if not relation_rows:
-        return AbelianGroup(n_ambient)
-    facs = _invariant_factors_sparse(relation_rows)
+def _sparse_cokernel(n_ambient, rows) -> AbelianGroup:
+    facs = _invariant_factors_sparse(rows)
     torsion = tuple(sorted(f for f in facs if f > 1))
     return AbelianGroup(n_ambient - len(facs), torsion)
 
 
+def cokernel(n_ambient, relation_rows) -> AbelianGroup:
+    """Z^n modulo the subgroup generated by the given row vectors."""
+    return _sparse_cokernel(
+        n_ambient, [{j: int(v) for j, v in enumerate(row) if v} for row in relation_rows]
+    )
+
+
 # ---------------------------------------------------------------------------
 # surface homology
+
+
+class H1Frame:
+    """The per-map data of :func:`surface_h1_mod`, built once per map.
+
+    A spanning forest of the 1-skeleton makes the non-tree edges
+    coordinates of the cycle space: a cycle's coefficient on the
+    fundamental cycle of a non-tree edge is just its entry at that edge.
+    The face boundaries are kept as sparse rows over those coordinates.
+    Cycles are given as dicts {edge index: coefficient}, an edge oriented
+    from the vertex of its least dart; see :meth:`quotient`.
+    """
+
+    def __init__(self, m: CombMap):
+        edges = m.edges()
+        ep, vertex_of, edge_of = m.edge_pairing, m.vertex_of, m.edge_of
+        self.n_edges = len(edges)
+        self.tail = [vertex_of[c.dart] for c in edges]
+        self.head = [vertex_of[ep[c.dart]] for c in edges]
+        verts = m.vertices()
+        in_tree = [False] * self.n_edges
+        seen = [False] * len(verts)
+        for root in range(len(verts)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            frontier = [root]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for x in m.orbit(verts[u]):
+                        w = vertex_of[ep[x]]
+                        if not seen[w]:
+                            seen[w] = True
+                            in_tree[edge_of[x]] = True
+                            nxt.append(w)
+                frontier = nxt
+        self.col_of = [-1] * self.n_edges
+        self.n_cols = 0
+        for j in range(self.n_edges):
+            if not in_tree[j]:
+                self.col_of[j] = self.n_cols
+                self.n_cols += 1
+        self.face_rows = []
+        for f in m.faces():
+            row = {}
+            for d in m.orbit(f):
+                j = edge_of[d]
+                row[j] = row.get(j, 0) + (1 if d <= ep[d] else -1)
+            self.face_rows.append(self._project(row))
+
+    def _project(self, row):
+        """The cycle ``row`` over the non-tree coordinates; raises
+        InvariantError if it is not a cycle."""
+        bnd = {}
+        out = {}
+        for j, a in row.items():
+            if a:
+                bnd[self.head[j]] = bnd.get(self.head[j], 0) + a
+                bnd[self.tail[j]] = bnd.get(self.tail[j], 0) - a
+                if self.col_of[j] >= 0:
+                    out[self.col_of[j]] = a
+        if any(bnd.values()):
+            raise InvariantError("relation vector is not a cycle")
+        return out
+
+    def quotient(self, cycles) -> AbelianGroup:
+        """H1 modulo the given cycles, each a dict {edge index: coefficient}."""
+        rows = [dict(r) for r in self.face_rows]
+        rows.extend(self._project(c) for c in cycles)
+        return _sparse_cokernel(self.n_cols, rows)
+
+
+def h1_frame(m: CombMap) -> H1Frame:
+    """The H1 frame of ``m``, built on first use and kept on the map."""
+    if m._h1_frame is None:
+        m._h1_frame = H1Frame(m)
+    return m._h1_frame
 
 
 def surface_h1_mod(m: CombMap, extra_cycles=None) -> AbelianGroup:
@@ -241,66 +320,16 @@ def surface_h1_mod(m: CombMap, extra_cycles=None) -> AbelianGroup:
 
     H1 is cycles-mod-face-boundaries over the edge lattice; the extra
     vectors (one per curve, over the edge basis) are quotiented out as well.
+    The spanning forest and face rows come from the map's :class:`H1Frame`;
+    each extra vector is checked to be a cycle on every call.
     """
-    edges = m.edges()
-    verts = m.vertices()
-    faces = m.faces()
-    e_index = {c: i for i, c in enumerate(edges)}
-
-    # cycle space basis from a spanning forest: each non-tree edge spans
-    # one fundamental cycle, and any cycle's coefficient on it is just
-    # the cycle's entry at that edge
-    head_tail = []
-    for c in edges:
-        head_tail.append(
-            (m.cell_of("vertex", c.dart), m.cell_of("vertex", m.edge_pairing[c.dart]))
-        )
-    in_tree = [False] * len(edges)
-    seen = set()
-    for root in verts:
-        if root in seen:
-            continue
-        seen.add(root)
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for x in m.orbit(u):
-                    c = m.cell_of("edge", x)
-                    w = m.cell_of("vertex", m.edge_pairing[x])
-                    if w not in seen:
-                        seen.add(w)
-                        in_tree[e_index[c]] = True
-                        nxt.append(w)
-            frontier = nxt
-    nontree = [j for j in range(len(edges)) if not in_tree[j]]
-
-    rels = []
-    for f in faces:
-        row = [0] * len(edges)
-        for d in m.orbit(f):
-            c = m.cell_of("edge", d)
-            row[e_index[c]] += 1 if d == c.dart else -1
-        rels.append(row)
-    if extra_cycles:
-        for v in extra_cycles:
-            if len(v) != len(edges):
-                raise InvariantError("cycle vector length disagrees with the edge count")
-            rels.append(list(v))
-
-    # verify each relation really is a cycle before projecting it
-    for row in rels:
-        bnd = {}
-        for j, a in enumerate(row):
-            if a:
-                tail, head = head_tail[j]
-                bnd[head] = bnd.get(head, 0) + a
-                bnd[tail] = bnd.get(tail, 0) - a
-        if any(bnd.values()):
-            raise InvariantError("relation vector is not a cycle")
-
-    coeffs = [[row[j] for j in nontree] for row in rels]
-    return cokernel(len(nontree), coeffs)
+    frame = h1_frame(m)
+    cycles = []
+    for v in extra_cycles or ():
+        if len(v) != frame.n_edges:
+            raise InvariantError("cycle vector length disagrees with the edge count")
+        cycles.append({j: int(a) for j, a in enumerate(v) if a})
+    return frame.quotient(cycles)
 
 
 def h1_mod_curves(d, families) -> AbelianGroup:
@@ -311,13 +340,9 @@ def h1_mod_curves(d, families) -> AbelianGroup:
     supported on a family's shadow arcs bound bridge disks on the
     handlebody side and are quotiented alongside the curves.
     """
-    from .diagram import curve_classes, shadow_cycle_classes  # avoids a cycle
+    from .diagram import family_cycles  # avoids a cycle
 
-    vectors = []
-    for i in families:
-        vectors.extend(curve_classes(d, i))
-        vectors.extend(shadow_cycle_classes(d, i))
-    return surface_h1_mod(d.surface, vectors)
+    return h1_frame(d.surface).quotient([c for i in families for c in family_cycles(d, i)])
 
 
 # ---------------------------------------------------------------------------

@@ -67,19 +67,6 @@ def line(p, q, c=0):
     return TorusLine(p, q, Fraction(c))
 
 
-def _angle_cmp(d1, d2):
-    def half(d):
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    h1, h2 = half(d1), half(d2)
-    if h1 != h2:
-        return h1 - h2
-    cross = d1[0] * d2[1] - d2[0] * d1[1]
-    if cross == 0:
-        return 0
-    return -1 if cross > 0 else 1
-
-
 @dataclass
 class TorusArrangement:
     map: CombMap
@@ -115,6 +102,8 @@ def arrangement(lines) -> TorusArrangement:
     Requires: distinct lines, no triple points, and every line crossed at
     least once (otherwise the complement is not a union of disks).
     """
+    from .planar import _angle_cmp  # here, so that importing etd does not load planar
+
     lines = list(lines)
     if len(set(lines)) != len(lines):
         raise ArrangementError("duplicate lines")

@@ -204,3 +204,26 @@ def test_validate_disconnected_map_exits_2(tmp_path, capsys):
     assert main(["validate", str(p)]) == 2
     assert "connected" in _no_traceback(capsys)
 
+
+
+@pytest.mark.parametrize("token", ["alpha7", "alphax", "shadow", "beta1"])
+def test_bad_color_token_names_its_line(tmp_path, capsys, token):
+    text = frozen_file_text("d4_double")
+    lineno = text.splitlines().index("edge 12 alpha1") + 1
+    p = tmp_path / "bad.diagram"
+    p.write_text(text.replace("edge 12 alpha1\n", "edge 12 %s\n" % token))
+    assert main(["validate", str(p)]) == 2
+    assert _no_traceback(capsys).startswith("error: line %d: " % lineno)
+
+
+def test_invariant_error_exits_2(tmp_path, capsys, monkeypatch):
+    import etd.cli
+    from etd.invariants import InvariantError
+
+    def broken(d, families):
+        raise InvariantError("relation vector is not a cycle")
+
+    monkeypatch.setattr(etd.cli, "h1_mod_curves", broken)
+    p = write_catalog(tmp_path, "s1xs3")
+    assert main(["invariants", str(p)]) == 2
+    assert "not a cycle" in _no_traceback(capsys)

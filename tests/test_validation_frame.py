@@ -1,0 +1,420 @@
+"""Differential checks of the validation path that works on per-dart
+arrays and per-diagram data: the H1 frame of ``surface_h1_mod``, the
+per-dart cell arrays of ``CombMap``, the one-pass ``CutSurface`` count,
+and the per-diagram curves and cut verdicts of ``validate_trisection``.
+The references below are the plain per-call versions."""
+
+import random
+
+import pytest
+
+import etd.diagram as diagram_mod
+import etd.invariants as invariants_mod
+from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
+from etd.cmap import UnknownCell, cut_along
+from etd.cover import derived_cover
+from etd.diagram import (
+    MalformedColoring,
+    ShadowDiagram,
+    alpha,
+    curve_classes,
+    shadow_cycle_classes,
+    validate_cut_system,
+    validate_trisection,
+)
+from etd.invariants import (
+    InvariantError,
+    _invariant_factors_sparse,
+    h1_frame,
+    h1_mod_curves,
+    invariant_factors,
+    surface_h1_mod,
+)
+
+CATALOG = STANDARD_NAMES + FROZEN_NAMES
+FAMILY_SETS = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)]
+
+
+def _q8_lifts():
+    base, reds = q8_reductions()
+    return {label: derived_cover(base.diagram, va).diagram for label, va, _ in reds}
+
+
+_LIFTS = {}
+
+
+def q8_lift(label):
+    if not _LIFTS:
+        _LIFTS.update(_q8_lifts())
+    return _LIFTS[label]
+
+
+def _cases():
+    cases = [pytest.param(lambda name=name: entry(name).diagram, id=name) for name in CATALOG]
+    cases += [
+        pytest.param(lambda m=m: natural_genus1(m).diagram, id="natural_genus1_%d" % m)
+        for m in (2, 3, 4)
+    ]
+    cases += [
+        pytest.param(lambda label=label: q8_lift(label), id="q8_" + label)
+        for label in ("z2_i", "z2_j", "z2_ij", "z2xz2", "q8")
+    ]
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# references: the per-call versions
+
+
+def reference_invariant_factors_sparse(relation_rows):
+    """Unit-pivot elimination from dense rows, then the dense SNF."""
+    rows = {}
+    col_rows = {}
+    for ri, row in enumerate(relation_rows):
+        r = {j: int(v) for j, v in enumerate(row) if v}
+        if r:
+            rows[ri] = r
+            for j in r:
+                col_rows.setdefault(j, set()).add(ri)
+    n_unit = 0
+    while True:
+        pivot = None
+        for ri, r in rows.items():
+            for j, v in r.items():
+                if v in (1, -1):
+                    pivot = (ri, j, v)
+                    break
+            if pivot:
+                break
+        if pivot is None:
+            break
+        ri, j, v = pivot
+        prow = rows.pop(ri)
+        for c in prow:
+            col_rows[c].discard(ri)
+        for oi in list(col_rows.get(j, ())):
+            orow = rows[oi]
+            k = -orow[j] * v
+            for c, pv in prow.items():
+                nv = orow.get(c, 0) + k * pv
+                if nv:
+                    orow[c] = nv
+                    col_rows.setdefault(c, set()).add(oi)
+                else:
+                    orow.pop(c, None)
+                    col_rows[c].discard(oi)
+            if not orow:
+                del rows[oi]
+        n_unit += 1
+    residue = [1] * n_unit
+    if rows:
+        live_cols = sorted({c for r in rows.values() for c in r})
+        cix = {c: i for i, c in enumerate(live_cols)}
+        dense = []
+        for r in rows.values():
+            row = [0] * len(live_cols)
+            for c, v in r.items():
+                row[cix[c]] = v
+            dense.append(row)
+        residue.extend(invariant_factors(dense))
+    return residue
+
+
+def reference_surface_h1_mod(m, extra_cycles=None):
+    """H1 mod extra cycles with a fresh spanning tree and dense rows."""
+    edges = m.edges()
+    verts = m.vertices()
+    faces = m.faces()
+    e_index = {c: i for i, c in enumerate(edges)}
+    head_tail = [
+        (m.cell_of("vertex", c.dart), m.cell_of("vertex", m.edge_pairing[c.dart])) for c in edges
+    ]
+    in_tree = [False] * len(edges)
+    seen = set()
+    for root in verts:
+        if root in seen:
+            continue
+        seen.add(root)
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for x in m.orbit(u):
+                    c = m.cell_of("edge", x)
+                    w = m.cell_of("vertex", m.edge_pairing[x])
+                    if w not in seen:
+                        seen.add(w)
+                        in_tree[e_index[c]] = True
+                        nxt.append(w)
+            frontier = nxt
+    nontree = [j for j in range(len(edges)) if not in_tree[j]]
+    rels = []
+    for f in faces:
+        row = [0] * len(edges)
+        for d in m.orbit(f):
+            c = m.cell_of("edge", d)
+            row[e_index[c]] += 1 if d == c.dart else -1
+        rels.append(row)
+    for v in extra_cycles or ():
+        if len(v) != len(edges):
+            raise InvariantError("cycle vector length disagrees with the edge count")
+        rels.append(list(v))
+    for row in rels:
+        bnd = {}
+        for j, a in enumerate(row):
+            if a:
+                tail, head = head_tail[j]
+                bnd[head] = bnd.get(head, 0) + a
+                bnd[tail] = bnd.get(tail, 0) - a
+        if any(bnd.values()):
+            raise InvariantError("relation vector is not a cycle")
+    coeffs = [[row[j] for j in nontree] for row in rels]
+    facs = reference_invariant_factors_sparse(coeffs)
+    return len(nontree) - len(facs), tuple(sorted(f for f in facs if f > 1))
+
+
+def reference_cut_components(m, cells):
+    """(chi, boundary circles, darts) per component, each component's
+    edges and faces counted by its own pass over every orbit."""
+    cut = cut_along(m, cells)  # corners and circles come from here
+    cut_darts, corners, circles = cut.cut_darts, cut.corners, cut.boundary_circle_darts
+    corner_of = {}
+    for i, corner in enumerate(corners):
+        for d in corner:
+            corner_of[d] = i
+    parent = list(range(len(corners)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for d in range(m.n_darts):
+        if d not in cut_darts:
+            union(corner_of[d], corner_of[m.edge_pairing[d]])
+    for circ in circles:
+        for a, b in zip(circ, circ[1:]):
+            union(corner_of[a], corner_of[b])
+    comp_ids = {}
+    for i in range(len(corners)):
+        comp_ids.setdefault(find(i), []).append(i)
+    out = []
+    for corner_list in comp_ids.values():
+        corner_set = set(corner_list)
+        darts = set()
+        for i in corner_list:
+            darts.update(corners[i])
+        n_interior = sum(
+            1
+            for e in m.edges()
+            if e.dart not in cut_darts and corner_of[e.dart] in corner_set
+        )
+        n_boundary_edges = sum(1 for d in darts if d in cut_darts)
+        n_faces = sum(1 for f in m.faces() if corner_of[f.dart] in corner_set)
+        circles_here = [c for c in circles if corner_of[c[0]] in corner_set]
+        chi = len(corner_list) - (n_interior + n_boundary_edges) + n_faces
+        out.append((chi, circles_here, darts))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# H1 frame
+
+
+@pytest.mark.parametrize("build", _cases())
+def test_surface_h1_mod_matches_per_call_reference(build):
+    d = build()
+    m = d.surface
+    assert surface_h1_mod(m) == invariants_mod.AbelianGroup(*reference_surface_h1_mod(m))
+    for fams in FAMILY_SETS:
+        vectors = []
+        for i in fams:
+            vectors += curve_classes(d, i) + shadow_cycle_classes(d, i)
+        want = reference_surface_h1_mod(m, vectors)
+        got = surface_h1_mod(m, vectors)
+        assert (got.rank, got.torsion) == want, fams
+        assert h1_mod_curves(d, fams) == got, fams
+
+
+def test_surface_h1_mod_rejects_non_cycles_on_every_call():
+    d = entry("s2xs2_genus2").diagram
+    m = d.surface
+    vec = curve_classes(d, 1)[0]
+    broken = list(vec)
+    j = next(k for k, a in enumerate(broken) if a)
+    broken[j] = 0
+    for _ in range(2):
+        with pytest.raises(InvariantError, match="not a cycle"):
+            surface_h1_mod(m, [vec, broken])
+        with pytest.raises(InvariantError, match="edge count"):
+            surface_h1_mod(m, [vec[:-1]])
+    assert surface_h1_mod(m, [vec]) == invariants_mod.AbelianGroup(*reference_surface_h1_mod(m, [vec]))
+
+
+def _small_relation_matrices():
+    out = []
+    for name in CATALOG:
+        d = entry(name).diagram
+        frame = h1_frame(d.surface)
+        if frame.n_cols > 24:
+            continue
+        for fams in FAMILY_SETS:
+            rows = [dict(r) for r in frame.face_rows]
+            rows += [frame._project(c) for i in fams for c in diagram_mod.family_cycles(d, i)]
+            dense = [[r.get(c, 0) for c in range(frame.n_cols)] for r in rows]
+            out.append(pytest.param(dense, id="%s-%s" % (name, "".join(map(str, fams)))))
+    rng = random.Random(5)
+    for k in range(12):
+        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        dense = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
+        out.append(pytest.param(dense, id="random-%d" % k))
+    return out
+
+
+@pytest.mark.parametrize("dense", _small_relation_matrices())
+def test_invariant_factors_match_sympy(dense):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    want = [abs(int(f)) for f in sympy_factors(sympy.Matrix(dense), domain=sympy.ZZ) if f]
+    assert invariant_factors(dense) == want
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+    assert _invariant_factors_sparse(sparse) == want
+
+
+# ---------------------------------------------------------------------------
+# per-dart cell arrays and cuts
+
+
+@pytest.mark.parametrize("build", _cases())
+def test_cell_arrays_match_cell_of(build):
+    m = build().surface
+    for kind, cells, of in (
+        ("vertex", m.vertices(), m.vertex_of),
+        ("edge", m.edges(), m.edge_of),
+        ("face", m.faces(), m.face_of),
+    ):
+        assert [c.dart for c in cells] == sorted(c.dart for c in cells)
+        assert len(of) == m.n_darts
+        for d in range(m.n_darts):
+            cell = cells[of[d]]
+            assert m.cell_of(kind, d) == cell
+            assert cell.kind == kind
+            assert d in m.orbit(cell)
+            assert cell.dart == min(m.orbit(cell))
+    for kind, dart in (("vertex", -1), ("edge", m.n_darts), ("face", "0"), ("corner", 0)):
+        with pytest.raises(UnknownCell):
+            m.cell_of(kind, dart)
+
+
+def _cut_sets(d):
+    m = d.surface
+    sets = []
+    for i in (1, 2, 3):
+        cells = {m.cell_of("edge", x) for x in d.darts_of_color(alpha(i))}
+        if cells:
+            sets.append(cells)
+    rng = random.Random(m.n_darts)
+    edges = m.edges()
+    for _ in range(4):
+        sets.append(set(rng.sample(edges, rng.randrange(1, len(edges) + 1))))
+    return sets
+
+
+@pytest.mark.parametrize("build", _cases())
+def test_cut_components_match_per_component_reference(build):
+    d = build()
+    for cells in _cut_sets(d):
+        cut = cut_along(d.surface, cells)
+        got = [(c.chi, c.boundary_circles, c.darts) for c in cut.components]
+        assert got == reference_cut_components(d.surface, cells)
+        for c in cut.components:
+            assert c.n_boundary == len(c.boundary_circles)
+
+
+# ---------------------------------------------------------------------------
+# per-diagram data
+
+
+def _branching_diagram():
+    # s2xs2_genus2 with one more alpha1 edge at a vertex that already has
+    # two alpha1 darts: the family branches there
+    d = entry("s2xs2_genus2").diagram
+    m = d.surface
+    at = {}
+    for x in d.darts_of_color(alpha(1)):
+        at.setdefault(m.vertex_of[x], []).append(x)
+    v = next(iter(at))
+    extra = next(
+        x for x in m.orbit(m.vertices()[v]) if d.dart_colors[x].kind == "scaffold"
+    )
+    color = dict(d.color)
+    color[m.cell_of("edge", extra)] = alpha(1)
+    return ShadowDiagram(m, color, d.marked)
+
+
+def test_branching_family_raises_the_same_error_on_every_call():
+    d = _branching_diagram()
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(MalformedColoring) as err:
+            validate_cut_system(d, 1)
+        messages.add(str(err.value))
+        with pytest.raises(MalformedColoring) as err:
+            curve_classes(d, 1)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    assert messages.pop().startswith("alpha1 has 3 darts at vertex")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(_branching_diagram, id="branching")]
+    + [p for p in _cases() if p.id in ("d6_s4", "q8_link_base", "natural_genus1_3", "q8_z2_ij")],
+)
+def test_validation_repeats_on_one_diagram(build):
+    d = build()
+    first = validate_trisection(d)
+    second = validate_trisection(d)
+    assert first.summary() == second.summary()
+    assert first.cut_verdicts == second.cut_verdicts
+    assert first.pair_verdicts == second.pair_verdicts
+    assert first.summary() == validate_trisection(build()).summary()
+
+
+def test_validation_does_each_piece_of_work_once(monkeypatch):
+    base, reds = q8_reductions()
+    d = derived_cover(base.diagram, reds[-1][1]).diagram  # a fresh diagram and map
+    assert d.surface.n_darts == 1712
+    calls = {"cut_along": 0, "H1Frame": 0, "_family_curves": []}
+    real_cut, real_frame, real_curves = (
+        diagram_mod.cut_along,
+        invariants_mod.H1Frame,
+        diagram_mod._family_curves,
+    )
+
+    def cut(*args):
+        calls["cut_along"] += 1
+        return real_cut(*args)
+
+    def frame(m):
+        calls["H1Frame"] += 1
+        return real_frame(m)
+
+    def curves(dd, i):
+        calls["_family_curves"].append(i)
+        return real_curves(dd, i)
+
+    monkeypatch.setattr(diagram_mod, "cut_along", cut)
+    monkeypatch.setattr(invariants_mod, "H1Frame", frame)
+    monkeypatch.setattr(diagram_mod, "_family_curves", curves)
+    report = validate_trisection(d)
+    assert report.gk() == (17, (5, 5, 5))
+    # one cut per family for the cut systems and one per family for the
+    # shadow arcs; one H1 frame for the surface; one extraction per family
+    assert calls == {"cut_along": 6, "H1Frame": 1, "_family_curves": [1, 2, 3]}
