@@ -15,6 +15,13 @@ Each map keeps three flat per-dart arrays, built once at construction:
 the vertex, edge and face containing dart ``d`` in the lists returned by
 ``vertices()``, ``edges()`` and ``faces()``.  Cells are listed by
 ascending minimum dart, and ``cell_of`` is served from these arrays.
+
+Two partition primitives serve every connectivity question in ``etd``:
+:func:`perm_orbits` gives the orbits of the group a set of dart
+permutations generates (cells, components, quotient darts), and
+:class:`DisjointSets` is the union-find for partitions built edge by
+edge (cut pieces, arc unions, tree/cotree splits).  Both number their
+classes by least element.
 """
 
 from __future__ import annotations
@@ -47,20 +54,56 @@ class UnknownCell(MapError):
     pass
 
 
-def _orbits(perm: Sequence[int], n: int) -> list[list[int]]:
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
+def perm_orbits(n: int, perms: Sequence[Sequence[int]]):
+    """Orbits on ``0..n-1`` of the group the permutations generate.
+
+    Returns ``(orbit_id, orbits)``: the orbits as lists numbered by least
+    element, and the orbit number of each element.  With a single
+    permutation each orbit lists its cycle from the least element on.
+    """
+    orbit_id = [-1] * n
+    orbits = []
+    for x in range(n):
+        if orbit_id[x] >= 0:
             continue
-        orbit = []
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            orbit.append(d)
-            d = perm[d]
-        out.append(orbit)
-    return out
+        k = len(orbits)
+        orbit_id[x] = k
+        orb = [x]
+        for y in orb:
+            for p in perms:
+                z = p[y]
+                if orbit_id[z] < 0:
+                    orbit_id[z] = k
+                    orb.append(z)
+        orbits.append(orb)
+    return orbit_id, orbits
+
+
+class DisjointSets:
+    """Union-find on ``0..n-1`` with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of ``a`` and ``b``; False if already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+    def labels(self) -> list[int]:
+        """The class number of each element, classes numbered by least
+        element."""
+        index = {}
+        return [index.setdefault(self.find(x), len(index)) for x in range(len(self.parent))]
 
 
 @dataclass(frozen=True)
@@ -103,30 +146,17 @@ class CombMap:
             self._rotation_inv[rotation[d]] = d
         # face walk: rotation^-1 after edge_pairing
         self.face_walk = tuple(self._rotation_inv[edge_pairing[d]] for d in range(n_darts))
-        self._vertex_orbits = _orbits(self.rotation, n_darts)
-        self._face_orbits = _orbits(self.face_walk, n_darts)
-        self._edge_orbits = []
-        for d in range(n_darts):
-            e = edge_pairing[d]
-            if e == d:
-                self._edge_orbits.append([d])
-            elif d < e:
-                self._edge_orbits.append([d, e])
-        # orbits are listed by ascending first dart, which is their minimum
-        self._cells = {}
-        for kind, orbs in (
-            ("vertex", self._vertex_orbits),
-            ("edge", self._edge_orbits),
-            ("face", self._face_orbits),
-        ):
-            of = [0] * n_darts
-            for i, orbit in enumerate(orbs):
-                for d in orbit:
-                    of[d] = i
-            self._cells[kind] = ([CellId(kind, o[0]) for o in orbs], of)
-        self.vertex_of = self._cells["vertex"][1]
-        self.edge_of = self._cells["edge"][1]
-        self.face_of = self._cells["face"][1]
+        self.vertex_of, self._vertex_orbits = perm_orbits(n_darts, (rotation,))
+        self.edge_of, self._edge_orbits = perm_orbits(n_darts, (edge_pairing,))
+        self.face_of, self._face_orbits = perm_orbits(n_darts, (self.face_walk,))
+        self._cells = {
+            kind: ([CellId(kind, o[0]) for o in orbs], of)
+            for kind, of, orbs in (
+                ("vertex", self.vertex_of, self._vertex_orbits),
+                ("edge", self.edge_of, self._edge_orbits),
+                ("face", self.face_of, self._face_orbits),
+            )
+        }
         self._components = None
         self._h1_frame = None  # built by invariants.h1_frame on first use
 
@@ -174,25 +204,9 @@ class CombMap:
 
         Computed once per map; callers must not mutate the result.
         """
-        if self._components is not None:
-            return self._components
-        parent = list(range(self.n_darts))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for d in range(self.n_darts):
-            for e in (self.rotation[d], self.edge_pairing[d]):
-                ra, rb = find(d), find(e)
-                if ra != rb:
-                    parent[ra] = rb
-        comps = {}
-        for d in range(self.n_darts):
-            comps.setdefault(find(d), set()).add(d)
-        self._components = list(comps.values())
+        if self._components is None:
+            _, orbits = perm_orbits(self.n_darts, (self.rotation, self.edge_pairing))
+            self._components = [set(o) for o in orbits]
         return self._components
 
     def is_connected(self) -> bool:
@@ -323,33 +337,19 @@ class CutSurface:
         self.boundary_circle_darts = circles
 
         # connectivity: corners joined by uncut edges, plus boundary walks
-        parent = list(range(len(corners)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
+        pieces = DisjointSets(len(corners))
         for d in range(base.n_darts):
-            e = base.edge_pairing[d]
             if d not in cut_darts:
-                union(corner_of[d], corner_of[e])
+                pieces.union(corner_of[d], corner_of[base.edge_pairing[d]])
         for circ in circles:
             for a, b in zip(circ, circ[1:]):
-                union(corner_of[a], corner_of[b])
+                pieces.union(corner_of[a], corner_of[b])
 
         # number the components by their first corner, then count each
         # one's corners, edges (a cut dart is one boundary edge), faces and
         # boundary circles in one pass over each kind of cell
-        index = {}
-        comp_of = [index.setdefault(find(i), len(index)) for i in range(len(corners))]
-        k = len(index)
+        comp_of = pieces.labels()
+        k = max(comp_of, default=-1) + 1
         chi = [0] * k
         darts = [set() for _ in range(k)]
         circles_in = [[] for _ in range(k)]

@@ -38,7 +38,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cmap import build_map
+from .cmap import UnknownCell, build_map
 from .diagram import SCAFFOLD, Color, DiagramError, ShadowDiagram, parse_color
 from .groups import Group, GroupError, group_by_name
 
@@ -158,13 +158,13 @@ def parse_diagram_file(text: str) -> DiagramFile:
     n = None
     pairing = None
     rotation = None
-    colors = []  # (dart, Color)
-    marked_darts = None
+    colors = []  # (lineno, dart, Color)
+    marked_rows = None  # [(lineno, dart)]
     group = None
     action_rows = []  # (name, permutation)
-    voltage_rows = []  # (dart, token)
-    meridian_rows = []  # (dart, token)
-    cone_rows = []  # (kind, dart, order)
+    voltage_rows = []  # (lineno, dart, token)
+    meridian_rows = []  # (lineno, dart, token)
+    cone_rows = []  # (lineno, kind, dart, order)
     expected = None
     for lineno, ln in rows[1:]:
         parts = ln.split()
@@ -186,13 +186,13 @@ def parse_diagram_file(text: str) -> DiagramFile:
                 raise FileFormatError("bad edge line %r" % ln)
             dart = _int(parts[1], lineno)
             try:
-                colors.append((dart, parse_color(parts[2])))
+                colors.append((lineno, dart, parse_color(parts[2])))
             except DiagramError as err:
                 raise DiagramError("line %d: %s" % (lineno, err))
         elif key == "marked":
-            if marked_darts is not None:
+            if marked_rows is not None:
                 raise FileFormatError("duplicate marked line")
-            marked_darts = [_int(x, lineno) for x in parts[1:]]
+            marked_rows = [(lineno, _int(x, lineno)) for x in parts[1:]]
         elif key == "group":
             if group is not None:
                 raise FileFormatError("duplicate group line")
@@ -207,15 +207,15 @@ def parse_diagram_file(text: str) -> DiagramFile:
         elif key == "voltage":
             if len(parts) != 3:
                 raise FileFormatError("bad voltage line %r" % ln)
-            voltage_rows.append((_int(parts[1], lineno), parts[2]))
+            voltage_rows.append((lineno, _int(parts[1], lineno), parts[2]))
         elif key == "meridian":
             if len(parts) != 3:
                 raise FileFormatError("bad meridian line %r" % ln)
-            meridian_rows.append((_int(parts[1], lineno), parts[2]))
+            meridian_rows.append((lineno, _int(parts[1], lineno), parts[2]))
         elif key == "cone":
             if len(parts) != 4:
                 raise FileFormatError("bad cone line %r" % ln)
-            cone_rows.append((parts[1], _int(parts[2], lineno), _int(parts[3], lineno)))
+            cone_rows.append((lineno, parts[1], _int(parts[2], lineno), _int(parts[3], lineno)))
         elif key == "expected":
             if expected is not None:
                 raise FileFormatError("duplicate expected line")
@@ -232,19 +232,22 @@ def parse_diagram_file(text: str) -> DiagramFile:
     m = build_map(n, pairing, rotation)
     edge_cells = {e.dart: e for e in m.edges()}
     color = {}
-    for dart, c in colors:
+    for lineno, dart, c in colors:
         if dart not in edge_cells:
-            raise FileFormatError("edge %d is not an edge representative" % dart)
+            raise FileFormatError(
+                "line %d: edge %d is not an edge representative" % (lineno, dart)
+            )
         if edge_cells[dart] in color:
-            raise FileFormatError("edge %d colored twice" % dart)
+            raise FileFormatError("line %d: edge %d colored twice" % (lineno, dart))
         color[edge_cells[dart]] = c
     marked = set()
     vertex_cells = {v.dart: v for v in m.vertices()}
-    if marked_darts:
-        for dart in marked_darts:
-            if dart not in vertex_cells:
-                raise FileFormatError("dart %d is not a vertex representative" % dart)
-            marked.add(vertex_cells[dart])
+    for lineno, dart in marked_rows or ():
+        if dart not in vertex_cells:
+            raise FileFormatError(
+                "line %d: dart %d is not a vertex representative" % (lineno, dart)
+            )
+        marked.add(vertex_cells[dart])
     d = ShadowDiagram(m, color, marked)
 
     action = None
@@ -267,16 +270,20 @@ def parse_diagram_file(text: str) -> DiagramFile:
         from .cover import CoverError, VoltageAssignment
 
         volt = {x: group.identity for x in range(n)}
-        for dart, tok in voltage_rows:
+        for lineno, dart, tok in voltage_rows:
             if dart not in edge_cells:
-                raise FileFormatError("voltage dart %d is not an edge representative" % dart)
+                raise FileFormatError(
+                    "line %d: voltage dart %d is not an edge representative" % (lineno, dart)
+                )
             w = _parse_element(group, tok)
             volt[dart] = w
             volt[m.edge_pairing[dart]] = group.inv(w)
         mer = {}
-        for dart, tok in meridian_rows:
+        for lineno, dart, tok in meridian_rows:
             if dart not in vertex_cells:
-                raise FileFormatError("meridian dart %d is not a vertex representative" % dart)
+                raise FileFormatError(
+                    "line %d: meridian dart %d is not a vertex representative" % (lineno, dart)
+                )
             mer[vertex_cells[dart]] = _parse_element(group, tok)
         try:
             voltages = VoltageAssignment(group, volt, mer).validated(d)
@@ -286,13 +293,15 @@ def parse_diagram_file(text: str) -> DiagramFile:
         raise FileFormatError("voltage/meridian lines without a group line")
 
     cones = []
-    for kind, dart, order in cone_rows:
+    for lineno, kind, dart, order in cone_rows:
         try:
             cell = m.cell_of(kind, dart)
-        except Exception:
-            raise FileFormatError("no %s cell at dart %d" % (kind, dart))
+        except UnknownCell:
+            raise FileFormatError("line %d: no %s cell at dart %d" % (lineno, kind, dart))
         if cell.dart != dart:
-            raise FileFormatError("cone dart %d is not a cell representative" % dart)
+            raise FileFormatError(
+                "line %d: cone dart %d is not a cell representative" % (lineno, dart)
+            )
         cones.append((cell, order))
     return DiagramFile(d, voltages, expected, cones, action)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cmap import CellId, CombMap, canonical_form, cut_along, is_isomorphic
+from .cmap import CellId, CombMap, DisjointSets, canonical_form, cut_along, is_isomorphic
 from .invariants import h1_frame
 
 
@@ -67,15 +67,14 @@ SCAFFOLD = Color("scaffold")
 
 
 def parse_color(text: str) -> Color:
+    """The color a token names: ``scaffold``, or ``alpha``/``shadow``
+    followed by exactly one ASCII digit, which must be 1, 2 or 3."""
     if text == "scaffold":
         return SCAFFOLD
     for kind in ("alpha", "shadow"):
-        if text.startswith(kind):
-            try:
-                index = int(text[len(kind):])
-            except ValueError:
-                break
-            return Color(kind, index)
+        digit = text[len(kind):]
+        if text.startswith(kind) and len(digit) == 1 and digit in "0123456789":
+            return Color(kind, int(digit))
     raise DiagramError("unknown color %r" % (text,))
 
 
@@ -151,9 +150,6 @@ class ShadowDiagram:
         if isinstance(got, DiagramError):
             raise type(got)(*got.args)
         return got
-
-    def edges_of_color(self, c: Color):
-        return [e for e in self.surface.edges() if self.color[e] == c]
 
     def dart_labels(self):
         """Per-dart decorations for canonical forms and isomorphism."""
@@ -321,23 +317,15 @@ def _shadow_cycles(d: ShadowDiagram, i: int):
     m = d.surface
     sub = sorted(_shadow_cells(d, i), key=lambda c: c.dart)
 
-    parent = {}
-
-    def find(v):
-        while parent.get(v, v) != v:
-            v = parent.get(v, v)
-        return v
-
+    forest = DisjointSets(len(m.vertices()))
     extra = []
     tree_at = {}
     for c in sub:
         tail = m.vertex_of[c.dart]
         head = m.vertex_of[m.edge_pairing[c.dart]]
-        rt, rh = find(tail), find(head)
-        if rt == rh:
+        if not forest.union(tail, head):
             extra.append((c, tail, head))
         else:
-            parent[rt] = rh
             tree_at.setdefault(tail, []).append((c.dart, head))
             tree_at.setdefault(head, []).append((m.edge_pairing[c.dart], tail))
     out = []
@@ -605,29 +593,17 @@ def _shadow_components(d: ShadowDiagram, i: int):
     """Connected components of the Shadow(i) arc union, as dart sets."""
     m = d.surface
     darts = d.darts_of_color(shadow(i))
-    parent = {x: x for x in darts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    arcs = DisjointSets(m.n_darts)
     at_vertex = {}
     for x in darts:
-        union(x, m.edge_pairing[x])
+        arcs.union(x, m.edge_pairing[x])
         at_vertex.setdefault(m.vertex_of[x], []).append(x)
     for ds in at_vertex.values():
         for a, b in zip(ds, ds[1:]):
-            union(a, b)
+            arcs.union(a, b)
     comps = {}
     for x in darts:
-        comps.setdefault(find(x), set()).add(x)
+        comps.setdefault(arcs.find(x), set()).add(x)
     return list(comps.values())
 
 
@@ -668,24 +644,10 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
     at bridge points, plus closed components of either family)."""
     m = d.surface
     marked = {m.vertex_of[v.dart] for v in d.marked}
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    loops = DisjointSets(m.n_darts)
     allx = d.darts_of_color(shadow(i)) + d.darts_of_color(shadow(j))
     for x in allx:
-        parent[x] = x
-    for x in allx:
-        union(x, m.edge_pairing[x])
+        loops.union(x, m.edge_pairing[x])
     # along each family, join the two darts at an unmarked pass-through
     for f in (i, j):
         at_vertex = {}
@@ -695,12 +657,12 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
                 at_vertex.setdefault(v, []).append(x)
         for ds in at_vertex.values():
             for a, b in zip(ds, ds[1:]):
-                union(a, b)
+                loops.union(a, b)
     # at marked vertices, join by the rotation-adjacency pairing
     for v in d.marked:
         for xi, xj in _arc_end_pairing(d, v, i, j):
-            union(xi, xj)
-    return len({find(x) for x in allx})
+            loops.union(xi, xj)
+    return len({loops.find(x) for x in allx})
 
 
 @dataclass

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cmap import CellId, CombMap, build_map, subdivide_edges
-from .diagram import SCAFFOLD, ShadowDiagram, validate_trisection
+from .cmap import CombMap, DisjointSets, build_map, perm_orbits, subdivide_edges
+from .diagram import SCAFFOLD, ShadowDiagram, alpha, validate_trisection
 from .symmetry import (
     DEFAULT_CLOSURE_CAP,
     DiagramAction,
@@ -70,26 +70,6 @@ def _subdivided_diagram(d: ShadowDiagram, cells):
     return ShadowDiagram(m2, color, marked), origin
 
 
-def _orbits(n_darts, perms):
-    """Dart orbits of the group the permutations generate, numbered by
-    least dart: (orbit index of each dart, the orbits as dart lists)."""
-    orbit_id = [-1] * n_darts
-    orbits = []
-    for x in range(n_darts):
-        if orbit_id[x] >= 0:
-            continue
-        orbit_id[x] = len(orbits)
-        orb = [x]
-        for y in orb:
-            for p in perms:
-                z = p[y]
-                if orbit_id[z] < 0:
-                    orbit_id[z] = len(orbits)
-                    orb.append(z)
-        orbits.append(orb)
-    return orbit_id, orbits
-
-
 def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
              cap: int = DEFAULT_CLOSURE_CAP) -> QuotientResult:
     """Quotient the diagram by the subgroup N generated by
@@ -130,14 +110,14 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
 
     # N-inverted edges: both darts in one N-orbit.  N is normal, so the
     # set is G-invariant and the whole group still acts after subdivision.
-    orbit_id, _ = _orbits(m.n_darts, n_sub.generators)
+    orbit_id, _ = perm_orbits(m.n_darts, n_sub.generators)
     inverted = [e for e in m.edges() if orbit_id[e.dart] == orbit_id[m.edge_pairing[e.dart]]]
     sub_d, origin = _subdivided_diagram(d, inverted)
     m2 = sub_d.surface
     n_old = m.n_darts
 
     # N-orbits of darts become the quotient darts
-    orbit_id, orbits = _orbits(
+    orbit_id, orbits = perm_orbits(
         m2.n_darts, [_extend_perm(n, m2, n_old) for n in n_sub.generators]
     )
     if any(len(orb) != order_n for orb in orbits):
@@ -210,28 +190,18 @@ def folded_curve_edges(d: ShadowDiagram, i: int):
     valence at a vertex): the images of invariant curves running through
     fixed points, folded in half by the quotient."""
     m = d.surface
-    fam = [e for e, c in d.color.items() if c.kind == "alpha" and c.index == i]
+    darts = d.darts_of_color(alpha(i))
+    curves = DisjointSets(m.n_darts)
     at_vertex = {}
-    for e in fam:
-        for x in (e.dart, m.edge_pairing[e.dart]):
-            at_vertex.setdefault(m.cell_of("vertex", x), []).append(e)
-    parent = {}
-
-    def find(e):
-        while parent.get(e, e) != e:
-            e = parent.get(e, e)
-        return e
-
-    odd_roots = set()
-    for v, es in at_vertex.items():
-        for e in es[1:]:
-            ra, rb = find(es[0]), find(e)
-            if ra != rb:
-                parent[ra] = rb
-    for v, es in at_vertex.items():
-        if len(es) % 2 == 1:
-            odd_roots.add(find(es[0]))
-    return {e for e in fam if find(e) in odd_roots}
+    for x in darts:
+        curves.union(x, m.edge_pairing[x])
+        at_vertex.setdefault(m.vertex_of[x], []).append(x)
+    for ds in at_vertex.values():
+        for a, b in zip(ds, ds[1:]):
+            curves.union(a, b)
+    odd_roots = {curves.find(ds[0]) for ds in at_vertex.values() if len(ds) % 2}
+    edges = m.edges()
+    return {edges[m.edge_of[x]] for x in darts if curves.find(x) in odd_roots}
 
 
 def demoted_diagram(q: QuotientResult) -> ShadowDiagram:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .cmap import DisjointSets
 from .diagio import FileFormatError
 
 
@@ -142,17 +143,9 @@ def validate_triangulation(K: GTriangulation) -> bool:
     n = len(K.pentachora)
     if n == 0:
         raise TriangError("no pentachora")
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for owners in facets.values():
-        parent[find(owners[0])] = find(owners[1])
-    if len({find(i) for i in range(n)}) != 1:
+    pieces = DisjointSets(n)
+    merges = sum(pieces.union(*owners) for owners in facets.values())
+    if merges != n - 1:
         raise TriangError("triangulation is not connected")
 
     penta_multiset = sorted(tuple(sorted(p)) for p in K.pentachora)
@@ -489,17 +482,9 @@ def sigma_oracle(K: GTriangulation) -> int:
     for a, b in edges.values():
         verts.setdefault(a, len(verts))
         verts.setdefault(b, len(verts))
-    parent = list(range(len(verts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in edges.values():
-        parent[find(verts[a])] = find(verts[b])
-    if len({find(i) for i in range(len(verts))}) != 1:
+    pieces = DisjointSets(len(verts))
+    merges = sum(pieces.union(verts[a], verts[b]) for a, b in edges.values())
+    if merges != len(verts) - 1:
         raise TriangError("central surface is disconnected")
 
     chi = len(verts) - len(edges) + len(faces)

@@ -206,7 +206,9 @@ def test_validate_disconnected_map_exits_2(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("token", ["alpha7", "alphax", "shadow", "beta1"])
+@pytest.mark.parametrize(
+    "token", ["alpha7", "alphax", "shadow", "beta1", "alpha01", "alpha+1", "alpha\u0663"]
+)
 def test_bad_color_token_names_its_line(tmp_path, capsys, token):
     text = frozen_file_text("d4_double")
     lineno = text.splitlines().index("edge 12 alpha1") + 1
@@ -227,3 +229,42 @@ def test_invariant_error_exits_2(tmp_path, capsys, monkeypatch):
     p = write_catalog(tmp_path, "s1xs3")
     assert main(["invariants", str(p)]) == 2
     assert "not a cycle" in _no_traceback(capsys)
+
+
+THETA = (
+    "etd-diagram 1\n"
+    "darts 6\n"
+    "pairing 1 0 3 2 5 4\n"
+    "rotation 2 5 4 1 0 3\n"
+    "edge 0 shadow1\n"
+    "edge 2 shadow2\n"
+    "edge 4 shadow3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "tail, lineno, message",
+    [
+        pytest.param("edge 1 alpha1", 8, "edge 1 is not an edge representative", id="edge"),
+        pytest.param("edge 0 alpha1", 8, "edge 0 colored twice", id="edge_twice"),
+        pytest.param("marked 0 2", 8, "dart 2 is not a vertex representative", id="marked"),
+        pytest.param(
+            "group cyclic 4\nvoltage 1 1", 9, "voltage dart 1 is not an edge representative",
+            id="voltage_dart",
+        ),
+        pytest.param(
+            "group cyclic 4\nmeridian 2 1", 9, "meridian dart 2 is not a vertex representative",
+            id="meridian_dart",
+        ),
+        pytest.param(
+            "cone vertex 2 2", 8, "cone dart 2 is not a cell representative", id="cone_dart"
+        ),
+        pytest.param("cone face 7 2", 8, "no face cell at dart 7", id="cone_range"),
+        pytest.param("cone corner 0 2", 8, "no corner cell at dart 0", id="cone_kind"),
+    ],
+)
+def test_position_error_names_its_line(tmp_path, capsys, tail, lineno, message):
+    p = tmp_path / "bad.diagram"
+    p.write_text(THETA + tail + "\n")
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == "parse error: line %d: %s\n" % (lineno, message)

@@ -10,6 +10,7 @@ from etd.quotient import (
     YES,
     NotNormal,
     NotValidAction,
+    folded_curve_edges,
     quotient,
     quotient_is_trisection,
 )
@@ -169,3 +170,20 @@ def test_identity_action_quotient():
     q = quotient(d, identity_action(d.surface.n_darts))
     assert q.diagram.isomorphic_to(d) is not None
     assert q.cone_points == []
+
+
+@pytest.mark.parametrize(
+    "name, darts",
+    [
+        ("cp2", [0, 2, 4]),
+        ("cp2bar", [0, 2, 4]),
+        ("s1xs3", []),
+        ("s2xs2_genus2", [0, 2, 4]),
+        ("s4_suspension_genus2", [1, 5, 7]),
+    ],
+)
+def test_folded_curve_edges_on_catalog_quotients(name, darts):
+    e = entry(name)
+    q = quotient(e.diagram, e.action)
+    folded = [sorted(c.dart for c in folded_curve_edges(q.diagram, i)) for i in (1, 2, 3)]
+    assert sum(folded, []) == darts
