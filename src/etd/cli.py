@@ -11,7 +11,9 @@ exit-code contract so batch runs can triage:
 ``--json`` emits a structured report instead of text; JSON reports carry
 a ``format`` key ("etd-report 1").  The environment variable
 ``ETD_TIER2_BUDGET`` overrides the default search budget of the
-curve-standardization tier of validation.
+curve-standardization tier of validation, for ``validate`` and ``lift``
+(unless ``--tier2-budget`` is given) and for the quotient that
+``quotient`` validates.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def _read(path):
             return fh.read()
     except OSError as err:
         raise FileFormatError(str(err))
+    except UnicodeDecodeError as err:
+        raise FileFormatError("%s: %s" % (path, err))
 
 
 def _report_dict(report):
@@ -175,7 +179,7 @@ def cmd_quotient(args) -> int:
             return SEMANTIC_ERROR
         subgroup = [by_name[n] for n in args.subgroup]
     q = quotient(df.diagram, df.action, subgroup)
-    verdict, report = quotient_is_trisection(q)
+    verdict, report = quotient_is_trisection(q, tier2_budget=_default_budget())
     out = _out_path(args, "quotient")
     with open(out, "w") as fh:
         fh.write(

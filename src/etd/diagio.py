@@ -11,7 +11,8 @@
 
 ``edge`` lines name an edge by its smallest dart; unlisted edges are
 scaffold.  ``marked`` lists marked vertices by their smallest darts.
-Unknown keys and malformed counts are rejected.
+Unknown keys and malformed counts are rejected; a parse error in a line
+names its number.
 
 Optional blocks:
 
@@ -27,9 +28,9 @@ Optional blocks:
 ``voltage`` lines give one element per edge representative (identity if
 unlisted, partner darts get the inverse); ``meridian`` lines attach a
 branching element to a marked vertex.  ``cone`` records an orbifold point
-(cell kind, representative dart, local order).  ``expected`` pins the
-(genus; k1 k2 k3) the file's cover should validate to, ``?`` for an
-unconstrained slot.
+(cell kind, representative dart, local order at least 2).  ``expected``
+pins the (genus; k1 k2 k3) the file's cover should validate to, ``?``
+for an unconstrained slot.
 """
 
 from __future__ import annotations
@@ -137,11 +138,11 @@ def serialize_diagram(
     return "\n".join(lines) + "\n"
 
 
-def _int(tok: str, lineno: int) -> int:
+def _int(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise FileFormatError("line %d: %r is not an integer" % (lineno, tok))
+        raise FileFormatError("%r is not an integer" % tok)
 
 
 def parse_diagram_file(text: str) -> DiagramFile:
@@ -161,7 +162,7 @@ def parse_diagram_file(text: str) -> DiagramFile:
     colors = []  # (lineno, dart, Color)
     marked_rows = None  # [(lineno, dart)]
     group = None
-    action_rows = []  # (name, permutation)
+    action_rows = []  # (lineno, name, permutation)
     voltage_rows = []  # (lineno, dart, token)
     meridian_rows = []  # (lineno, dart, token)
     cone_rows = []  # (lineno, kind, dart, order)
@@ -169,62 +170,65 @@ def parse_diagram_file(text: str) -> DiagramFile:
     for lineno, ln in rows[1:]:
         parts = ln.split()
         key = parts[0]
-        if key == "darts":
-            if n is not None or len(parts) != 2:
-                raise FileFormatError("bad darts line")
-            n = _int(parts[1], lineno)
-        elif key == "pairing":
-            if pairing is not None:
-                raise FileFormatError("duplicate pairing line")
-            pairing = [_int(x, lineno) for x in parts[1:]]
-        elif key == "rotation":
-            if rotation is not None:
-                raise FileFormatError("duplicate rotation line")
-            rotation = [_int(x, lineno) for x in parts[1:]]
-        elif key == "edge":
-            if len(parts) != 3:
-                raise FileFormatError("bad edge line %r" % ln)
-            dart = _int(parts[1], lineno)
-            try:
-                colors.append((lineno, dart, parse_color(parts[2])))
-            except DiagramError as err:
-                raise DiagramError("line %d: %s" % (lineno, err))
-        elif key == "marked":
-            if marked_rows is not None:
-                raise FileFormatError("duplicate marked line")
-            marked_rows = [(lineno, _int(x, lineno)) for x in parts[1:]]
-        elif key == "group":
-            if group is not None:
-                raise FileFormatError("duplicate group line")
-            try:
-                group = group_by_name(" ".join(parts[1:]))
-            except GroupError as err:
-                raise FileFormatError(str(err))
-        elif key == "action":
-            if len(parts) < 3:
-                raise FileFormatError("bad action line %r" % ln)
-            action_rows.append((parts[1], [_int(x, lineno) for x in parts[2:]]))
-        elif key == "voltage":
-            if len(parts) != 3:
-                raise FileFormatError("bad voltage line %r" % ln)
-            voltage_rows.append((lineno, _int(parts[1], lineno), parts[2]))
-        elif key == "meridian":
-            if len(parts) != 3:
-                raise FileFormatError("bad meridian line %r" % ln)
-            meridian_rows.append((lineno, _int(parts[1], lineno), parts[2]))
-        elif key == "cone":
-            if len(parts) != 4:
-                raise FileFormatError("bad cone line %r" % ln)
-            cone_rows.append((lineno, parts[1], _int(parts[2], lineno), _int(parts[3], lineno)))
-        elif key == "expected":
-            if expected is not None:
-                raise FileFormatError("duplicate expected line")
-            if len(parts) != 5:
-                raise FileFormatError("bad expected line %r" % ln)
-            ks = tuple(None if p == "?" else _int(p, lineno) for p in parts[2:])
-            expected = (_int(parts[1], lineno), ks)
-        else:
-            raise FileFormatError("unknown key %r" % key)
+        try:
+            if key == "darts":
+                if n is not None or len(parts) != 2:
+                    raise FileFormatError("bad darts line")
+                n = _int(parts[1])
+            elif key == "pairing":
+                if pairing is not None:
+                    raise FileFormatError("duplicate pairing line")
+                pairing = [_int(x) for x in parts[1:]]
+            elif key == "rotation":
+                if rotation is not None:
+                    raise FileFormatError("duplicate rotation line")
+                rotation = [_int(x) for x in parts[1:]]
+            elif key == "edge":
+                if len(parts) != 3:
+                    raise FileFormatError("bad edge line %r" % ln)
+                dart = _int(parts[1])
+                try:
+                    colors.append((lineno, dart, parse_color(parts[2])))
+                except DiagramError as err:
+                    raise DiagramError("line %d: %s" % (lineno, err))
+            elif key == "marked":
+                if marked_rows is not None:
+                    raise FileFormatError("duplicate marked line")
+                marked_rows = [(lineno, _int(x)) for x in parts[1:]]
+            elif key == "group":
+                if group is not None:
+                    raise FileFormatError("duplicate group line")
+                try:
+                    group = group_by_name(" ".join(parts[1:]))
+                except GroupError as err:
+                    raise FileFormatError(str(err))
+            elif key == "action":
+                if len(parts) < 3:
+                    raise FileFormatError("bad action line %r" % ln)
+                action_rows.append((lineno, parts[1], [_int(x) for x in parts[2:]]))
+            elif key == "voltage":
+                if len(parts) != 3:
+                    raise FileFormatError("bad voltage line %r" % ln)
+                voltage_rows.append((lineno, _int(parts[1]), parts[2]))
+            elif key == "meridian":
+                if len(parts) != 3:
+                    raise FileFormatError("bad meridian line %r" % ln)
+                meridian_rows.append((lineno, _int(parts[1]), parts[2]))
+            elif key == "cone":
+                if len(parts) != 4:
+                    raise FileFormatError("bad cone line %r" % ln)
+                cone_rows.append((lineno, parts[1], _int(parts[2]), _int(parts[3])))
+            elif key == "expected":
+                if expected is not None:
+                    raise FileFormatError("duplicate expected line")
+                if len(parts) != 5:
+                    raise FileFormatError("bad expected line %r" % ln)
+                ks = tuple(None if p == "?" else _int(p) for p in parts[2:])
+                expected = (_int(parts[1]), ks)
+            else:
+                raise FileFormatError("unknown key %r" % key)
+        except FileFormatError as err:
+            raise FileFormatError("line %d: %s" % (lineno, err))
     if n is None or pairing is None or rotation is None:
         raise FileFormatError("missing darts/pairing/rotation")
     if len(pairing) != n or len(rotation) != n:
@@ -254,14 +258,14 @@ def parse_diagram_file(text: str) -> DiagramFile:
     if action_rows:
         from .symmetry import DiagramAction, base_darts
 
-        for name, perm in action_rows:
+        for lineno, name, perm in action_rows:
             if sorted(perm) != list(range(n)):
                 raise FileFormatError(
-                    "action generator %s is not a dart permutation" % name
+                    "line %d: action generator %s is not a dart permutation" % (lineno, name)
                 )
         action = DiagramAction(
-            [tuple(perm) for _, perm in action_rows],
-            [name for name, _ in action_rows],
+            [tuple(perm) for _, _, perm in action_rows],
+            [name for _, name, _ in action_rows],
             base_darts(m),
         )
 
@@ -275,7 +279,10 @@ def parse_diagram_file(text: str) -> DiagramFile:
                 raise FileFormatError(
                     "line %d: voltage dart %d is not an edge representative" % (lineno, dart)
                 )
-            w = _parse_element(group, tok)
+            try:
+                w = _parse_element(group, tok)
+            except FileFormatError as err:
+                raise FileFormatError("line %d: %s" % (lineno, err))
             volt[dart] = w
             volt[m.edge_pairing[dart]] = group.inv(w)
         mer = {}
@@ -284,7 +291,10 @@ def parse_diagram_file(text: str) -> DiagramFile:
                 raise FileFormatError(
                     "line %d: meridian dart %d is not a vertex representative" % (lineno, dart)
                 )
-            mer[vertex_cells[dart]] = _parse_element(group, tok)
+            try:
+                mer[vertex_cells[dart]] = _parse_element(group, tok)
+            except FileFormatError as err:
+                raise FileFormatError("line %d: %s" % (lineno, err))
         try:
             voltages = VoltageAssignment(group, volt, mer).validated(d)
         except CoverError as err:
@@ -294,6 +304,8 @@ def parse_diagram_file(text: str) -> DiagramFile:
 
     cones = []
     for lineno, kind, dart, order in cone_rows:
+        if order < 2:
+            raise FileFormatError("line %d: cone order %d is below 2" % (lineno, order))
         try:
             cell = m.cell_of(kind, dart)
         except UnknownCell:

@@ -1,12 +1,30 @@
 """Small finite groups with named elements, as explicit multiplication
 tables.  Used as deck groups for covers and as abstract models of
-symmetry groups."""
+symmetry groups.  :func:`orbit_tree` is the one group-closure loop of
+the package, here and in :mod:`etd.symmetry`."""
 
 from __future__ import annotations
 
 
 class GroupError(ValueError):
     pass
+
+
+def orbit_tree(root, gens, act):
+    """The breadth-first (Schreier) tree of the orbit of ``root`` under
+    the generators: yields ``(point, parent, via)``, ``root`` first with
+    ``-1, -1``, then each new point ``act(gens[via], p)`` where ``p`` is
+    the point yielded at position ``parent``."""
+    index = {root: 0}
+    points = [root]
+    yield root, -1, -1
+    for i, x in enumerate(points):
+        for gi, g in enumerate(gens):
+            y = act(g, x)
+            if y not in index:
+                index[y] = len(points)
+                points.append(y)
+                yield y, i, gi
 
 
 class Group:
@@ -54,27 +72,11 @@ class Group:
         return self._inv[a]
 
     def element_order(self, a):
-        x = a
-        k = 1
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return len(self.generated([a]))
 
     def generated(self, gens):
         """The subgroup generated by the given elements."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    for y in (self.mul(g, x), self.mul(self.inv(g), x)):
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        return seen
+        return {x for x, _, _ in orbit_tree(self.identity, gens, self.mul)}
 
     def is_abelian(self):
         return all(
@@ -93,22 +95,7 @@ def greedy_generators(elements, identity, mul):
         if x in have:
             continue
         gens.append(x)
-        # the old subgroup is closed under the old generators, so only x
-        # moves it; new elements are then closed under all of them
-        frontier = []
-        for y in [mul(x, h) for h in have]:
-            if y not in have:
-                have.add(y)
-                frontier.append(y)
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    y = mul(g, h)
-                    if y not in have:
-                        have.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        have = {y for y, _, _ in orbit_tree(identity, gens, mul)}
         if len(have) == len(elements):
             break
     return gens
@@ -196,7 +183,7 @@ def _atom_by_name(name: str) -> Group:
     words = name.split()
     if words == ["quaternion"]:
         return quaternion()
-    if len(words) == 2:
+    if len(words) == 2 and words[1].isdecimal():
         kind, arg = words
         if kind == "cyclic":
             return cyclic(int(arg))
@@ -222,22 +209,16 @@ def homomorphism(src: Group, dst: Group, images: dict):
 
 
 def hom_from_generator_images(src: Group, dst: Group, gen_images: dict):
-    """Extend images of generators to the whole group, if consistent."""
-    images = {src.identity: dst.identity}
-    frontier = [src.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, h in gen_images.items():
-                y = src.mul(g, x)
-                im = dst.mul(h, images[x])
-                if y in images:
-                    if images[y] != im:
-                        raise GroupError("generator images are inconsistent")
-                else:
-                    images[y] = im
-                    nxt.append(y)
-        frontier = nxt
+    """Extend images of generators to the whole group along the orbit
+    tree; :func:`homomorphism` rejects inconsistent images."""
+    gens = list(gen_images)
+    points = []
+    images = {}
+    for x, parent, via in orbit_tree(src.identity, gens, src.mul):
+        points.append(x)
+        images[x] = dst.identity if parent < 0 else dst.mul(
+            gen_images[gens[via]], images[points[parent]]
+        )
     if len(images) != len(src):
         raise GroupError("generators do not generate the source group")
     return homomorphism(src, dst, images)

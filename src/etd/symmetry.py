@@ -9,20 +9,25 @@ the marked set.
 A map automorphism is fixed by its images of one dart per connected
 component (Gross-Tucker, *Topological Graph Theory*, 1987): it commutes
 with the rotation and the edge pairing, which act transitively on each
-component.  So a group closure stores every element only as its images
-of the action's base darts, one dart per component, and is built in
-O(|G| * #generators * #components) steps with no n-length tuples.  Full
-dart permutations cost one composition each, O(|G| * #darts) for the
-whole group, and are built only where a caller asks for them.
+component.  So a group closure keys every element by its images of the
+action's base darts, one dart per component, and is the breadth-first
+orbit tree of the base darts under the generators
+(:func:`etd.groups.orbit_tree`): O(|G| * #generators * #components)
+steps.  The action queries read keys and :meth:`GroupClosure.images`,
+the image of one dart under every element at one step per tree edge.
+Full dart permutations are built only for results that hold them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
 from .cmap import CellId
 from .diagram import ShadowDiagram
+from .groups import orbit_tree
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -80,26 +85,19 @@ class GroupClosure:
     def __init__(self, generators, base, cap: int = DEFAULT_CLOSURE_CAP):
         self.generators = generators
         self.base = tuple(base)
-        self.keys = [self.base]
-        self.parent = [-1]
-        self.via = [-1]
-        self._index = {self.base: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                key = self.keys[i]
-                for gi, g in enumerate(generators):
-                    k = tuple(g[x] for x in key)
-                    if k not in self._index:
-                        self._index[k] = len(self.keys)
-                        nxt.append(len(self.keys))
-                        self.keys.append(k)
-                        self.parent.append(i)
-                        self.via.append(gi)
-                        if len(self.keys) > cap:
-                            raise ClosureCapExceeded("closure exceeds %d elements" % cap)
-            frontier = nxt
+        self.keys = []
+        self.parent = []
+        self.via = []
+        self._index = {}
+        for key, parent, via in orbit_tree(
+            self.base, generators, lambda g, key: tuple(g[x] for x in key)
+        ):
+            self._index[key] = len(self.keys)
+            self.keys.append(key)
+            self.parent.append(parent)
+            self.via.append(via)
+            if parent >= 0 and len(self.keys) > cap:
+                raise ClosureCapExceeded("closure exceeds %d elements" % cap)
 
     def __len__(self):
         return len(self.keys)
@@ -110,6 +108,14 @@ class GroupClosure:
     def index(self, key) -> Optional[int]:
         """The element with this key, or None."""
         return self._index.get(key)
+
+    def images(self, x) -> list:
+        """The image of dart ``x`` under every element, in closure
+        order, one step per search-tree edge."""
+        out = [x]
+        for g, i in zip(self.via[1:], self.parent[1:]):
+            out.append(self.generators[g][out[i]])
+        return out
 
     def _word(self, i) -> list:
         """Generator permutations whose successive application is
@@ -269,9 +275,19 @@ def check_action(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSURE_
 # orbits and stabilizers
 
 
+def _cell_images(m, closure: GroupClosure, cell: CellId) -> list:
+    """The image of ``cell`` under every element, in closure order;
+    checks that each cell of the orbit is met |G|/|orbit| times."""
+    out = [m.cell_of(cell.kind, y) for y in closure.images(cell.dart)]
+    counts = Counter(out)
+    if any(len(counts) * k != len(out) for k in counts.values()):
+        raise SymmetryError("orbit-stabilizer equality fails at %r" % (cell,))
+    return out
+
+
 def orbits(m, a: DiagramAction, cells, cap: int = DEFAULT_CLOSURE_CAP):
     """Partition of the given cells into action orbits."""
-    elems = a.elements(cap)
+    closure = a.closure(cap)
     cells = list(cells)
     cell_set = set(cells)
     seen = set()
@@ -279,27 +295,20 @@ def orbits(m, a: DiagramAction, cells, cap: int = DEFAULT_CLOSURE_CAP):
     for c in cells:
         if c in seen:
             continue
-        orb = {act_on_cell(m, e, c) for e in elems}
+        orb = frozenset(_cell_images(m, closure, c))
         if not orb <= cell_set:
             raise SymmetryError("orbit of %r leaves the given cell set" % (c,))
         seen |= orb
-        out.append(frozenset(orb))
-    # orbit-stabilizer consistency on every cell
-    for orb in out:
-        for c in orb:
-            stab = [e for e in elems if act_on_cell(m, e, c) == c]
-            if len(orb) * len(stab) != len(elems):
-                raise SymmetryError("orbit-stabilizer equality fails at %r" % (c,))
+        out.append(orb)
     return out
 
 
 def stabilizer(m, a: DiagramAction, cell: CellId, cap: int = DEFAULT_CLOSURE_CAP):
-    elems = a.elements(cap)
-    stab = [e for e in elems if act_on_cell(m, e, cell) == cell]
-    orb = {act_on_cell(m, e, cell) for e in elems}
-    if len(orb) * len(stab) != len(elems):
-        raise SymmetryError("orbit-stabilizer equality fails at %r" % (cell,))
-    return stab
+    """The elements fixing the cell, as dart permutations in closure
+    order."""
+    closure = a.closure(cap)
+    imgs = _cell_images(m, closure, cell)
+    return [e for e, c in zip(closure.permutations(), imgs) if c == cell]
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +345,6 @@ class SingularReport:
         return all(e.n_fixed_points == 0 for e in self.per_element)
 
 
-def _cycle_shift_order(cycle, perm):
-    """Order of perm's induced rotation on an invariant cycle of darts."""
-    n = len(cycle)
-    d0 = cycle[0]
-    img = perm[d0]
-    s = cycle.index(img)
-    from math import gcd
-
-    return n // gcd(n, s) if s else 1
-
-
 def singular_locus(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSURE_CAP) -> SingularReport:
     """Fixed vertices/faces and inverted edges of every nonidentity
     element, with local rotation orders; flags hyperelliptic involutions
@@ -354,28 +352,26 @@ def singular_locus(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSUR
     m = d.surface
     g = m.genus()
     closure = a.closure(cap)
-    per = []
-    hyper = []
-    for e, order in zip(closure.permutations()[1:], closure.orders()[1:]):
-        data = ElementFixedData(e, order)
-        for v in m.vertices():
-            cyc = m.orbit(v)
-            if act_on_cell(m, e, v) == v:
-                lo = _cycle_shift_order(cyc, e)
-                if lo > 1:
-                    data.fixed_vertices.append(FixedCell(v, lo))
-        for f in m.faces():
-            if act_on_cell(m, e, f) == f:
-                lo = _cycle_shift_order(m.orbit(f), e)
-                if lo > 1:
-                    data.fixed_faces.append(FixedCell(f, lo))
-        for c in m.edges():
-            x = c.dart
-            if e[x] == m.edge_pairing[x]:
-                data.inverted_edges.append(FixedCell(c, 2))
-        per.append(data)
-        if data.order == 2 and data.n_fixed_points == 2 * g + 2:
-            hyper.append(e)
+    per = [
+        ElementFixedData(e, order)
+        for e, order in zip(closure.permutations()[1:], closure.orders()[1:])
+    ]
+    for cells, fixed in (
+        (m.vertices(), "fixed_vertices"), (m.faces(), "fixed_faces"), (m.edges(), "inverted_edges")
+    ):
+        for c in cells:
+            # turning the dart cycle by s > 0 has local order len / gcd(len, s);
+            # an inverted edge turns its two darts by 1
+            cycle = m.orbit(c)
+            shift = {x: s for s, x in enumerate(cycle)}
+            for data, y in zip(per, closure.images(c.dart)[1:]):
+                s = shift.get(y)
+                if s:
+                    getattr(data, fixed).append(FixedCell(c, len(cycle) // gcd(len(cycle), s)))
+    hyper = [
+        data.element for data in per
+        if data.order == 2 and data.n_fixed_points == 2 * g + 2
+    ]
     return SingularReport(per, hyper, g)
 
 
@@ -389,28 +385,29 @@ def is_equivalent_action(d: ShadowDiagram, a: DiagramAction, b: DiagramAction,
     """Whether some color-preserving diagram automorphism conjugates one
     action onto the other.
 
-    With the default flag the closures are compared as sets, which ignores
+    With the default flag the groups are compared as sets, which ignores
     how elements are labeled (equivalence up to abstract-group
     automorphism); with the flag off, generators must match one by one
     under a single conjugator.  No claim beyond diagram equivalence.
+
+    Both actions must have passed :func:`check_action` on ``d``, so
+    that a conjugated generator of ``a`` is the element of ``b``'s
+    closure with the same key, if any.
     """
     from .cmap import automorphisms
 
-    ea = set(a.elements(cap))
-    eb = set(b.elements(cap))
-    if len(ea) != len(eb):
+    ca, cb = a.closure(cap), b.closure(cap)
+    if len(ca) != len(cb):
         return False
     labels = d.dart_labels()
     for phi in automorphisms(d.surface, labels):
-        phi = tuple(phi)
         phi_inv = inverse(phi)
+        keys = [tuple(phi[g[phi_inv[x]]] for x in cb.base) for g in a.generators]
         if up_to_group_automorphism:
-            if {compose(phi, compose(e, phi_inv)) for e in ea} == eb:
+            if all(cb.index(k) is not None for k in keys):
                 return True
-        else:
-            if len(a.generators) == len(b.generators) and all(
-                compose(phi, compose(g, phi_inv)) == h
-                for g, h in zip(a.generators, b.generators)
-            ):
-                return True
+        elif len(a.generators) == len(b.generators) and keys == [
+            cb.key_of(h) for h in b.generators
+        ]:
+            return True
     return False

@@ -42,6 +42,15 @@ def test_validate_non_integer_field(tmp_path, capsys, line, bad):
     assert "parse error: line %d:" % (i + 1) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["validate", "invariants", "quotient", "lift", "triang"])
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, verb):
+    p = tmp_path / "bad.diagram"
+    p.write_bytes(b"etd-diagram 1\ndarts 6\n\xff\xfe\n")
+    assert main([verb, str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
 def test_validate_missing_file():
     assert main(["validate", "/nonexistent/nothing.diagram"]) == 1
 
@@ -69,6 +78,11 @@ def test_tier2_budget_env_override(tmp_path, monkeypatch):
     assert main(["validate", str(p)]) == 0
     monkeypatch.setenv("ETD_TIER2_BUDGET", "many")
     assert main(["validate", str(p)]) == 1
+    q = write_catalog(tmp_path, "s2xs2_genus2")
+    out = tmp_path / "q.diagram"
+    assert main(["quotient", str(q), "--subgroup", "g1", "--out", str(out)]) == 1
+    monkeypatch.setenv("ETD_TIER2_BUDGET", "50")
+    assert main(["quotient", str(q), "--subgroup", "g1", "--out", str(out)]) == 0
 
 
 def test_invariants_s1xs3(tmp_path, capsys):
@@ -261,6 +275,37 @@ THETA = (
         ),
         pytest.param("cone face 7 2", 8, "no face cell at dart 7", id="cone_range"),
         pytest.param("cone corner 0 2", 8, "no corner cell at dart 0", id="cone_kind"),
+        pytest.param("cone vertex 0 1", 8, "cone order 1 is below 2", id="cone_order_1"),
+        pytest.param("cone vertex 0 0", 8, "cone order 0 is below 2", id="cone_order_0"),
+        pytest.param("cone vertex 0 -3", 8, "cone order -3 is below 2", id="cone_order_neg"),
+        pytest.param(
+            "group cyclic 4\nvoltage 0 -q", 9, "cannot read group element '-q'",
+            id="voltage_token",
+        ),
+        pytest.param(
+            "group cyclic 4\nvoltage 0 7", 9, "'7' is not an element of cyclic 4",
+            id="voltage_element",
+        ),
+        pytest.param(
+            "group quaternion\nmeridian 0 x", 9, "cannot read group element 'x'",
+            id="meridian_token",
+        ),
+        pytest.param(
+            "action t 0 1 2 3 4 4", 8, "action generator t is not a dart permutation",
+            id="action_perm",
+        ),
+        pytest.param("group cyclic x", 8, "unknown group name 'cyclic x'", id="group_name"),
+        pytest.param("darts 6", 8, "bad darts line", id="darts_twice"),
+        pytest.param("pairing 1 0 3 2 5 4", 8, "duplicate pairing line", id="pairing_twice"),
+        pytest.param("rotation 2 5 4 1 0 3", 8, "duplicate rotation line", id="rotation_twice"),
+        pytest.param("marked 0\nmarked 0", 9, "duplicate marked line", id="marked_twice"),
+        pytest.param("group cyclic 2\ngroup cyclic 2", 9, "duplicate group line", id="group_twice"),
+        pytest.param(
+            "expected 1 0 0 0\nexpected 1 0 0 0", 9, "duplicate expected line",
+            id="expected_twice",
+        ),
+        pytest.param("color 0 alpha1", 8, "unknown key 'color'", id="unknown_key"),
+        pytest.param("edge 0", 8, "bad edge line 'edge 0'", id="bad_edge_line"),
     ],
 )
 def test_position_error_names_its_line(tmp_path, capsys, tail, lineno, message):

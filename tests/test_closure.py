@@ -2,21 +2,31 @@
 dart permutations."""
 
 import warnings
+from math import gcd
 
 import pytest
 
 from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
-from etd.cmap import build_map
+from etd.cmap import NotConnected, automorphisms, build_map
 from etd.cover import derived_cover, reduce_voltages
 from etd.diagram import ShadowDiagram
 from etd.groups import cyclic, hom_from_generator_images
 from etd.symmetry import (
     ClosureCapExceeded,
     DiagramAction,
+    ElementFixedData,
+    FixedCell,
+    SingularReport,
     SymmetryError,
     _structure_hint,
+    act_on_cell,
     check_action,
     compose,
+    inverse,
+    is_equivalent_action,
+    orbits,
+    singular_locus,
+    stabilizer,
 )
 
 
@@ -142,3 +152,133 @@ def test_base_must_meet_every_component():
     one_base = DiagramAction(a.generators, a.names)
     with pytest.raises(SymmetryError):
         check_action(d, one_base)
+
+
+# Test-only copies of the full-permutation action queries that the
+# orbit-tree versions replaced: every element is a dart permutation and
+# every query scans all of them.
+
+
+def ref_orbits(m, a, cells):
+    elems = reference_closure(a.generators, 10**6)
+    cells = list(cells)
+    seen = set()
+    out = []
+    for c in cells:
+        if c in seen:
+            continue
+        orb = {act_on_cell(m, e, c) for e in elems}
+        assert orb <= set(cells)
+        seen |= orb
+        out.append(frozenset(orb))
+    for orb in out:
+        for c in orb:
+            stab = [e for e in elems if act_on_cell(m, e, c) == c]
+            assert len(orb) * len(stab) == len(elems)
+    return out
+
+
+def ref_stabilizer(m, a, cell):
+    elems = reference_closure(a.generators, 10**6)
+    return [e for e in elems if act_on_cell(m, e, cell) == cell]
+
+
+def ref_cycle_shift_order(cycle, perm):
+    n = len(cycle)
+    s = cycle.index(perm[cycle[0]])
+    return n // gcd(n, s) if s else 1
+
+
+def ref_singular_locus(d, a):
+    m = d.surface
+    g = m.genus()
+    per = []
+    hyper = []
+    for e in reference_closure(a.generators, 10**6)[1:]:
+        data = ElementFixedData(e, reference_order(e))
+        for v in m.vertices():
+            if act_on_cell(m, e, v) == v:
+                lo = ref_cycle_shift_order(m.orbit(v), e)
+                if lo > 1:
+                    data.fixed_vertices.append(FixedCell(v, lo))
+        for f in m.faces():
+            if act_on_cell(m, e, f) == f:
+                lo = ref_cycle_shift_order(m.orbit(f), e)
+                if lo > 1:
+                    data.fixed_faces.append(FixedCell(f, lo))
+        for c in m.edges():
+            if e[c.dart] == m.edge_pairing[c.dart]:
+                data.inverted_edges.append(FixedCell(c, 2))
+        per.append(data)
+        if data.order == 2 and data.n_fixed_points == 2 * g + 2:
+            hyper.append(e)
+    return SingularReport(per, hyper, g)
+
+
+def ref_is_equivalent_action(d, a, b, up_to_group_automorphism):
+    ea = set(reference_closure(a.generators, 10**6))
+    eb = set(reference_closure(b.generators, 10**6))
+    if len(ea) != len(eb):
+        return False
+    for phi in automorphisms(d.surface, d.dart_labels()):
+        phi = tuple(phi)
+        phi_inv = inverse(phi)
+        if up_to_group_automorphism:
+            if {compose(phi, compose(e, phi_inv)) for e in ea} == eb:
+                return True
+        elif len(a.generators) == len(b.generators) and all(
+            compose(phi, compose(g, phi_inv)) == h
+            for g, h in zip(a.generators, b.generators)
+        ):
+            return True
+    return False
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NotConnected as err:
+        return err.__class__
+
+
+@pytest.mark.parametrize("name, d, a", CASES, ids=[c[0] for c in CASES])
+def test_orbits_and_stabilizers_match_reference(name, d, a):
+    m = d.surface
+    for cells in (m.vertices(), m.edges(), m.faces()):
+        parts = orbits(m, a, cells)
+        assert parts == ref_orbits(m, a, cells)
+        for orb in parts:
+            cell = min(orb, key=lambda c: c.dart)
+            assert stabilizer(m, a, cell) == ref_stabilizer(m, a, cell)
+    moved = [min(orb, key=lambda c: c.dart) for orb in parts if len(orb) > 1]
+    if moved:
+        with pytest.raises(SymmetryError, match="leaves the given cell set"):
+            orbits(m, a, moved[:1])
+
+
+@pytest.mark.parametrize("name, d, a", CASES, ids=[c[0] for c in CASES])
+def test_singular_locus_matches_reference(name, d, a):
+    got = _outcome(singular_locus, d, a)
+    want = _outcome(ref_singular_locus, d, a)
+    if got is NotConnected:
+        assert want is NotConnected
+        return
+    assert repr(got.per_element) == repr(want.per_element)
+    assert got.hyperelliptic_involutions == want.hyperelliptic_involutions
+    assert got.genus == want.genus
+
+
+@pytest.mark.parametrize("name, d, a", CASES, ids=[c[0] for c in CASES])
+def test_is_equivalent_action_matches_reference(name, d, a):
+    # one-generator actions, and on the smaller maps two-generator ones
+    # in both orders (they tell all from any, and order from set)
+    gens = a.generators
+    acts = [DiagramAction([g], None, a.base) for g in gens]
+    if d.surface.n_darts <= 200:
+        acts += [DiagramAction([g, h], None, a.base) for g in gens for h in gens if g != h]
+    for x in acts:
+        for y in acts:
+            for flag in (True, False):
+                assert _outcome(is_equivalent_action, d, x, y, flag) == _outcome(
+                    ref_is_equivalent_action, d, x, y, flag
+                )

@@ -1,0 +1,56 @@
+"""Seeded fuzzing of the CLI on mutated frozen fixture files: every input
+ends in an exit code of the 0/1/2 contract, never in a traceback."""
+
+import random
+
+import pytest
+
+from etd.catalog import FROZEN_NAMES, frozen_file_text
+from etd.cli import main
+
+VERBS = ("validate", "invariants", "quotient", "lift")
+CASES_PER_FILE = 40
+TAILS = (
+    b"\xff\xfe", b"\x00", b"\xc3", b" 7", b"\n", b" x", b"\nedge 0 alpha1", b"\ncone vertex 0 2"
+)
+
+
+def mutate(text: str, rng: random.Random) -> bytes:
+    """One to three random edits: swap two tokens, drop a token, drop a
+    line, or append bytes (some of them not UTF-8)."""
+    lines = [ln.split(" ") for ln in text.splitlines()]
+    tail = b""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        i = rng.randrange(len(lines))
+        j = rng.choice((i, rng.randrange(len(lines))))
+        if kind == 0 and lines[i] and lines[j]:
+            a, b = rng.randrange(len(lines[i])), rng.randrange(len(lines[j]))
+            lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
+        elif kind == 1 and lines[i]:
+            del lines[i][rng.randrange(len(lines[i]))]
+        elif kind == 2 and len(lines) > 1:
+            del lines[i]
+        else:
+            tail += rng.choice(TAILS)
+    return "\n".join(" ".join(ln) for ln in lines).encode() + b"\n" + tail
+
+
+@pytest.mark.parametrize("name", FROZEN_NAMES)
+def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, capsys, name):
+    rng = random.Random(name)
+    text = frozen_file_text(name)
+    path = tmp_path / "fuzz.diagram"
+    out = tmp_path / "out.diagram"
+    for case in range(CASES_PER_FILE):
+        data = mutate(text, rng)
+        path.write_bytes(data)
+        for verb in VERBS:
+            argv = [verb, str(path)] + (["--out", str(out)] if verb in ("quotient", "lift") else [])
+            try:
+                code = main(argv)
+            except Exception as err:  # a traceback breaks the contract
+                pytest.fail("%s case %d %s raised %r" % (name, case, verb, err))
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (name, case, verb)
+            assert "Traceback" not in err
