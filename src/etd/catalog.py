@@ -3,7 +3,7 @@ validation results, used as fixtures and regression surface."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -61,7 +61,7 @@ def mirror(d: ShadowDiagram) -> ShadowDiagram:
     for x in range(m.n_darts):
         inv[m.rotation[x]] = x
     m2 = build_map(m.n_darts, list(m.edge_pairing), inv)
-    return ShadowDiagram(m2, dict(d.color), set(d.marked))
+    return ShadowDiagram.from_darts(m2, d.dart_colors, [v.dart for v in d.marked])
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +247,10 @@ def _s2xs2_genus2() -> CatalogEntry:
     hexes1 = [f for f in d1.surface.faces() if len(d1.surface.orbit(f)) == 6]
     hexes2 = [f for f in d2.surface.faces() if len(d2.surface.orbit(f)) == 6]
     d, _ = tube(d1, hexes1[0], d2, hexes2[0])
-    auts = [tuple(a) for a in automorphisms(d.surface, d.dart_labels())]
-    gens = sorted(a for a in auts if a != tuple(range(d.surface.n_darts)))[:2]
-    action = DiagramAction(gens, ["g1", "g2"])
     return CatalogEntry(
         "s2xs2_genus2",
         d,
-        action,
+        _aut_action(d),
         ExpectedReport(2, (0, 0, 0), h1=AbelianGroup(0), action_order=4),
         "tube between the hexagonal faces of a torus diagram and its "
         "mirror; symmetry group Z2 x Z2",

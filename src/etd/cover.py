@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .cmap import CellId, CombMap, build_map
+from .cmap import CellId, build_map
 from .diagram import ShadowDiagram
 from .groups import Group, greedy_generators
 from .symmetry import DiagramAction, base_darts, check_action
@@ -102,15 +101,9 @@ class CoverResult:
             ep = [index[m.edge_pairing[x]] for x in darts]
             rot = [index[m.rotation[x]] for x in darts]
             sub = build_map(len(darts), ep, rot)
-            color = {}
-            for e in sub.edges():
-                color[e] = self.diagram.color[m.cell_of("edge", darts[e.dart])]
-            marked = {
-                sub.cell_of("vertex", index[v.dart])
-                for v in self.diagram.marked
-                if v.dart in index
-            }
-            out.append(ShadowDiagram(sub, color, marked))
+            colors = [self.diagram.dart_colors[x] for x in darts]
+            marked = [index[v.dart] for v in self.diagram.marked if v.dart in index]
+            out.append(ShadowDiagram.from_darts(sub, colors, marked))
         return out
 
 
@@ -274,27 +267,18 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
     if lifted.euler_characteristic() != order * m.euler_characteristic() - defect:
         raise CoverError("derived map violates Riemann-Hurwitz")
 
-    color = {}
-    for e in lifted.edges():
-        base_edge = m.cell_of("edge", proj[e.dart][0])
-        color[e] = d.color[base_edge]
-    marked = set()
-    marked_base = {v.dart for v in d.marked}
-    for v in lifted.vertices():
-        if m.cell_of("vertex", proj[v.dart][0]).dart in marked_base:
-            marked.add(v)
-    dq = ShadowDiagram(lifted, color, marked)
+    # lifted dart x*|G| + i takes the color and mark of base dart x
+    colors = [c for c in d.dart_colors for _ in range(order)]
+    marked = [dart(v.dart, e) for v in d.marked for e in g.elements]
+    dq = ShadowDiagram.from_darts(lifted, colors, marked)
 
     branch = []
     for v, w in sorted(va.meridians.items(), key=lambda it: it[0].dart):
         o = g.element_order(w)
-        lifts = [
-            lv for lv in lifted.vertices()
-            if m.cell_of("vertex", proj[lv.dart][0]) == v
-        ]
-        if len(lifts) != order // o:
+        lifts = len({lifted.vertex_of[dart(v.dart, e)] for e in g.elements})
+        if lifts != order // o:
             raise CoverError("branch point lift count disagrees with the meridian order")
-        branch.append(BranchPoint(v, o, len(lifts)))
+        branch.append(BranchPoint(v, o, lifts))
 
     gens = []
     names = []

@@ -1,8 +1,12 @@
 """Shadow trisection diagrams and their validation.
 
-A shadow diagram is a closed combinatorial map whose edges carry colors:
-three curve families Alpha(1..3), three shadow-arc families Shadow(1..3),
-and Scaffold filler, plus a set of marked (bridge) vertices.
+A shadow diagram is a closed combinatorial map decorated per dart: each
+dart carries a color, both darts of an edge the same one (three curve
+families Alpha(1..3), three shadow-arc families Shadow(1..3), and
+Scaffold filler), and some darts mark their vertex as a bridge point.
+A derived diagram (subdivision, quotient, cover, tube, mirror) pulls
+this decoration back along its dart map: each new dart takes the color
+and the mark of the dart it comes from.
 """
 
 from __future__ import annotations
@@ -83,11 +87,15 @@ def parse_color(text: str) -> Color:
 
 
 class ShadowDiagram:
-    """A closed surface map with colored edges and marked bridge vertices.
+    """A closed surface map decorated per dart: one color per dart, both
+    darts of an edge sharing it, and marked bridge vertices.
 
-    ``color`` maps edge CellIds to Colors; uncolored edges default to
-    scaffold.  ``marked`` is an iterable of vertex CellIds.  ``dart_colors``
-    holds the same colors per dart, both darts of an edge sharing its color.
+    ``dart_colors`` holds the colors; ``color`` maps each edge CellId to
+    its color and ``marked`` is a frozenset of vertex CellIds.  The
+    constructor takes ``color`` as an edge dict, uncolored edges
+    defaulting to scaffold; :meth:`from_darts` takes the per-dart colors
+    directly, which is how derived diagrams (subdivisions, quotients,
+    covers, tubes, mirrors) pull their decoration back along a dart map.
 
     Data derived from the diagram (each family's curves, cut-system
     verdict and cycle classes) is computed once, on first use, and kept;
@@ -95,35 +103,60 @@ class ShadowDiagram:
     """
 
     def __init__(self, surface: CombMap, color=None, marked=()):
-        if not surface.is_closed():
-            raise DiagramError("diagram surfaces must be closed")
-        self.surface = surface
-        col = {}
         edge_cells = set(surface.edges())
+        ep = surface.edge_pairing
+        dart_colors = [SCAFFOLD] * surface.n_darts
         for cell, c in (color or {}).items():
             if cell not in edge_cells:
                 raise DiagramError("color assigned to unknown edge %r" % (cell,))
             if not isinstance(c, Color):
                 raise DiagramError("colors must be Color values")
-            col[cell] = c
-        for cell in edge_cells:
-            col.setdefault(cell, SCAFFOLD)
-        self.color = col
-        ep = surface.edge_pairing
-        dart_colors = [SCAFFOLD] * surface.n_darts
-        by_color = {}
-        for cell, c in col.items():
             dart_colors[cell.dart] = dart_colors[ep[cell.dart]] = c
-            by_color.setdefault(c, []).extend((cell.dart, ep[cell.dart]))
-        self.dart_colors = tuple(dart_colors)
-        self._darts_by_color = {c: sorted(ds) for c, ds in by_color.items()}
-        self._derived = {}
-        marked = frozenset(marked)
+        marked = list(marked)
         vertex_cells = set(surface.vertices())
         for v in marked:
             if v not in vertex_cells:
                 raise DiagramError("marked cell %r is not a vertex" % (v,))
-        self.marked = marked
+        self._decorate(surface, dart_colors, [v.dart for v in marked])
+
+    @classmethod
+    def from_darts(cls, surface: CombMap, dart_colors, marked_darts=()) -> "ShadowDiagram":
+        """The diagram on ``surface`` whose dart x has color
+        ``dart_colors[x]``; each dart in ``marked_darts`` marks its
+        vertex."""
+        d = cls.__new__(cls)
+        d._decorate(surface, dart_colors, marked_darts)
+        return d
+
+    def _decorate(self, surface, dart_colors, marked_darts):
+        if not surface.is_closed():
+            raise DiagramError("diagram surfaces must be closed")
+        n = surface.n_darts
+        dart_colors = tuple(dart_colors)
+        if len(dart_colors) != n:
+            raise DiagramError("%d dart colors for %d darts" % (len(dart_colors), n))
+        ep = surface.edge_pairing
+        color = {}
+        by_color = {}
+        for e in surface.edges():
+            x, y = e.dart, ep[e.dart]
+            c = color[e] = dart_colors[x]
+            if not isinstance(c, Color):
+                raise DiagramError("colors must be Color values")
+            if dart_colors[y] != c:
+                raise DiagramError("dart %d and its edge partner %d differ in color" % (x, y))
+            by_color.setdefault(c, []).extend((x, y))
+        marked = set()
+        for x in marked_darts:
+            if not (isinstance(x, int) and 0 <= x < n):
+                raise DiagramError("marked dart %r is not a dart" % (x,))
+            marked.add(surface.cell_of("vertex", x))
+        self.surface = surface
+        self.dart_colors = dart_colors
+        self.color = color
+        self.marked = frozenset(marked)
+        self._darts_by_color = {c: sorted(ds) for c, ds in by_color.items()}
+        self._derived = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -589,21 +622,20 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
 # shadow arcs and bridge data
 
 
-def _shadow_components(d: ShadowDiagram, i: int):
-    """Connected components of the Shadow(i) arc union, as dart sets."""
+def color_components(d: ShadowDiagram, c: Color):
+    """Connected components of the union of the edges of color ``c``,
+    as ascending dart lists ordered by least dart: darts are joined
+    along their edge and at every vertex they share."""
     m = d.surface
-    darts = d.darts_of_color(shadow(i))
-    arcs = DisjointSets(m.n_darts)
-    at_vertex = {}
+    darts = d.darts_of_color(c)
+    sets = DisjointSets(m.n_darts)
+    first_at = {}
     for x in darts:
-        arcs.union(x, m.edge_pairing[x])
-        at_vertex.setdefault(m.vertex_of[x], []).append(x)
-    for ds in at_vertex.values():
-        for a, b in zip(ds, ds[1:]):
-            arcs.union(a, b)
+        sets.union(x, m.edge_pairing[x])
+        sets.union(x, first_at.setdefault(m.vertex_of[x], x))
     comps = {}
     for x in darts:
-        comps.setdefault(arcs.find(x), set()).add(x)
+        comps.setdefault(sets.find(x), []).append(x)
     return list(comps.values())
 
 
@@ -691,7 +723,7 @@ def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
         return ShadowVerdict(True, 0, (), "no shadow arcs")
 
     for i in (1, 2, 3):
-        comps = _shadow_components(d, i)
+        comps = color_components(d, shadow(i))
         if not comps:
             continue
         curves = _curves(d, i)
@@ -708,7 +740,6 @@ def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
                     where[x] = ci
             count = {}
             for arc in comps:
-                x = next(iter(arc))
                 regions = {where[y] for y in arc}
                 if len(regions) != 1:
                     raise ArcOutsideComplementaryDisk(

@@ -5,6 +5,9 @@ the package, here and in :mod:`etd.symmetry`."""
 
 from __future__ import annotations
 
+from functools import reduce
+from math import prod
+
 
 class GroupError(ValueError):
     pass
@@ -165,32 +168,39 @@ def handlebody_torus_group(m):
     return Group(elements, mul, ((0, 0), 1), name="handlebody_torus %d" % m)
 
 
+MAX_NAMED_ORDER = 64
+
+
 def group_by_name(name: str) -> Group:
     """Reconstruct a standard group from its ``name`` string.
 
     Understood: ``cyclic N``, ``dihedral N``, ``quaternion``,
     ``handlebody_torus N``, and ``x``-separated direct products thereof
-    (left-associated, as direct_product produces them).
+    (left-associated, as direct_product produces them).  The order is
+    read off the name first: above MAX_NAMED_ORDER the multiplication
+    table and its associativity check would be too slow to build, so
+    the name is rejected before anything is built.
     """
-    parts = [p.strip() for p in name.split(" x ")]
-    g = _atom_by_name(parts[0])
-    for p in parts[1:]:
-        g = direct_product(g, _atom_by_name(p))
-    return g
+    atoms = [_atom_by_name(p.strip()) for p in name.split(" x ")]
+    order = prod(size for _, size in atoms)
+    if order > MAX_NAMED_ORDER:
+        raise GroupError("group %r has order %d, above %d" % (name, order, MAX_NAMED_ORDER))
+    return reduce(direct_product, (build() for build, _ in atoms))
 
 
-def _atom_by_name(name: str) -> Group:
+def _atom_by_name(name: str):
+    """``(build, order)`` for a named group that is not a product."""
     words = name.split()
     if words == ["quaternion"]:
-        return quaternion()
+        return quaternion, 8
     if len(words) == 2 and words[1].isdecimal():
-        kind, arg = words
+        kind, n = words[0], int(words[1])
         if kind == "cyclic":
-            return cyclic(int(arg))
+            return (lambda: cyclic(n)), n
         if kind == "dihedral":
-            return dihedral(int(arg))
+            return (lambda: dihedral(n)), 2 * n
         if kind == "handlebody_torus":
-            return handlebody_torus_group(int(arg))
+            return (lambda: handlebody_torus_group(n)), 2 * n * n
     raise GroupError("unknown group name %r" % name)
 
 

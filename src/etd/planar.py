@@ -8,7 +8,7 @@ map on the sphere (the unbounded face closes up for free).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -42,6 +42,24 @@ def _angle_cmp(d1, d2):
     if c == 0:
         return 0
     return -1 if c > 0 else 1
+
+
+def rotation_by_angle(n, dart_point, dart_dir):
+    """The rotation of darts 0..n-1 that turns each dart to the next
+    outgoing direction counterclockwise around its point.  Raises
+    PlanarError when two darts leave one point in the same direction."""
+    at_point = {}
+    for d in range(n):
+        at_point.setdefault(dart_point[d], []).append(d)
+    rotation = [0] * n
+    for pt, ds in at_point.items():
+        keyed = sorted(ds, key=cmp_to_key(lambda a, b: _angle_cmp(dart_dir[a], dart_dir[b])))
+        # parallel darts sort next to each other
+        if any(_angle_cmp(dart_dir[a], dart_dir[b]) == 0 for a, b in zip(keyed, keyed[1:])):
+            raise PlanarError("parallel darts at %r" % (pt,))
+        for k, d in enumerate(keyed):
+            rotation[d] = keyed[(k + 1) % len(keyed)]
+    return rotation
 
 
 def segment_intersection(p1, p2, q1, q2):
@@ -339,19 +357,7 @@ def build_planar(strands) -> PlanarDiagram:
             edge_path[d_out] = [p1] + bends_between(s, (g1, t1), (g2, t2)) + [p2]
             pairing.extend([d_in, d_out])
 
-    at_point = {}
-    for d in range(n):
-        at_point.setdefault(dart_point[d], []).append(d)
-    rotation = [0] * n
-    for pt, ds in at_point.items():
-        keyed = sorted(ds, key=cmp_to_key(lambda a, b: _angle_cmp(dart_dir[a], dart_dir[b])))
-        for k in range(len(keyed)):
-            if _angle_cmp(dart_dir[keyed[k]], dart_dir[keyed[(k + 1) % len(keyed)]]) == 0 and len(keyed) > 1:
-                raise PlanarError("parallel darts at %r" % (pt,))
-        for k, d in enumerate(keyed):
-            rotation[d] = keyed[(k + 1) % len(keyed)]
-
-    m = build_map(n, pairing, rotation)
+    m = build_map(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
     if not m.is_connected():
         raise PlanarError("arrangement is disconnected; add connecting strands")
     if m.euler_characteristic() != 2:

@@ -8,10 +8,11 @@ with nontrivial N-stabilizer become cone points, kept as metadata.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .cmap import CombMap, DisjointSets, build_map, perm_orbits, subdivide_edges
-from .diagram import SCAFFOLD, ShadowDiagram, alpha, validate_trisection
+from .cmap import CombMap, build_map, perm_orbits, subdivide_edges
+from .diagram import SCAFFOLD, ShadowDiagram, alpha, color_components, validate_trisection
 from .symmetry import (
     DEFAULT_CLOSURE_CAP,
     DiagramAction,
@@ -63,11 +64,8 @@ def _extend_perm(perm, m2: CombMap, n_old: int):
 
 def _subdivided_diagram(d: ShadowDiagram, cells):
     m2, origin = subdivide_edges(d.surface, cells)
-    color = {}
-    for e in m2.edges():
-        color[e] = d.color[d.surface.cell_of("edge", origin[e.dart])]
-    marked = {m2.cell_of("vertex", v.dart) for v in d.marked}
-    return ShadowDiagram(m2, color, marked), origin
+    colors = [d.dart_colors[origin[x]] for x in range(m2.n_darts)]
+    return ShadowDiagram.from_darts(m2, colors, [v.dart for v in d.marked]), origin
 
 
 def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
@@ -129,11 +127,9 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
     rot_q = [orbit_id[m2.rotation[reps[i]]] for i in range(k)]
     mq = build_map(k, ep_q, rot_q)
 
-    color_q = {}
-    for e in mq.edges():
-        color_q[e] = sub_d.color[m2.cell_of("edge", reps[e.dart])]
-    marked_q = {mq.cell_of("vertex", orbit_id[v.dart]) for v in sub_d.marked}
-    dq = ShadowDiagram(mq, color_q, marked_q)
+    dq = ShadowDiagram.from_darts(
+        mq, [sub_d.dart_colors[r] for r in reps], [orbit_id[v.dart] for v in sub_d.marked]
+    )
 
     # cone points: quotient vertices/faces whose preimage cells have a
     # nontrivial N-stabilizer.  N is free on darts, so the stabilizer of
@@ -190,18 +186,13 @@ def folded_curve_edges(d: ShadowDiagram, i: int):
     valence at a vertex): the images of invariant curves running through
     fixed points, folded in half by the quotient."""
     m = d.surface
-    darts = d.darts_of_color(alpha(i))
-    curves = DisjointSets(m.n_darts)
-    at_vertex = {}
-    for x in darts:
-        curves.union(x, m.edge_pairing[x])
-        at_vertex.setdefault(m.vertex_of[x], []).append(x)
-    for ds in at_vertex.values():
-        for a, b in zip(ds, ds[1:]):
-            curves.union(a, b)
-    odd_roots = {curves.find(ds[0]) for ds in at_vertex.values() if len(ds) % 2}
     edges = m.edges()
-    return {edges[m.edge_of[x]] for x in darts if curves.find(x) in odd_roots}
+    out = set()
+    for comp in color_components(d, alpha(i)):
+        valence = Counter(m.vertex_of[x] for x in comp)
+        if any(k % 2 for k in valence.values()):
+            out.update(edges[m.edge_of[x]] for x in comp)
+    return out
 
 
 def demoted_diagram(q: QuotientResult) -> ShadowDiagram:
@@ -218,8 +209,10 @@ def demoted_diagram(q: QuotientResult) -> ShadowDiagram:
         drop |= folded_curve_edges(d, i)
     if not drop:
         return d
-    color = {e: (SCAFFOLD if e in drop else c) for e, c in d.color.items()}
-    return ShadowDiagram(d.surface, color, set(d.marked))
+    m = d.surface
+    edges = m.edges()
+    colors = [SCAFFOLD if edges[m.edge_of[x]] in drop else c for x, c in enumerate(d.dart_colors)]
+    return ShadowDiagram.from_darts(m, colors, [v.dart for v in d.marked])
 
 
 def quotient_is_trisection(q: QuotientResult, tier2_budget: int = 10_000):

@@ -60,18 +60,9 @@ def tube(
     if m.euler_characteristic() != want:
         raise SurgeryError("tube matching is orientation-incompatible")
 
-    color = {}
-    for e in m.edges():
-        x = e.dart
-        if x < n1:
-            color[e] = d1.color[m1.cell_of("edge", x)]
-        elif x < n1 + n2:
-            color[e] = d2.color[m2.cell_of("edge", x - n1)]
-        else:
-            color[e] = SCAFFOLD
-    marked = {m.cell_of("vertex", v.dart) for v in d1.marked}
-    marked |= {m.cell_of("vertex", v.dart + n1) for v in d2.marked}
-    return ShadowDiagram(m, color, marked), n1
+    colors = d1.dart_colors + d2.dart_colors + (SCAFFOLD,) * (2 * L)
+    marked = [v.dart for v in d1.marked] + [v.dart + n1 for v in d2.marked]
+    return ShadowDiagram.from_darts(m, colors, marked), n1
 
 
 def prune_pendant_scaffold(d: ShadowDiagram) -> ShadowDiagram:
@@ -97,13 +88,6 @@ def prune_pendant_scaffold(d: ShadowDiagram) -> ShadowDiagram:
                 y = m.rotation[y]
             rot.append(index[y])
         m2 = build_map(len(keep), ep, rot)
-        color = {}
-        for e in m2.edges():
-            color[e] = d.color[m.cell_of("edge", keep[e.dart])]
-        marked = set()
-        for v in d.marked:
-            for x in m.orbit(v):
-                if x in index:
-                    marked.add(m2.cell_of("vertex", index[x]))
-                    break
-        d = ShadowDiagram(m2, color, marked)
+        colors = [d.dart_colors[x] for x in keep]
+        marked = [index[x] for v in d.marked for x in m.orbit(v) if x in index]
+        d = ShadowDiagram.from_darts(m2, colors, marked)

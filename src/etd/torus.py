@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 
 from .cmap import CombMap, build_map
@@ -102,7 +101,7 @@ def arrangement(lines) -> TorusArrangement:
     Requires: distinct lines, no triple points, and every line crossed at
     least once (otherwise the complement is not a union of disks).
     """
-    from .planar import _angle_cmp  # here, so that importing etd does not load planar
+    from .planar import rotation_by_angle  # here, so that importing etd does not load planar
 
     lines = list(lines)
     if len(set(lines)) != len(lines):
@@ -160,17 +159,8 @@ def arrangement(lines) -> TorusArrangement:
             dart_line[d_out] = dart_line[d_in] = i
             pairing.extend([d_in, d_out])
 
-    # rotation: sort outgoing directions counterclockwise at each point
-    at_point = {}
-    for d in range(n):
-        at_point.setdefault(dart_point[d], []).append(d)
-    rotation = [0] * n
-    for pt, ds in at_point.items():
-        ds.sort(key=cmp_to_key(lambda a, b: _angle_cmp(dart_dir[a], dart_dir[b])))
-        for idx, d in enumerate(ds):
-            rotation[d] = ds[(idx + 1) % len(ds)]
-
-    m = build_map(n, pairing, rotation)
+    # distinct lines meet transversally, so no two darts at a point are parallel
+    m = build_map(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
     if m.genus() != 1:
         raise ArrangementError("arrangement did not close up to a torus")
     return TorusArrangement(m, lines, dart_point, dart_dir, dart_line)

@@ -295,6 +295,14 @@ THETA = (
             id="action_perm",
         ),
         pytest.param("group cyclic x", 8, "unknown group name 'cyclic x'", id="group_name"),
+        pytest.param(
+            "group cyclic 100000", 8, "group 'cyclic 100000' has order 100000, above 64",
+            id="group_order",
+        ),
+        pytest.param(
+            "group cyclic 9 x cyclic 9", 8, "group 'cyclic 9 x cyclic 9' has order 81, above 64",
+            id="group_product_order",
+        ),
         pytest.param("darts 6", 8, "bad darts line", id="darts_twice"),
         pytest.param("pairing 1 0 3 2 5 4", 8, "duplicate pairing line", id="pairing_twice"),
         pytest.param("rotation 2 5 4 1 0 3", 8, "duplicate rotation line", id="rotation_twice"),

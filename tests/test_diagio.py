@@ -8,7 +8,7 @@ from etd.diagio import (
     parse_diagram_file,
     serialize_diagram,
 )
-from etd.groups import cyclic, group_by_name
+from etd.groups import GroupError, cyclic, group_by_name
 
 
 def theta_text():
@@ -98,6 +98,28 @@ def test_group_by_name_parses_products():
     assert len(g) == 6 and g.identity == (0, 0)
     assert len(group_by_name("quaternion")) == 8
     assert len(group_by_name("dihedral 6")) == 12
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        ("cyclic 64", 64),
+        ("quaternion x quaternion", 64),
+        ("handlebody_torus 5", 50),
+        ("cyclic 2 x dihedral 4 x cyclic 4", 64),
+        ("cyclic 65", None),
+        ("dihedral 33", None),
+        ("handlebody_torus 6", None),
+        ("quaternion x cyclic 3 x cyclic 3", None),
+        ("cyclic 10000000000000000000000", None),
+    ],
+)
+def test_group_by_name_bounds_the_order_before_building(name, order):
+    if order is not None:
+        assert len(group_by_name(name)) == order
+        return
+    with pytest.raises(GroupError, match="above 64"):
+        group_by_name(name)
 
 
 def test_q8_fixture_file_carries_a_working_cover():
