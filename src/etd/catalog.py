@@ -128,12 +128,8 @@ def _grid_torus(m: int, slopes):
             family_of.append(0)
 
     arr = arrangement(lines)
-    color = {}
-    for i, f in enumerate(family_of):
-        col = SCAFFOLD if f == 0 else alpha(f)
-        for e in arr.edges_of_line(i):
-            color[e] = col
-    return arr, ShadowDiagram(arr.map, color)
+    color = [SCAFFOLD if f == 0 else alpha(f) for f in family_of]
+    return arr, ShadowDiagram.from_darts(arr.map, [color[i] for i in arr.dart_line])
 
 
 def natural_torus_action(arr: TorusArrangement, m: int) -> DiagramAction:
@@ -236,11 +232,7 @@ def _s2xs2_genus2() -> CatalogEntry:
     )
 
     def colored(fams):
-        color = {}
-        for i, f in enumerate(fams):
-            for e in arr.edges_of_line(i):
-                color[e] = alpha(f)
-        return ShadowDiagram(arr.map, color)
+        return ShadowDiagram.from_darts(arr.map, [alpha(fams[i]) for i in arr.dart_line])
 
     d1 = colored((1, 2, 3))
     d2 = mirror(colored((2, 1, 3)))

@@ -45,7 +45,11 @@ PARSE_ERROR = 1
 SEMANTIC_ERROR = 2
 
 
-def _default_budget():
+def _tier2_budget(given=None):
+    """The tier-2 budget: ``given`` (from ``--tier2-budget``) if set, else
+    ``ETD_TIER2_BUDGET``, else 10000."""
+    if given is not None:
+        return given
     raw = os.environ.get("ETD_TIER2_BUDGET")
     if raw is None:
         return 10_000
@@ -102,17 +106,22 @@ def _emit(args, payload, text):
         print(text)
 
 
+def _expected_block(report, expected):
+    """The ``expected`` report entry: a file's (genus, k) block and whether
+    the report matches it (a None k slot matches anything)."""
+    genus, ks = expected
+    matches = report.genus == genus and all(
+        want is None or want == got for want, got in zip(ks, report.k)
+    )
+    return {"genus": genus, "k": list(ks), "matches": matches}
+
+
 def cmd_validate(args) -> int:
     df = parse_diagram_file(_read(args.path))
-    budget = args.tier2_budget if args.tier2_budget is not None else _default_budget()
-    report = validate_trisection(df.diagram, tier2_budget=budget)
+    report = validate_trisection(df.diagram, tier2_budget=_tier2_budget(args.tier2_budget))
     payload = _report_dict(report)
     if df.expected is not None:
-        genus, ks = df.expected
-        matches = report.genus == genus and all(
-            want is None or want == got for want, got in zip(ks, report.k)
-        )
-        payload["expected"] = {"genus": genus, "k": list(ks), "matches": matches}
+        payload["expected"] = _expected_block(report, df.expected)
     _emit(args, payload, report.summary())
     return OK if report.ok else SEMANTIC_ERROR
 
@@ -179,7 +188,7 @@ def cmd_quotient(args) -> int:
             return SEMANTIC_ERROR
         subgroup = [by_name[n] for n in args.subgroup]
     q = quotient(df.diagram, df.action, subgroup)
-    verdict, report = quotient_is_trisection(q, tier2_budget=_default_budget())
+    verdict, report = quotient_is_trisection(q, tier2_budget=_tier2_budget())
     out = _out_path(args, "quotient")
     with open(out, "w") as fh:
         fh.write(
@@ -210,8 +219,7 @@ def cmd_lift(args) -> int:
         return SEMANTIC_ERROR
     expected_genus, _ = expected_lift_parameters(df.diagram, df.voltages)
     cover = derived_cover(df.diagram, df.voltages)
-    budget = args.tier2_budget if args.tier2_budget is not None else _default_budget()
-    report = validate_trisection(cover.diagram, tier2_budget=budget)
+    report = validate_trisection(cover.diagram, tier2_budget=_tier2_budget(args.tier2_budget))
     out = _out_path(args, "lift")
     with open(out, "w") as fh:
         fh.write(serialize_diagram(cover.diagram))
@@ -230,13 +238,10 @@ def cmd_lift(args) -> int:
         if df.expected is None:
             print("no expected block to check", file=sys.stderr)
             return SEMANTIC_ERROR
+        payload["expected"] = exp = _expected_block(report, df.expected)
         genus, ks = df.expected
-        matches = report.genus == genus and all(
-            want is None or want == got for want, got in zip(ks, report.k)
-        )
-        payload["expected"] = {"genus": genus, "k": list(ks), "matches": matches}
-        lines.append("expected (%s; %s): %s" % (genus, ks, "ok" if matches else "MISMATCH"))
-        if not matches:
+        lines.append("expected (%s; %s): %s" % (genus, ks, "ok" if exp["matches"] else "MISMATCH"))
+        if not exp["matches"]:
             code = SEMANTIC_ERROR
     _emit(args, payload, "\n".join(lines))
     return code

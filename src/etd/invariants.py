@@ -177,19 +177,23 @@ def _invariant_factors_sparse(rows):
         for j in r:
             col_rows.setdefault(j, set()).add(ri)
     n_unit = 0
-    while True:
-        pivot = None
-        for ri, r in rows.items():
-            for j, v in r.items():
-                if v in (1, -1):
-                    pivot = (ri, j, v)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        ri, j, v = pivot
-        prow = rows.pop(ri)
+    # Rows to scan for a unit, first row on top: every row once, then each
+    # row that was scanned without a unit and that a pivot has changed
+    # since.  Waiting rows keep their order, as in a scan from the top;
+    # pushing every changed row reorders the pivots and multiplies fill-in.
+    work = list(reversed(rows))
+    idle = set()
+    while work:
+        ri = work.pop()
+        prow = rows.get(ri)
+        if prow is None:
+            continue  # emptied by a pivot
+        j = next((c for c, v in prow.items() if v in (1, -1)), None)
+        if j is None:
+            idle.add(ri)
+            continue
+        del rows[ri]
+        v = prow[j]
         for c in prow:
             col_rows[c].discard(ri)
         for oi in list(col_rows.get(j, ())):
@@ -205,6 +209,9 @@ def _invariant_factors_sparse(rows):
                     col_rows[c].discard(oi)
             if not orow:
                 del rows[oi]
+            elif oi in idle:
+                idle.remove(oi)
+                work.append(oi)
         n_unit += 1
     residue = [1] * n_unit
     if rows:

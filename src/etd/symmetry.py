@@ -252,9 +252,8 @@ def check_action(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSURE_
     for g, name in zip(a.generators, a.names):
         check_automorphism(m, g, name)
         for e in m.edges():
-            img = act_on_cell(m, g, e)
-            if d.color[img] != d.color[e]:
-                raise ColorBroken(name, str(d.color[e]))
+            if d.dart_colors[g[e.dart]] != d.dart_colors[e.dart]:
+                raise ColorBroken(name, str(d.dart_colors[e.dart]))
         marked_img = {act_on_cell(m, g, v) for v in d.marked}
         if marked_img != d.marked:
             raise ColorBroken(name, "marked set")

@@ -1,16 +1,19 @@
 """Geodesic line arrangements on the square flat torus, exactly.
 
 A line is a primitive slope (p, q) and an offset c, describing the closed
-geodesic q*x - p*y = c (mod 1).  All coordinates are Fractions, so
-incidence is exact.  The arrangement is returned as a combinatorial map
-whose rotation comes from sorting outgoing directions counterclockwise.
+geodesic q*x - p*y = c (mod 1).  An arrangement lives on one grid
+(1/N)Z^2 mod 1, where N is the lcm of the offsets' denominators times the
+lcm of the crossing determinants: every crossing is an integer pair
+(X, Y) = N*(x, y) mod N, so incidence is exact integer arithmetic.  The
+arrangement is returned as a combinatorial map whose rotation comes from
+sorting outgoing directions counterclockwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cmap import CombMap, build_map
 
@@ -39,24 +42,6 @@ class TorusLine:
             raise ArrangementError("normalize the slope sign: q > 0, or q = 0 and p > 0")
         object.__setattr__(self, "c", Fraction(self.c) % 1)
 
-    def base_point(self):
-        """Some point on the line."""
-        # alpha*q - beta*p = 1, so (alpha*c, beta*c) satisfies qx - py = c
-        g, alpha, mbeta = _ext_gcd(self.q, self.p)
-        beta = -mbeta
-        return (Fraction(alpha * self.c) % 1, Fraction(beta * self.c) % 1)
-
-    def contains(self, pt):
-        return (self.q * pt[0] - self.p * pt[1] - self.c) % 1 == 0
-
-    def param(self, pt):
-        """Position of a point along the line, in [0, 1)."""
-        if not self.contains(pt):
-            raise ArrangementError("point not on line")
-        g, a, b = _ext_gcd(self.p, self.q)
-        x0, y0 = self.base_point()
-        return (a * (pt[0] - x0) + b * (pt[1] - y0)) % 1
-
 
 def line(p, q, c=0):
     """A torus geodesic with slope (p, q); signs are normalized."""
@@ -70,29 +55,24 @@ def line(p, q, c=0):
 class TorusArrangement:
     map: CombMap
     lines: list
-    dart_point: dict  # dart -> (x, y) of its vertex
-    dart_dir: dict  # dart -> outgoing direction (dx, dy)
-    dart_line: dict  # dart -> line index
+    N: int  # points lie on the grid (1/N)Z^2 mod 1
+    dart_point: list  # dart -> (X, Y), its vertex at (X/N, Y/N)
+    dart_dir: list  # dart -> outgoing direction (dx, dy)
+    dart_line: list  # dart -> line index
 
     def vertex_at(self, pt):
         pt = (Fraction(pt[0]) % 1, Fraction(pt[1]) % 1)
-        for d, q in self.dart_point.items():
-            if q == pt:
-                return self.map.cell_of("vertex", d)
+        X, Y = pt[0] * self.N, pt[1] * self.N
+        grid = (int(X), int(Y)) if X.denominator == Y.denominator == 1 else None
+        if grid in self.dart_point:
+            return self.map.cell_of("vertex", self.dart_point.index(grid))
         raise ArrangementError("no vertex at %r" % (pt,))
 
     def edges_of_line(self, idx):
         return sorted(
-            {self.map.cell_of("edge", d) for d, i in self.dart_line.items() if i == idx},
+            {self.map.cell_of("edge", d) for d, i in enumerate(self.dart_line) if i == idx},
             key=lambda c: c.dart,
         )
-
-    def dart_at(self, pt, direction):
-        pt = (Fraction(pt[0]) % 1, Fraction(pt[1]) % 1)
-        for d in range(self.map.n_darts):
-            if self.dart_point[d] == pt and self.dart_dir[d] == tuple(direction):
-                return d
-        raise ArrangementError("no dart at %r heading %r" % (pt, direction))
 
 
 def arrangement(lines) -> TorusArrangement:
@@ -106,64 +86,59 @@ def arrangement(lines) -> TorusArrangement:
     lines = list(lines)
     if len(set(lines)) != len(lines):
         raise ArrangementError("duplicate lines")
-
-    # pairwise intersections
-    points_on = [set() for _ in lines]
-    point_lines = {}
-    for i in range(len(lines)):
+    # distinct lines with det = 0 have equal slopes and never meet
+    dets = {}
+    for i, L1 in enumerate(lines):
         for j in range(i + 1, len(lines)):
-            L1, L2 = lines[i], lines[j]
-            det = L1.p * L2.q - L2.p * L1.q
-            if det == 0:
-                if (L1.c - L2.c) % 1 == 0:
-                    raise ArrangementError("coincident lines %d and %d" % (i, j))
-                continue
-            pts = set()
-            R = abs(det) + 2
-            for mm in range(-R, R + 1):
-                for nn in range(-R, R + 1):
-                    rhs1 = L1.c + mm
-                    rhs2 = L2.c + nn
-                    x = Fraction(-L2.p * rhs1 + L1.p * rhs2, det)
-                    y = Fraction(-L2.q * rhs1 + L1.q * rhs2, det)
-                    pts.add((x % 1, y % 1))
-            for pt in pts:
-                points_on[i].add(pt)
-                points_on[j].add(pt)
-                point_lines.setdefault(pt, set()).update((i, j))
-    for pt, ls in point_lines.items():
-        if len(ls) > 2:
-            raise ArrangementError("triple point at %r" % (pt,))
+            det = L1.p * lines[j].q - lines[j].p * L1.q
+            if det:
+                dets[i, j] = det
+    N = lcm(*(L.c.denominator for L in lines)) * lcm(*dets.values())
+    C = [L.c.numerator * (N // L.c.denominator) for L in lines]
+
+    # Lines i and j meet |det| times.  The k-th crossing solves
+    # q_i x - p_i y = c_i + k, q_j x - p_j y = c_j; since (p_j, q_j) is
+    # primitive, k = 0..|det|-1 reaches every crossing mod 1.  C and N are
+    # multiples of det, so each division is exact.
+    points_on = [[] for _ in lines]
+    pairs_at = {}  # point -> number of line pairs through it
+    for (i, j), det in dets.items():
+        Li, Lj = lines[i], lines[j]
+        for k in range(abs(det)):
+            ci = C[i] + k * N
+            pt = ((Li.p * C[j] - Lj.p * ci) // det % N, (Li.q * C[j] - Lj.q * ci) // det % N)
+            points_on[i].append(pt)
+            points_on[j].append(pt)
+            pairs_at[pt] = pairs_at.get(pt, 0) + 1
+    for pt, count in pairs_at.items():
+        if count > 1:
+            raise ArrangementError("triple point at %r" % ((Fraction(pt[0], N), Fraction(pt[1], N)),))
     for i, pts in enumerate(points_on):
         if not pts:
             raise ArrangementError("line %d crosses nothing; add a transversal" % (i,))
 
-    # darts: two per segment of each line
-    dart_point = {}
-    dart_dir = {}
-    dart_line = {}
-    pairing = []
-    n = 0
+    # darts: two per segment of each line, in order of N times the position
+    # a*x + b*y along the line from the point (alpha*c, beta*c), where
+    # a*p + b*q = alpha*q - beta*p = +-1
+    dart_point, dart_dir, dart_line, pairing = [], [], [], []
     for i, L in enumerate(lines):
-        pts = sorted(points_on[i], key=L.param)
-        k = len(pts)
-        for a in range(k):
-            p1 = pts[a]
-            p2 = pts[(a + 1) % k]
-            d_out, d_in = n, n + 1
-            n += 2
-            dart_point[d_out] = p1
-            dart_dir[d_out] = (L.p, L.q)
-            dart_point[d_in] = p2
-            dart_dir[d_in] = (-L.p, -L.q)
-            dart_line[d_out] = dart_line[d_in] = i
-            pairing.extend([d_in, d_out])
+        _, a, b = _ext_gcd(L.p, L.q)
+        _, alpha, mbeta = _ext_gcd(L.q, L.p)
+        s = (a * alpha - b * mbeta) * C[i]
+        pts = sorted(points_on[i], key=lambda pt: (a * pt[0] + b * pt[1] - s) % N)
+        for t, pt in enumerate(pts):
+            n = len(dart_point)
+            dart_point += [pt, pts[(t + 1) % len(pts)]]
+            dart_dir += [(L.p, L.q), (-L.p, -L.q)]
+            dart_line += [i, i]
+            pairing += [n + 1, n]
 
     # distinct lines meet transversally, so no two darts at a point are parallel
+    n = len(dart_point)
     m = build_map(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
     if m.genus() != 1:
         raise ArrangementError("arrangement did not close up to a torus")
-    return TorusArrangement(m, lines, dart_point, dart_dir, dart_line)
+    return TorusArrangement(m, lines, N, dart_point, dart_dir, dart_line)
 
 
 def affine_dart_map(arr: TorusArrangement, matrix, translation=(0, 0)):
@@ -177,18 +152,18 @@ def affine_dart_map(arr: TorusArrangement, matrix, translation=(0, 0)):
     (a, b), (c, d) = matrix
     if a * d - b * c not in (1, -1):
         raise ArrangementError("matrix is not unimodular")
-    tx, ty = Fraction(translation[0]), Fraction(translation[1])
-    lookup = {}
-    for x in range(arr.map.n_darts):
-        lookup[(arr.dart_point[x], arr.dart_dir[x])] = x
+    N = arr.N
+    tx, ty = (Fraction(t) * N for t in translation)
+    darts = list(enumerate(zip(arr.dart_point, arr.dart_dir)))
+    # A maps the grid to itself, so a translation off the grid hits no dart
+    on_grid = tx.denominator == ty.denominator == 1
+    lookup = {key: x for x, key in darts} if on_grid else {}
+    tx, ty = int(tx), int(ty)
     perm = []
-    for x in range(arr.map.n_darts):
-        px, py = arr.dart_point[x]
-        dx, dy = arr.dart_dir[x]
-        q = ((a * px + b * py + tx) % 1, (c * px + d * py + ty) % 1)
-        w = (a * dx + b * dy, c * dx + d * dy)
+    for x, ((X, Y), (dx, dy)) in darts:
+        key = (((a * X + b * Y + tx) % N, (c * X + d * Y + ty) % N), (a * dx + b * dy, c * dx + d * dy))
         try:
-            perm.append(lookup[(q, w)])
+            perm.append(lookup[key])
         except KeyError:
             raise ArrangementError(
                 "affine map does not preserve the arrangement (dart %d)" % x

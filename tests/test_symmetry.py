@@ -118,7 +118,7 @@ def test_rotation_by_90_breaks_colors():
     arr = grid2()
     d = grid2_diagram(arr)
     r = affine_dart_map(arr, ROT90)
-    with pytest.raises(ColorBroken):
+    with pytest.raises(ColorBroken, match="^generator r does not preserve alpha1$"):
         check_action(d, DiagramAction([r], ["r"]))
     # on the uncolored diagram the same permutation is a valid symmetry
     rep = check_action(grid2_diagram(arr, colored=False), DiagramAction([r], ["r"]))

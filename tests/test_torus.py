@@ -26,11 +26,21 @@ def test_line_normalization():
 
 
 def test_line_geometry():
-    L = line(1, 2, Fraction(1, 3))
-    pt = L.base_point()
-    assert L.contains(pt)
-    assert not L.contains((pt[0] + Fraction(1, 7), pt[1]))
-    assert L.param(pt) == 0
+    from test_torus_grid import ref_param
+
+    arr = arrangement(
+        [line(1, 2, Fraction(1, 3)), line(1, 0, Fraction(1, 4)), line(-1, 1, Fraction(1, 6))]
+    )
+    N = arr.N
+    # every dart point lies on its line
+    for x, (X, Y) in enumerate(arr.dart_point):
+        L = arr.lines[arr.dart_line[x]]
+        assert (L.q * X - L.p * Y - L.c * N) % N == 0
+    # each line's first dart leaves its point of least position along the line
+    for i, L in enumerate(arr.lines):
+        pts = [arr.dart_point[x] for x, j in enumerate(arr.dart_line) if j == i]
+        keys = [ref_param(L, (Fraction(X, N), Fraction(Y, N))) for X, Y in pts]
+        assert keys[0] == min(keys)
 
 
 def test_grid_counts():

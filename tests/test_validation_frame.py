@@ -273,6 +273,10 @@ def _small_relation_matrices():
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
         dense = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
         out.append(pytest.param(dense, id="random-%d" % k))
+    for k in range(6):
+        rows, cols = rng.randrange(30, 61), rng.randrange(10, 41)
+        dense = [[rng.choice((-1, 1)) if rng.random() < 0.12 else 0 for _ in range(cols)] for _ in range(rows)]
+        out.append(pytest.param(dense, id="sparse-%d" % k))
     return out
 
 
