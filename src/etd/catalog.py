@@ -8,12 +8,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .cmap import automorphisms, build_from_faces, build_map
+from .cmap import automorphisms, build_from_faces, build_map, compose, inverse
 from .surgery import tube
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, shadow
 from .groups import greedy_generators
 from .invariants import AbelianGroup
-from .symmetry import DiagramAction, compose
+from .symmetry import DiagramAction
 from .torus import TorusArrangement, affine_dart_map, arrangement, line
 
 
@@ -57,10 +57,7 @@ def mirror(d: ShadowDiagram) -> ShadowDiagram:
     """The same diagram on the oppositely-oriented surface (inverted
     rotation).  Cell names are unchanged."""
     m = d.surface
-    inv = [0] * m.n_darts
-    for x in range(m.n_darts):
-        inv[m.rotation[x]] = x
-    m2 = build_map(m.n_darts, list(m.edge_pairing), inv)
+    m2 = build_map(m.n_darts, m.edge_pairing, inverse(m.rotation))
     return ShadowDiagram.from_darts(m2, d.dart_colors, [v.dart for v in d.marked])
 
 

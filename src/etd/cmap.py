@@ -20,8 +20,11 @@ Two partition primitives serve every connectivity question in ``etd``:
 :func:`perm_orbits` gives the orbits of the group a set of dart
 permutations generates (cells, components, quotient darts), and
 :class:`DisjointSets` is the union-find for partitions built edge by
-edge (cut pieces, arc unions, tree/cotree splits).  Both number their
-classes by least element.
+edge (cut pieces, arc unions).  Both number their classes by least
+element.  :func:`spanning_forest` is the one rooted spanning tree
+(homology coordinates, shadow-arc cycles, voltage gauge fixing), and
+:func:`compose` and :func:`inverse` are the one product and inverse of
+dart permutations.
 """
 
 from __future__ import annotations
@@ -79,6 +82,51 @@ def perm_orbits(n: int, perms: Sequence[Sequence[int]]):
     return orbit_id, orbits
 
 
+def compose(p, q):
+    """p after q as dart permutations."""
+    return tuple(p[x] for x in q)
+
+
+def inverse(p):
+    """The inverse of the permutation ``p``."""
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def spanning_forest(m: CombMap, darts=None):
+    """A breadth-first spanning forest of the map's graph, or of the
+    subgraph of the edges in ``darts`` (both darts of each edge).
+
+    Roots are taken by ascending vertex index: every vertex, or only the
+    vertices the darts meet.  Each vertex's darts are walked in rotation
+    order from its least dart.  Returns ``(parent, order)``: ``parent[v]``
+    is the dart whose edge first reached vertex v (its tail is v's
+    parent), -1 at a root and at a vertex the darts miss; ``order`` lists
+    the reached vertices in visiting order.
+    """
+    vertex_of, ep = m.vertex_of, m.edge_pairing
+    n = len(m._vertex_orbits)
+    use = None if darts is None else set(darts)
+    roots = range(n) if darts is None else sorted({vertex_of[x] for x in darts})
+    parent, seen, order = [-1] * n, [False] * n, []
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        tree = [root]
+        for u in tree:
+            for x in m._vertex_orbits[u]:
+                w = vertex_of[ep[x]]
+                if not seen[w] and (use is None or x in use):
+                    seen[w] = True
+                    parent[w] = x
+                    tree.append(w)
+        order += tree
+    return parent, order
+
+
 class DisjointSets:
     """Union-find on ``0..n-1`` with path halving."""
 
@@ -106,9 +154,10 @@ class DisjointSets:
         return [index.setdefault(self.find(x), len(index)) for x in range(len(self.parent))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CellId:
-    """A vertex, edge or face, named by the minimum dart in its orbit."""
+    """A vertex, edge or face, named by the minimum dart in its orbit.
+    Cells of one kind sort by that dart."""
 
     kind: str  # 'vertex' | 'edge' | 'face'
     dart: int
@@ -141,11 +190,8 @@ class CombMap:
         self.edge_pairing = edge_pairing
         self.rotation = rotation
         self.allow_boundary = allow_boundary
-        self._rotation_inv = [0] * n_darts
-        for d in range(n_darts):
-            self._rotation_inv[rotation[d]] = d
         # face walk: rotation^-1 after edge_pairing
-        self.face_walk = tuple(self._rotation_inv[edge_pairing[d]] for d in range(n_darts))
+        self.face_walk = compose(inverse(rotation), edge_pairing)
         self.vertex_of, self._vertex_orbits = perm_orbits(n_darts, (rotation,))
         self.edge_of, self._edge_orbits = perm_orbits(n_darts, (edge_pairing,))
         self.face_of, self._face_orbits = perm_orbits(n_darts, (self.face_walk,))
@@ -227,9 +273,7 @@ class CombMap:
     def relabel(self, perm: Sequence[int]) -> "CombMap":
         """Return the same map with dart d renamed perm[d]."""
         n = self.n_darts
-        inv = [0] * n
-        for d in range(n):
-            inv[perm[d]] = d
+        inv = inverse(perm)
         ep = [perm[self.edge_pairing[inv[d]]] for d in range(n)]
         rot = [perm[self.rotation[inv[d]]] for d in range(n)]
         return CombMap(n, ep, rot, allow_boundary=self.allow_boundary)
@@ -621,10 +665,7 @@ def build_from_faces(faces, require_single_vertex_cycles=True):
     for d, (fi, p, v, k) in enumerate(dart_info):
         fw[d] = index[(fi, (p + 1) % len(faces[fi]))]
     # rotation = edge_pairing o face_walk^-1
-    fw_inv = [0] * n
-    for d in range(n):
-        fw_inv[fw[d]] = d
-    rot = [ep[fw_inv[d]] for d in range(n)]
+    rot = compose(ep, inverse(fw))
 
     m = CombMap(n, ep, rot, allow_boundary=False)
     if require_single_vertex_cycles:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .cmap import CellId, build_map
+from .cmap import CellId, build_map, spanning_forest
 from .diagram import ShadowDiagram
 from .groups import Group, greedy_generators
 from .symmetry import DiagramAction, base_darts, check_action
@@ -164,7 +164,7 @@ def _solve_twists(d: ShadowDiagram, va: VoltageAssignment):
             word.append(("unk", cyc[i], -1))
         word.append(("const", va.voltage[cyc[0]]))
         constraints.append(word)
-    for v in d.marked:
+    for v in sorted(d.marked):
         cyc = m.orbit(v)
         word = [("unk", c, 1) for c in reversed(cyc)]
         word.append(("const", g.inv(va.meridians[v])))
@@ -322,26 +322,19 @@ def spanning_tree_normalize(d: ShadowDiagram, va: VoltageAssignment) -> VoltageA
     m = d.surface
     if not m.is_connected():
         raise CoverError("base must be connected")
-    pot = {}
-    root = m.vertices()[0]
-    pot[root] = g.identity
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for x in m.orbit(u):
-                wvert = m.cell_of("vertex", m.edge_pairing[x])
-                if wvert not in pot:
-                    # make the tree dart x trivial: p(head) = p(tail) * v(x)^-1
-                    pot[wvert] = g.mul(pot[u], g.inv(va.voltage[x]))
-                    nxt.append(wvert)
-        frontier = nxt
-    new_volt = {}
-    for x in range(m.n_darts):
-        tail = m.cell_of("vertex", x)
-        head = m.cell_of("vertex", m.edge_pairing[x])
-        new_volt[x] = g.mul(pot[head], g.mul(va.voltage[x], g.inv(pot[tail])))
-    new_mer = {
-        v: g.mul(pot[v], g.mul(w, g.inv(pot[v]))) for v, w in va.meridians.items()
-    }
+    vertex_of, ep = m.vertex_of, m.edge_pairing
+    parent, order = spanning_forest(m)
+    pot = [g.identity] * len(order)
+    for v in order:
+        x = parent[v]
+        if x >= 0:
+            # make the tree dart x trivial: p(head) = p(tail) * v(x)^-1
+            pot[v] = g.mul(pot[vertex_of[x]], g.inv(va.voltage[x]))
+
+    def moved(w, head, tail):
+        """``w`` gauged by the potentials at the vertices of two darts."""
+        return g.mul(pot[vertex_of[head]], g.mul(w, g.inv(pot[vertex_of[tail]])))
+
+    new_volt = {x: moved(va.voltage[x], ep[x], x) for x in range(m.n_darts)}
+    new_mer = {v: moved(w, v.dart, v.dart) for v, w in va.meridians.items()}
     return VoltageAssignment(g, new_volt, new_mer).validated(d)

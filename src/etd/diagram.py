@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cmap import CellId, CombMap, DisjointSets, canonical_form, cut_along, is_isomorphic
+from .cmap import spanning_forest
 from .invariants import h1_frame
 
 
@@ -250,7 +251,7 @@ class ShadowDiagram:
                             "shadow%d ends at unmarked vertex %r" % (i, v)
                         )
         present = {c.index for c in self.color.values() if c.kind == "shadow"}
-        for v in self.marked:
+        for v in sorted(self.marked):
             here = {
                 self.dart_color(d).index
                 for d in self.surface.orbit(v)
@@ -338,50 +339,30 @@ def curve_classes(d: ShadowDiagram, i: int):
     return _dense(d.surface, (_edge_cycle(d.surface, c) for c in _curves(d, i)))
 
 
-def _shadow_cells(d: ShadowDiagram, i: int):
-    """Edge cells of the Shadow(i) arcs."""
-    m = d.surface
-    return {m.edges()[m.edge_of[x]] for x in d.darts_of_color(shadow(i))}
-
-
 def _shadow_cycles(d: ShadowDiagram, i: int):
     """A cycle-space basis of the Shadow(i) subgraph, as sparse cycles
-    (see :func:`_edge_cycle`)."""
+    (see :func:`_edge_cycle`): each edge off the subgraph's spanning
+    forest, closed through the forest.  The paths from both ends up to
+    the root share their upper part, which cancels in the cycle."""
     m = d.surface
-    sub = sorted(_shadow_cells(d, i), key=lambda c: c.dart)
+    ep, vertex_of, edge_of = m.edge_pairing, m.vertex_of, m.edge_of
+    darts = d.darts_of_color(shadow(i))
+    parent, order = spanning_forest(m, darts)
+    tree = {edge_of[parent[v]] for v in order if parent[v] >= 0}
 
-    forest = DisjointSets(len(m.vertices()))
-    extra = []
-    tree_at = {}
-    for c in sub:
-        tail = m.vertex_of[c.dart]
-        head = m.vertex_of[m.edge_pairing[c.dart]]
-        if not forest.union(tail, head):
-            extra.append((c, tail, head))
-        else:
-            tree_at.setdefault(tail, []).append((c.dart, head))
-            tree_at.setdefault(head, []).append((m.edge_pairing[c.dart], tail))
-    out = []
-    for c, tail, head in extra:
-        # close the non-tree edge with the tree path from head back to tail
-        prev = {head: None}
-        frontier = [head]
-        while frontier and tail not in prev:
-            nxt = []
-            for u in frontier:
-                for x, w in tree_at.get(u, ()):
-                    if w not in prev:
-                        prev[w] = (u, x)
-                        nxt.append(w)
-            frontier = nxt
-        path = [c.dart]
-        v = tail
-        while prev[v] is not None:
-            u, x = prev[v]
-            path.append(x)
-            v = u
-        out.append(_edge_cycle(m, path))
-    return out
+    def up(v):
+        """The parent darts from v up to its root."""
+        path = []
+        while parent[v] >= 0:
+            path.append(parent[v])
+            v = vertex_of[parent[v]]
+        return path
+
+    return [
+        _edge_cycle(m, [x] + [ep[y] for y in up(vertex_of[ep[x]])] + up(vertex_of[x]))
+        for x in darts
+        if x < ep[x] and edge_of[x] not in tree
+    ]
 
 
 def shadow_cycle_classes(d: ShadowDiagram, i: int):
@@ -445,7 +426,7 @@ def _cut_system_verdict(d: ShadowDiagram, i: int) -> CutSystemVerdict:
     m = d.surface
     g = m.genus()
     curves = _curves(d, i)  # raises MalformedColoring if branching
-    arcs = _shadow_cells(d, i)
+    arcs = {m.edges()[m.edge_of[x]] for x in d.darts_of_color(shadow(i))}
     if not curves and not arcs:
         verdict = g == 0
         return CutSystemVerdict(verdict, verdict, 0, 1, "" if verdict else "no curves")
@@ -483,24 +464,32 @@ class HeegaardVerdict:
 
 
 def _crossing_counts(d: ShadowDiagram, curves_i, curves_j):
-    """Geometric crossing counts between two curve lists (shared vertices)."""
+    """Transversal crossing counts between two curve lists of different
+    families, keyed by curve indices (a, b).
+
+    Each family has 0 or 2 darts at a vertex (see :func:`_family_curves`),
+    so curves a and b cross at a shared vertex exactly when a's two darts
+    separate b's two darts in the vertex's rotation; a tangency counts
+    zero.
+    """
     m = d.surface
-    owner = {}
-    for a, curve in enumerate(curves_i):
-        for x in curve:
-            owner[x] = ("i", a)
-            owner[m.edge_pairing[x]] = ("i", a)
-    for b, curve in enumerate(curves_j):
-        for x in curve:
-            owner[x] = ("j", b)
-            owner[m.edge_pairing[x]] = ("j", b)
+    owners = []
+    for curves in (curves_i, curves_j):
+        owner = [-1] * m.n_darts
+        for a, curve in enumerate(curves):
+            for x in curve:
+                owner[x] = owner[m.edge_pairing[x]] = a
+        owners.append(owner)
+    owner_i, owner_j = owners
     counts = {}
     for v in m.vertices():
         orbit = m.orbit(v)
-        fi = {owner[x][1] for x in orbit if x in owner and owner[x][0] == "i"}
-        fj = {owner[x][1] for x in orbit if x in owner and owner[x][0] == "j"}
-        for a in fi:
-            for b in fj:
+        at_i = [(p, owner_i[x]) for p, x in enumerate(orbit) if owner_i[x] >= 0]
+        at_j = [(q, owner_j[x]) for q, x in enumerate(orbit) if owner_j[x] >= 0]
+        if at_i and at_j:
+            (p1, a), (p2, _) = at_i
+            (q1, b), (q2, _) = at_j
+            if (p1 < q1 < p2) != (p1 < q2 < p2):
                 counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
 
@@ -691,7 +680,7 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
             for a, b in zip(ds, ds[1:]):
                 loops.union(a, b)
     # at marked vertices, join by the rotation-adjacency pairing
-    for v in d.marked:
+    for v in sorted(d.marked):
         for xi, xj in _arc_end_pairing(d, v, i, j):
             loops.union(xi, xj)
     return len({loops.find(x) for x in allx})

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cmap import CombMap
+from .cmap import CombMap, spanning_forest
 
 
 class InvariantError(ValueError):
@@ -261,24 +261,10 @@ class H1Frame:
         self.n_edges = len(edges)
         self.tail = [vertex_of[c.dart] for c in edges]
         self.head = [vertex_of[ep[c.dart]] for c in edges]
-        verts = m.vertices()
         in_tree = [False] * self.n_edges
-        seen = [False] * len(verts)
-        for root in range(len(verts)):
-            if seen[root]:
-                continue
-            seen[root] = True
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for x in m.orbit(verts[u]):
-                        w = vertex_of[ep[x]]
-                        if not seen[w]:
-                            seen[w] = True
-                            in_tree[edge_of[x]] = True
-                            nxt.append(w)
-                frontier = nxt
+        for x in spanning_forest(m)[0]:
+            if x >= 0:
+                in_tree[edge_of[x]] = True
         self.col_of = [-1] * self.n_edges
         self.n_cols = 0
         for j in range(self.n_edges):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .cmap import CombMap, build_map
 
@@ -31,17 +30,15 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _angle_cmp(d1, d2):
-    def half(d):
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    h1, h2 = half(d1), half(d2)
-    if h1 != h2:
-        return h1 - h2
-    c = _cross(d1, d2)
-    if c == 0:
-        return 0
-    return -1 if c > 0 else 1
+def _angle_key(d):
+    """An exact sort key for the counterclockwise angle of direction ``d``
+    from the positive x-axis: the half-plane (angles [0, pi) or
+    [pi, 2 pi)), then whether d is off the x-axis, then -x/y, which grows
+    with the angle inside each open half-plane.  Parallel directions get
+    equal keys."""
+    x, y = d
+    upper = y > 0 or (y == 0 and x > 0)
+    return (0 if upper else 1, y != 0, Fraction(-x, y) if y else 0)
 
 
 def rotation_by_angle(n, dart_point, dart_dir):
@@ -51,11 +48,14 @@ def rotation_by_angle(n, dart_point, dart_dir):
     at_point = {}
     for d in range(n):
         at_point.setdefault(dart_point[d], []).append(d)
+    dirs = [dart_dir[d] for d in range(n)]
+    keys = {u: _angle_key(u) for u in set(dirs)}
+    key = [keys[u] for u in dirs]
     rotation = [0] * n
     for pt, ds in at_point.items():
-        keyed = sorted(ds, key=cmp_to_key(lambda a, b: _angle_cmp(dart_dir[a], dart_dir[b])))
+        keyed = sorted(ds, key=key.__getitem__)
         # parallel darts sort next to each other
-        if any(_angle_cmp(dart_dir[a], dart_dir[b]) == 0 for a, b in zip(keyed, keyed[1:])):
+        if any(key[a] == key[b] for a, b in zip(keyed, keyed[1:])):
             raise PlanarError("parallel darts at %r" % (pt,))
         for k, d in enumerate(keyed):
             rotation[d] = keyed[(k + 1) % len(keyed)]

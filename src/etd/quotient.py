@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cmap import CombMap, build_map, perm_orbits, subdivide_edges
+from .cmap import CombMap, build_map, inverse, perm_orbits, subdivide_edges
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, color_components, validate_trisection
 from .symmetry import (
     DEFAULT_CLOSURE_CAP,
@@ -21,7 +21,6 @@ from .symmetry import (
     base_darts,
     check_action,
     check_automorphism,
-    inverse,
 )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .cmap import CellId
+from .cmap import CellId, compose, inverse
 from .diagram import ShadowDiagram
 from .groups import orbit_tree
 
@@ -52,18 +52,6 @@ class ColorBroken(SymmetryError):
 
 class ClosureCapExceeded(SymmetryError):
     pass
-
-
-def compose(p, q):
-    """p after q as dart permutations."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
-def inverse(p):
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
 
 
 def base_darts(m) -> tuple:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -321,3 +325,27 @@ def test_position_error_names_its_line(tmp_path, capsys, tail, lineno, message):
     p.write_text(THETA + tail + "\n")
     assert main(["validate", str(p)]) == 1
     assert capsys.readouterr().err == "parse error: line %d: %s\n" % (lineno, message)
+
+
+def test_validate_output_does_not_depend_on_hash_seed(tmp_path):
+    """Marked vertices are visited by ascending dart, so the structural
+    errors they raise come out in one order under every hash seed."""
+    text = entry_file_text("q8_link_base")
+    marked = next(r for r in text.splitlines() if r.startswith("marked "))
+    d = parse_diagram_file(text).diagram
+    extra = [v.dart for v in d.surface.vertices() if v not in d.marked][-2:]
+    p = tmp_path / "extra_marks.diagram"
+    p.write_text(text.replace(marked, marked + " %d %d" % tuple(extra)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, etd.cli; sys.exit(etd.cli.main(sys.argv[1:]))",
+             "validate", str(p)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        assert "has no shadow1 end" in run.stdout
+        outs.add(run.stdout)
+    assert len(outs) == 1

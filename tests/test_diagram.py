@@ -209,6 +209,23 @@ def test_parallel_torus_pairs_verified_k1():
         assert v.k == 1
 
 
+def tangent_torus_diagram():
+    """A torus with one vertex of valence 6: an alpha1 loop (darts 0 east,
+    1 west), a parallel alpha2 loop (2 up-right, 3 up-left) that touches
+    it there without crossing, and a scaffold loop (4 up, 5 down)."""
+    m = build_map(6, [1, 0, 3, 2, 5, 4], [2, 5, 4, 1, 3, 0])
+    return ShadowDiagram.from_darts(m, [alpha(1)] * 2 + [alpha(2)] * 2 + [SCAFFOLD] * 2)
+
+
+def test_tangency_is_not_a_crossing():
+    d = tangent_torus_diagram()
+    assert d.surface.genus() == 1 and len(d.surface.vertices()) == 1
+    assert d.well_formed_errors() == []
+    # a tangency must not feed a dual-pair destabilization
+    v = validate_heegaard_pair(d, 1, 2)
+    assert (v.tier, v.k) == ("HomologyCertified", 1)
+
+
 def test_lens_pair_fails_on_torsion():
     d = lens_torus_diagram()
     v = validate_heegaard_pair(d, 1, 2)

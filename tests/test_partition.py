@@ -94,3 +94,70 @@ def test_one_union_find_and_one_orbit_walk():
             ):
                 found.append("%s:%d %s" % (path.name, node.lineno, node.name))
     assert found == []
+
+
+def _inversions(tree):
+    """The assignments in ``tree`` that invert a permutation: ``inv[p[i]] =
+    i``, or ``inv[x] = i`` in a loop ``for i, x in enumerate(p)``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            target = node.targets[0]
+            if (
+                isinstance(target, ast.Subscript)
+                and isinstance(target.slice, ast.Subscript)
+                and isinstance(target.slice.slice, ast.Name)
+                and target.slice.slice.id == node.value.id
+            ):
+                found.append(node)
+        if (
+            isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Call)
+            and getattr(node.iter.func, "id", None) == "enumerate"
+            and isinstance(node.target, ast.Tuple)
+            and len(node.target.elts) == 2
+            and all(isinstance(e, ast.Name) for e in node.target.elts)
+        ):
+            i, x = (e.id for e in node.target.elts)
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.Assign)
+                    and isinstance(stmt.targets[0], ast.Subscript)
+                    and getattr(stmt.targets[0].slice, "id", None) == x
+                    and getattr(stmt.value, "id", None) == i
+                ):
+                    found.append(stmt)
+    return found
+
+
+def test_one_permutation_inverse():
+    """Permutations are inverted by cmap.inverse alone: no other code
+    under etd fills an inverse array by hand."""
+    src = pathlib.Path(etd.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "cmap.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "inverse":
+                    allowed = {id(n) for n in ast.walk(node)}
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in _inversions(tree)
+            if id(node) not in allowed
+        ]
+    assert found == []
+
+
+def test_inversion_guard_sees_both_forms():
+    tree = ast.parse(
+        "def f(p):\n"
+        "    inv = [0] * len(p)\n"
+        "    for d in range(len(p)):\n"
+        "        inv[p[d]] = d\n"
+        "    for i, x in enumerate(p):\n"
+        "        inv[x] = i\n"
+        "    inv[p[0]] = 1\n"
+    )
+    assert sorted(node.lineno for node in _inversions(tree)) == [4, 6]
