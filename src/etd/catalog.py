@@ -442,13 +442,11 @@ def q8_link_base() -> CatalogEntry:
         add(loop([(-r, -r), (r, -r), (r, r), (-r, r)]), alpha(f))
 
     pd = build_planar(strands)
-    color = {}
-    for i, col in enumerate(colors):
-        for e in pd.edges_of_strand(i):
-            color[e] = col
     pts = [(dx + a, b) for dx in (0, 10) for a, b in ((0, 1), (1, 0), (0, -1), (-1, 0))]
     marked = [pd.vertex_at(p) for p in pts]
-    d = ShadowDiagram(pd.map, color, set(marked))
+    d = ShadowDiagram.from_darts(
+        pd.map, [colors[i] for i in pd.dart_strand], [v.dart for v in marked]
+    )
 
     g = quaternion()
     cuts = [((x, y), (x + 1, y - 7)) for (x, y) in pts]

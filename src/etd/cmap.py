@@ -196,7 +196,7 @@ class CombMap:
         self.edge_of, self._edge_orbits = perm_orbits(n_darts, (edge_pairing,))
         self.face_of, self._face_orbits = perm_orbits(n_darts, (self.face_walk,))
         self._cells = {
-            kind: ([CellId(kind, o[0]) for o in orbs], of)
+            kind: ([CellId(kind, o[0]) for o in orbs], of, orbs)
             for kind, of, orbs in (
                 ("vertex", self.vertex_of, self._vertex_orbits),
                 ("edge", self.edge_of, self._edge_orbits),
@@ -222,17 +222,17 @@ class CombMap:
         table = self._cells.get(kind)
         if table is None or not (isinstance(dart, int) and 0 <= dart < self.n_darts):
             raise UnknownCell("no %s cell at dart %r" % (kind, dart))
-        cells, of = table
+        cells, of, _ = table
         return cells[of[dart]]
 
     def orbit(self, cell: CellId) -> list[int]:
-        perm = {"vertex": self.rotation, "edge": self.edge_pairing, "face": self.face_walk}[cell.kind]
-        out = [cell.dart]
-        d = perm[cell.dart]
-        while d != cell.dart:
-            out.append(d)
-            d = perm[d]
-        return out
+        """The dart cycle of ``cell`` (rotation, edge pairing or face walk)
+        from its least dart, as stored at construction; callers must not
+        mutate it."""
+        if self.cell_of(cell.kind, cell.dart) != cell:
+            raise UnknownCell("unknown %s %r" % (cell.kind, cell))
+        _, of, orbits = self._cells[cell.kind]
+        return orbits[of[cell.dart]]
 
     def boundary_darts(self) -> list[int]:
         return [d for d in range(self.n_darts) if self.edge_pairing[d] == d]
@@ -326,10 +326,7 @@ class CutSurface:
         for cell in cut_edges:
             if cell.kind != "edge":
                 raise UnknownCell("cut_along expects edge cells")
-            if base.cell_of("edge", cell.dart) != cell:
-                raise UnknownCell("unknown edge %r" % (cell,))
-            for d in base.orbit(cell):
-                cut_darts.add(d)
+            cut_darts.update(base.orbit(cell))
         self.base = base
         self.cut_darts = cut_darts
 
@@ -437,23 +434,20 @@ def cut_along(m: CombMap, edges: Iterable[CellId]) -> CutSurface:
 def subdivide_edges(m: CombMap, edges: Iterable[CellId]):
     """Insert a valence-2 midpoint vertex on each listed edge.
 
-    Returns (new_map, origin) where origin maps every dart of the new map
-    to the dart of ``m`` it came from (new midpoint darts map to the dart
-    of the half they extend).
+    Returns (new_map, origin) where the list origin maps every dart of
+    the new map to the dart of ``m`` it came from (new midpoint darts map
+    to the dart of the half they extend).
     """
     targets = []
     for cell in edges:
         if cell.kind != "edge":
             raise UnknownCell("subdivide_edges expects edge cells")
-        if m.cell_of("edge", cell.dart) != cell:
-            raise UnknownCell("unknown edge %r" % (cell,))
-        targets.append(cell)
+        targets.append(m.orbit(cell))
     n = m.n_darts
     ep = list(m.edge_pairing)
     rot = list(m.rotation)
-    origin = {d: d for d in range(n)}
-    for cell in targets:
-        orb = m.orbit(cell)
+    origin = list(range(n))
+    for orb in targets:
         if len(orb) == 2:
             d, e = orb
             n1, n2 = n, n + 1
@@ -464,15 +458,14 @@ def subdivide_edges(m: CombMap, edges: Iterable[CellId]):
             ep[d], ep[n1] = n1, d
             ep[e], ep[n2] = n2, e
             rot[n1], rot[n2] = n2, n1
-            origin[n1] = e
-            origin[n2] = d
+            origin += [e, d]
         else:
             (d,) = orb  # boundary edge
             n1 = n
             n += 1
             ep.append(n1)
             rot.append(n1)
-            origin[n1] = d
+            origin.append(d)
     return CombMap(n, ep, rot, allow_boundary=m.allow_boundary), origin
 
 

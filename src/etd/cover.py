@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .cmap import CellId, build_map, spanning_forest
 from .diagram import ShadowDiagram
 from .groups import Group, greedy_generators
+from .invariants import branching_defect
 from .symmetry import DiagramAction, base_darts, check_action
 
 
@@ -116,19 +117,13 @@ def expected_lift_parameters(d: ShadowDiagram, va: VoltageAssignment):
     if not m.is_connected():
         raise CoverError("base must be connected")
     n = len(g)
-    chi = m.euler_characteristic()
-    defect = 0
-    counts = {}
-    for v, w in va.meridians.items():
-        o = g.element_order(w)
-        if n % o:
-            raise MeridianMismatch("meridian order does not divide the group order")
-        defect += n - n // o
-        counts[v] = n // o
-    chi_lift = n * chi - defect
+    orders = {v: g.element_order(w) for v, w in va.meridians.items()}
+    if any(n % o for o in orders.values()):
+        raise MeridianMismatch("meridian order does not divide the group order")
+    chi_lift = n * m.euler_characteristic() - branching_defect(n, orders.values())
     if chi_lift % 2:
         raise CoverError("lifted Euler characteristic is odd")
-    return (2 - chi_lift) // 2, counts
+    return (2 - chi_lift) // 2, {v: n // o for v, o in orders.items()}
 
 
 def _solve_twists(d: ShadowDiagram, va: VoltageAssignment):
@@ -261,9 +256,7 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
     lifted = build_map(n * order, ep, rot)
 
     # Riemann-Hurwitz, exactly (holds for the full cover, connected or not)
-    defect = sum(
-        order - order // g.element_order(w) for w in va.meridians.values()
-    )
+    defect = branching_defect(order, [g.element_order(w) for w in va.meridians.values()])
     if lifted.euler_characteristic() != order * m.euler_characteristic() - defect:
         raise CoverError("derived map violates Riemann-Hurwitz")
 

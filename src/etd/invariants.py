@@ -378,6 +378,14 @@ def pu3_parameters(p: PolyhedralGraphData):
     return g, (k1, k2, k3)
 
 
+def branching_defect(group_order: int, branch_orders) -> int:
+    """The Riemann-Hurwitz defect sum(|G| - |G|/m) over branch points of
+    orders m, each dividing |G|: a |G|-sheeted branched cover of a closed
+    surface of Euler characteristic chi has Euler characteristic
+    |G| * chi - defect."""
+    return sum(group_order - group_order // m for m in branch_orders)
+
+
 def free_action_genus_bound(group_order: int, handlebody_genus: int):
     """Whether a free action of the given order fits the genus: requires
     genus = 1 mod order; returns (verdict, quotient_genus_or_None)."""

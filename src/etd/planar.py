@@ -127,23 +127,32 @@ def loop(points, label=None):
 
 @dataclass
 class PlanarDiagram:
+    """A planar arrangement as a sphere map, with flat per-dart lists.
+
+    Dart ``2k`` leaves the start of edge k and dart ``2k + 1`` its end,
+    edges numbered along each strand in turn.  ``dart_point[x]`` is the
+    vertex dart x leaves, ``dart_dir[x]`` its outgoing direction (towards
+    the next point of its edge's polyline), ``dart_strand[x]`` the index
+    of its strand; ``edge_path`` holds each edge's polyline under its
+    outgoing (even) dart.
+    """
+
     map: CombMap
     strands: list
-    dart_point: dict
-    dart_dir: dict
-    dart_strand: dict
+    dart_point: list
+    dart_dir: list
+    dart_strand: list
     edge_path: dict  # outgoing dart -> polyline of its edge
 
     def vertex_at(self, pt):
         pt = _frac_point(pt)
-        for d, q in self.dart_point.items():
-            if q == pt:
-                return self.map.cell_of("vertex", d)
+        if pt in self.dart_point:
+            return self.map.cell_of("vertex", self.dart_point.index(pt))
         raise PlanarError("no vertex at %r" % (pt,))
 
     def edges_of_strand(self, idx):
         return sorted(
-            {self.map.cell_of("edge", d) for d, i in self.dart_strand.items() if i == idx},
+            {self.map.cell_of("edge", d) for d, i in enumerate(self.dart_strand) if i == idx},
             key=lambda c: c.dart,
         )
 
@@ -153,23 +162,6 @@ class PlanarDiagram:
             if s.label == label:
                 out.extend(self.edges_of_strand(i))
         return out
-
-
-def _strand_params(strand, pt_entries):
-    """Sort (seg_idx, t, point) entries along the strand."""
-    return sorted(pt_entries, key=lambda e: (e[0], e[1]))
-
-
-def _normalize_param(strand, g, t, pt):
-    """Push a point at a segment's far end onto the next segment's start,
-    so that a junction at a bend gets a single canonical parameter."""
-    n_seg = len(strand.segments())
-    if t == 1:
-        if strand.closed:
-            return ((g + 1) % n_seg, Fraction(0), pt)
-        if g < n_seg - 1:
-            return (g + 1, Fraction(0), pt)
-    return (g, t, pt)
 
 
 def branch_cut_crossings(pd: PlanarDiagram, cuts):
@@ -221,55 +213,63 @@ def branch_cut_voltages(pd: PlanarDiagram, group, cut_values, crossings):
 
 
 def build_planar(strands) -> PlanarDiagram:
+    """The sphere map of a polyline arrangement.
+
+    A strand's position ``(k, t)`` is the point at parameter t in [0, 1)
+    along its segment from point k.  Its special points are its open
+    ends, its crossings with other strands and the ends of other strands
+    that land on it; an uncrossed closed strand gets its first point.
+    Each strand is walked once: its points and special points, merged and
+    sorted by position (a special point on a bend is one walk point), a
+    closed walk turned to start and end at its first special point.  The
+    walk is cut at every special point, and each piece is one edge: its
+    polyline, and its two darts leaving the ends towards the neighbouring
+    walk points.  Darts around a point are ordered by angle.
+    """
     strands = list(strands)
+    segs = [s.segments() for s in strands]
     all_segs = []  # (strand_idx, seg_idx, a, b)
-    for si, s in enumerate(strands):
-        for gi, (a, b) in enumerate(s.segments()):
+    for si, ss in enumerate(segs):
+        for gi, (a, b) in enumerate(ss):
             if a == b:
                 raise PlanarError("zero-length segment in strand %d" % si)
             all_segs.append((si, gi, a, b))
 
-    # special points per strand: terminals and crossings, as (seg, t, pt)
-    special = {si: [] for si in range(len(strands))}
+    def is_end(si, g, t):
+        return not strands[si].closed and (
+            (g, t) == (0, 0) or (g, t) == (len(segs[si]) - 1, 1)
+        )
+
+    def position(si, g, t):
+        # a segment's far end is the strand's next point
+        return ((g + 1) % len(strands[si].points), 0) if t == 1 else (g, t)
+
+    # special points per strand: position -> point
+    special = [{} for _ in strands]
     terminals = set()
     for si, s in enumerate(strands):
         if not s.closed:
-            special[si].append((0, Fraction(0), s.points[0]))
-            last = len(s.segments()) - 1
-            special[si].append((last, Fraction(1), s.points[-1]))
-            terminals.add(s.points[0])
-            terminals.add(s.points[-1])
+            special[si][(0, 0)] = s.points[0]
+            special[si][(len(segs[si]), 0)] = s.points[-1]
+            terminals.update((s.points[0], s.points[-1]))
 
-    point_owners = {}  # crossing/terminal point -> set of strand ids
-    for pt in terminals:
-        point_owners.setdefault(pt, set())
+    point_owners = {pt: set() for pt in terminals}  # crossing/terminal -> strand ids
     for i in range(len(all_segs)):
+        si, gi, a1, b1 = all_segs[i]
         for j in range(i + 1, len(all_segs)):
-            si, gi, a1, b1 = all_segs[i]
             sj, gj, a2, b2 = all_segs[j]
-            if si == sj:
-                # consecutive segments share a bend point; that is not a
-                # crossing.  Other self-intersections are rejected.
-                n_seg = len(strands[si].segments())
-                consecutive = abs(gi - gj) == 1 or (
-                    strands[si].closed and {gi, gj} == {0, n_seg - 1}
-                )
-                hit = segment_intersection(a1, b1, a2, b2)
-                if hit is None:
-                    continue
-                if consecutive:
-                    continue
-                raise PlanarError("strand %d intersects itself" % si)
             hit = segment_intersection(a1, b1, a2, b2)
             if hit is None:
                 continue
+            if si == sj:
+                # consecutive segments share a bend point; that is not a
+                # crossing.  Other self-intersections are rejected.
+                n_seg = len(segs[si])
+                if abs(gi - gj) == 1 or (strands[si].closed and {gi, gj} == {0, n_seg - 1}):
+                    continue
+                raise PlanarError("strand %d intersects itself" % si)
             _, pt, t1, t2 = hit
-            end1 = not strands[si].closed and (
-                (t1 == 0 and gi == 0) or (t1 == 1 and gi == len(strands[si].segments()) - 1)
-            )
-            end2 = not strands[sj].closed and (
-                (t2 == 0 and gj == 0) or (t2 == 1 and gj == len(strands[sj].segments()) - 1)
-            )
+            end1, end2 = is_end(si, gi, t1), is_end(sj, gj, t2)
             point_owners.setdefault(pt, set()).update((si, sj))
             if end1 and end2:
                 # shared terminal: a declared junction, not a crossing
@@ -277,86 +277,44 @@ def build_planar(strands) -> PlanarDiagram:
             if end1 or end2:
                 # T-junction: a terminal subdivides the other strand
                 so, go, to = (sj, gj, t2) if end1 else (si, gi, t1)
-                special[so].append(_normalize_param(strands[so], go, to, pt))
+                special[so][position(so, go, to)] = pt
                 continue
             if t1 in (0, 1) or t2 in (0, 1):
                 # a genuine crossing must not sit on a bend point
                 raise PlanarError(
                     "strands %d and %d cross at a bend point %r" % (si, sj, pt)
                 )
-            special[si].append((gi, t1, pt))
-            special[sj].append((gj, t2, pt))
-
-    # dedupe (a crossing may be recorded once per segment pair; identical
-    # entries collapse) and detect triple points
-    for si in special:
-        seen = set()
-        uniq = []
-        for e in special[si]:
-            key = (e[0], e[1])
-            if key not in seen:
-                seen.add(key)
-                uniq.append(e)
-        special[si] = _strand_params(strands[si], uniq)
+            special[si][(gi, t1)] = pt
+            special[sj][(gj, t2)] = pt
     for pt, owners in point_owners.items():
         if len(owners) > 2 and pt not in terminals:
             raise PlanarError("triple point at %r" % (pt,))
 
-    # anchor uncrossed closed strands at their first point
+    dart_point, dart_dir, dart_strand, edge_path, pairing = [], [], [], {}, []
     for si, s in enumerate(strands):
-        if s.closed and not special[si]:
-            special[si] = [(0, Fraction(0), s.points[0])]
-
-    # edges: pieces of strands between consecutive special points
-    dart_point = {}
-    dart_dir = {}
-    dart_strand = {}
-    edge_path = {}
-    pairing = []
-    n = 0
-
-    def bends_between(s, a, b):
-        """Bend points of strand s strictly between params a and b (as
-        (seg, t) pairs), in walk order; b may wrap past the seam."""
-        n_seg = len(s.segments())
-        zero = Fraction(0)
-        if s.closed and b <= a:
-            ks = list(range(a[0] + 1, n_seg)) + list(range(0, b[0] + 1))
-        else:
-            ks = list(range(a[0], b[0] + 1))
-        out = []
-        for k in ks:
-            pos = (k, zero)
-            inside = (pos > a and pos < b) if not (s.closed and b <= a) else (
-                pos > a or pos < b
-            )
-            if inside:
-                out.append(s.segments()[k][0])
-        return out
-
-    def seg_dir(si, gi, reverse=False):
-        a, b = strands[si].segments()[gi]
-        d = _sub(b, a)
-        return (-d[0], -d[1]) if reverse else d
-
-    for si, s in enumerate(strands):
-        pts = special[si]
+        # an uncrossed closed strand is cut at its first point only
+        cut = special[si] or {(0, 0): s.points[0]}
+        at = dict(cut)
+        for k, p in enumerate(s.points):
+            at.setdefault((k, 0), p)
+        walk = sorted(at)
         if s.closed:
-            pairs = [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
-        else:
-            pairs = [(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
-        for (g1, t1, p1), (g2, t2, p2) in pairs:
-            d_out, d_in = n, n + 1
-            n += 2
-            dart_point[d_out] = p1
-            dart_dir[d_out] = seg_dir(si, g1 if t1 < 1 else (g1 + 1) % len(s.segments()))
-            g2_eff = g2 if t2 > 0 else (g2 - 1) % len(s.segments())
-            dart_point[d_in] = p2
-            dart_dir[d_in] = seg_dir(si, g2_eff, reverse=True)
-            dart_strand[d_out] = dart_strand[d_in] = si
-            edge_path[d_out] = [p1] + bends_between(s, (g1, t1), (g2, t2)) + [p2]
-            pairing.extend([d_in, d_out])
+            k = walk.index(min(cut))
+            walk = walk[k:] + walk[: k + 1]
+        # each piece between two cut positions is one edge
+        piece = [at[walk[0]]]
+        for pos in walk[1:]:
+            piece.append(at[pos])
+            if pos in cut:
+                n = len(dart_point)
+                dart_point += [piece[0], piece[-1]]
+                dart_dir += [_sub(piece[1], piece[0]), _sub(piece[-2], piece[-1])]
+                dart_strand += [si, si]
+                edge_path[n] = piece
+                pairing += [n + 1, n]
+                piece = [piece[-1]]
 
+    n = len(dart_point)
     m = build_map(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
     if not m.is_connected():
         raise PlanarError("arrangement is disconnected; add connecting strands")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .cmap import CombMap, build_map, inverse, perm_orbits, subdivide_edges
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, color_components, validate_trisection
+from .invariants import branching_defect
 from .symmetry import (
     DEFAULT_CLOSURE_CAP,
     DiagramAction,
@@ -41,7 +42,7 @@ class QuotientResult:
     diagram: ShadowDiagram
     cone_points: list  # (CellId in the quotient, order m)
     induced_action: DiagramAction
-    projection: dict  # dart of the (subdivided) source -> quotient dart
+    projection: list  # dart of the (subdivided) source -> quotient dart
     source: ShadowDiagram  # the subdivided source diagram
     subgroup_order: int
 
@@ -63,7 +64,7 @@ def _extend_perm(perm, m2: CombMap, n_old: int):
 
 def _subdivided_diagram(d: ShadowDiagram, cells):
     m2, origin = subdivide_edges(d.surface, cells)
-    colors = [d.dart_colors[origin[x]] for x in range(m2.n_darts)]
+    colors = [d.dart_colors[x] for x in origin]
     return ShadowDiagram.from_darts(m2, colors, [v.dart for v in d.marked]), origin
 
 
@@ -148,7 +149,7 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
     # Riemann-Hurwitz, exactly
     chi = m2.euler_characteristic()
     chi_q = mq.euler_characteristic()
-    defect = sum((order_n // mm) * (mm - 1) for _, mm in cone)
+    defect = branching_defect(order_n, [mm for _, mm in cone])
     if chi != order_n * chi_q - defect:
         raise QuotientError(
             "Riemann-Hurwitz failure: chi %d != %d*%d - %d" % (chi, order_n, chi_q, defect)
@@ -171,8 +172,7 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
     except SymmetryError as e:
         raise NotValidAction("induced action on the quotient is invalid: %s" % e)
 
-    projection = {x: orbit_id[x] for x in range(m2.n_darts)}
-    return QuotientResult(dq, cone, induced, projection, sub_d, order_n)
+    return QuotientResult(dq, cone, induced, orbit_id, sub_d, order_n)
 
 
 YES = "Yes"

@@ -325,7 +325,7 @@ class ElementFixedData:
 class SingularReport:
     per_element: list  # ElementFixedData for each nonidentity element
     hyperelliptic_involutions: list  # elements with 2g+2 fixed points
-    genus: int
+    genus: Optional[int]  # None on a disconnected surface
 
     @property
     def is_free(self):
@@ -335,9 +335,10 @@ class SingularReport:
 def singular_locus(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSURE_CAP) -> SingularReport:
     """Fixed vertices/faces and inverted edges of every nonidentity
     element, with local rotation orders; flags hyperelliptic involutions
-    (2g+2 fixed points on a genus-g surface)."""
+    (2g+2 fixed points on a genus-g surface).  A disconnected surface has
+    no genus: its report has ``genus=None`` and flags no involution."""
     m = d.surface
-    g = m.genus()
+    g = m.genus() if m.is_connected() else None
     closure = a.closure(cap)
     per = [
         ElementFixedData(e, order)
@@ -357,7 +358,7 @@ def singular_locus(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSUR
                     getattr(data, fixed).append(FixedCell(c, len(cycle) // gcd(len(cycle), s)))
     hyper = [
         data.element for data in per
-        if data.order == 2 and data.n_fixed_points == 2 * g + 2
+        if g is not None and data.order == 2 and data.n_fixed_points == 2 * g + 2
     ]
     return SingularReport(per, hyper, g)
 

@@ -134,6 +134,23 @@ def test_face_lengths_sum_to_darts():
         assert sum(len(m.orbit(v)) for v in m.vertices()) == m.n_darts
 
 
+def test_orbit_is_the_stored_cycle():
+    m = octahedron()
+    for kind, cells, perm in (
+        ("vertex", m.vertices(), m.rotation),
+        ("edge", m.edges(), m.edge_pairing),
+        ("face", m.faces(), m.face_walk),
+    ):
+        for c in cells:
+            cyc = m.orbit(c)
+            assert cyc[0] == c.dart == min(cyc)
+            assert [perm[x] for x in cyc] == cyc[1:] + cyc[:1]
+            assert m.orbit(c) is cyc
+    for cell in (CellId("vertex", max(m.orbit(m.vertices()[0]))), CellId("face", 10**6)):
+        with pytest.raises(UnknownCell):
+            m.orbit(cell)
+
+
 # ---- cutting ---------------------------------------------------------------
 
 
@@ -216,6 +233,7 @@ def test_subdivide_preserves_chi():
     assert len(m2.edges()) == len(m.edges()) + 1
     assert len(m2.vertices()) == len(m.vertices()) + 1
     # origin round-trips: old darts map to themselves
+    assert isinstance(origin, list) and len(origin) == m2.n_darts
     for d in range(m.n_darts):
         assert origin[d] == d
     for d in range(m.n_darts, m2.n_darts):

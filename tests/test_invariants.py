@@ -10,6 +10,7 @@ from etd.invariants import (
     InvariantError,
     NotSphere,
     PolyhedralGraphData,
+    branching_defect,
     cokernel,
     free_action_genus_bound,
     invariant_factors,
@@ -201,6 +202,15 @@ def test_free_action_genus_bound():
     assert not ok and mu is None
     ok, mu = free_action_genus_bound(1, 9)
     assert ok and mu == 9
+
+
+def test_branching_defect():
+    assert branching_defect(8, []) == 0
+    # the hyperelliptic double cover of the sphere, branched at 2g+2 points
+    for g in range(5):
+        assert 2 * 2 - branching_defect(2, [2] * (2 * g + 2)) == 2 - 2 * g
+    # Q8 over the sphere, branched at eight points of order 4: genus 17
+    assert 8 * 2 - branching_defect(8, [4] * 8) == 2 - 2 * 17
 
 
 def test_rank():

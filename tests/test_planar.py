@@ -1,14 +1,19 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from etd.cmap import build_map
 from etd.planar import (
     PlanarError,
+    _sub,
     arc,
     branch_cut_crossings,
     branch_cut_voltages,
     build_planar,
     loop,
+    rotation_by_angle,
     segment_intersection,
 )
 
@@ -153,3 +158,242 @@ def test_branch_cut_through_vertex_rejected():
     with pytest.raises(PlanarError):
         # the cut passes through the corner vertex
         branch_cut_crossings(pd, [((0, 0), (-4, -4))])
+
+
+# ---------------------------------------------------------------------------
+# the strand walk against the segment-pair edge cutter it replaced
+
+
+def ref_build_planar(strands):
+    """Test-only copy of the earlier ``build_planar``: specials sorted
+    and deduped per strand, closed strands anchored, and each edge's
+    bends and end directions looked up per segment.  Returns (map,
+    dart_point, dart_strand, edge_path) with dicts keyed by dart."""
+
+    def normalize_param(strand, g, t, pt):
+        n_seg = len(strand.segments())
+        if t == 1:
+            if strand.closed:
+                return ((g + 1) % n_seg, Fraction(0), pt)
+            if g < n_seg - 1:
+                return (g + 1, Fraction(0), pt)
+        return (g, t, pt)
+
+    strands = list(strands)
+    all_segs = []
+    for si, s in enumerate(strands):
+        for gi, (a, b) in enumerate(s.segments()):
+            if a == b:
+                raise PlanarError("zero-length segment in strand %d" % si)
+            all_segs.append((si, gi, a, b))
+
+    special = {si: [] for si in range(len(strands))}
+    terminals = set()
+    for si, s in enumerate(strands):
+        if not s.closed:
+            special[si].append((0, Fraction(0), s.points[0]))
+            last = len(s.segments()) - 1
+            special[si].append((last, Fraction(1), s.points[-1]))
+            terminals.add(s.points[0])
+            terminals.add(s.points[-1])
+
+    point_owners = {}
+    for pt in terminals:
+        point_owners.setdefault(pt, set())
+    for i in range(len(all_segs)):
+        for j in range(i + 1, len(all_segs)):
+            si, gi, a1, b1 = all_segs[i]
+            sj, gj, a2, b2 = all_segs[j]
+            if si == sj:
+                n_seg = len(strands[si].segments())
+                consecutive = abs(gi - gj) == 1 or (
+                    strands[si].closed and {gi, gj} == {0, n_seg - 1}
+                )
+                hit = segment_intersection(a1, b1, a2, b2)
+                if hit is None:
+                    continue
+                if consecutive:
+                    continue
+                raise PlanarError("strand %d intersects itself" % si)
+            hit = segment_intersection(a1, b1, a2, b2)
+            if hit is None:
+                continue
+            _, pt, t1, t2 = hit
+            end1 = not strands[si].closed and (
+                (t1 == 0 and gi == 0) or (t1 == 1 and gi == len(strands[si].segments()) - 1)
+            )
+            end2 = not strands[sj].closed and (
+                (t2 == 0 and gj == 0) or (t2 == 1 and gj == len(strands[sj].segments()) - 1)
+            )
+            point_owners.setdefault(pt, set()).update((si, sj))
+            if end1 and end2:
+                continue
+            if end1 or end2:
+                so, go, to = (sj, gj, t2) if end1 else (si, gi, t1)
+                special[so].append(normalize_param(strands[so], go, to, pt))
+                continue
+            if t1 in (0, 1) or t2 in (0, 1):
+                raise PlanarError(
+                    "strands %d and %d cross at a bend point %r" % (si, sj, pt)
+                )
+            special[si].append((gi, t1, pt))
+            special[sj].append((gj, t2, pt))
+
+    for si in special:
+        seen = set()
+        uniq = []
+        for e in special[si]:
+            key = (e[0], e[1])
+            if key not in seen:
+                seen.add(key)
+                uniq.append(e)
+        special[si] = sorted(uniq, key=lambda e: (e[0], e[1]))
+    for pt, owners in point_owners.items():
+        if len(owners) > 2 and pt not in terminals:
+            raise PlanarError("triple point at %r" % (pt,))
+
+    for si, s in enumerate(strands):
+        if s.closed and not special[si]:
+            special[si] = [(0, Fraction(0), s.points[0])]
+
+    dart_point, dart_dir, dart_strand, edge_path = {}, {}, {}, {}
+    pairing = []
+    n = 0
+
+    def bends_between(s, a, b):
+        n_seg = len(s.segments())
+        zero = Fraction(0)
+        if s.closed and b <= a:
+            ks = list(range(a[0] + 1, n_seg)) + list(range(0, b[0] + 1))
+        else:
+            ks = list(range(a[0], b[0] + 1))
+        out = []
+        for k in ks:
+            pos = (k, zero)
+            inside = (pos > a and pos < b) if not (s.closed and b <= a) else (
+                pos > a or pos < b
+            )
+            if inside:
+                out.append(s.segments()[k][0])
+        return out
+
+    def seg_dir(si, gi, reverse=False):
+        a, b = strands[si].segments()[gi]
+        d = _sub(b, a)
+        return (-d[0], -d[1]) if reverse else d
+
+    for si, s in enumerate(strands):
+        pts = special[si]
+        if s.closed:
+            pairs = [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
+        else:
+            pairs = [(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
+        for (g1, t1, p1), (g2, t2, p2) in pairs:
+            d_out, d_in = n, n + 1
+            n += 2
+            dart_point[d_out] = p1
+            dart_dir[d_out] = seg_dir(si, g1 if t1 < 1 else (g1 + 1) % len(s.segments()))
+            g2_eff = g2 if t2 > 0 else (g2 - 1) % len(s.segments())
+            dart_point[d_in] = p2
+            dart_dir[d_in] = seg_dir(si, g2_eff, reverse=True)
+            dart_strand[d_out] = dart_strand[d_in] = si
+            edge_path[d_out] = [p1] + bends_between(s, (g1, t1), (g2, t2)) + [p2]
+            pairing.extend([d_in, d_out])
+
+    m = build_map(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
+    if not m.is_connected():
+        raise PlanarError("arrangement is disconnected; add connecting strands")
+    if m.euler_characteristic() != 2:
+        raise PlanarError("arrangement did not close up to a sphere")
+    return m, dart_point, dart_strand, edge_path
+
+
+FIXED_ARRANGEMENTS = [
+    ("two diameters", lambda: [
+        loop([(-2, -2), (2, -2), (2, 2), (-2, 2)]),
+        arc([(-2, -2), (2, 2)]),
+        arc([(-2, 2), (2, -2)]),
+    ]),
+    ("theta", lambda: [
+        arc([(0, 0), (1, 1), (2, 0)]), arc([(0, 0), (2, 0)]), arc([(0, 0), (1, -1), (2, 0)]),
+    ]),
+    ("two far circles", lambda: [
+        loop([(0, 0), (1, 0), (0, 1)]), loop([(10, 10), (11, 10), (10, 11)]),
+    ]),
+    ("nested loops", lambda: [
+        loop([(0, 0), (2, 0), (2, 2), (0, 2)]),
+        loop([(-2, -2), (4, -2), (4, 4), (-2, 4)]),
+        arc([(2, 1), (4, 1)]),
+    ]),
+    ("triple point", lambda: [
+        arc([(-1, 0), (1, 0)]), arc([(0, -1), (0, 1)]), arc([(-1, -1), (1, 1)]),
+    ]),
+    ("t-junction", lambda: [arc([(-1, 0), (1, 0)]), arc([(0, 0), (0, 1)])]),
+    ("self-intersection", lambda: [arc([(0, 0), (2, 0), (2, 1), (1, -1)])]),
+    ("cross in frame", lambda: [
+        loop([(-2, -2), (2, -2), (2, 2), (-2, 2)]), arc([(-2, 0), (2, 0)]),
+    ]),
+    # ends landing on bends and on a closed strand's seam, and a closed
+    # strand whose first special point is not its first point
+    ("ends on bends", lambda: [
+        loop([(0, 0), (4, 0), (4, 4), (0, 4)]),
+        arc([(4, 4), (6, 6), (-2, 6), (0, 4)]),
+        arc([(0, 0), (-2, -2)]),
+        loop([(5, 1), (5, 3), (3, 3), (3, 1)]),
+    ]),
+]
+
+GRID = [(x, y) for x in range(7) for y in range(7)]
+
+
+def random_arrangement(seed):
+    """2-5 integer polylines in the box [0, 6]^2: closed ones through 3-4
+    points taken around their centroid, open ones through 2-4 points in
+    lexicographic order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(rng.randint(2, 5)):
+        if rng.random() < 0.5:
+            pts = rng.sample(GRID, rng.randint(3, 4))
+            cx = sum(x for x, _ in pts) / len(pts)
+            cy = sum(y for _, y in pts) / len(pts)
+            out.append(loop(sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))))
+        else:
+            out.append(arc(sorted(rng.sample(GRID, rng.randint(2, 4)))))
+    return out
+
+
+ARRANGEMENTS = FIXED_ARRANGEMENTS + [
+    ("random %d" % seed, lambda seed=seed: random_arrangement(seed)) for seed in range(40)
+]
+
+
+def _planar_outcome(build, strands):
+    try:
+        return build(strands)
+    except PlanarError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name, make", ARRANGEMENTS, ids=[a[0] for a in ARRANGEMENTS])
+def test_walk_matches_the_segment_pair_cutter(name, make):
+    got = _planar_outcome(build_planar, make())
+    want = _planar_outcome(ref_build_planar, make())
+    if isinstance(want, str):
+        assert got == want
+        return
+    m, dart_point, dart_strand, edge_path = want
+    n = m.n_darts
+    assert got.map.edge_pairing == m.edge_pairing
+    assert got.map.rotation == m.rotation
+    assert got.dart_point == [dart_point[x] for x in range(n)]
+    assert got.dart_strand == [dart_strand[x] for x in range(n)]
+    assert got.edge_path == edge_path
+
+
+def test_differential_arrangements_build():
+    # the comparison above is not vacuous: many arrangements close up
+    built = sum(
+        not isinstance(_planar_outcome(build_planar, make()), str) for _, make in ARRANGEMENTS
+    )
+    assert built >= 15

@@ -131,6 +131,7 @@ def test_projection_commutes_with_structure():
     q = quotient(d, a, list(a.generators[:2]))
     src = q.source.surface
     dst = q.diagram.surface
+    assert isinstance(q.projection, list) and len(q.projection) == src.n_darts
     for x in range(src.n_darts):
         assert q.projection[src.edge_pairing[x]] == dst.edge_pairing[q.projection[x]]
         assert q.projection[src.rotation[x]] == dst.rotation[q.projection[x]]
