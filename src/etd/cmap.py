@@ -7,9 +7,6 @@ vertex.  Vertices are rotation orbits, edges are pairing orbits, faces are
 orbits of the face walk rotation^-1 o edge_pairing.  Only orientable
 surfaces are representable; orientation is implicit in the rotation.
 
-A dart fixed by ``edge_pairing`` is a boundary half-edge; such maps must be
-built with ``allow_boundary=True``.
-
 Each map keeps three flat per-dart arrays, built once at construction:
 ``vertex_of[d]``, ``edge_of[d]`` and ``face_of[d]`` are the positions of
 the vertex, edge and face containing dart ``d`` in the lists returned by
@@ -42,11 +39,7 @@ class NotInvolution(MapError):
 
 
 class DanglingDart(MapError):
-    """edge_pairing has a fixed point but boundary was disallowed."""
-
-
-class NotClosed(MapError):
-    pass
+    """edge_pairing has a fixed point: a dart with no edge partner."""
 
 
 class NotConnected(MapError):
@@ -170,7 +163,7 @@ class CellId:
 class CombMap:
     """Immutable combinatorial map.  Use :func:`build_map` to construct."""
 
-    def __init__(self, n_darts, edge_pairing, rotation, allow_boundary=False):
+    def __init__(self, n_darts, edge_pairing, rotation):
         edge_pairing = tuple(edge_pairing)
         rotation = tuple(rotation)
         if len(edge_pairing) != n_darts or len(rotation) != n_darts:
@@ -182,14 +175,12 @@ class CombMap:
         for d in range(n_darts):
             if edge_pairing[edge_pairing[d]] != d:
                 raise NotInvolution("edge_pairing is not an involution at dart %d" % d)
-        if not allow_boundary:
-            for d in range(n_darts):
-                if edge_pairing[d] == d:
-                    raise DanglingDart("dart %d has no partner" % d)
+        for d in range(n_darts):
+            if edge_pairing[d] == d:
+                raise DanglingDart("dart %d has no partner" % d)
         self.n_darts = n_darts
         self.edge_pairing = edge_pairing
         self.rotation = rotation
-        self.allow_boundary = allow_boundary
         # face walk: rotation^-1 after edge_pairing
         self.face_walk = compose(inverse(rotation), edge_pairing)
         self.vertex_of, self._vertex_orbits = perm_orbits(n_darts, (rotation,))
@@ -234,12 +225,6 @@ class CombMap:
         _, of, orbits = self._cells[cell.kind]
         return orbits[of[cell.dart]]
 
-    def boundary_darts(self) -> list[int]:
-        return [d for d in range(self.n_darts) if self.edge_pairing[d] == d]
-
-    def is_closed(self) -> bool:
-        return not self.boundary_darts()
-
     # ---- invariants -----------------------------------------------------
 
     def euler_characteristic(self) -> int:
@@ -259,8 +244,6 @@ class CombMap:
         return self.n_darts == 0 or len(self.components()) == 1
 
     def genus(self) -> int:
-        if not self.is_closed():
-            raise NotClosed("genus requires a closed map")
         if not self.is_connected():
             raise NotConnected("genus requires a connected map")
         chi = self.euler_characteristic()
@@ -276,19 +259,11 @@ class CombMap:
         inv = inverse(perm)
         ep = [perm[self.edge_pairing[inv[d]]] for d in range(n)]
         rot = [perm[self.rotation[inv[d]]] for d in range(n)]
-        return CombMap(n, ep, rot, allow_boundary=self.allow_boundary)
+        return CombMap(n, ep, rot)
 
 
-def build_map(n_darts, edge_pairing, rotation, allow_boundary=False) -> CombMap:
-    return CombMap(n_darts, edge_pairing, rotation, allow_boundary=allow_boundary)
-
-
-def euler_characteristic(m: CombMap) -> int:
-    return m.euler_characteristic()
-
-
-def genus(m: CombMap) -> int:
-    return m.genus()
+def build_map(n_darts, edge_pairing, rotation) -> CombMap:
+    return CombMap(n_darts, edge_pairing, rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +397,6 @@ class CutSurface:
 
 
 def cut_along(m: CombMap, edges: Iterable[CellId]) -> CutSurface:
-    if not m.is_closed():
-        raise NotClosed("cut_along expects a closed map")
     return CutSurface(m, edges)
 
 
@@ -447,26 +420,17 @@ def subdivide_edges(m: CombMap, edges: Iterable[CellId]):
     ep = list(m.edge_pairing)
     rot = list(m.rotation)
     origin = list(range(n))
-    for orb in targets:
-        if len(orb) == 2:
-            d, e = orb
-            n1, n2 = n, n + 1
-            n += 2
-            ep.extend([0, 0])
-            rot.extend([0, 0])
-            # edge {d,e} -> {d,n1} + {n2,e}; midpoint rotation (n1 n2)
-            ep[d], ep[n1] = n1, d
-            ep[e], ep[n2] = n2, e
-            rot[n1], rot[n2] = n2, n1
-            origin += [e, d]
-        else:
-            (d,) = orb  # boundary edge
-            n1 = n
-            n += 1
-            ep.append(n1)
-            rot.append(n1)
-            origin.append(d)
-    return CombMap(n, ep, rot, allow_boundary=m.allow_boundary), origin
+    for d, e in targets:
+        n1, n2 = n, n + 1
+        n += 2
+        ep.extend([0, 0])
+        rot.extend([0, 0])
+        # edge {d,e} -> {d,n1} + {n2,e}; midpoint rotation (n1 n2)
+        ep[d], ep[n1] = n1, d
+        ep[e], ep[n2] = n2, e
+        rot[n1], rot[n2] = n2, n1
+        origin += [e, d]
+    return CombMap(n, ep, rot), origin
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +581,7 @@ def automorphisms(m: CombMap, labels=None):
 # building maps from face lists
 
 
-def build_from_faces(faces, require_single_vertex_cycles=True):
+def build_from_faces(faces):
     """Build a closed CombMap from polygons.
 
     ``faces``: list of polygons, each a list of (vertex, edge_key) pairs
@@ -625,6 +589,8 @@ def build_from_faces(faces, require_single_vertex_cycles=True):
     from this vertex to the vertex of entry p+1".  Every edge key must be
     used by exactly two polygon sides (in opposite directions for an
     orientable result).
+
+    Each vertex label must name exactly one rotation orbit.
 
     Returns (map, dart_info) where dart_info[d] = (face_index, position,
     vertex, edge_key).
@@ -660,16 +626,14 @@ def build_from_faces(faces, require_single_vertex_cycles=True):
     # rotation = edge_pairing o face_walk^-1
     rot = compose(ep, inverse(fw))
 
-    m = CombMap(n, ep, rot, allow_boundary=False)
-    if require_single_vertex_cycles:
-        # each vertex label must correspond to exactly one rotation orbit
-        orbit_labels = {}
-        for orbit in m._vertex_orbits:
-            labels = {dart_info[d][2] for d in orbit}
-            if len(labels) != 1:
-                raise MapError("rotation orbit mixes vertex labels %r" % (labels,))
-            lab = labels.pop()
-            if lab in orbit_labels:
-                raise MapError("vertex %r has a disconnected link" % (lab,))
-            orbit_labels[lab] = orbit
+    m = CombMap(n, ep, rot)
+    seen = set()
+    for orbit in m._vertex_orbits:
+        labels = {dart_info[d][2] for d in orbit}
+        if len(labels) != 1:
+            raise MapError("rotation orbit mixes vertex labels %r" % (labels,))
+        lab = labels.pop()
+        if lab in seen:
+            raise MapError("vertex %r has a disconnected link" % (lab,))
+        seen.add(lab)
     return m, dart_info

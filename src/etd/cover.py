@@ -70,12 +70,6 @@ class VoltageAssignment:
         return VoltageAssignment(g, volt, mer)
 
 
-def trivial_voltages(d: ShadowDiagram, group: Group) -> VoltageAssignment:
-    return VoltageAssignment(
-        group, {x: group.identity for x in range(d.surface.n_darts)}
-    ).validated(d)
-
-
 @dataclass
 class BranchPoint:
     base_vertex: CellId

@@ -316,7 +316,3 @@ def parse_diagram_file(text: str) -> DiagramFile:
             )
         cones.append((cell, order))
     return DiagramFile(d, voltages, expected, cones, action)
-
-
-def parse_diagram(text: str) -> ShadowDiagram:
-    return parse_diagram_file(text).diagram

@@ -130,8 +130,6 @@ class ShadowDiagram:
         return d
 
     def _decorate(self, surface, dart_colors, marked_darts):
-        if not surface.is_closed():
-            raise DiagramError("diagram surfaces must be closed")
         n = surface.n_darts
         dart_colors = tuple(dart_colors)
         if len(dart_colors) != n:

@@ -128,10 +128,6 @@ def invariant_factors(M):
     return out
 
 
-def matrix_rank(M):
-    return len(invariant_factors(M))
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """A finitely generated abelian group in invariant-factor form."""

@@ -68,6 +68,9 @@ def segment_intersection(p1, p2, q1, q2):
     Returns None (disjoint), ("point", pt, s, t) for a single point with
     parameters s, t in [0, 1] along each segment, or raises on overlap.
     """
+    if (max(p1[0], p2[0]) < min(q1[0], q2[0]) or max(q1[0], q2[0]) < min(p1[0], p2[0])
+            or max(p1[1], p2[1]) < min(q1[1], q2[1]) or max(q1[1], q2[1]) < min(p1[1], p2[1])):
+        return None  # bounding boxes apart
     r = _sub(p2, p1)
     s = _sub(q2, q1)
     denom = _cross(r, s)

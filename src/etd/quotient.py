@@ -15,7 +15,6 @@ from .cmap import CombMap, build_map, inverse, perm_orbits, subdivide_edges
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, color_components, validate_trisection
 from .invariants import branching_defect
 from .symmetry import (
-    DEFAULT_CLOSURE_CAP,
     DiagramAction,
     NotAutomorphism,
     SymmetryError,
@@ -68,8 +67,7 @@ def _subdivided_diagram(d: ShadowDiagram, cells):
     return ShadowDiagram.from_darts(m2, colors, [v.dart for v in d.marked]), origin
 
 
-def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
-             cap: int = DEFAULT_CLOSURE_CAP) -> QuotientResult:
+def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientResult:
     """Quotient the diagram by the subgroup N generated by
     ``n_generators`` (default: all of the action, i.e. N = G).
 
@@ -78,14 +76,14 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
     projection.
     """
     try:
-        check_action(d, a, cap)
+        check_action(d, a)
     except SymmetryError as e:
         raise NotValidAction(str(e))
     m = d.surface
     if n_generators is None:
         n_sub = a
     else:
-        g_closure = a.closure(cap)
+        g_closure = a.closure()
         n_sub = DiagramAction(list(n_generators), base=a.base)
         for g, name in zip(n_sub.generators, n_sub.names):
             # an automorphism is the group element with its base images
@@ -95,7 +93,7 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
                 raise NotNormal("subgroup generator is not in the group: %s" % e)
             if g_closure.index(g_closure.key_of(g)) is None:
                 raise NotNormal("subgroup generator is not in the group")
-    n_closure = n_sub.closure(cap)
+    n_closure = n_sub.closure()
     # in a finite group, N is normal iff g n g^-1 lies in N for every
     # pair of generators g of G and n of N
     for g in a.generators:
@@ -168,7 +166,7 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None,
         induced_names = ["e"]
     induced = DiagramAction(induced_gens, induced_names, base_darts(mq))
     try:
-        check_action(dq, induced, cap)
+        check_action(dq, induced)
     except SymmetryError as e:
         raise NotValidAction("induced action on the quotient is invalid: %s" % e)
 

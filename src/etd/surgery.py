@@ -10,16 +10,14 @@ class SurgeryError(DiagramError):
     pass
 
 
-def tube(
-    d1: ShadowDiagram,
-    face1: CellId,
-    d2: ShadowDiagram,
-    face2: CellId,
-    offset: int = 0,
-    reversed_matching: bool = False,
-):
+def tube(d1: ShadowDiagram, face1: CellId, d2: ShadowDiagram, face2: CellId):
     """Join two diagrams by a tube (cylinder of scaffold rungs) between two
     faces of equal length.  Genus adds: chi = chi1 + chi2 - 2.
+
+    Rung k joins the corner before ``cyc1[k]`` to the corner before
+    ``cyc2[-k]`` (each face's dart cycle from its least dart), so the two
+    boundary circles are glued with opposite orientations.  Raises
+    SurgeryError if the Euler characteristic does not add up as above.
 
     Returns (diagram, shift) where darts of d2 appear shifted by shift.
     """
@@ -40,10 +38,9 @@ def tube(
 
     ep = list(m1.edge_pairing) + [x + n1 for x in m2.edge_pairing] + [0] * (2 * L)
     rot = list(m1.rotation) + [x + n1 for x in m2.rotation] + [0] * (2 * L)
-    # rung k sits at the corner before cyc1[k] and before cyc2[j],
-    # matched with reversed orientation
+    # rung k sits at the corner before cyc1[k] and before cyc2[-k]
     for k in range(L):
-        j = (offset + k) % L if reversed_matching else (offset - k) % L
+        j = -k % L
         ep[a(k)] = b(j)
         ep[b(j)] = a(k)
     # face walk satisfies sigma(cyc[k]) = eps(cyc[k-1]); the rung at the

@@ -29,7 +29,9 @@ from .cmap import CellId, compose, inverse
 from .diagram import ShadowDiagram
 from .groups import orbit_tree
 
-DEFAULT_CLOSURE_CAP = 100_000
+# A safety bound on the size of every group closure, read each time a
+# closure is built: past it GroupClosure raises ClosureCapExceeded.
+CLOSURE_CAP = 100_000
 
 
 class SymmetryError(ValueError):
@@ -67,10 +69,11 @@ class GroupClosure:
     Element ``i > 0`` is ``generators[via[i]]`` after element
     ``parent[i]``.  Keys identify elements only when the base meets
     every connected component of the map the generators act on; that is
-    what :func:`check_action` establishes.
+    what :func:`check_action` establishes.  Raises ClosureCapExceeded
+    past ``CLOSURE_CAP`` elements.
     """
 
-    def __init__(self, generators, base, cap: int = DEFAULT_CLOSURE_CAP):
+    def __init__(self, generators, base):
         self.generators = generators
         self.base = tuple(base)
         self.keys = []
@@ -84,8 +87,8 @@ class GroupClosure:
             self.keys.append(key)
             self.parent.append(parent)
             self.via.append(via)
-            if parent >= 0 and len(self.keys) > cap:
-                raise ClosureCapExceeded("closure exceeds %d elements" % cap)
+            if parent >= 0 and len(self.keys) > CLOSURE_CAP:
+                raise ClosureCapExceeded("closure exceeds %d elements" % CLOSURE_CAP)
 
     def __len__(self):
         return len(self.keys)
@@ -165,22 +168,18 @@ class DiagramAction:
     def n_darts(self):
         return len(self.generators[0]) if self.generators else 0
 
-    def closure(self, cap: int = DEFAULT_CLOSURE_CAP) -> GroupClosure:
+    def closure(self) -> GroupClosure:
         """The group keyed by base-dart images; raises ClosureCapExceeded
-        past the cap."""
-        return GroupClosure(self.generators, self.base, cap)
+        past ``CLOSURE_CAP`` elements."""
+        return GroupClosure(self.generators, self.base)
 
-    def elements(self, cap: int = DEFAULT_CLOSURE_CAP):
+    def elements(self):
         """The closure of the generators as full permutations, identity
-        first; raises ClosureCapExceeded past the cap."""
-        return self.closure(cap).permutations()
+        first; raises ClosureCapExceeded past ``CLOSURE_CAP`` elements."""
+        return self.closure().permutations()
 
-    def order(self, cap: int = DEFAULT_CLOSURE_CAP):
-        return len(self.closure(cap))
-
-
-def identity_action(n_darts: int) -> DiagramAction:
-    return DiagramAction([tuple(range(n_darts))], ["e"])
+    def order(self):
+        return len(self.closure())
 
 
 def act_on_cell(m, p, cell: CellId) -> CellId:
@@ -228,7 +227,7 @@ def check_automorphism(m, g, name):
             raise NotAutomorphism(name, x, "does not commute with the rotation")
 
 
-def check_action(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSURE_CAP) -> ActionReport:
+def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
     """Validate an action and report its order and a structure hint.
 
     The hint (trivial/cyclic/dihedral/other) is heuristic, from element
@@ -250,7 +249,7 @@ def check_action(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSURE_
         sum(1 for b in a.base if b in c) != 1 for c in comps
     ):
         raise SymmetryError("the action's base darts must meet each connected component once")
-    closure = a.closure(cap)
+    closure = a.closure()
     orders_count = {}
     for o in closure.orders()[1:]:
         orders_count[o] = orders_count.get(o, 0) + 1
@@ -272,9 +271,9 @@ def _cell_images(m, closure: GroupClosure, cell: CellId) -> list:
     return out
 
 
-def orbits(m, a: DiagramAction, cells, cap: int = DEFAULT_CLOSURE_CAP):
+def orbits(m, a: DiagramAction, cells):
     """Partition of the given cells into action orbits."""
-    closure = a.closure(cap)
+    closure = a.closure()
     cells = list(cells)
     cell_set = set(cells)
     seen = set()
@@ -290,10 +289,10 @@ def orbits(m, a: DiagramAction, cells, cap: int = DEFAULT_CLOSURE_CAP):
     return out
 
 
-def stabilizer(m, a: DiagramAction, cell: CellId, cap: int = DEFAULT_CLOSURE_CAP):
+def stabilizer(m, a: DiagramAction, cell: CellId):
     """The elements fixing the cell, as dart permutations in closure
     order."""
-    closure = a.closure(cap)
+    closure = a.closure()
     imgs = _cell_images(m, closure, cell)
     return [e for e, c in zip(closure.permutations(), imgs) if c == cell]
 
@@ -332,14 +331,14 @@ class SingularReport:
         return all(e.n_fixed_points == 0 for e in self.per_element)
 
 
-def singular_locus(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSURE_CAP) -> SingularReport:
+def singular_locus(d: ShadowDiagram, a: DiagramAction) -> SingularReport:
     """Fixed vertices/faces and inverted edges of every nonidentity
     element, with local rotation orders; flags hyperelliptic involutions
     (2g+2 fixed points on a genus-g surface).  A disconnected surface has
     no genus: its report has ``genus=None`` and flags no involution."""
     m = d.surface
     g = m.genus() if m.is_connected() else None
-    closure = a.closure(cap)
+    closure = a.closure()
     per = [
         ElementFixedData(e, order)
         for e, order in zip(closure.permutations()[1:], closure.orders()[1:])
@@ -368,8 +367,7 @@ def singular_locus(d: ShadowDiagram, a: DiagramAction, cap: int = DEFAULT_CLOSUR
 
 
 def is_equivalent_action(d: ShadowDiagram, a: DiagramAction, b: DiagramAction,
-                         up_to_group_automorphism: bool = True,
-                         cap: int = DEFAULT_CLOSURE_CAP) -> bool:
+                         up_to_group_automorphism: bool = True) -> bool:
     """Whether some color-preserving diagram automorphism conjugates one
     action onto the other.
 
@@ -384,7 +382,7 @@ def is_equivalent_action(d: ShadowDiagram, a: DiagramAction, b: DiagramAction,
     """
     from .cmap import automorphisms
 
-    ca, cb = a.closure(cap), b.closure(cap)
+    ca, cb = a.closure(), b.closure()
     if len(ca) != len(cb):
         return False
     labels = d.dart_labels()

@@ -9,7 +9,7 @@ import pytest
 from etd.cli import main
 from etd.catalog import entry, entry_file_text, frozen_file_text
 from etd.cmap import build_map
-from etd.diagio import parse_diagram, parse_diagram_file, serialize_diagram
+from etd.diagio import parse_diagram_file, serialize_diagram
 from etd.diagram import ShadowDiagram
 
 
@@ -102,7 +102,7 @@ def test_catalog_write_and_stdout(tmp_path, capsys):
     assert main(["validate", str(out)]) == 0
     assert "(2; 0,0,2)" in capsys.readouterr().out
     assert main(["catalog", "cp2"]) == 0
-    assert parse_diagram(capsys.readouterr().out).surface.genus() == 1
+    assert parse_diagram_file(capsys.readouterr().out).diagram.surface.genus() == 1
 
 
 def test_catalog_unknown_name():
@@ -156,7 +156,7 @@ def test_lift_q8_full_cover(tmp_path, capsys):
     code = main(["lift", str(p), "--check-expected", "--out", str(out)])
     assert code == 0
     assert "(17; 5,5,5)" in capsys.readouterr().out
-    assert parse_diagram(out.read_text()).surface.genus() == 17
+    assert parse_diagram_file(out.read_text()).diagram.surface.genus() == 17
 
 
 def test_lift_expected_mismatch(tmp_path):
@@ -325,6 +325,14 @@ def test_position_error_names_its_line(tmp_path, capsys, tail, lineno, message):
     p.write_text(THETA + tail + "\n")
     assert main(["validate", str(p)]) == 1
     assert capsys.readouterr().err == "parse error: line %d: %s\n" % (lineno, message)
+
+
+def test_self_paired_dart_is_a_semantic_error(tmp_path, capsys):
+    # every map is closed: a dart its own edge partner is refused
+    p = tmp_path / "dangling.diagram"
+    p.write_text(THETA.replace("pairing 1 0 3 2 5 4", "pairing 0 1 3 2 5 4"))
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err == "error: dart 0 has no partner\n"
 
 
 def test_validate_output_does_not_depend_on_hash_seed(tmp_path):

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from etd import symmetry
 from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
 from etd.cmap import NotConnected, automorphisms, build_map
 from etd.cover import derived_cover, reduce_voltages
@@ -128,9 +129,10 @@ def test_closure_matches_reference(name, d, a):
 
 
 @pytest.mark.parametrize("name, d, a", CASES, ids=[c[0] for c in CASES])
-def test_closure_cap_matches_reference(name, d, a):
+def test_closure_cap_matches_reference(name, d, a, monkeypatch):
     order = a.order()
     for cap in (order - 1, order):
+        monkeypatch.setattr(symmetry, "CLOSURE_CAP", cap)
         try:
             reference_closure(a.generators, cap)
             ref_raises = False
@@ -138,12 +140,12 @@ def test_closure_cap_matches_reference(name, d, a):
             ref_raises = True
         assert ref_raises == (cap < order and order > 1)
         if ref_raises:
+            with pytest.raises(ClosureCapExceeded, match="closure exceeds %d elements" % cap):
+                a.elements()
             with pytest.raises(ClosureCapExceeded):
-                a.elements(cap)
-            with pytest.raises(ClosureCapExceeded):
-                check_action(d, a, cap)
+                check_action(d, a)
         else:
-            assert len(a.elements(cap)) == order
+            assert len(a.elements()) == order
 
 
 def test_base_must_meet_every_component():

@@ -1,15 +1,18 @@
+import ast
+import inspect
 import itertools
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import etd
 from etd.cmap import (
     CellId,
     CombMap,
     DanglingDart,
     MapError,
-    NotClosed,
     NotConnected,
     NotInvolution,
     UnknownCell,
@@ -21,6 +24,7 @@ from etd.cmap import (
     is_isomorphic,
     subdivide_edges,
 )
+from etd.surgery import tube
 
 
 def square_torus():
@@ -113,16 +117,11 @@ def test_not_involution():
 
 
 def test_dangling_dart():
-    with pytest.raises(DanglingDart):
+    with pytest.raises(DanglingDart, match="dart 0 has no partner"):
         build_map(2, [0, 1], [1, 0])
-    m = build_map(2, [0, 1], [1, 0], allow_boundary=True)
-    assert m.boundary_darts() == [0, 1]
 
 
 def test_genus_errors():
-    m = build_map(2, [0, 1], [1, 0], allow_boundary=True)
-    with pytest.raises(NotClosed):
-        m.genus()
     two_spheres = build_map(4, [1, 0, 3, 2], [1, 0, 3, 2])
     with pytest.raises(NotConnected):
         two_spheres.genus()
@@ -359,6 +358,15 @@ def test_build_from_faces_orientation_mismatch():
         build_from_faces(faces)
 
 
+def test_build_from_faces_rejects_a_pinched_vertex():
+    # a sphere of two digons whose two vertices carry one label
+    faces = [[(0, "a"), (0, "b")], [(0, "a"), (0, "b")]]
+    with pytest.raises(MapError, match="vertex 0 has a disconnected link"):
+        build_from_faces(faces)
+    m, _ = build_from_faces([[(0, "a"), (1, "b")], [(1, "a"), (0, "b")]])
+    assert m.genus() == 0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_relabel_preserves_invariants(seed):
@@ -368,3 +376,31 @@ def test_relabel_preserves_invariants(seed):
     assert m2.euler_characteristic() == m.euler_characteristic()
     assert m2.genus() == m.genus()
     assert len(m2.faces()) == len(m.faces())
+
+
+# ---- closed maps only ------------------------------------------------------
+
+
+def test_no_boundary_maps_or_closure_cap_options():
+    """Every map is closed and every closure has the one CLOSURE_CAP: no
+    function under etd takes ``cap`` or ``allow_boundary``, CombMap has no
+    boundary queries, and build_from_faces and tube take no options."""
+    src = pathlib.Path(etd.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                    if arg is not None and arg.arg in ("cap", "allow_boundary"):
+                        found.append("%s:%d %s" % (path.name, node.lineno, arg.arg))
+            if isinstance(node, ast.ClassDef) and node.name == "CombMap":
+                found += [
+                    "CombMap.%s" % f.name for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f.name in ("is_closed", "boundary_darts")
+                ]
+    assert found == []
+    for fn in (build_from_faces, tube):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__

@@ -13,7 +13,6 @@ from etd.cover import (
     derived_cover,
     expected_lift_parameters,
     spanning_tree_normalize,
-    trivial_voltages,
 )
 from etd.quotient import quotient
 from etd.torus import arrangement, line
@@ -53,6 +52,10 @@ def edge_voltages(d, group, assignments):
         volt[dart] = elt
         volt[d.surface.edge_pairing[dart]] = g.inv(elt)
     return volt
+
+
+def trivial_voltages(d, g):
+    return VoltageAssignment(g, {x: g.identity for x in range(d.surface.n_darts)}).validated(d)
 
 
 def test_trivial_group_cover():

@@ -4,7 +4,6 @@ from etd.catalog import q8_link_base, standard
 from etd.cover import derived_cover
 from etd.diagio import (
     FileFormatError,
-    parse_diagram,
     parse_diagram_file,
     serialize_diagram,
 )
@@ -25,13 +24,13 @@ def theta_text():
 
 
 def test_round_trip_plain():
-    d = parse_diagram(theta_text())
+    d = parse_diagram_file(theta_text()).diagram
     assert serialize_diagram(d) == theta_text()
 
 
 def test_comments_and_blank_lines_ignored():
     text = "# a fixture\n\n" + theta_text()
-    assert parse_diagram(text).surface.n_darts == 6
+    assert parse_diagram_file(text).diagram.surface.n_darts == 6
 
 
 @pytest.mark.parametrize(
@@ -134,4 +133,4 @@ def test_catalog_entries_serialize_stably():
     for name in ("cp2", "s1xs3", "s2xs2_genus2"):
         d = standard(name).diagram
         text = serialize_diagram(d)
-        assert serialize_diagram(parse_diagram(text)) == text
+        assert serialize_diagram(parse_diagram_file(text).diagram) == text

@@ -14,7 +14,6 @@ from etd.invariants import (
     cokernel,
     free_action_genus_bound,
     invariant_factors,
-    matrix_rank,
     pu3_parameters,
     smith_normal_form,
     surface_h1_mod,
@@ -214,5 +213,5 @@ def test_branching_defect():
 
 
 def test_rank():
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 0], [0, 1]]) == 2
+    assert len(invariant_factors([[1, 2], [2, 4]])) == 1
+    assert len(invariant_factors([[1, 0], [0, 1]])) == 2

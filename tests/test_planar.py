@@ -161,6 +161,88 @@ def test_branch_cut_through_vertex_rejected():
 
 
 # ---------------------------------------------------------------------------
+# segment intersection against its form without the bounding-box reject
+
+
+def ref_segment_intersection(p1, p2, q1, q2):
+    """Test-only copy of ``segment_intersection`` without its bounding-box
+    reject: every pair goes through the cross-product classification."""
+    r = (p2[0] - p1[0], p2[1] - p1[1])
+    s = (q2[0] - q1[0], q2[1] - q1[1])
+    qp = (q1[0] - p1[0], q1[1] - p1[1])
+    denom = r[0] * s[1] - r[1] * s[0]
+    qp_r = qp[0] * r[1] - qp[1] * r[0]
+    if denom == 0:
+        if qp_r != 0:
+            return None
+        rr = r[0] * r[0] + r[1] * r[1]
+        t0 = qp[0] * r[0] + qp[1] * r[1]
+        t1 = t0 + (s[0] * r[0] + s[1] * r[1])
+        lo, hi = min(t0, t1), max(t0, t1)
+        if hi < 0 or lo > rr:
+            return None
+        if hi == 0:
+            return ("point", p1, Fraction(0), Fraction(0) if t0 == 0 else Fraction(1))
+        if lo == rr:
+            return ("point", p2, Fraction(1), Fraction(0) if t0 == rr else Fraction(1))
+        raise PlanarError("collinear overlapping segments")
+    t = Fraction(qp_r, denom)
+    u = Fraction(qp[0] * s[1] - qp[1] * s[0], denom)
+    if 0 <= u <= 1 and 0 <= t <= 1:
+        return ("point", (p1[0] + u * r[0], p1[1] + u * r[1]), u, t)
+    return None
+
+
+def random_segment_pairs(seed, count):
+    """Integer segment pairs in [0, 4]^2, a third of them built to share
+    an endpoint and a third to lie on one line."""
+    rng = random.Random(seed)
+
+    def point():
+        return (rng.randint(0, 4), rng.randint(0, 4))
+
+    out = []
+    while len(out) < count:
+        p1, p2, q1, q2 = point(), point(), point(), point()
+        kind = len(out) % 3
+        if kind == 1:
+            q1 = rng.choice((p1, p2))
+        elif kind == 2:
+            d = (p2[0] - p1[0], p2[1] - p1[1])
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            q1 = (p1[0] + a * d[0], p1[1] + a * d[1])
+            q2 = (p1[0] + b * d[0], p1[1] + b * d[1])
+        if p1 != p2 and q1 != q2:
+            out.append((p1, p2, q1, q2))
+    return out
+
+
+def _intersection_outcome(fn, pair):
+    try:
+        return fn(*pair)
+    except PlanarError as err:
+        return str(err)
+
+
+def test_bounding_box_reject_keeps_every_intersection():
+    pairs = random_segment_pairs(11, 3000)
+    kinds = {"apart": 0, "crossing": 0, "touching": 0, "overlap": 0}
+    for pair in pairs:
+        want = _intersection_outcome(ref_segment_intersection, pair)
+        assert _intersection_outcome(segment_intersection, pair) == want, pair
+        if isinstance(want, str):
+            kinds["overlap"] += 1
+        elif want is None:
+            kinds["apart"] += 1
+        elif {want[2], want[3]} & {0, 1}:
+            kinds["touching"] += 1
+        else:
+            kinds["crossing"] += 1
+    # every outcome occurs often, so the comparison is not vacuous
+    assert min(kinds.values()) >= 100, kinds
+
+
+# ---------------------------------------------------------------------------
 # the strand walk against the segment-pair edge cutter it replaced
 
 
@@ -209,13 +291,13 @@ def ref_build_planar(strands):
                 consecutive = abs(gi - gj) == 1 or (
                     strands[si].closed and {gi, gj} == {0, n_seg - 1}
                 )
-                hit = segment_intersection(a1, b1, a2, b2)
+                hit = ref_segment_intersection(a1, b1, a2, b2)
                 if hit is None:
                     continue
                 if consecutive:
                     continue
                 raise PlanarError("strand %d intersects itself" % si)
-            hit = segment_intersection(a1, b1, a2, b2)
+            hit = ref_segment_intersection(a1, b1, a2, b2)
             if hit is None:
                 continue
             _, pt, t1, t2 = hit

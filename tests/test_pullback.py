@@ -287,22 +287,14 @@ def test_tubes_pull_back_along_the_two_inclusions():
     pairs = [(theta, theta_sphere()), (theta, recolored), (recolored, theta)]
     torus = natural_genus1(2).diagram
     pairs.append((torus, mirror(torus)))
-    built = set()
-    for k, (d1, d2) in enumerate(pairs):
+    for d1, d2 in pairs:
         faces2 = d2.surface.faces()
         for f1 in d1.surface.faces()[:3]:
             L = len(d1.surface.orbit(f1))
             f2 = next(f for f in faces2 if len(d2.surface.orbit(f)) == L)
-            for offset in range(min(L, 2)):
-                for rev in (False, True):
-                    try:
-                        got, shift = tube(d1, f1, d2, f2, offset, rev)
-                    except DiagramError:
-                        continue  # orientation-incompatible matching
-                    assert shift == d1.surface.n_darts
-                    same(got, dict_tube(d1, d2, got.surface))
-                    built.add(k)
-    assert len(built) == len(pairs)
+            got, shift = tube(d1, f1, d2, f2)
+            assert shift == d1.surface.n_darts
+            same(got, dict_tube(d1, d2, got.surface))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +313,6 @@ def test_from_darts_checks():
     ok = [shadow(x // 2 + 1) for x in range(6)]
     d = ShadowDiagram.from_darts(m, ok, [0, 1, 4])
     same(d, theta_sphere())
-    with pytest.raises(DiagramError, match="must be closed"):
-        ShadowDiagram.from_darts(build_map(2, [0, 1], [1, 0], allow_boundary=True), [SCAFFOLD] * 2)
     with pytest.raises(DiagramError, match="Color values"):
         ShadowDiagram.from_darts(m, ok[:4] + ["shadow3"] * 2)
     with pytest.raises(DiagramError, match="5 dart colors for 6 darts"):
@@ -333,8 +323,6 @@ def test_from_darts_checks():
 
 
 def test_init_keeps_its_checks():
-    with pytest.raises(DiagramError, match="must be closed"):
-        ShadowDiagram(build_map(2, [0, 1], [1, 0], allow_boundary=True))
     m = theta_sphere().surface
     with pytest.raises(DiagramError, match="unknown edge"):
         ShadowDiagram(m, {m.cell_of("vertex", 0): alpha(1)})

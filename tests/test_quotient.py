@@ -14,7 +14,7 @@ from etd.quotient import (
     quotient,
     quotient_is_trisection,
 )
-from etd.symmetry import DiagramAction, identity_action
+from etd.symmetry import DiagramAction
 from etd.torus import affine_dart_map, arrangement, line
 
 F = Fraction
@@ -168,7 +168,7 @@ def test_rejects_invalid_action():
 def test_identity_action_quotient():
     arr = grid2()
     d = grid2_diagram(arr)
-    q = quotient(d, identity_action(d.surface.n_darts))
+    q = quotient(d, DiagramAction([tuple(range(d.surface.n_darts))], ["e"]))
     assert q.diagram.isomorphic_to(d) is not None
     assert q.cone_points == []
 

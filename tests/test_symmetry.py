@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from etd import symmetry
 from etd.diagram import ShadowDiagram, alpha
 from etd.symmetry import (
     ClosureCapExceeded,
@@ -9,7 +10,6 @@ from etd.symmetry import (
     DiagramAction,
     NotAutomorphism,
     check_action,
-    identity_action,
     is_equivalent_action,
     orbits,
     singular_locus,
@@ -53,7 +53,7 @@ def grid2_generators(arr):
 def test_identity_action():
     arr = grid2()
     d = grid2_diagram(arr)
-    rep = check_action(d, identity_action(d.surface.n_darts))
+    rep = check_action(d, DiagramAction([tuple(range(d.surface.n_darts))], ["e"]))
     assert rep.ok and rep.order == 1
     assert rep.structure_hint == "trivial"
 
@@ -140,12 +140,13 @@ def test_garbage_permutation_rejected():
         check_action(d, DiagramAction([tuple([0] * n)], ["bad"]))
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     arr = grid2()
     d = grid2_diagram(arr)
     tx, ty, nu = grid2_generators(arr)
-    with pytest.raises(ClosureCapExceeded):
-        check_action(d, DiagramAction([tx, ty, nu]), cap=3)
+    monkeypatch.setattr(symmetry, "CLOSURE_CAP", 3)
+    with pytest.raises(ClosureCapExceeded, match="closure exceeds 3 elements"):
+        check_action(d, DiagramAction([tx, ty, nu]))
 
 
 def test_order3_rotation_fixes_three_faces():

@@ -56,10 +56,11 @@ def ref_crossings(lines):
                 if (L1.c - L2.c) % 1 == 0:
                     raise ArrangementError("coincident lines %d and %d" % (i, j))
                 continue
+            # the crossings are the cosets of M Z^2 (M the matrix of the two
+            # slopes) in Z^2; det Z^2 lies in M Z^2, so [0, |det|)^2 meets all
             pts = set()
-            R = abs(det) + 2
-            for mm in range(-R, R + 1):
-                for nn in range(-R, R + 1):
+            for mm in range(abs(det)):
+                for nn in range(abs(det)):
                     rhs1 = L1.c + mm
                     rhs2 = L2.c + nn
                     x = Fraction(-L2.p * rhs1 + L1.p * rhs2, det)
