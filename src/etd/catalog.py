@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .cmap import automorphisms, build_from_faces, build_map, compose, inverse
+from .cmap import CombMap, automorphisms, build_from_faces, compose, inverse
 from .surgery import tube
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, shadow
 from .groups import greedy_generators
@@ -57,7 +57,7 @@ def mirror(d: ShadowDiagram) -> ShadowDiagram:
     """The same diagram on the oppositely-oriented surface (inverted
     rotation).  Cell names are unchanged."""
     m = d.surface
-    m2 = build_map(m.n_darts, m.edge_pairing, inverse(m.rotation))
+    m2 = CombMap(m.n_darts, m.edge_pairing, inverse(m.rotation))
     return ShadowDiagram.from_darts(m2, d.dart_colors, [v.dart for v in d.marked])
 
 
@@ -170,7 +170,7 @@ def natural_genus1(m: int, slopes=((1, 0), (0, 1), (1, 1))) -> CatalogEntry:
 def _theta_sphere() -> ShadowDiagram:
     ep = [1, 0, 3, 2, 5, 4]
     rot = [2, 5, 4, 1, 0, 3]
-    m = build_map(6, ep, rot)
+    m = CombMap(6, ep, rot)
     color = {
         m.cell_of("edge", 0): shadow(1),
         m.cell_of("edge", 2): shadow(2),
@@ -403,8 +403,6 @@ def q8_link_base() -> CatalogEntry:
     exactly one arc of the family.  The branching data rides on branch
     cuts dropped from the bridge points into the outer region.
     """
-    from fractions import Fraction as F
-
     from .cover import VoltageAssignment
     from .groups import quaternion
     from .planar import (
@@ -422,34 +420,31 @@ def q8_link_base() -> CatalogEntry:
         strands.append(s)
         colors.append(col)
 
-    for dx in (0, 10):
-        p1, p2, p3, p4 = (dx, 1), (dx + 1, 0), (dx, -1), (dx - 1, 0)
+    # the drawing scaled by 20, so that every coordinate is an int
+    for dx in (0, 200):
+        p1, p2, p3, p4 = (dx, 20), (dx + 20, 0), (dx, -20), (dx - 20, 0)
         add(arc([p1, p2]), shadow(1))
         add(arc([p3, p4]), shadow(1))
         add(arc([p2, p3]), shadow(2))
         add(arc([p4, p1]), shadow(2))
         add(arc([p1, p3]), shadow(3))
-        add(arc([p2, (dx, -2), p4]), shadow(3))
-        add(loop([(dx - F(4, 5), F(17, 10)), (dx + F(17, 10), -F(4, 5)),
-                  (dx + F(17, 10), F(17, 10))]), alpha(1))
-        add(loop([(dx + F(8, 5), F(7, 10)), (dx - F(7, 10), -F(8, 5)),
-                  (dx + F(8, 5), -F(8, 5))]), alpha(2))
-        add(loop([(dx - F(2, 5), F(5, 4)), (dx + F(2, 5), F(5, 4)),
-                  (dx + F(2, 5), -F(11, 10)), (dx - F(2, 5), -F(11, 10))]),
-            alpha(3))
-    add(arc([(0, 1), (10, 1)]), SCAFFOLD)
-    for f, r in ((1, F(31, 10)), (2, F(16, 5)), (3, F(33, 10))):
+        add(arc([p2, (dx, -40), p4]), shadow(3))
+        add(loop([(dx - 16, 34), (dx + 34, -16), (dx + 34, 34)]), alpha(1))
+        add(loop([(dx + 32, 14), (dx - 14, -32), (dx + 32, -32)]), alpha(2))
+        add(loop([(dx - 8, 25), (dx + 8, 25), (dx + 8, -22), (dx - 8, -22)]), alpha(3))
+    add(arc([(0, 20), (200, 20)]), SCAFFOLD)
+    for f, r in ((1, 62), (2, 64), (3, 66)):
         add(loop([(-r, -r), (r, -r), (r, r), (-r, r)]), alpha(f))
 
     pd = build_planar(strands)
-    pts = [(dx + a, b) for dx in (0, 10) for a, b in ((0, 1), (1, 0), (0, -1), (-1, 0))]
+    pts = [(dx + a, b) for dx in (0, 200) for a, b in ((0, 20), (20, 0), (0, -20), (-20, 0))]
     marked = [pd.vertex_at(p) for p in pts]
     d = ShadowDiagram.from_darts(
         pd.map, [colors[i] for i in pd.dart_strand], [v.dart for v in marked]
     )
 
     g = quaternion()
-    cuts = [((x, y), (x + 1, y - 7)) for (x, y) in pts]
+    cuts = [((x, y), (x + 20, y - 140)) for (x, y) in pts]
     mer = ["i"] * 4 + ["j"] * 4
     volt = branch_cut_voltages(pd, g, mer, branch_cut_crossings(pd, cuts))
     va = VoltageAssignment(g, volt, dict(zip(marked, mer)))

@@ -161,7 +161,9 @@ class CellId:
 
 
 class CombMap:
-    """Immutable combinatorial map.  Use :func:`build_map` to construct."""
+    """Immutable closed combinatorial map on darts 0..n_darts-1: a
+    fixed-point-free edge-pairing involution and a vertex rotation,
+    both checked on construction."""
 
     def __init__(self, n_darts, edge_pairing, rotation):
         edge_pairing = tuple(edge_pairing)
@@ -262,10 +264,6 @@ class CombMap:
         return CombMap(n, ep, rot)
 
 
-def build_map(n_darts, edge_pairing, rotation) -> CombMap:
-    return CombMap(n_darts, edge_pairing, rotation)
-
-
 # ---------------------------------------------------------------------------
 # cutting
 
@@ -292,15 +290,14 @@ class CutSurface:
 
     Each cut edge becomes two boundary edges.  Vertices incident to cut
     darts split into corners (maximal rotation runs between cut darts).
-    Faces persist.  The original map is recoverable, so regluing is the
-    identity by construction.
+    Faces persist, and ``base`` keeps the uncut map.
     """
 
     def __init__(self, base: CombMap, cut_edges: Iterable[CellId]):
         cut_darts = set()
         for cell in cut_edges:
             if cell.kind != "edge":
-                raise UnknownCell("cut_along expects edge cells")
+                raise UnknownCell("CutSurface expects edge cells")
             cut_darts.update(base.orbit(cell))
         self.base = base
         self.cut_darts = cut_darts
@@ -390,14 +387,6 @@ class CutSurface:
 
     def total_chi(self):
         return sum(c.chi for c in self.components)
-
-    def reglue(self) -> CombMap:
-        """Undo the cut (the construction keeps the base map intact)."""
-        return self.base
-
-
-def cut_along(m: CombMap, edges: Iterable[CellId]) -> CutSurface:
-    return CutSurface(m, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .cmap import CellId, build_map, spanning_forest
+from .cmap import CellId, CombMap, spanning_forest
 from .diagram import ShadowDiagram
 from .groups import Group, greedy_generators
 from .invariants import branching_defect
@@ -95,7 +95,7 @@ class CoverResult:
             index = {x: i for i, x in enumerate(darts)}
             ep = [index[m.edge_pairing[x]] for x in darts]
             rot = [index[m.rotation[x]] for x in darts]
-            sub = build_map(len(darts), ep, rot)
+            sub = CombMap(len(darts), ep, rot)
             colors = [self.diagram.dart_colors[x] for x in darts]
             marked = [index[v.dart] for v in self.diagram.marked if v.dart in index]
             out.append(ShadowDiagram.from_darts(sub, colors, marked))
@@ -247,7 +247,7 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
             proj[i] = (x, e)
             ep[i] = dart(m.edge_pairing[x], g.mul(va.voltage[x], e))
             rot[i] = dart(m.rotation[x], g.mul(twist[x], e))
-    lifted = build_map(n * order, ep, rot)
+    lifted = CombMap(n * order, ep, rot)
 
     # Riemann-Hurwitz, exactly (holds for the full cover, connected or not)
     defect = branching_defect(order, [g.element_order(w) for w in va.meridians.values()])

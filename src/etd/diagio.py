@@ -39,8 +39,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cmap import UnknownCell, build_map
-from .diagram import SCAFFOLD, Color, DiagramError, ShadowDiagram, parse_color
+from .cmap import CombMap, UnknownCell
+from .diagram import SCAFFOLD, DiagramError, ShadowDiagram, parse_color
 from .groups import Group, GroupError, group_by_name
 
 FORMAT_NAME = "etd-diagram"
@@ -233,7 +233,7 @@ def parse_diagram_file(text: str) -> DiagramFile:
         raise FileFormatError("missing darts/pairing/rotation")
     if len(pairing) != n or len(rotation) != n:
         raise FileFormatError("pairing/rotation length disagrees with darts")
-    m = build_map(n, pairing, rotation)
+    m = CombMap(n, pairing, rotation)
     edge_cells = {e.dart: e for e in m.edges()}
     color = {}
     for lineno, dart, c in colors:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cmap import CellId, CombMap, DisjointSets, canonical_form, cut_along, is_isomorphic
+from .cmap import CellId, CombMap, CutSurface, DisjointSets, canonical_form, is_isomorphic
 from .cmap import spanning_forest
 from .invariants import h1_frame
 
@@ -432,7 +432,7 @@ def _cut_system_verdict(d: ShadowDiagram, i: int) -> CutSystemVerdict:
     for curve in curves:
         for x in curve:
             cells.add(m.cell_of("edge", x))
-    cut = cut_along(m, cells)
+    cut = CutSurface(m, cells)
     bad = [c for c in cut.components if c.genus != 0]
     if bad:
         return CutSystemVerdict(
@@ -585,7 +585,7 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
             cells.add(cell)
             circle_owner[x] = ("j", b)
             circle_owner[m.edge_pairing[x]] = ("j", b)
-    cut = cut_along(m, cells)
+    cut = CutSurface(m, cells)
     allowed = set()
     for comp in cut.components:
         if comp.chi == 0 and comp.n_boundary == 2:
@@ -719,7 +719,7 @@ def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
             for x in curve:
                 cells.add(m.cell_of("edge", x))
         if cells:
-            cut = cut_along(m, cells)
+            cut = CutSurface(m, cells)
             # locate each arc component in a complementary component
             where = {}
             for ci, comp in enumerate(cut.components):

@@ -6,8 +6,7 @@ overflow and no rational shortcut that could hide torsion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .cmap import CombMap, spanning_forest
 

@@ -1,6 +1,6 @@
 """Polyline arrangements in the plane, assembled into sphere maps.
 
-Strands are polylines (open arcs or closed polygons) with Fraction
+Strands are polylines (open arcs or closed polygons) with integer
 coordinates.  Crossings are computed exactly; the resulting graph, with
 rotations from sorting directions counterclockwise, is a combinatorial
 map on the sphere (the unbounded face closes up for free).
@@ -8,18 +8,15 @@ map on the sphere (the unbounded face closes up for free).
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cmap import CombMap, build_map
+from .cmap import CombMap
 
 
 class PlanarError(ValueError):
     pass
-
-
-def _frac_point(p):
-    return (Fraction(p[0]), Fraction(p[1]))
 
 
 def _sub(a, b):
@@ -28,6 +25,15 @@ def _sub(a, b):
 
 def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _int_points(points, what):
+    """``points`` as tuples, or a PlanarError naming ``what``."""
+    out = [tuple(p) for p in points]
+    for p in out:
+        if any(type(c) is not int for c in p):
+            raise PlanarError("%s has a non-integer point %r" % (what, p))
+    return out
 
 
 def _angle_key(d):
@@ -63,19 +69,20 @@ def rotation_by_angle(n, dart_point, dart_dir):
 
 
 def segment_intersection(p1, p2, q1, q2):
-    """Classify the intersection of segments p1p2 and q1q2.
+    """Classify the intersection of integer segments p1p2 and q1q2.
 
-    Returns None (disjoint), ("point", pt, s, t) for a single point with
-    parameters s, t in [0, 1] along each segment, or raises on overlap.
+    Returns None (disjoint), ("point", pt, u, t) for a single point with
+    parameters u, t in [0, 1] along each segment, or raises on overlap.
+    Only a crossing builds Fractions; a collinear touch has u, t in {0, 1}.
     """
     if (max(p1[0], p2[0]) < min(q1[0], q2[0]) or max(q1[0], q2[0]) < min(p1[0], p2[0])
             or max(p1[1], p2[1]) < min(q1[1], q2[1]) or max(q1[1], q2[1]) < min(p1[1], p2[1])):
         return None  # bounding boxes apart
     r = _sub(p2, p1)
     s = _sub(q2, q1)
-    denom = _cross(r, s)
+    den = _cross(r, s)
     qp = _sub(q1, p1)
-    if denom == 0:
+    if den == 0:
         if _cross(qp, r) != 0:
             return None
         # collinear: any overlap beyond a shared endpoint is an error
@@ -86,15 +93,16 @@ def segment_intersection(p1, p2, q1, q2):
         if hi < 0 or lo > rr:
             return None
         if hi == 0:
-            return ("point", p1, Fraction(0), Fraction(0) if t0 == 0 else Fraction(1))
+            return ("point", p1, 0, 0 if t0 == 0 else 1)
         if lo == rr:
-            return ("point", p2, Fraction(1), Fraction(0) if t0 == rr else Fraction(1))
+            return ("point", p2, 1, 0 if t0 == rr else 1)
         raise PlanarError("collinear overlapping segments")
-    t = Fraction(_cross(qp, r), denom)
-    u = Fraction(_cross(qp, s), denom)
-    if 0 <= u <= 1 and 0 <= t <= 1:
-        pt = (p1[0] + u * r[0], p1[1] + u * r[1])
-        return ("point", pt, u, t)
+    t_num, u_num = _cross(qp, r), _cross(qp, s)
+    if den < 0:
+        den, t_num, u_num = -den, -t_num, -u_num
+    if 0 <= u_num <= den and 0 <= t_num <= den:
+        u = Fraction(u_num, den)
+        return ("point", (p1[0] + u * r[0], p1[1] + u * r[1]), u, Fraction(t_num, den))
     return None
 
 
@@ -105,7 +113,7 @@ class Strand:
     label: object = None
 
     def __post_init__(self):
-        self.points = [_frac_point(p) for p in self.points]
+        self.points = _int_points(self.points, "strand %r" % (self.label,))
         if self.closed:
             if len(self.points) < 3:
                 raise PlanarError("closed strands need at least 3 points")
@@ -134,10 +142,10 @@ class PlanarDiagram:
 
     Dart ``2k`` leaves the start of edge k and dart ``2k + 1`` its end,
     edges numbered along each strand in turn.  ``dart_point[x]`` is the
-    vertex dart x leaves, ``dart_dir[x]`` its outgoing direction (towards
-    the next point of its edge's polyline), ``dart_strand[x]`` the index
-    of its strand; ``edge_path`` holds each edge's polyline under its
-    outgoing (even) dart.
+    vertex dart x leaves, ``dart_dir[x]`` the integer vector of the
+    strand segment it leaves along, ``dart_strand[x]`` the index of its
+    strand and ``dart_pos[x]`` its position ``(k, t)`` along that strand
+    (see :func:`build_planar`).
     """
 
     map: CombMap
@@ -145,10 +153,9 @@ class PlanarDiagram:
     dart_point: list
     dart_dir: list
     dart_strand: list
-    edge_path: dict  # outgoing dart -> polyline of its edge
+    dart_pos: list
 
     def vertex_at(self, pt):
-        pt = _frac_point(pt)
         if pt in self.dart_point:
             return self.map.cell_of("vertex", self.dart_point.index(pt))
         raise PlanarError("no vertex at %r" % (pt,))
@@ -170,34 +177,35 @@ class PlanarDiagram:
 def branch_cut_crossings(pd: PlanarDiagram, cuts):
     """Signed crossings of each edge with each cut ray.
 
-    ``cuts`` is a list of (start, end) segments, typically rays from a
-    branch point into the unbounded face.  Returns {outgoing dart:
-    [(cut_index, sign), ...]} ordered along the edge; sign is +1 when
-    the edge crosses the cut left-to-right.  Crossings at the start of a
-    cut (its branch point) are ignored; any other degenerate contact is
-    an error -- nudge the cut.
+    ``cuts`` is a list of (start, end) segments with integer coordinates,
+    typically rays from a branch point into the unbounded face.  Returns
+    {outgoing dart: [(cut_index, sign), ...]} ordered along the edge;
+    sign is +1 when the edge crosses the cut left-to-right.  Cuts meet the
+    strands' own segments; a hit at position (k, t) is on the edge that
+    starts last at or before it, or on a closed strand's last edge.
+    Crossings at the start of a cut (its branch point) are ignored; any
+    other degenerate contact is an error -- nudge the cut.
     """
-    cuts = [(_frac_point(a), _frac_point(b)) for a, b in cuts]
-    out = {}
-    for d, path in pd.edge_path.items():
-        found = []
-        for gi, (q1, q2) in enumerate(zip(path[:-1], path[1:])):
+    cuts = [_int_points(cut, "cut %d" % ci) for ci, cut in enumerate(cuts)]
+    edges = [[] for _ in pd.strands]  # strand -> its outgoing darts, in order
+    for d in range(0, len(pd.dart_pos), 2):
+        edges[pd.dart_strand[d]].append(d)
+    found = {d: [] for d in range(0, len(pd.dart_pos), 2)}
+    for si, s in enumerate(pd.strands):
+        for k, (a, b) in enumerate(s.segments()):
             for ci, (c1, c2) in enumerate(cuts):
-                hit = segment_intersection(c1, c2, q1, q2)
-                if hit is None:
-                    continue
+                hit = segment_intersection(c1, c2, a, b)
+                if hit is None or hit[2] == 0:
+                    continue  # apart, or at the cut's own branch point
                 _, pt, u, t = hit
-                if u == 0:
-                    continue  # at the cut's own branch point
-                if u == 1 or t in (0, 1):
-                    raise PlanarError(
-                        "cut %d has a degenerate contact at %r" % (ci, pt)
-                    )
-                sign = 1 if _cross(_sub(c2, c1), _sub(q2, q1)) > 0 else -1
-                found.append(((gi, t), ci, sign))
-        found.sort(key=lambda e: e[0])
-        out[d] = [(ci, sign) for _, ci, sign in found]
-    return out
+                # index -1 is a closed strand's last edge
+                d = edges[si][bisect(edges[si], (k, t), key=pd.dart_pos.__getitem__) - 1]
+                start = pd.dart_pos[d]
+                if u == 1 or t in (0, 1) or start == (k, t):
+                    raise PlanarError("cut %d has a degenerate contact at %r" % (ci, pt))
+                sign = 1 if _cross(_sub(c2, c1), _sub(b, a)) > 0 else -1
+                found[d].append((((k, t) < start, k, t), ci, sign))
+    return {d: [(ci, sign) for _, ci, sign in sorted(hits)] for d, hits in found.items()}
 
 
 def branch_cut_voltages(pd: PlanarDiagram, group, cut_values, crossings):
@@ -219,15 +227,14 @@ def build_planar(strands) -> PlanarDiagram:
     """The sphere map of a polyline arrangement.
 
     A strand's position ``(k, t)`` is the point at parameter t in [0, 1)
-    along its segment from point k.  Its special points are its open
+    along its segment from point k.  Its special positions are its open
     ends, its crossings with other strands and the ends of other strands
     that land on it; an uncrossed closed strand gets its first point.
-    Each strand is walked once: its points and special points, merged and
-    sorted by position (a special point on a bend is one walk point), a
-    closed walk turned to start and end at its first special point.  The
-    walk is cut at every special point, and each piece is one edge: its
-    polyline, and its two darts leaving the ends towards the neighbouring
-    walk points.  Darts around a point are ordered by angle.
+    Each edge runs from one special position of a strand to the next in
+    sorted order (cyclically on a closed strand).  Its outgoing dart
+    leaves along segment k of its start; its incoming dart leaves its end
+    backwards along segment k, or k - 1 when the end is the strand point
+    k.  Darts around a point are ordered by angle.
     """
     strands = list(strands)
     segs = [s.segments() for s in strands]
@@ -293,34 +300,26 @@ def build_planar(strands) -> PlanarDiagram:
         if len(owners) > 2 and pt not in terminals:
             raise PlanarError("triple point at %r" % (pt,))
 
-    dart_point, dart_dir, dart_strand, edge_path, pairing = [], [], [], {}, []
+    dart_point, dart_dir, dart_strand, dart_pos, pairing = [], [], [], [], []
     for si, s in enumerate(strands):
         # an uncrossed closed strand is cut at its first point only
-        cut = special[si] or {(0, 0): s.points[0]}
-        at = dict(cut)
-        for k, p in enumerate(s.points):
-            at.setdefault((k, 0), p)
-        walk = sorted(at)
-        if s.closed:
-            k = walk.index(min(cut))
-            walk = walk[k:] + walk[: k + 1]
-        # each piece between two cut positions is one edge
-        piece = [at[walk[0]]]
-        for pos in walk[1:]:
-            piece.append(at[pos])
-            if pos in cut:
-                n = len(dart_point)
-                dart_point += [piece[0], piece[-1]]
-                dart_dir += [_sub(piece[1], piece[0]), _sub(piece[-2], piece[-1])]
-                dart_strand += [si, si]
-                edge_path[n] = piece
-                pairing += [n + 1, n]
-                piece = [piece[-1]]
+        at = special[si] or {(0, 0): s.points[0]}
+        cut = sorted(at)
+        ends = cut[1:] + cut[:1] if s.closed else cut[1:]
+        for start, end in zip(cut, ends):
+            n = len(dart_point)
+            a, b = segs[si][start[0]]
+            c, e = segs[si][end[0] - 1 if end[1] == 0 else end[0]]
+            dart_point += [at[start], at[end]]
+            dart_dir += [_sub(b, a), _sub(c, e)]
+            dart_strand += [si, si]
+            dart_pos += [start, end]
+            pairing += [n + 1, n]
 
     n = len(dart_point)
-    m = build_map(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
+    m = CombMap(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
     if not m.is_connected():
         raise PlanarError("arrangement is disconnected; add connecting strands")
     if m.euler_characteristic() != 2:
         raise PlanarError("arrangement did not close up to a sphere")
-    return PlanarDiagram(m, strands, dart_point, dart_dir, dart_strand, edge_path)
+    return PlanarDiagram(m, strands, dart_point, dart_dir, dart_strand, dart_pos)

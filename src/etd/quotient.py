@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cmap import CombMap, build_map, inverse, perm_orbits, subdivide_edges
+from .cmap import CombMap, inverse, perm_orbits, subdivide_edges
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, color_components, validate_trisection
 from .invariants import branching_defect
 from .symmetry import (
@@ -123,7 +123,7 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientR
 
     ep_q = [orbit_id[m2.edge_pairing[reps[i]]] for i in range(k)]
     rot_q = [orbit_id[m2.rotation[reps[i]]] for i in range(k)]
-    mq = build_map(k, ep_q, rot_q)
+    mq = CombMap(k, ep_q, rot_q)
 
     dq = ShadowDiagram.from_darts(
         mq, [sub_d.dart_colors[r] for r in reps], [orbit_id[v.dart] for v in sub_d.marked]

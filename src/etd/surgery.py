@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .cmap import CellId, build_map
+from .cmap import CellId, CombMap
 from .diagram import SCAFFOLD, DiagramError, ShadowDiagram
 
 
@@ -52,7 +52,7 @@ def tube(d1: ShadowDiagram, face1: CellId, d2: ShadowDiagram, face2: CellId):
         rot[cyc2[k] + n1] = b(k)
         rot[b(k)] = m2.edge_pairing[cyc2[k - 1]] + n1
 
-    m = build_map(n, ep, rot)
+    m = CombMap(n, ep, rot)
     want = m1.euler_characteristic() + m2.euler_characteristic() - 2
     if m.euler_characteristic() != want:
         raise SurgeryError("tube matching is orientation-incompatible")
@@ -84,7 +84,7 @@ def prune_pendant_scaffold(d: ShadowDiagram) -> ShadowDiagram:
             while y in (drop, other):
                 y = m.rotation[y]
             rot.append(index[y])
-        m2 = build_map(len(keep), ep, rot)
+        m2 = CombMap(len(keep), ep, rot)
         colors = [d.dart_colors[x] for x in keep]
         marked = [index[x] for v in d.marked for x in m.orbit(v) if x in index]
         d = ShadowDiagram.from_darts(m2, colors, marked)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cmap import CombMap, build_map
+from .cmap import CombMap
 
 
 class ArrangementError(ValueError):
@@ -135,7 +135,7 @@ def arrangement(lines) -> TorusArrangement:
 
     # distinct lines meet transversally, so no two darts at a point are parallel
     n = len(dart_point)
-    m = build_map(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
+    m = CombMap(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
     if m.genus() != 1:
         raise ArrangementError("arrangement did not close up to a torus")
     return TorusArrangement(m, lines, N, dart_point, dart_dir, dart_line)

@@ -13,7 +13,7 @@ import random
 import time
 
 from etd.catalog import entry, q8_reductions
-from etd.cmap import build_map
+from etd.cmap import CombMap
 from etd.cover import derived_cover, expected_lift_parameters
 from etd.diagram import ShadowDiagram, validate_trisection
 from etd.invariants import (
@@ -35,7 +35,7 @@ def relabeled_diagram(d: ShadowDiagram, perm):
     for x in range(m.n_darts):
         ep[perm[x]] = perm[m.edge_pairing[x]]
         rot[perm[x]] = perm[m.rotation[x]]
-    m2 = build_map(m.n_darts, ep, rot)
+    m2 = CombMap(m.n_darts, ep, rot)
     color = {m2.cell_of("edge", perm[e.dart]): c for e, c in d.color.items()}
     marked = {m2.cell_of("vertex", perm[v.dart]) for v in d.marked}
     return ShadowDiagram(m2, color, marked)

@@ -7,10 +7,10 @@ import pytest
 
 from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
 from etd.cmap import (
+    CombMap,
     NotConnected,
     _propagate,
     automorphisms,
-    build_map,
     canonical_form,
     is_isomorphic,
 )
@@ -117,7 +117,7 @@ def test_seeded_isomorphism_search_matches_all_images(name):
 
 
 def test_canonical_form_rejects_disconnected_maps():
-    two_tori = build_map(8, [2, 3, 0, 1, 6, 7, 4, 5], [1, 2, 3, 0, 5, 6, 7, 4])
+    two_tori = CombMap(8, [2, 3, 0, 1, 6, 7, 4, 5], [1, 2, 3, 0, 5, 6, 7, 4])
     with pytest.raises(NotConnected):
         canonical_form(two_tori)
     with pytest.raises(NotConnected):

@@ -8,7 +8,7 @@ import pytest
 
 from etd.cli import main
 from etd.catalog import entry, entry_file_text, frozen_file_text
-from etd.cmap import build_map
+from etd.cmap import CombMap
 from etd.diagio import parse_diagram_file, serialize_diagram
 from etd.diagram import ShadowDiagram
 
@@ -61,7 +61,7 @@ def test_validate_missing_file():
 
 def test_validate_broken_cut_system(tmp_path):
     # a bare torus with no curves at all cannot be a trisection diagram
-    torus = build_map(4, [1, 0, 3, 2], [2, 3, 1, 0])
+    torus = CombMap(4, [1, 0, 3, 2], [2, 3, 1, 0])
     p = tmp_path / "bare.diagram"
     p.write_text(serialize_diagram(ShadowDiagram(torus, {})))
     assert main(["validate", str(p)]) == 2
@@ -216,7 +216,7 @@ def test_validate_bad_family_index_exits_2(tmp_path, capsys):
 
 def test_validate_disconnected_map_exits_2(tmp_path, capsys):
     # two disjoint one-vertex tori, four darts each
-    two_tori = build_map(8, [2, 3, 0, 1, 6, 7, 4, 5], [1, 2, 3, 0, 5, 6, 7, 4])
+    two_tori = CombMap(8, [2, 3, 0, 1, 6, 7, 4, 5], [1, 2, 3, 0, 5, 6, 7, 4])
     p = tmp_path / "two_tori.diagram"
     p.write_text(serialize_diagram(ShadowDiagram(two_tori, {})))
     assert main(["validate", str(p)]) == 2

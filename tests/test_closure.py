@@ -8,7 +8,7 @@ import pytest
 
 from etd import symmetry
 from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
-from etd.cmap import NotConnected, automorphisms, build_map
+from etd.cmap import CombMap, NotConnected, automorphisms
 from etd.cover import derived_cover, reduce_voltages
 from etd.diagram import ShadowDiagram
 from etd.groups import cyclic, hom_from_generator_images
@@ -68,7 +68,7 @@ def two_copies(d, a):
     m = d.surface
     n = m.n_darts
     shift = tuple(range(n, 2 * n))
-    m2 = build_map(
+    m2 = CombMap(
         2 * n,
         m.edge_pairing + tuple(x + n for x in m.edge_pairing),
         m.rotation + tuple(x + n for x in m.rotation),

@@ -1,6 +1,5 @@
 import ast
 import inspect
-import itertools
 import pathlib
 import random
 
@@ -11,6 +10,7 @@ import etd
 from etd.cmap import (
     CellId,
     CombMap,
+    CutSurface,
     DanglingDart,
     MapError,
     NotConnected,
@@ -18,9 +18,7 @@ from etd.cmap import (
     UnknownCell,
     automorphisms,
     build_from_faces,
-    build_map,
     canonical_form,
-    cut_along,
     is_isomorphic,
     subdivide_edges,
 )
@@ -32,7 +30,7 @@ def square_torus():
     # darts: 0=a, 1=abar, 2=b, 3=bbar
     ep = [1, 0, 3, 2]
     rot = [2, 3, 1, 0]  # cycle 0 -> 2 -> 1 -> 3 -> 0
-    return build_map(4, ep, rot)
+    return CombMap(4, ep, rot)
 
 
 def octahedron():
@@ -51,7 +49,7 @@ def octahedron():
 
 
 def test_two_dart_sphere():
-    m = build_map(2, [1, 0], [1, 0])
+    m = CombMap(2, [1, 0], [1, 0])
     assert len(m.vertices()) == 1
     assert len(m.edges()) == 1
     assert len(m.faces()) == 2
@@ -104,7 +102,7 @@ def test_4g_gon_identification():
     # (a, b, A, B, c, d, C, D) with edge pairing a<->A, b<->B, c<->C, d<->D:
     ep = [2, 3, 0, 1, 6, 7, 4, 5]
     rot = [1, 2, 3, 4, 5, 6, 7, 0]
-    m = build_map(8, ep, rot)
+    m = CombMap(8, ep, rot)
     assert len(m.vertices()) == 1
     assert len(m.edges()) == 4
     assert m.euler_characteristic() == 2 - 2 * 2 + 0 or True
@@ -113,16 +111,16 @@ def test_4g_gon_identification():
 
 def test_not_involution():
     with pytest.raises(NotInvolution):
-        build_map(3, [1, 2, 0], [0, 1, 2])
+        CombMap(3, [1, 2, 0], [0, 1, 2])
 
 
 def test_dangling_dart():
     with pytest.raises(DanglingDart, match="dart 0 has no partner"):
-        build_map(2, [0, 1], [1, 0])
+        CombMap(2, [0, 1], [1, 0])
 
 
 def test_genus_errors():
-    two_spheres = build_map(4, [1, 0, 3, 2], [1, 0, 3, 2])
+    two_spheres = CombMap(4, [1, 0, 3, 2], [1, 0, 3, 2])
     with pytest.raises(NotConnected):
         two_spheres.genus()
 
@@ -156,7 +154,7 @@ def test_orbit_is_the_stored_cycle():
 def test_cut_torus_along_essential_loop():
     m = square_torus()
     loop_a = m.cell_of("edge", 0)
-    cut = cut_along(m, [loop_a])
+    cut = CutSurface(m, [loop_a])
     assert cut.n_components == 1
     comp = cut.components[0]
     assert comp.chi == 0
@@ -166,9 +164,9 @@ def test_cut_torus_along_essential_loop():
 
 def test_cut_sphere_along_contractible_loop():
     # sphere: two vertices joined by two parallel edges
-    m = build_map(4, [2, 3, 0, 1], [1, 0, 3, 2])
+    m = CombMap(4, [2, 3, 0, 1], [1, 0, 3, 2])
     assert m.genus() == 0
-    cut = cut_along(m, [m.cell_of("edge", 0), m.cell_of("edge", 1)])
+    cut = CutSurface(m, [m.cell_of("edge", 0), m.cell_of("edge", 1)])
     assert cut.n_components == 2
     for comp in cut.components:
         assert comp.chi == 1
@@ -179,14 +177,14 @@ def two_vertex_genus2():
     # two square tori joined by a tube edge; handle loops a1, a2 disjoint
     ep = [1, 0, 3, 2, 5, 4, 7, 6, 9, 8]
     rot = [2, 3, 1, 4, 0, 6, 8, 9, 7, 5]
-    return build_map(10, ep, rot)
+    return CombMap(10, ep, rot)
 
 
 def test_cut_genus2_along_cut_system():
     m = two_vertex_genus2()
     assert m.genus() == 2
     cells = [m.cell_of("edge", 0), m.cell_of("edge", 6)]
-    cut = cut_along(m, cells)
+    cut = CutSurface(m, cells)
     assert cut.n_components == 1
     comp = cut.components[0]
     assert comp.chi == -2
@@ -199,26 +197,25 @@ def test_cut_wedge_of_curves():
     # cutting along both slices along a wedge, raising chi by e - v = 1
     ep = [2, 3, 0, 1, 6, 7, 4, 5]
     rot = [1, 2, 3, 4, 5, 6, 7, 0]
-    m = build_map(8, ep, rot)
-    cut = cut_along(m, [m.cell_of("edge", 0), m.cell_of("edge", 4)])
+    m = CombMap(8, ep, rot)
+    cut = CutSurface(m, [m.cell_of("edge", 0), m.cell_of("edge", 4)])
     assert cut.total_chi() == -1
 
 
 def test_cut_unknown_cell():
     m = square_torus()
     with pytest.raises(UnknownCell):
-        cut_along(m, [CellId("edge", 1)])  # representative is 0, not 1
+        CutSurface(m, [CellId("edge", 1)])  # representative is 0, not 1
 
 
 def test_cut_chi_additivity():
     m = octahedron()
     cells = [m.edges()[0], m.edges()[5]]
-    cut = cut_along(m, cells)
+    cut = CutSurface(m, cells)
     # cutting along closed curves or arcs through vertices never drops chi
     # below; for a general edge set chi_total = chi + #cut edges - (vertex
     # splits)... just sanity check boundary darts count
     assert sum(len(c.boundary_circles) for c in cut.components) >= 1
-    assert cut.reglue() is m
 
 
 # ---- subdivision -----------------------------------------------------------
@@ -404,3 +401,11 @@ def test_no_boundary_maps_or_closure_cap_options():
     for fn in (build_from_faces, tube):
         params = inspect.signature(fn).parameters.values()
         assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
+
+
+def test_maps_and_cuts_built_by_their_classes():
+    """CombMap and CutSurface are their own constructors: cmap has no thin
+    wrappers around them, and a cut keeps its map as ``base`` alone."""
+    for name in ("build_map", "cut_along"):
+        assert not hasattr(etd.cmap, name), name
+    assert not hasattr(CutSurface, "reglue")

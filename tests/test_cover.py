@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from etd.cmap import build_map
+from etd.cmap import CombMap
 from etd.diagram import ShadowDiagram, alpha, shadow
 from etd.groups import cyclic, quaternion
 from etd.cover import (
@@ -34,7 +34,7 @@ def standard_torus_diagram():
 def theta_sphere_diagram():
     ep = [1, 0, 3, 2, 5, 4]
     rot = [2, 5, 4, 1, 0, 3]
-    m = build_map(6, ep, rot)
+    m = CombMap(6, ep, rot)
     color = {
         m.cell_of("edge", 0): shadow(1),
         m.cell_of("edge", 2): shadow(2),
@@ -67,7 +67,7 @@ def test_trivial_group_cover():
 
 
 def square_torus_diagram():
-    m = build_map(4, [1, 0, 3, 2], [2, 3, 1, 0])
+    m = CombMap(4, [1, 0, 3, 2], [2, 3, 1, 0])
     color = {m.cell_of("edge", 0): alpha(1), m.cell_of("edge", 2): alpha(2)}
     return ShadowDiagram(m, color)
 

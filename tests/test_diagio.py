@@ -7,7 +7,7 @@ from etd.diagio import (
     parse_diagram_file,
     serialize_diagram,
 )
-from etd.groups import GroupError, cyclic, group_by_name
+from etd.groups import GroupError, group_by_name
 
 
 def theta_text():

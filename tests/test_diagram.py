@@ -1,6 +1,6 @@
 import pytest
 
-from etd.cmap import build_map
+from etd.cmap import CombMap
 from etd.diagram import (
     ArcOutsideComplementaryDisk,
     Color,
@@ -38,7 +38,7 @@ def three_line_torus():
     (0,1); {8,9},{10,11} slope (1,1)."""
     ep = [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10]
     rot = [4, 11, 8, 7, 3, 10, 9, 0, 1, 5, 6, 2]
-    return build_map(12, ep, rot)
+    return CombMap(12, ep, rot)
 
 
 def standard_torus_diagram():
@@ -59,7 +59,7 @@ def parallel_torus_map():
     threaded on one vertical circle (edges {2,6},{7,10},{11,3})."""
     ep = [1, 0, 6, 11, 5, 4, 2, 10, 9, 8, 7, 3]
     rot = [2, 3, 1, 0, 7, 6, 4, 5, 11, 10, 8, 9]
-    return build_map(12, ep, rot)
+    return CombMap(12, ep, rot)
 
 
 def parallel_torus_diagram():
@@ -77,7 +77,7 @@ def lens_torus_diagram():
     presents a lens space with H1 = Z/2."""
     ep = [1, 0, 3, 2, 5, 4, 7, 6]
     rot = [7, 6, 5, 4, 0, 1, 2, 3]
-    m = build_map(8, ep, rot)
+    m = CombMap(8, ep, rot)
     color = {
         edge_cell(m, 0): alpha(1),
         edge_cell(m, 2): alpha(1),
@@ -92,7 +92,7 @@ def theta_sphere_diagram():
     the 1-bridge diagram of the unknotted sphere."""
     ep = [1, 0, 3, 2, 5, 4]
     rot = [2, 5, 4, 1, 0, 3]
-    m = build_map(6, ep, rot)
+    m = CombMap(6, ep, rot)
     color = {
         edge_cell(m, 0): shadow(1),
         edge_cell(m, 2): shadow(2),
@@ -213,7 +213,7 @@ def tangent_torus_diagram():
     """A torus with one vertex of valence 6: an alpha1 loop (darts 0 east,
     1 west), a parallel alpha2 loop (2 up-right, 3 up-left) that touches
     it there without crossing, and a scaffold loop (4 up, 5 down)."""
-    m = build_map(6, [1, 0, 3, 2, 5, 4], [2, 5, 4, 1, 3, 0])
+    m = CombMap(6, [1, 0, 3, 2, 5, 4], [2, 5, 4, 1, 3, 0])
     return ShadowDiagram.from_darts(m, [alpha(1)] * 2 + [alpha(2)] * 2 + [SCAFFOLD] * 2)
 
 
@@ -264,7 +264,7 @@ def test_two_arcs_in_one_region_rejected():
     # a 4-cycle on the sphere, opposite edges shadow1, all vertices marked
     ep = [1, 0, 3, 2, 5, 4, 7, 6]
     rot = [7, 2, 1, 4, 3, 6, 5, 0]
-    m = build_map(8, ep, rot)
+    m = CombMap(8, ep, rot)
     assert m.genus() == 0
     color = {edge_cell(m, 0): shadow(1), edge_cell(m, 4): shadow(1)}
     marked = [m.cell_of("vertex", d) for d in (0, 1, 4, 5)]

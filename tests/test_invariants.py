@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etd.cmap import build_map
+from etd.cmap import CombMap
 from etd.invariants import (
     AbelianGroup,
     EdgeInversionUnresolved,
@@ -116,7 +116,7 @@ def test_surface_h1_rank():
     # square torus: H1 = Z^2
     ep = [1, 0, 3, 2]
     rot = [2, 3, 1, 0]
-    torus = build_map(4, ep, rot)
+    torus = CombMap(4, ep, rot)
     assert surface_h1_mod(torus) == AbelianGroup(2)
     # mod the (1,0) loop class: Z
     assert surface_h1_mod(torus, [[1, 0]]) == AbelianGroup(1)
@@ -127,7 +127,7 @@ def test_surface_h1_rank():
 def test_surface_h1_genus2():
     ep = [1, 0, 3, 2, 5, 4, 7, 6, 9, 8]
     rot = [2, 3, 1, 4, 0, 6, 8, 9, 7, 5]
-    m = build_map(10, ep, rot)
+    m = CombMap(10, ep, rot)
     assert m.genus() == 2
     assert surface_h1_mod(m) == AbelianGroup(4)
 
@@ -136,7 +136,7 @@ def test_surface_h1_torsion_detection():
     # quotient-like relation: twice a loop class
     ep = [1, 0, 3, 2]
     rot = [2, 3, 1, 0]
-    torus = build_map(4, ep, rot)
+    torus = CombMap(4, ep, rot)
     g = surface_h1_mod(torus, [[2, 0]])
     assert g.rank == 1
     assert g.torsion == (2,)
@@ -175,9 +175,9 @@ def test_pu3_octahedron():
 
 def test_pu3_degenerate_single_vertex():
     # single vertex with one bigon orbit under the trivial group
-    m = build_map(4, [2, 3, 0, 1], [1, 0, 3, 2])  # two-vertex sphere... need 1-vertex
+    m = CombMap(4, [2, 3, 0, 1], [1, 0, 3, 2])  # two-vertex sphere... need 1-vertex
     # a single vertex with a loop: 2 darts
-    loop = build_map(2, [1, 0], [1, 0])
+    loop = CombMap(2, [1, 0], [1, 0])
     data = PolyhedralGraphData(loop, 1, 1, 1, 1)
     g, k = pu3_parameters(data)
     assert g == 2
@@ -187,7 +187,7 @@ def test_pu3_degenerate_single_vertex():
 def test_pu3_errors():
     ep = [1, 0, 3, 2]
     rot = [2, 3, 1, 0]
-    torus = build_map(4, ep, rot)
+    torus = CombMap(4, ep, rot)
     with pytest.raises(NotSphere):
         pu3_parameters(PolyhedralGraphData(torus, 1, 1, 1, 1))
     with pytest.raises(EdgeInversionUnresolved):

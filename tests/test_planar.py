@@ -1,12 +1,17 @@
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from etd.cmap import build_map
+import etd.planar
+from etd.cmap import CombMap
 from etd.planar import (
+    PlanarDiagram,
     PlanarError,
+    _cross,
     _sub,
     arc,
     branch_cut_crossings,
@@ -25,6 +30,21 @@ def test_segment_intersection_basic():
     assert segment_intersection((0, 0), (1, 0), (0, 1), (1, 1)) is None
     with pytest.raises(PlanarError):
         segment_intersection((0, 0), (2, 0), (1, 0), (3, 0))
+
+
+def test_fractions_only_at_crossings_and_angles():
+    """Planar geometry is on integer points: no Fraction conversion of
+    inputs, no edge polylines, and Fraction is named only where a crossing
+    point or an angle key is built."""
+    assert not hasattr(etd.planar, "_frac_point")
+    assert not hasattr(PlanarDiagram, "edge_path")
+    tree = ast.parse(inspect.getsource(etd.planar))
+    users = {
+        getattr(stmt, "name", type(stmt).__name__)
+        for stmt in tree.body
+        if any(isinstance(n, ast.Name) and n.id == "Fraction" for n in ast.walk(stmt))
+    }
+    assert users == {"segment_intersection", "_angle_key"}
 
 
 def test_two_crossing_arcs_with_frame():
@@ -106,12 +126,14 @@ def cross_in_frame():
 def test_edge_paths_cover_every_edge():
     pd = cross_in_frame()
     m = pd.map
-    # one polyline per edge, stored on its outgoing dart
-    assert len(pd.edge_path) == len(m.edges())
-    covered = {m.cell_of("edge", x) for x in pd.edge_path}
+    # dart 2k leaves the start of edge k along its strand, dart 2k + 1 its end
+    assert len(pd.dart_pos) == m.n_darts
+    for x in range(0, m.n_darts, 2):
+        assert m.edge_pairing[x] == x + 1
+        assert pd.dart_strand[x] == pd.dart_strand[x + 1]
+    covered = {m.cell_of("edge", x) for x in range(0, m.n_darts, 2)}
     assert covered == set(m.edges())
-    for x, path in pd.edge_path.items():
-        assert len(path) >= 2
+    assert len(covered) == m.n_darts // 2
 
 
 def test_branch_cut_voltage_on_crossed_edge():
@@ -148,6 +170,17 @@ def test_branch_cut_sign_tracks_crossing_direction():
 
     assert diam_signs(((1, 1), (1, -3))) == [1]  # downward cut
     assert diam_signs(((1, -1), (1, 3))) == [-1]  # upward cut
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, Fraction(2)])
+def test_non_integer_coordinates_rejected(bad):
+    with pytest.raises(PlanarError, match="strand 'x'"):
+        arc([(0, 0), (bad, 1)], label="x")
+    with pytest.raises(PlanarError, match="strand None"):
+        loop([(0, 0), (1, 0), (0, bad)])
+    pd = cross_in_frame()
+    with pytest.raises(PlanarError, match="cut 1"):
+        branch_cut_crossings(pd, [((1, 1), (1, -3)), ((0, 0), (bad, -3))])
 
 
 def test_branch_cut_through_vertex_rejected():
@@ -382,7 +415,7 @@ def ref_build_planar(strands):
             edge_path[d_out] = [p1] + bends_between(s, (g1, t1), (g2, t2)) + [p2]
             pairing.extend([d_in, d_out])
 
-    m = build_map(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
+    m = CombMap(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
     if not m.is_connected():
         raise PlanarError("arrangement is disconnected; add connecting strands")
     if m.euler_characteristic() != 2:
@@ -457,6 +490,23 @@ def _planar_outcome(build, strands):
         return str(err)
 
 
+def edge_polylines(pd):
+    """Each edge's polyline under its outgoing dart, rebuilt from its
+    darts' points and positions and the strand points strictly between
+    them (past the first point, on an edge that wraps a closed strand)."""
+    out = {}
+    for x in range(0, len(pd.dart_pos), 2):
+        points = pd.strands[pd.dart_strand[x]].points
+        a, b = pd.dart_pos[x], pd.dart_pos[x + 1]
+        ks = range(len(points))
+        if a < b:
+            inner = [k for k in ks if a < (k, 0) < b]
+        else:
+            inner = [k for k in ks if (k, 0) > a] + [k for k in ks if (k, 0) < b]
+        out[x] = [pd.dart_point[x]] + [points[k] for k in inner] + [pd.dart_point[x + 1]]
+    return out
+
+
 @pytest.mark.parametrize("name, make", ARRANGEMENTS, ids=[a[0] for a in ARRANGEMENTS])
 def test_walk_matches_the_segment_pair_cutter(name, make):
     got = _planar_outcome(build_planar, make())
@@ -470,7 +520,7 @@ def test_walk_matches_the_segment_pair_cutter(name, make):
     assert got.map.rotation == m.rotation
     assert got.dart_point == [dart_point[x] for x in range(n)]
     assert got.dart_strand == [dart_strand[x] for x in range(n)]
-    assert got.edge_path == edge_path
+    assert edge_polylines(got) == edge_path
 
 
 def test_differential_arrangements_build():
@@ -479,3 +529,64 @@ def test_differential_arrangements_build():
         not isinstance(_planar_outcome(build_planar, make()), str) for _, make in ARRANGEMENTS
     )
     assert built >= 15
+
+
+# ---------------------------------------------------------------------------
+# branch cuts met on strand segments against the edge-polyline walker
+
+
+def ref_branch_cut_crossings(edge_path, cuts):
+    """Test-only copy of the earlier ``branch_cut_crossings``: every cut
+    against every segment of every edge's polyline."""
+    out = {}
+    for d, path in edge_path.items():
+        found = []
+        for gi, (q1, q2) in enumerate(zip(path[:-1], path[1:])):
+            for ci, (c1, c2) in enumerate(cuts):
+                hit = ref_segment_intersection(c1, c2, q1, q2)
+                if hit is None:
+                    continue
+                _, pt, u, t = hit
+                if u == 0:
+                    continue
+                if u == 1 or t in (0, 1):
+                    raise PlanarError("cut %d has a degenerate contact at %r" % (ci, pt))
+                sign = 1 if _cross(_sub(c2, c1), _sub(q2, q1)) > 0 else -1
+                found.append(((gi, t), ci, sign))
+        found.sort(key=lambda e: e[0])
+        out[d] = [(ci, sign) for _, ci, sign in found]
+    return out
+
+
+def random_cuts(rng):
+    """1-3 integer cuts in the box [-1, 7]^2, each of positive length."""
+    out = []
+    while len(out) < rng.randint(1, 3):
+        a = (rng.randint(-1, 7), rng.randint(-1, 7))
+        b = (rng.randint(-1, 7), rng.randint(-1, 7))
+        if a != b:
+            out.append((a, b))
+    return out
+
+
+def test_branch_cuts_on_strand_segments_match_the_polyline_walker():
+    rng = random.Random(5)
+    kinds = {"crossed": 0, "uncrossed": 0, "error": 0}
+    for name, make in ARRANGEMENTS:
+        want_pd = _planar_outcome(ref_build_planar, make())
+        if isinstance(want_pd, str):
+            continue
+        pd = build_planar(make())
+        for _ in range(12):
+            cuts = random_cuts(rng)
+            want = _planar_outcome(lambda c: ref_branch_cut_crossings(want_pd[3], c), cuts)
+            got = _planar_outcome(lambda c: branch_cut_crossings(pd, c), cuts)
+            if isinstance(want, str):
+                # with several contacts, either side may name any of them
+                assert isinstance(got, str), (name, cuts)
+                kinds["error"] += 1
+                continue
+            assert got == want, (name, cuts)
+            kinds["crossed" if any(want.values()) else "uncrossed"] += 1
+    # every outcome occurs often, so the comparison is not vacuous
+    assert min(kinds.values()) >= 20, kinds

@@ -21,7 +21,7 @@ from etd.catalog import (
     natural_genus1,
     q8_reductions,
 )
-from etd.cmap import DisjointSets, build_map, subdivide_edges
+from etd.cmap import CombMap, DisjointSets, subdivide_edges
 from etd.cover import derived_cover, reduce_voltages
 from etd.diagram import (
     SCAFFOLD,
@@ -111,7 +111,7 @@ def dict_components(res):
         index = {x: i for i, x in enumerate(darts)}
         ep = [index[m.edge_pairing[x]] for x in darts]
         rot = [index[m.rotation[x]] for x in darts]
-        sub = build_map(len(darts), ep, rot)
+        sub = CombMap(len(darts), ep, rot)
         color = {}
         for e in sub.edges():
             color[e] = res.diagram.color[m.cell_of("edge", darts[e.dart])]
@@ -160,7 +160,7 @@ def dict_prune(d):
             while y in (drop, other):
                 y = m.rotation[y]
             rot.append(index[y])
-        m2 = build_map(len(keep), ep, rot)
+        m2 = CombMap(len(keep), ep, rot)
         color = {}
         for e in m2.edges():
             color[e] = d.color[m.cell_of("edge", keep[e.dart])]
@@ -212,15 +212,15 @@ def whiskered(marked):
     mark the vertex it hangs from, the second named by the whisker's own
     dart, which the pruning drops."""
     if marked == "base, least dart":
-        m = build_map(4, [1, 0, 3, 2], [2, 1, 3, 0])
+        m = CombMap(4, [1, 0, 3, 2], [2, 1, 3, 0])
         return ShadowDiagram(m, {m.cell_of("edge", 2): shadow(1)}, [m.cell_of("vertex", 0)])
-    m = build_map(4, [1, 0, 3, 2], [2, 1, 0, 3])
+    m = CombMap(4, [1, 0, 3, 2], [2, 1, 0, 3])
     marks = [m.cell_of("vertex", 3 if marked == "tip" else 0)]
     return ShadowDiagram(m, {m.cell_of("edge", 0): shadow(1)}, marks)
 
 
 def theta_sphere():
-    m = build_map(6, [1, 0, 3, 2, 5, 4], [2, 5, 4, 1, 0, 3])
+    m = CombMap(6, [1, 0, 3, 2, 5, 4], [2, 5, 4, 1, 0, 3])
     color = {m.cell_of("edge", x): shadow(x // 2 + 1) for x in (0, 2, 4)}
     return ShadowDiagram(m, color, [m.cell_of("vertex", 0), m.cell_of("vertex", 1)])
 

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from etd.catalog import entry
-from etd.cmap import build_map, is_isomorphic
+from etd.cmap import CombMap, is_isomorphic
 from etd.diagram import ShadowDiagram, alpha
 from etd.quotient import (
-    NO,
     YES,
     NotNormal,
     NotValidAction,
@@ -47,7 +46,7 @@ def full_action(arr):
 
 
 def square_torus():
-    return build_map(4, [1, 0, 3, 2], [2, 3, 1, 0])
+    return CombMap(4, [1, 0, 3, 2], [2, 3, 1, 0])
 
 
 def test_trivial_subgroup_gives_input_back():

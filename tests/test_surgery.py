@@ -1,14 +1,14 @@
 import pytest
 
-from etd.cmap import build_map
-from etd.diagram import SCAFFOLD, ShadowDiagram, shadow
+from etd.cmap import CombMap
+from etd.diagram import ShadowDiagram, shadow
 from etd.surgery import SurgeryError, prune_pendant_scaffold, tube
 
 
 def theta_sphere():
     ep = [1, 0, 3, 2, 5, 4]
     rot = [2, 5, 4, 1, 0, 3]
-    m = build_map(6, ep, rot)
+    m = CombMap(6, ep, rot)
     color = {
         m.cell_of("edge", 0): shadow(1),
         m.cell_of("edge", 2): shadow(2),
@@ -43,7 +43,7 @@ def test_tube_keeps_colors_and_adds_scaffold_rungs():
 
 def test_tube_rejects_mismatched_faces():
     d1 = theta_sphere()  # all faces have length 2
-    m = build_map(2, [1, 0], [1, 0])  # one loop: two monogon faces
+    m = CombMap(2, [1, 0], [1, 0])  # one loop: two monogon faces
     d2 = ShadowDiagram(m, {m.cell_of("edge", 0): shadow(1)})
     with pytest.raises(SurgeryError):
         tube(d1, d1.surface.faces()[0], d2, d2.surface.faces()[0])
@@ -53,7 +53,7 @@ def whiskered_sphere():
     # a single loop edge at one vertex plus a pendant scaffold whisker
     ep = [1, 0, 3, 2]
     rot = [2, 1, 0, 3]
-    m = build_map(4, ep, rot)
+    m = CombMap(4, ep, rot)
     color = {m.cell_of("edge", 0): shadow(1)}
     return ShadowDiagram(m, color)
 

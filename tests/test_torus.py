@@ -66,9 +66,9 @@ def test_three_lines_pairwise_crossing():
 def test_matches_hand_built_map():
     # slopes (1,0), (0,1), (1,1) in generic position: same map as the
     # hand-coded fixture used by the diagram tests
-    from etd.cmap import build_map
+    from etd.cmap import CombMap
 
-    hand = build_map(
+    hand = CombMap(
         12,
         [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10],
         [4, 11, 8, 7, 3, 10, 9, 0, 1, 5, 6, 2],

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from etd.catalog import _grid_torus, natural_genus1
-from etd.cmap import build_map
+from etd.cmap import CombMap
 from etd.planar import rotation_by_angle
 from etd.quotient import quotient
 from etd.torus import ArrangementError, _ext_gcd, affine_dart_map, arrangement, line
@@ -99,7 +99,7 @@ def ref_arrangement(lines):
             dart_dir[d_in] = (-L.p, -L.q)
             dart_line[d_out] = dart_line[d_in] = i
             pairing.extend([d_in, d_out])
-    m = build_map(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
+    m = CombMap(n, pairing, rotation_by_angle(n, dart_point, dart_dir))
     if m.genus() != 1:
         raise ArrangementError("arrangement did not close up to a torus")
     return m, dart_point, dart_dir, dart_line

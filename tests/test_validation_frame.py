@@ -11,7 +11,7 @@ import pytest
 import etd.diagram as diagram_mod
 import etd.invariants as invariants_mod
 from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
-from etd.cmap import UnknownCell, cut_along
+from etd.cmap import CutSurface, UnknownCell
 from etd.cover import derived_cover
 from etd.diagram import (
     MalformedColoring,
@@ -176,7 +176,7 @@ def reference_surface_h1_mod(m, extra_cycles=None):
 def reference_cut_components(m, cells):
     """(chi, boundary circles, darts) per component, each component's
     edges and faces counted by its own pass over every orbit."""
-    cut = cut_along(m, cells)  # corners and circles come from here
+    cut = CutSurface(m, cells)  # corners and circles come from here
     cut_darts, corners, circles = cut.cut_darts, cut.corners, cut.boundary_circle_darts
     corner_of = {}
     for i, corner in enumerate(corners):
@@ -334,7 +334,7 @@ def _cut_sets(d):
 def test_cut_components_match_per_component_reference(build):
     d = build()
     for cells in _cut_sets(d):
-        cut = cut_along(d.surface, cells)
+        cut = CutSurface(d.surface, cells)
         got = [(c.chi, c.boundary_circles, c.darts) for c in cut.components]
         assert got == reference_cut_components(d.surface, cells)
         for c in cut.components:
@@ -395,15 +395,15 @@ def test_validation_does_each_piece_of_work_once(monkeypatch):
     base, reds = q8_reductions()
     d = derived_cover(base.diagram, reds[-1][1]).diagram  # a fresh diagram and map
     assert d.surface.n_darts == 1712
-    calls = {"cut_along": 0, "H1Frame": 0, "_family_curves": []}
+    calls = {"CutSurface": 0, "H1Frame": 0, "_family_curves": []}
     real_cut, real_frame, real_curves = (
-        diagram_mod.cut_along,
+        diagram_mod.CutSurface,
         invariants_mod.H1Frame,
         diagram_mod._family_curves,
     )
 
     def cut(*args):
-        calls["cut_along"] += 1
+        calls["CutSurface"] += 1
         return real_cut(*args)
 
     def frame(m):
@@ -414,11 +414,11 @@ def test_validation_does_each_piece_of_work_once(monkeypatch):
         calls["_family_curves"].append(i)
         return real_curves(dd, i)
 
-    monkeypatch.setattr(diagram_mod, "cut_along", cut)
+    monkeypatch.setattr(diagram_mod, "CutSurface", cut)
     monkeypatch.setattr(invariants_mod, "H1Frame", frame)
     monkeypatch.setattr(diagram_mod, "_family_curves", curves)
     report = validate_trisection(d)
     assert report.gk() == (17, (5, 5, 5))
     # one cut per family for the cut systems and one per family for the
     # shadow arcs; one H1 frame for the surface; one extraction per family
-    assert calls == {"cut_along": 6, "H1Frame": 1, "_family_curves": [1, 2, 3]}
+    assert calls == {"CutSurface": 6, "H1Frame": 1, "_family_curves": [1, 2, 3]}
