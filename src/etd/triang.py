@@ -16,8 +16,12 @@ and the three k-values are Euler characteristics of those graphs,
 where V, E, F, T, P count simplices by dimension.  ``sigma_oracle``
 cross-checks g on a completely different path: it instantiates the
 central surface cell by cell (vertical annuli, disks and planar pieces
-inside every pentachoron, glued along the shared tetrahedra) and reads
-the genus off the assembled complex.
+inside every pentachoron, glued along the shared triangles and
+tetrahedra) and reads the genus off the assembled complex.  The cells
+of one pentachoron are enumerated once, on the standard pentachoron, as
+a template on flat integer ids; every pentachoron places a copy of it
+by offsets, and the closedness, connectivity and parity checks run once
+over the whole surface.
 
 Limitations, by design: vertex links are not checked for sphericity
 (that would need 3-sphere recognition), so the input is trusted to be a
@@ -28,6 +32,7 @@ do not depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .cmap import DisjointSets
@@ -128,9 +133,17 @@ def validate_triangulation(K: GTriangulation) -> bool:
             if not (0 <= v < K.n_vertices):
                 raise TriangError("vertex %r out of range" % (v,))
 
+    # every vertex must be used, so the count is bounded by the input
+    if K.n_vertices > 5 * len(K.pentachora):
+        raise TriangError(
+            "%d vertices, but %d pentachora use at most %d"
+            % (K.n_vertices, len(K.pentachora), 5 * len(K.pentachora))
+        )
     used = {v for p in K.pentachora for v in p}
-    if used != set(range(K.n_vertices)):
-        raise TriangError("unused vertices: %s" % sorted(set(range(K.n_vertices)) - used))
+    if len(used) != K.n_vertices:
+        unused = sorted(set(range(K.n_vertices)) - used)
+        more = ", ... (%d in all)" % len(unused) if len(unused) > 5 else ""
+        raise TriangError("unused vertices: %s%s" % (", ".join(map(str, unused[:5])), more))
 
     facets = _facet_multiset(K)
     for t, owners in facets.items():
@@ -287,22 +300,40 @@ def bridge_parameters(K: GTriangulation, surface) -> tuple:
 #   * vertical annuli over the vertex-triangle seam circles (1/4..3/4),
 #   * one planar 3-holed sphere per triangle at depth 3/4, split here
 #     into one square per edge and one hexagon per tetrahedron side.
-# Cells at depth 0 live in the boundary tetrahedra and are shared by the
-# two adjacent pentachora; everything else is pentachoron-local.  Cells
-# are keyed by incidence flags (v in e in f in t), so the gluing is
-# forced and no coordinates are needed.
+# Cells are keyed by incidence flags (v in e in f in t), so the gluing
+# is forced and no coordinates are needed.  Each cell is shared at one
+# of three levels:
+#   * a vertex q, by every pentachoron around its triangle;
+#   * a vertex p or an edge h or s (depth 0), by the two pentachora on
+#     its tetrahedron;
+#   * any other cell, by no other pentachoron.
+# Every pentachoron's piece is the same complex up to relabelling by its
+# sorted vertices, so the keyed rules run once, on the standard
+# pentachoron (0, 1, 2, 3, 4), and the result is kept as a template on
+# flat integer ids.  The assembly gives each cell the id
+#     base of its level + index of its unit * cells per unit + local index,
+# its unit being its triangle, tetrahedron or pentachoron, and then runs
+# each check once over the whole surface: every edge borders two faces,
+# one union-find pass over the edges makes V - 1 merges, and the Euler
+# characteristic is even.  A failed check names a cell by its flag key.
 
 
-def _sigma_cells(K: GTriangulation):
-    edges = {}  # edge id -> (vertex id, vertex id)
-    faces = []  # (face id, [edge ids])
+def _sigma_cells():
+    """The cells of the central surface in the standard pentachoron
+    (0, 1, 2, 3, 4), by their flag keys, including the shared cells on
+    its five boundary tetrahedra.  Pentachoron-level keys omit the
+    pentachoron's index."""
+    S = tuple(range(5))
+    tets = list(combinations(S, 4))
+    edges = {}  # edge key -> (vertex key, vertex key)
+    faces = []  # (face key, [edge keys])
 
     def tet_faces_of(t, e):
         """The two triangles of tetrahedron t containing edge e."""
         other = [v for v in t if v not in e]
         return tuple(sorted(e + (other[0],))), tuple(sorted(e + (other[1],)))
 
-    for t in K.tetrahedra():
+    for t in tets:
         for f in combinations(t, 3):
             for e in combinations(f, 2):
                 for v in e:
@@ -311,183 +342,243 @@ def _sigma_cells(K: GTriangulation):
             f1, f2 = tet_faces_of(t, e)
             for v in e:
                 edges[("s", v, e, t)] = (("p", v, e, f1, t), ("p", v, e, f2, t))
+                edges[("ss", v, e, t)] = (("c", v, e, f1, t), ("c", v, e, f2, t))
 
-    for ip, penta in enumerate(K.pentachora):
-        S = tuple(sorted(penta))
-        tets = list(combinations(S, 4))
-        for f in combinations(S, 3):
-            f_tets = [t for t in tets if set(f) <= set(t)]  # always two
-            for e in combinations(f, 2):
-                for v in e:
-                    edges[("wAq", ip, v, e, f)] = (("q", v, e, f), ("qq", ip, v, e, f))
-                    edges[("wCqq", ip, v, e, f)] = (
-                        ("qq", ip, v, e, f),
-                        ("rr", ip, v, e, f),
-                    )
-                    for t in f_tets:
-                        edges[("wAp", ip, v, e, f, t)] = (
-                            ("p", v, e, f, t),
-                            ("c", ip, v, e, f, t),
-                        )
-                        edges[("hh", ip, v, e, f, t)] = (
-                            ("qq", ip, v, e, f),
-                            ("c", ip, v, e, f, t),
-                        )
-                        edges[("wCc", ip, v, e, f, t)] = (
-                            ("c", ip, v, e, f, t),
-                            ("r", ip, v, e, f, t),
-                        )
-                        edges[("hh3", ip, v, e, f, t)] = (
-                            ("rr", ip, v, e, f),
-                            ("r", ip, v, e, f, t),
-                        )
-            for t in f_tets:
-                for e in combinations(f, 2):
-                    v1, v2 = e
-                    edges[("m", ip, e, f, t)] = (
-                        ("r", ip, v1, e, f, t),
-                        ("r", ip, v2, e, f, t),
-                    )
-                for v in f:
-                    e1, e2 = [e for e in combinations(f, 2) if v in e]
-                    edges[("g", ip, v, f, t)] = (
-                        ("c", ip, v, e1, f, t),
-                        ("c", ip, v, e2, f, t),
-                    )
-                    edges[("g3", ip, v, f, t)] = (
-                        ("r", ip, v, e1, f, t),
-                        ("r", ip, v, e2, f, t),
-                    )
-        for t in tets:
-            for e in combinations(t, 2):
-                f1, f2 = tet_faces_of(t, e)
-                for v in e:
-                    edges[("ss", ip, v, e, t)] = (
-                        ("c", ip, v, e, f1, t),
-                        ("c", ip, v, e, f2, t),
-                    )
-
-        # 2-cells
-        for e in combinations(S, 2):
-            e_faces = [f for f in combinations(S, 3) if set(e) <= set(f)]
-            e_tets = [t for t in tets if set(e) <= set(t)]
+    for f in combinations(S, 3):
+        f_tets = [t for t in tets if set(f) <= set(t)]  # always two
+        for e in combinations(f, 2):
             for v in e:
-                for f in e_faces:
-                    for t in [t for t in tets if set(f) <= set(t)]:
-                        faces.append(
-                            (
-                                ("Ah", ip, v, e, f, t),
-                                [
-                                    ("h", v, e, f, t),
-                                    ("wAq", ip, v, e, f),
-                                    ("hh", ip, v, e, f, t),
-                                    ("wAp", ip, v, e, f, t),
-                                ],
-                            )
-                        )
-                for t in e_tets:
-                    f1, f2 = tet_faces_of(t, e)
-                    faces.append(
-                        (
-                            ("As", ip, v, e, t),
-                            [
-                                ("s", v, e, t),
-                                ("wAp", ip, v, e, f1, t),
-                                ("ss", ip, v, e, t),
-                                ("wAp", ip, v, e, f2, t),
-                            ],
-                        )
-                    )
-        for t in tets:
-            for v in t:
-                boundary = [
-                    ("ss", ip, v, e, t) for e in combinations(t, 2) if v in e
-                ] + [("g", ip, v, f, t) for f in combinations(t, 3) if v in f]
-                faces.append((("B", ip, v, t), boundary))
-        for f in combinations(S, 3):
-            f_tets = [t for t in tets if set(f) <= set(t)]
-            for v in f:
-                for e in [e for e in combinations(f, 2) if v in e]:
-                    for t in f_tets:
-                        faces.append(
-                            (
-                                ("Chh", ip, v, e, f, t),
-                                [
-                                    ("hh", ip, v, e, f, t),
-                                    ("wCqq", ip, v, e, f),
-                                    ("hh3", ip, v, e, f, t),
-                                    ("wCc", ip, v, e, f, t),
-                                ],
-                            )
-                        )
+                edges[("wAq", v, e, f)] = (("q", v, e, f), ("qq", v, e, f))
+                edges[("wCqq", v, e, f)] = (("qq", v, e, f), ("rr", v, e, f))
                 for t in f_tets:
-                    e1, e2 = [e for e in combinations(f, 2) if v in e]
-                    faces.append(
-                        (
-                            ("Cg", ip, v, f, t),
-                            [
-                                ("g", ip, v, f, t),
-                                ("wCc", ip, v, e1, f, t),
-                                ("g3", ip, v, f, t),
-                                ("wCc", ip, v, e2, f, t),
-                            ],
-                        )
-                    )
-            t1, t2 = f_tets
+                    edges[("wAp", v, e, f, t)] = (("p", v, e, f, t), ("c", v, e, f, t))
+                    edges[("hh", v, e, f, t)] = (("qq", v, e, f), ("c", v, e, f, t))
+                    edges[("wCc", v, e, f, t)] = (("c", v, e, f, t), ("r", v, e, f, t))
+                    edges[("hh3", v, e, f, t)] = (("rr", v, e, f), ("r", v, e, f, t))
+        for t in f_tets:
             for e in combinations(f, 2):
                 v1, v2 = e
-                faces.append(
-                    (
-                        ("dE", ip, e, f),
-                        [
-                            ("m", ip, e, f, t1),
-                            ("hh3", ip, v1, e, f, t1),
-                            ("hh3", ip, v1, e, f, t2),
-                            ("m", ip, e, f, t2),
-                            ("hh3", ip, v2, e, f, t2),
-                            ("hh3", ip, v2, e, f, t1),
-                        ],
-                    )
-                )
+                edges[("m", e, f, t)] = (("r", v1, e, f, t), ("r", v2, e, f, t))
+            for v in f:
+                e1, e2 = [e for e in combinations(f, 2) if v in e]
+                edges[("g", v, f, t)] = (("c", v, e1, f, t), ("c", v, e2, f, t))
+                edges[("g3", v, f, t)] = (("r", v, e1, f, t), ("r", v, e2, f, t))
+
+    # 2-cells
+    for e in combinations(S, 2):
+        e_faces = [f for f in combinations(S, 3) if set(e) <= set(f)]
+        e_tets = [t for t in tets if set(e) <= set(t)]
+        for v in e:
+            for f in e_faces:
+                for t in [t for t in tets if set(f) <= set(t)]:
+                    boundary = [("h", v, e, f, t), ("wAq", v, e, f)]
+                    boundary += [("hh", v, e, f, t), ("wAp", v, e, f, t)]
+                    faces.append((("Ah", v, e, f, t), boundary))
+            for t in e_tets:
+                f1, f2 = tet_faces_of(t, e)
+                boundary = [("s", v, e, t), ("wAp", v, e, f1, t)]
+                boundary += [("ss", v, e, t), ("wAp", v, e, f2, t)]
+                faces.append((("As", v, e, t), boundary))
+    for t in tets:
+        for v in t:
+            boundary = [("ss", v, e, t) for e in combinations(t, 2) if v in e] + [
+                ("g", v, f, t) for f in combinations(t, 3) if v in f
+            ]
+            faces.append((("B", v, t), boundary))
+    for f in combinations(S, 3):
+        f_tets = [t for t in tets if set(f) <= set(t)]
+        for v in f:
+            for e in [e for e in combinations(f, 2) if v in e]:
+                for t in f_tets:
+                    boundary = [("hh", v, e, f, t), ("wCqq", v, e, f)]
+                    boundary += [("hh3", v, e, f, t), ("wCc", v, e, f, t)]
+                    faces.append((("Chh", v, e, f, t), boundary))
             for t in f_tets:
-                boundary = [("m", ip, e, f, t) for e in combinations(f, 2)] + [
-                    ("g3", ip, v, f, t) for v in f
-                ]
-                faces.append((("dT", ip, f, t), boundary))
+                e1, e2 = [e for e in combinations(f, 2) if v in e]
+                boundary = [("g", v, f, t), ("wCc", v, e1, f, t)]
+                boundary += [("g3", v, f, t), ("wCc", v, e2, f, t)]
+                faces.append((("Cg", v, f, t), boundary))
+        t1, t2 = f_tets
+        for e in combinations(f, 2):
+            v1, v2 = e
+            boundary = [
+                ("m", e, f, t1),
+                ("hh3", v1, e, f, t1),
+                ("hh3", v1, e, f, t2),
+                ("m", e, f, t2),
+                ("hh3", v2, e, f, t2),
+                ("hh3", v2, e, f, t1),
+            ]
+            faces.append((("dE", e, f), boundary))
+        for t in f_tets:
+            boundary = [("m", e, f, t) for e in combinations(f, 2)] + [("g3", v, f, t) for v in f]
+            faces.append((("dT", f, t), boundary))
     return edges, faces
+
+
+# Sharing level of a cell by its kind: 0 for a triangle's cells, 1 for a
+# tetrahedron's, 2 (every other kind) for a pentachoron's own.  The
+# template's 16 units are the standard pentachoron's 10 triangles and 5
+# tetrahedra, in ``combinations`` order, and the pentachoron itself.
+_LEVEL = {"q": 0, "p": 1, "h": 1, "s": 1}
+_UNITS = (tuple(combinations(range(5), 3)), tuple(combinations(range(5), 4)), (tuple(range(5)),))
+_UNIT_LEVEL = tuple(level for level, units in enumerate(_UNITS) for _ in units)
+
+
+def _relabel(key, labels):
+    """``key`` with each vertex label x, alone or in a simplex, replaced
+    by ``labels[x]``."""
+    return (key[0],) + tuple(
+        labels[x] if isinstance(x, int) else tuple(labels[y] for y in x) for x in key[1:]
+    )
+
+
+class _Numbering:
+    """Flat ids for one kind of cell (vertices or edges).
+
+    A cell's id is its level's base, plus its unit's index within the
+    level times ``per_unit[level]``, plus its local index.  The local
+    index numbers a unit's cells by their flag keys written in the
+    unit's own vertex positions (0..2, 0..3 or 0..4), so every unit of a
+    level has the same local numbering.  (A plain class: a dataclass
+    would add a millisecond to the import of this module.)
+    """
+
+    def __init__(self, keys, per_unit):
+        self.keys = keys  # per level: local index -> flag key in vertex positions
+        self.per_unit = per_unit  # per level: cells per triangle, tetrahedron, pentachoron
+
+    def bases(self, n_units):
+        """Each level's first id, then the total, for ``n_units[level]``
+        units per level."""
+        base = [0]
+        for n, k in zip(self.per_unit, n_units):
+            base.append(base[-1] + n * k)
+        return base
+
+    def blocks(self, unit, base):
+        """(first id, count) of each of a pentachoron's 16 units, given
+        their indices ``unit``; the template's ids run through them in
+        order."""
+        return [
+            (base[level] + u * self.per_unit[level], self.per_unit[level])
+            for level, u in zip(_UNIT_LEVEL, unit)
+        ]
+
+    def flag_key(self, g, base, owners):
+        """The flag key of id ``g``; ``owners[level]`` lists that level's
+        simplices by index (sorted pentachora at level 2)."""
+        level = max(lv for lv in range(3) if base[lv] <= g)
+        unit, local = divmod(g - base[level], self.per_unit[level])
+        key = _relabel(self.keys[level][local], owners[level][unit])
+        return (key[0], unit) + key[1:] if level == 2 else key
+
+
+@cache
+def _sigma_template():
+    """The cells of :func:`_sigma_cells` on flat ids, built on first use:
+    the vertex and edge numberings, the endpoint ids of each edge (those
+    of edge i at 2i and 2i + 1), every face's edge ids concatenated, and
+    the face count, all faces being pentachoron-level."""
+    edges, faces = _sigma_cells()
+
+    def place(key):
+        level = _LEVEL.get(key[0], 2)
+        if level == 2:
+            return level, 0, key
+        owner = key[-1]
+        pos = {x: i for i, x in enumerate(owner)}
+        return level, _UNITS[level].index(owner), _relabel(key, pos)
+
+    def number(keys):
+        placed = {key: place(key) for key in keys}
+        local = ({}, {}, {})
+        for level, _, canon in placed.values():
+            local[level].setdefault(canon, len(local[level]))
+        numbering = _Numbering(tuple(tuple(d) for d in local), tuple(len(d) for d in local))
+        base = numbering.bases([len(units) for units in _UNITS])
+        assert base[3] == len(placed), "units of one level differ in their cells"
+        ids = {
+            key: base[level] + unit * numbering.per_unit[level] + local[level][canon]
+            for key, (level, unit, canon) in placed.items()
+        }
+        return numbering, ids
+
+    vertices, vid = number([x for ends in edges.values() for x in ends])
+    edge_numbering, eid = number(edges)
+    ends = [0] * (2 * len(edges))
+    for key, (a, b) in edges.items():
+        ends[2 * eid[key]], ends[2 * eid[key] + 1] = vid[a], vid[b]
+    assert not _LEVEL.keys() & {key[0] for key, _ in faces}
+    face_edges = tuple(eid[e] for _, boundary in faces for e in boundary)
+    return vertices, edge_numbering, tuple(ends), face_edges, len(faces)
+
+
+def _sigma_counts(K: GTriangulation):
+    """(V, E, F) of the central surface of ``K``, assembled from the
+    template and checked to be closed (every edge borders two faces) and
+    connected.  ``K`` needs a pentachoron, and 5 distinct vertices in
+    each."""
+    vertices, edges, edge_ends, face_edges, faces = _sigma_template()
+    tris, tets, pentas = {}, {}, []
+    units = []  # per pentachoron: the index of each of its 16 units
+    for ip, penta in enumerate(K.pentachora):
+        S = tuple(sorted(penta))
+        units.append(
+            [tris.setdefault(f, len(tris)) for f in combinations(S, 3)]
+            + [tets.setdefault(t, len(tets)) for t in combinations(S, 4)]
+            + [ip]
+        )
+        pentas.append(S)
+    owners = (list(tris), list(tets), pentas)
+    vbase = vertices.bases(map(len, owners))
+    ebase = edges.bases(map(len, owners))
+    V, E, F = vbase[3], ebase[3], faces * len(pentas)
+
+    ends = [0] * (2 * E)  # a shared edge is written alike by each of its pentachora
+    use = [0] * E
+    for unit in units:
+        vg = []  # template vertex id -> id
+        for first, n in vertices.blocks(unit, vbase):
+            vg.extend(range(first, first + n))
+        ends_here = [vg[x] for x in edge_ends]
+        eg = []  # template edge id -> id
+        for first, n in edges.blocks(unit, ebase):
+            x = 2 * len(eg)
+            ends[2 * first : 2 * (first + n)] = ends_here[x : x + 2 * n]
+            eg.extend(range(first, first + n))
+        for x in face_edges:
+            use[eg[x]] += 1
+
+    if use.count(2) != E:
+        bad = [g for g in range(E) if use[g] != 2]
+        raise TriangError(
+            "central surface is not closed at %d cells, e.g. %r"
+            % (len(bad), edges.flag_key(bad[0], ebase, owners))
+        )
+    pieces = DisjointSets(V)
+    it = iter(ends)
+    if sum(map(pieces.union, it, it)) != V - 1:
+        root = pieces.find(0)
+        apart = next(x for x in range(V) if pieces.find(x) != root)
+        raise TriangError(
+            "central surface is disconnected, e.g. at %r"
+            % (vertices.flag_key(apart, vbase, owners),)
+        )
+    return V, E, F
 
 
 def sigma_oracle(K: GTriangulation) -> int:
     """Genus of the central surface, from an explicit cell assembly.
 
-    Shares no formula with :func:`trisection_parameters`: the surface is
-    built as an edge-vertex-face complex, checked to be closed (every
-    edge borders exactly two cells) and connected, and its genus is read
-    off the Euler characteristic.
+    Shares no formula with :func:`trisection_parameters`: every
+    pentachoron places a copy of the template's cells (:func:`_sigma_counts`),
+    the whole surface is checked to be closed and connected, and its
+    genus is read off the Euler characteristic, which must be even.
     """
     validate_triangulation(K)
-    edges, faces = _sigma_cells(K)
-
-    use = {eid: 0 for eid in edges}
-    for _, boundary in faces:
-        for eid in boundary:
-            use[eid] += 1
-    bad = [eid for eid, c in use.items() if c != 2]
-    if bad:
-        raise TriangError(
-            "central surface is not closed at %d cells, e.g. %r" % (len(bad), bad[0])
-        )
-
-    verts = {}
-    for a, b in edges.values():
-        verts.setdefault(a, len(verts))
-        verts.setdefault(b, len(verts))
-    pieces = DisjointSets(len(verts))
-    merges = sum(pieces.union(verts[a], verts[b]) for a, b in edges.values())
-    if merges != len(verts) - 1:
-        raise TriangError("central surface is disconnected")
-
-    chi = len(verts) - len(edges) + len(faces)
+    V, E, F = _sigma_counts(K)
+    chi = V - E + F
     if chi % 2:
         raise TriangError("central surface has odd Euler characteristic %d" % chi)
     return (2 - chi) // 2
@@ -568,20 +659,24 @@ def serialize_triangulation(K: GTriangulation) -> str:
 
 
 def parse_triangulation(text: str) -> GTriangulation:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
+    """Read the text format; every error names its 1-based line, except
+    a missing header or ``vertices`` line."""
+    rows = [
+        (lineno, ln.strip())
+        for lineno, ln in enumerate(text.splitlines(), 1)
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
-    if not lines or lines[0].split() != ["etd-triangulation", "1"]:
+    if not rows:
         raise FileFormatError("expected header 'etd-triangulation 1'")
+    if rows[0][1].split() != ["etd-triangulation", "1"]:
+        raise FileFormatError("line %d: expected header 'etd-triangulation 1'" % rows[0][0])
     n_vertices = None
     pentachora = []
     glues = []
     generators = []
     generator_names = []
     surfaces = []
-    for ln in lines[1:]:
+    for lineno, ln in rows[1:]:
         key, *rest = ln.split()
         try:
             if key == "vertices":
@@ -594,8 +689,10 @@ def parse_triangulation(text: str) -> GTriangulation:
             elif key == "glue":
                 if len(rest) != 4:
                     raise FileFormatError("glue needs 4 numbers: %r" % ln)
-                glues.append(tuple(int(v) for v in rest))
+                glues.append((lineno, tuple(int(v) for v in rest)))
             elif key == "generator":
+                if not rest:
+                    raise FileFormatError("generator needs a name: %r" % ln)
                 generator_names.append(rest[0])
                 generators.append(tuple(int(v) for v in rest[1:]))
             elif key == "surface":
@@ -607,20 +704,25 @@ def parse_triangulation(text: str) -> GTriangulation:
                 )
             else:
                 raise FileFormatError("unknown key %r" % key)
+        except FileFormatError as err:
+            raise FileFormatError("line %d: %s" % (lineno, err))
         except ValueError:
-            raise FileFormatError("bad line %r" % ln)
+            raise FileFormatError("line %d: bad line %r" % (lineno, ln))
     if n_vertices is None:
         raise FileFormatError("missing vertices line")
-    K = GTriangulation(n_vertices, pentachora, generators, generator_names, surfaces)
-    for i, fi, j, fj in glues:
-        try:
-            a = tuple(sorted(v for x, v in enumerate(K.pentachora[i]) if x != fi))
-            b = tuple(sorted(v for x, v in enumerate(K.pentachora[j]) if x != fj))
-        except IndexError:
-            raise FileFormatError("glue indices out of range: %r" % ((i, fi, j, fj),))
+    for lineno, (i, fi, j, fj) in glues:
+        if not (0 <= i < len(pentachora) and 0 <= j < len(pentachora)):
+            raise FileFormatError(
+                "line %d: glue pentachoron index out of range (%d pentachora)"
+                % (lineno, len(pentachora))
+            )
+        if not (0 <= fi < 5 and 0 <= fj < 5):
+            raise FileFormatError("line %d: glue facet index out of range 0..4" % lineno)
+        a = tuple(sorted(v for x, v in enumerate(pentachora[i]) if x != fi))
+        b = tuple(sorted(v for x, v in enumerate(pentachora[j]) if x != fj))
         if a != b:
             raise FileFormatError(
-                "glue %r does not match facet vertex sets %r vs %r"
-                % ((i, fi, j, fj), a, b)
+                "line %d: glue %r does not match facet vertex sets %r vs %r"
+                % (lineno, (i, fi, j, fj), a, b)
             )
-    return K
+    return GTriangulation(n_vertices, pentachora, generators, generator_names, surfaces)

@@ -1,7 +1,9 @@
-"""Seeded fuzzing of the CLI on mutated frozen fixture files: every input
-ends in an exit code of the 0/1/2 contract, never in a traceback."""
+"""Seeded fuzzing of the CLI on mutated frozen fixture files (diagrams
+and triangulations): every input ends in an exit code of the 0/1/2
+contract, never in a traceback."""
 
 import random
+from importlib import resources
 
 import pytest
 
@@ -13,9 +15,12 @@ CASES_PER_FILE = 40
 TAILS = (
     b"\xff\xfe", b"\x00", b"\xc3", b" 7", b"\n", b" x", b"\nedge 0 alpha1", b"\ncone vertex 0 2"
 )
+TRI_NAMES = ("double_4_simplex", "boundary_5_simplex", "cyclic_7_5")
+TRI_FLAGS = (["--oracle"], ["--oracle", "--json"])
+TRI_TAILS = TAILS + (b"\ngenerator", b"\nglue -1 0 1 0", b"\nglue 0 7 1 0", b"\nvertices 99")
 
 
-def mutate(text: str, rng: random.Random) -> bytes:
+def mutate(text: str, rng: random.Random, tails=TAILS) -> bytes:
     """One to three random edits: swap two tokens, drop a token, drop a
     line, or append bytes (some of them not UTF-8)."""
     lines = [ln.split(" ") for ln in text.splitlines()]
@@ -32,8 +37,18 @@ def mutate(text: str, rng: random.Random) -> bytes:
         elif kind == 2 and len(lines) > 1:
             del lines[i]
         else:
-            tail += rng.choice(TAILS)
+            tail += rng.choice(tails)
     return "\n".join(" ".join(ln) for ln in lines).encode() + b"\n" + tail
+
+
+def assert_contract(argv, capsys, where):
+    try:
+        code = main(argv)
+    except Exception as err:  # a traceback breaks the contract
+        pytest.fail("%s raised %r" % (where, err))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), where
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", FROZEN_NAMES)
@@ -47,10 +62,16 @@ def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, capsys, name):
         path.write_bytes(data)
         for verb in VERBS:
             argv = [verb, str(path)] + (["--out", str(out)] if verb in ("quotient", "lift") else [])
-            try:
-                code = main(argv)
-            except Exception as err:  # a traceback breaks the contract
-                pytest.fail("%s case %d %s raised %r" % (name, case, verb, err))
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2), (name, case, verb)
-            assert "Traceback" not in err
+            assert_contract(argv, capsys, "%s case %d %s" % (name, case, verb))
+
+
+@pytest.mark.parametrize("name", TRI_NAMES)
+def test_mutated_triangulations_keep_the_exit_code_contract(tmp_path, capsys, name):
+    rng = random.Random(name)
+    text = (resources.files("etd.data") / (name + ".tri")).read_text()
+    path = tmp_path / "fuzz.tri"
+    for case in range(CASES_PER_FILE):
+        path.write_bytes(mutate(text, rng, TRI_TAILS))
+        for flags in TRI_FLAGS:
+            argv = ["triang", str(path)] + flags
+            assert_contract(argv, capsys, "%s case %d %s" % (name, case, " ".join(flags)))

@@ -1,7 +1,11 @@
+import ast
 import random
+import re
+from itertools import combinations
 
 import pytest
 
+from etd.cmap import DisjointSets
 from etd.diagio import FileFormatError
 from etd.triang import (
     GenusMismatch,
@@ -11,6 +15,7 @@ from etd.triang import (
     OpenFacet,
     SurfaceNotInvariant,
     TriangError,
+    _sigma_counts,
     boundary_five_simplex,
     bridge_parameters,
     csaszar_torus,
@@ -208,9 +213,305 @@ def test_frozen_files_match_builders():
         lambda t: t + "pentachoron 0 1 2 3\n",
         lambda t: t + "surface 0 1\n",
         lambda t: t.replace("glue 0 4 1 4", "glue 0 4 1 3", 1),
+        lambda t: t + "generator\n",
+        lambda t: t + "glue -1 0 1 0\n",
+        lambda t: t + "glue 0 7 1 0\n",
+        lambda t: t + "glue 0 0 6 0\n",
     ],
 )
 def test_malformed_files_rejected(mutation):
     text = serialize_triangulation(boundary_five_simplex())
     with pytest.raises(FileFormatError):
         parse_triangulation(mutation(text))
+
+
+def test_parse_errors_name_their_line():
+    text = serialize_triangulation(boundary_five_simplex())
+    end = len(text.splitlines()) + 1
+    double = serialize_triangulation(double_four_simplex())
+    dend = len(double.splitlines()) + 1
+    cases = [
+        (text + "generator\n", "line %d: generator needs a name" % end),
+        # pentachora 1 and -1 of the double 4-simplex are the same
+        (double + "glue -1 0 1 0\n", "line %d: glue pentachoron index out of range" % dend),
+        (double + "glue 0 0 2 0\n", "line %d: glue pentachoron index out of range" % dend),
+        (double + "glue 0 7 1 0\n", "line %d: glue facet index out of range 0..4" % dend),
+        (text.replace("glue 0 4 1 4", "glue 0 4 1 3"), "line 9: glue (0, 4, 1, 3) does not match"),
+        (text.replace("vertices 6", "vertices six"), "line 2: bad line"),
+        (text + "# note\n\nfrobnicate 1\n", "line %d: unknown key" % (end + 2)),
+        (text.replace("pentachoron 0 1 2 3 5", "pentachoron 0 1 2 3"), "line 4: pentachoron needs"),
+        ("\n" + text.replace("triangulation 1", "triangulation 2"), "line 2: expected header"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            parse_triangulation(bad)
+
+
+def test_vertex_count_bounded_by_the_pentachora():
+    two = double_four_simplex().pentachora
+    with pytest.raises(TriangError, match="11 vertices, but 2 pentachora use at most 10"):
+        validate_triangulation(GTriangulation(11, two))
+    with pytest.raises(TriangError, match="unused vertices: 5, 6, 7, 8, 9$"):
+        validate_triangulation(GTriangulation(10, two))
+    six = boundary_five_simplex().pentachora
+    with pytest.raises(
+        TriangError, match=re.escape("unused vertices: 6, 7, 8, 9, 10, ... (14 in all)")
+    ):
+        validate_triangulation(GTriangulation(20, six))
+
+
+# ---------------------------------------------------------------------------
+# differential check of the template assembly against the keyed assembly
+# it replaced: every cell a nested-tuple dict key, built pentachoron by
+# pentachoron (copied as it stood, minus the validation call)
+
+
+def keyed_sigma_cells(K):
+    edges = {}  # edge id -> (vertex id, vertex id)
+    faces = []  # (face id, [edge ids])
+
+    def tet_faces_of(t, e):
+        """The two triangles of tetrahedron t containing edge e."""
+        other = [v for v in t if v not in e]
+        return tuple(sorted(e + (other[0],))), tuple(sorted(e + (other[1],)))
+
+    for t in K.tetrahedra():
+        for f in combinations(t, 3):
+            for e in combinations(f, 2):
+                for v in e:
+                    edges[("h", v, e, f, t)] = (("q", v, e, f), ("p", v, e, f, t))
+        for e in combinations(t, 2):
+            f1, f2 = tet_faces_of(t, e)
+            for v in e:
+                edges[("s", v, e, t)] = (("p", v, e, f1, t), ("p", v, e, f2, t))
+
+    for ip, penta in enumerate(K.pentachora):
+        S = tuple(sorted(penta))
+        tets = list(combinations(S, 4))
+        for f in combinations(S, 3):
+            f_tets = [t for t in tets if set(f) <= set(t)]  # always two
+            for e in combinations(f, 2):
+                for v in e:
+                    edges[("wAq", ip, v, e, f)] = (("q", v, e, f), ("qq", ip, v, e, f))
+                    edges[("wCqq", ip, v, e, f)] = (("qq", ip, v, e, f), ("rr", ip, v, e, f))
+                    for t in f_tets:
+                        c, r = ("c", ip, v, e, f, t), ("r", ip, v, e, f, t)
+                        edges[("wAp", ip, v, e, f, t)] = (("p", v, e, f, t), c)
+                        edges[("hh", ip, v, e, f, t)] = (("qq", ip, v, e, f), c)
+                        edges[("wCc", ip, v, e, f, t)] = (c, r)
+                        edges[("hh3", ip, v, e, f, t)] = (("rr", ip, v, e, f), r)
+            for t in f_tets:
+                for e in combinations(f, 2):
+                    v1, v2 = e
+                    edges[("m", ip, e, f, t)] = (("r", ip, v1, e, f, t), ("r", ip, v2, e, f, t))
+                for v in f:
+                    e1, e2 = [e for e in combinations(f, 2) if v in e]
+                    edges[("g", ip, v, f, t)] = (("c", ip, v, e1, f, t), ("c", ip, v, e2, f, t))
+                    edges[("g3", ip, v, f, t)] = (("r", ip, v, e1, f, t), ("r", ip, v, e2, f, t))
+        for t in tets:
+            for e in combinations(t, 2):
+                f1, f2 = tet_faces_of(t, e)
+                for v in e:
+                    edges[("ss", ip, v, e, t)] = (
+                        ("c", ip, v, e, f1, t),
+                        ("c", ip, v, e, f2, t),
+                    )
+
+        # 2-cells
+        for e in combinations(S, 2):
+            e_faces = [f for f in combinations(S, 3) if set(e) <= set(f)]
+            e_tets = [t for t in tets if set(e) <= set(t)]
+            for v in e:
+                for f in e_faces:
+                    for t in [t for t in tets if set(f) <= set(t)]:
+                        faces.append(
+                            (
+                                ("Ah", ip, v, e, f, t),
+                                [
+                                    ("h", v, e, f, t),
+                                    ("wAq", ip, v, e, f),
+                                    ("hh", ip, v, e, f, t),
+                                    ("wAp", ip, v, e, f, t),
+                                ],
+                            )
+                        )
+                for t in e_tets:
+                    f1, f2 = tet_faces_of(t, e)
+                    faces.append(
+                        (
+                            ("As", ip, v, e, t),
+                            [
+                                ("s", v, e, t),
+                                ("wAp", ip, v, e, f1, t),
+                                ("ss", ip, v, e, t),
+                                ("wAp", ip, v, e, f2, t),
+                            ],
+                        )
+                    )
+        for t in tets:
+            for v in t:
+                boundary = [("ss", ip, v, e, t) for e in combinations(t, 2) if v in e] + [
+                    ("g", ip, v, f, t) for f in combinations(t, 3) if v in f
+                ]
+                faces.append((("B", ip, v, t), boundary))
+        for f in combinations(S, 3):
+            f_tets = [t for t in tets if set(f) <= set(t)]
+            for v in f:
+                for e in [e for e in combinations(f, 2) if v in e]:
+                    for t in f_tets:
+                        faces.append(
+                            (
+                                ("Chh", ip, v, e, f, t),
+                                [
+                                    ("hh", ip, v, e, f, t),
+                                    ("wCqq", ip, v, e, f),
+                                    ("hh3", ip, v, e, f, t),
+                                    ("wCc", ip, v, e, f, t),
+                                ],
+                            )
+                        )
+                for t in f_tets:
+                    e1, e2 = [e for e in combinations(f, 2) if v in e]
+                    faces.append(
+                        (
+                            ("Cg", ip, v, f, t),
+                            [
+                                ("g", ip, v, f, t),
+                                ("wCc", ip, v, e1, f, t),
+                                ("g3", ip, v, f, t),
+                                ("wCc", ip, v, e2, f, t),
+                            ],
+                        )
+                    )
+            t1, t2 = f_tets
+            for e in combinations(f, 2):
+                v1, v2 = e
+                faces.append(
+                    (
+                        ("dE", ip, e, f),
+                        [
+                            ("m", ip, e, f, t1),
+                            ("hh3", ip, v1, e, f, t1),
+                            ("hh3", ip, v1, e, f, t2),
+                            ("m", ip, e, f, t2),
+                            ("hh3", ip, v2, e, f, t2),
+                            ("hh3", ip, v2, e, f, t1),
+                        ],
+                    )
+                )
+            for t in f_tets:
+                boundary = [("m", ip, e, f, t) for e in combinations(f, 2)] + [
+                    ("g3", ip, v, f, t) for v in f
+                ]
+                faces.append((("dT", ip, f, t), boundary))
+    return edges, faces
+
+
+def keyed_sigma_oracle(K):
+    edges, faces = keyed_sigma_cells(K)
+
+    use = {eid: 0 for eid in edges}
+    for _, boundary in faces:
+        for eid in boundary:
+            use[eid] += 1
+    bad = [eid for eid, c in use.items() if c != 2]
+    if bad:
+        raise TriangError(
+            "central surface is not closed at %d cells, e.g. %r" % (len(bad), bad[0])
+        )
+
+    verts = {}
+    for a, b in edges.values():
+        verts.setdefault(a, len(verts))
+        verts.setdefault(b, len(verts))
+    pieces = DisjointSets(len(verts))
+    merges = sum(pieces.union(verts[a], verts[b]) for a, b in edges.values())
+    if merges != len(verts) - 1:
+        raise TriangError("central surface is disconnected")
+
+    chi = len(verts) - len(edges) + len(faces)
+    if chi % 2:
+        raise TriangError("central surface has odd Euler characteristic %d" % chi)
+    return (2 - chi) // 2
+
+
+def keyed_counts(K):
+    edges, faces = keyed_sigma_cells(K)
+    return len({x for ends in edges.values() for x in ends}), len(edges), len(faces)
+
+
+def cyclic_five_polytope(n):
+    """The boundary of the cyclic 5-polytope C(n, 5), a 4-sphere: its
+    facets are the 5-sets with an even number of members between any
+    two consecutive non-members (Gale's evenness condition)."""
+    facets = []
+    for S in combinations(range(n), 5):
+        gaps = [v for v in range(n) if v not in S]
+        if all(sum(a < v < b for v in S) % 2 == 0 for a, b in zip(gaps, gaps[1:])):
+            facets.append(S)
+    return GTriangulation(n, facets)
+
+
+def relabelled(K, perm):
+    return GTriangulation(K.n_vertices, [tuple(perm[v] for v in p) for p in K.pentachora])
+
+
+def differential_cases():
+    rng = random.Random(13)
+    fixtures = [double_four_simplex(), boundary_five_simplex(), cyclic_polytope_boundary()]
+    cases = [pytest.param(K, id="fixture%d" % i) for i, K in enumerate(fixtures)]
+    for i, K in enumerate(fixtures):
+        for j in range(3):
+            perm = list(range(K.n_vertices))
+            rng.shuffle(perm)
+            cases.append(pytest.param(relabelled(K, perm), id="fixture%d-relabelled%d" % (i, j)))
+    cases += [pytest.param(cyclic_five_polytope(n), id="C(%d,5)" % n) for n in (7, 8, 9)]
+    return cases
+
+
+def test_gale_evenness_gives_the_cyclic_fixture():
+    K = cyclic_five_polytope(7)
+    assert sorted(K.pentachora) == sorted(cyclic_polytope_boundary().pentachora)
+    assert [len(cyclic_five_polytope(n).pentachora) for n in (8, 9)] == [20, 30]
+
+
+@pytest.mark.parametrize("K", differential_cases())
+def test_template_assembly_matches_keyed_assembly(K):
+    validate_triangulation(K)
+    assert _sigma_counts(K) == keyed_counts(K)
+    assert sigma_oracle(K) == keyed_sigma_oracle(K) == trisection_parameters(K).genus
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_oracle_on_larger_cyclic_polytopes(n):
+    K = cyclic_five_polytope(n)
+    r = trisection_parameters(K)
+    assert r.chi_simplex == 2
+    assert sigma_oracle(K) == r.genus
+
+
+def test_broken_assemblies_name_a_cell_of_the_keyed_assembly():
+    """Unvalidated inputs reach the checks: one pentachoron and three
+    copies of one leave every depth-0 edge with one or three faces, and
+    two separate 4-spheres give a disconnected surface."""
+    one = tuple(range(5))
+    for pentachora in ([one], [one] * 3, [(6, 0, 5, 2, 3)]):
+        K = GTriangulation(7, pentachora)
+        edges, faces = keyed_sigma_cells(K)
+        use = {}
+        for _, boundary in faces:
+            for eid in boundary:
+                use[eid] = use.get(eid, 0) + 1
+        bad = {eid for eid in edges if use.get(eid) != 2}
+        with pytest.raises(TriangError, match="not closed at %d cells, e.g. " % len(bad)) as err:
+            _sigma_counts(K)
+        with pytest.raises(TriangError, match="not closed at %d cells" % len(bad)):
+            keyed_sigma_oracle(K)
+        assert ast.literal_eval(str(err.value).split("e.g. ")[1]) in bad
+    K = GTriangulation(10, [one, one, tuple(range(5, 10)), tuple(range(5, 10))])
+    with pytest.raises(TriangError, match="disconnected, e.g. at ") as err:
+        _sigma_counts(K)
+    with pytest.raises(TriangError, match="disconnected"):
+        keyed_sigma_oracle(K)
+    vertex = ast.literal_eval(str(err.value).split("e.g. at ")[1])
+    assert vertex in {x for ends in keyed_sigma_cells(K)[0].values() for x in ends}
