@@ -19,6 +19,7 @@ curve-standardization tier of validation, for ``validate`` and ``lift``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -272,7 +273,9 @@ def cmd_triang(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``etd`` argument parser, built once per process."""
     ap = argparse.ArgumentParser(prog="etd", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 

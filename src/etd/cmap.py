@@ -121,7 +121,9 @@ def spanning_forest(m: CombMap, darts=None):
 
 
 class DisjointSets:
-    """Union-find on ``0..n-1`` with path halving."""
+    """Union-find on ``0..n-1`` with path halving.  ``union`` hangs the
+    larger root under the smaller, so ``find(x)`` is the least element of
+    x's class."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -137,7 +139,10 @@ class DisjointSets:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        self.parent[ra] = rb
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
         return True
 
     def labels(self) -> list[int]:
@@ -437,9 +442,23 @@ def canonical_form(m: CombMap, labels: Optional[Sequence] = None):
 
     A start's BFS stops at the first entry that exceeds the best code's
     entry at the same position: with an equal prefix that start can never
-    win, so the pruning leaves the minimum, and every code, unchanged.
-    One ``order`` array serves all starts and is reset through the visited
-    darts, so memory stays linear.
+    win.  A start whose BFS runs to the end without going below the best
+    code ties it, and then ``best_seq[i] -> seq[i]`` (the two BFS orders
+    side by side) is a label-preserving automorphism.  Its pairs are
+    merged into one :class:`DisjointSets` over the darts, whose classes
+    are the orbits of the automorphisms found so far.  A start whose class
+    holds a smaller dart is skipped: the class holds a tried start, and
+    the skipped start's code equals that start's code.  So the minimum,
+    and every code, is unchanged.
+
+    Each tie that runs maps the best start outside its orbit under the
+    automorphisms found before, so the group found at least doubles:
+    at most log2 |Aut| ties run in full, besides the starts that lower
+    the best code, and the rest of each automorphism orbit is skipped.
+    That is O(n log |Aut|) on top of the prefix-pruned starts.  Start 0
+    always runs in full, so a disconnected map is rejected.  One ``order``
+    array serves all starts and is reset through the visited darts, so
+    memory stays linear.
     """
     n = m.n_darts
     if n == 0:
@@ -448,7 +467,12 @@ def canonical_form(m: CombMap, labels: Optional[Sequence] = None):
     lab = labels if labels else [None] * n
     order = [-1] * n  # dart -> new index for the current start
     best = [None] * n
+    best_seq = None  # the BFS order that gave ``best``
+    orbits = DisjointSets(n)
+    find = orbits.find
     for start in range(n):
+        if find(start) != start:
+            continue
         seq = [start]
         order[start] = 0
         below = start == 0  # prefix already below best: record every entry
@@ -475,6 +499,11 @@ def canonical_form(m: CombMap, labels: Optional[Sequence] = None):
         else:
             if len(seq) != n:
                 raise NotConnected("canonical_form requires a connected map")
+            if below:
+                best_seq = seq
+            else:
+                for a, b in zip(best_seq, seq):
+                    orbits.union(a, b)
         for d in seq:
             order[d] = -1
     return tuple(best)

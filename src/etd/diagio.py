@@ -9,10 +9,11 @@
     edge 4 shadow3
     marked 0 1
 
-``edge`` lines name an edge by its smallest dart; unlisted edges are
-scaffold.  ``marked`` lists marked vertices by their smallest darts.
-Unknown keys and malformed counts are rejected; a parse error in a line
-names its number.
+Integers are ASCII digits with an optional leading ``-``.  ``edge``
+lines name an edge by its smallest dart; unlisted edges are scaffold.
+``marked`` lists marked vertices by their smallest darts.  Unknown keys
+and malformed counts are rejected; a parse error in a line names its
+number.
 
 Optional blocks:
 
@@ -36,6 +37,7 @@ for an unconstrained slot.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -138,11 +140,32 @@ def serialize_diagram(
     return "\n".join(lines) + "\n"
 
 
-def _int(tok: str) -> int:
-    try:
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def read_ints(tokens) -> list[int]:
+    """The integers written by ``tokens``, each in ASCII ``-?[0-9]+``.
+
+    ``int`` also reads a ``+`` sign, ``_`` separators and non-ASCII
+    digits, which would not be written back the same.  One scan of the
+    joined row rejects them, with no check per token; the regex runs only
+    to name the bad token.
+    """
+    row = "".join(tokens)
+    if row.isascii() and "+" not in row and "_" not in row:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    bad = next(tok for tok in tokens if not _INTEGER.fullmatch(tok))
+    raise FileFormatError("%r is not an integer" % bad)
+
+
+def read_int(tok: str) -> int:
+    """One integer token, accepted exactly as :func:`read_ints` accepts it."""
+    if tok.isascii() and tok.isdigit():
         return int(tok)
-    except ValueError:
-        raise FileFormatError("%r is not an integer" % tok)
+    return read_ints((tok,))[0]
 
 
 def parse_diagram_file(text: str) -> DiagramFile:
@@ -174,19 +197,19 @@ def parse_diagram_file(text: str) -> DiagramFile:
             if key == "darts":
                 if n is not None or len(parts) != 2:
                     raise FileFormatError("bad darts line")
-                n = _int(parts[1])
+                n = read_int(parts[1])
             elif key == "pairing":
                 if pairing is not None:
                     raise FileFormatError("duplicate pairing line")
-                pairing = [_int(x) for x in parts[1:]]
+                pairing = read_ints(parts[1:])
             elif key == "rotation":
                 if rotation is not None:
                     raise FileFormatError("duplicate rotation line")
-                rotation = [_int(x) for x in parts[1:]]
+                rotation = read_ints(parts[1:])
             elif key == "edge":
                 if len(parts) != 3:
                     raise FileFormatError("bad edge line %r" % ln)
-                dart = _int(parts[1])
+                dart = read_int(parts[1])
                 try:
                     colors.append((lineno, dart, parse_color(parts[2])))
                 except DiagramError as err:
@@ -194,7 +217,7 @@ def parse_diagram_file(text: str) -> DiagramFile:
             elif key == "marked":
                 if marked_rows is not None:
                     raise FileFormatError("duplicate marked line")
-                marked_rows = [(lineno, _int(x)) for x in parts[1:]]
+                marked_rows = [(lineno, x) for x in read_ints(parts[1:])]
             elif key == "group":
                 if group is not None:
                     raise FileFormatError("duplicate group line")
@@ -205,26 +228,26 @@ def parse_diagram_file(text: str) -> DiagramFile:
             elif key == "action":
                 if len(parts) < 3:
                     raise FileFormatError("bad action line %r" % ln)
-                action_rows.append((lineno, parts[1], [_int(x) for x in parts[2:]]))
+                action_rows.append((lineno, parts[1], read_ints(parts[2:])))
             elif key == "voltage":
                 if len(parts) != 3:
                     raise FileFormatError("bad voltage line %r" % ln)
-                voltage_rows.append((lineno, _int(parts[1]), parts[2]))
+                voltage_rows.append((lineno, read_int(parts[1]), parts[2]))
             elif key == "meridian":
                 if len(parts) != 3:
                     raise FileFormatError("bad meridian line %r" % ln)
-                meridian_rows.append((lineno, _int(parts[1]), parts[2]))
+                meridian_rows.append((lineno, read_int(parts[1]), parts[2]))
             elif key == "cone":
                 if len(parts) != 4:
                     raise FileFormatError("bad cone line %r" % ln)
-                cone_rows.append((lineno, parts[1], _int(parts[2]), _int(parts[3])))
+                cone_rows.append((lineno, parts[1], *read_ints(parts[2:])))
             elif key == "expected":
                 if expected is not None:
                     raise FileFormatError("duplicate expected line")
                 if len(parts) != 5:
                     raise FileFormatError("bad expected line %r" % ln)
-                ks = tuple(None if p == "?" else _int(p) for p in parts[2:])
-                expected = (_int(parts[1]), ks)
+                ks = tuple(None if p == "?" else read_int(p) for p in parts[2:])
+                expected = (read_int(parts[1]), ks)
             else:
                 raise FileFormatError("unknown key %r" % key)
         except FileFormatError as err:

@@ -36,7 +36,7 @@ from functools import cache
 from itertools import combinations
 
 from .cmap import DisjointSets
-from .diagio import FileFormatError
+from .diagio import FileFormatError, read_ints
 
 
 class TriangError(ValueError):
@@ -660,7 +660,8 @@ def serialize_triangulation(K: GTriangulation) -> str:
 
 def parse_triangulation(text: str) -> GTriangulation:
     """Read the text format; every error names its 1-based line, except
-    a missing header or ``vertices`` line."""
+    a missing header or ``vertices`` line.  Integers are read as
+    :func:`etd.diagio.read_ints` reads them: ASCII ``-?[0-9]+``."""
     rows = [
         (lineno, ln.strip())
         for lineno, ln in enumerate(text.splitlines(), 1)
@@ -679,35 +680,36 @@ def parse_triangulation(text: str) -> GTriangulation:
     for lineno, ln in rows[1:]:
         key, *rest = ln.split()
         try:
-            if key == "vertices":
-                (n_vertices,) = rest
-                n_vertices = int(n_vertices)
-            elif key == "pentachoron":
-                if len(rest) != 5:
-                    raise FileFormatError("pentachoron needs 5 vertices: %r" % ln)
-                pentachora.append(tuple(int(v) for v in rest))
-            elif key == "glue":
-                if len(rest) != 4:
-                    raise FileFormatError("glue needs 4 numbers: %r" % ln)
-                glues.append((lineno, tuple(int(v) for v in rest)))
-            elif key == "generator":
+            if key not in ("vertices", "pentachoron", "glue", "generator", "surface"):
+                raise FileFormatError("unknown key %r" % key)
+            if key == "generator":
                 if not rest:
                     raise FileFormatError("generator needs a name: %r" % ln)
-                generator_names.append(rest[0])
-                generators.append(tuple(int(v) for v in rest[1:]))
-            elif key == "surface":
-                if len(rest) % 3:
-                    raise FileFormatError("surface needs vertex triples: %r" % ln)
-                vals = [int(v) for v in rest]
-                surfaces.append(
-                    [tuple(vals[i : i + 3]) for i in range(0, len(vals), 3)]
-                )
+                generator_names.append(rest.pop(0))
+            try:
+                vals = read_ints(rest)
+            except FileFormatError as err:
+                raise FileFormatError("bad line %r: %s" % (ln, err))
+            if key == "vertices":
+                if len(vals) != 1:
+                    raise FileFormatError("bad line %r" % ln)
+                (n_vertices,) = vals
+            elif key == "pentachoron":
+                if len(vals) != 5:
+                    raise FileFormatError("pentachoron needs 5 vertices: %r" % ln)
+                pentachora.append(tuple(vals))
+            elif key == "glue":
+                if len(vals) != 4:
+                    raise FileFormatError("glue needs 4 numbers: %r" % ln)
+                glues.append((lineno, tuple(vals)))
+            elif key == "generator":
+                generators.append(tuple(vals))
+            elif len(vals) % 3:
+                raise FileFormatError("surface needs vertex triples: %r" % ln)
             else:
-                raise FileFormatError("unknown key %r" % key)
+                surfaces.append([tuple(vals[i : i + 3]) for i in range(0, len(vals), 3)])
         except FileFormatError as err:
             raise FileFormatError("line %d: %s" % (lineno, err))
-        except ValueError:
-            raise FileFormatError("line %d: bad line %r" % (lineno, ln))
     if n_vertices is None:
         raise FileFormatError("missing vertices line")
     for lineno, (i, fi, j, fj) in glues:

@@ -1,6 +1,8 @@
 """Differential checks of the pruned canonical form and the seeded
-isomorphism searches against the plain all-starts / all-images versions."""
+isomorphism searches against the plain all-starts / all-images versions,
+and of the automorphism-orbit skip against prefix pruning alone."""
 
+import functools
 import random
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
 from etd.cmap import (
     CombMap,
+    DisjointSets,
     NotConnected,
     _propagate,
     automorphisms,
@@ -44,6 +47,44 @@ def all_starts_canonical(m, labels=None):
     return best
 
 
+def prefix_pruned_canonical(m, labels=None):
+    """The canonical form with prefix pruning only: every start runs until
+    its code exceeds the best one, so each start of the best code's
+    automorphism orbit runs in full."""
+    n = m.n_darts
+    rot, ep = m.rotation, m.edge_pairing
+    lab = labels if labels else [None] * n
+    order = [-1] * n
+    best = [None] * n
+    for start in range(n):
+        seq = [start]
+        order[start] = 0
+        below = start == 0
+        i = 0
+        while i < len(seq):
+            d = seq[i]
+            r = rot[d]
+            if order[r] < 0:
+                order[r] = len(seq)
+                seq.append(r)
+            e = ep[d]
+            if order[e] < 0:
+                order[e] = len(seq)
+                seq.append(e)
+            entry = (order[r], order[e], lab[d])
+            if below:
+                best[i] = entry
+            elif entry != best[i]:
+                if entry > best[i]:
+                    break
+                below = True
+                best[i] = entry
+            i += 1
+        for d in seq:
+            order[d] = -1
+    return tuple(best)
+
+
 def all_images_automorphisms(m, labels=None):
     out = []
     for d2 in range(m.n_darts):
@@ -76,17 +117,17 @@ def _cases():
     cases = [pytest.param(lambda name=name: entry(name).diagram, id=name) for name in CATALOG]
     cases += [
         pytest.param(lambda m=m: natural_genus1(m).diagram, id="natural_genus1_%d" % m)
-        for m in (2, 3, 4)
+        for m in (2, 3, 4, 5, 6)
     ]
-
-    def q8_lift(k):
-        base, reds = q8_reductions()
-        lift = derived_cover(base.diagram, reds[k][1]).diagram
-        assert lift.surface.n_darts == 428
-        return lift
-
     cases += [pytest.param(lambda k=k: q8_lift(k), id="q8_lift_%d" % k) for k in range(3)]
     return cases
+
+
+@functools.cache
+def q8_lift(k):
+    """The k-th Q8 lift: 428 darts for k < 3, then 856 and 1712."""
+    base, reds = q8_reductions()
+    return derived_cover(base.diagram, reds[k][1]).diagram
 
 
 @pytest.mark.parametrize("build", _cases())
@@ -122,3 +163,45 @@ def test_canonical_form_rejects_disconnected_maps():
         canonical_form(two_tori)
     with pytest.raises(NotConnected):
         canonical_form(two_tori, list(range(8)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(lambda m=m: natural_genus1(m).diagram, id="natural_genus1_%d" % m) for m in range(5, 13)]
+    + [pytest.param(lambda k=k: q8_lift(k), id="q8_lift_%d" % k) for k in range(5)],
+)
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "bare"])
+def test_orbit_skip_matches_prefix_pruning(build, labelled):
+    d = build()
+    labels = d.dart_labels() if labelled else None
+    code = canonical_form(d.surface, labels)
+    assert code == prefix_pruned_canonical(d.surface, labels)
+    for seed in (1, 2):
+        m2, labels2 = relabeled(d.surface, labels, seed)
+        assert canonical_form(m2, labels2) == prefix_pruned_canonical(m2, labels2) == code
+
+
+def test_large_torus_code_survives_relabelling():
+    d = natural_genus1(32).diagram
+    labels = d.dart_labels()
+    m2, labels2 = relabeled(d.surface, labels, 3)
+    assert m2.n_darts == 12288
+    assert canonical_form(m2, labels2) == canonical_form(d.surface, labels)
+
+
+def test_disjoint_set_roots_are_least_elements():
+    rng = random.Random(5)
+    n = 300
+    sets = DisjointSets(n)
+    members = {x: {x} for x in range(n)}
+    for _ in range(250):
+        a, b = rng.randrange(n), rng.randrange(n)
+        merged = sets.union(a, b)
+        assert merged == (members[a] is not members[b])
+        if merged:
+            joined = members[a] | members[b]
+            for x in joined:
+                members[x] = joined
+        for x in (a, b, rng.randrange(n)):
+            assert sets.find(x) == min(members[x])
+    assert all(sets.find(x) == min(members[x]) for x in range(n))

@@ -59,6 +59,22 @@ def test_validate_missing_file():
     assert main(["validate", "/nonexistent/nothing.diagram"]) == 1
 
 
+def test_usage_error_leaves_the_parser_usable(tmp_path, capsys):
+    # the parser is built once per process, so a failed parse must not
+    # leave state behind for the next call
+    p = write_catalog(tmp_path, "s1xs3")
+    for bad in (["validate"], ["nonsense", str(p)], ["validate", str(p), "--tier2-budget", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["validate", str(p), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["genus"] == 1 and payload["k"] == [1, 1, 1]
+    assert main(["invariants", str(p)]) == 0
+    assert main(["validate", "/nonexistent/nothing.diagram"]) == 1
+
+
 def test_validate_broken_cut_system(tmp_path):
     # a bare torus with no curves at all cannot be a trisection diagram
     torus = CombMap(4, [1, 0, 3, 2], [2, 3, 1, 0])

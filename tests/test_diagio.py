@@ -1,6 +1,7 @@
 import pytest
 
 from etd.catalog import q8_link_base, standard
+from etd.cli import main
 from etd.cover import derived_cover
 from etd.diagio import (
     FileFormatError,
@@ -134,3 +135,26 @@ def test_catalog_entries_serialize_stably():
         d = standard(name).diagram
         text = serialize_diagram(d)
         assert serialize_diagram(parse_diagram_file(text).diagram) == text
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("darts 6", "darts +6"),
+        ("pairing 1 0 3 2 5 4", "pairing 1 0 3 2 5 ٤"),
+        ("rotation 2 5 4 1 0 3", "rotation 2 5 4 1 0 0_3"),
+        ("edge 2 shadow2", "edge +2 shadow2"),
+        ("marked 0 1", "marked 0 ١"),
+    ],
+)
+def test_integers_are_plain_ascii_digits(tmp_path, old, new):
+    # int() reads all of these, but the file would not be written back
+    # byte for byte
+    text = theta_text()
+    lineno = text.splitlines().index(old) + 1
+    bad = text.replace(old, new)
+    with pytest.raises(FileFormatError, match=r"^line %d: .* is not an integer$" % lineno):
+        parse_diagram_file(bad)
+    p = tmp_path / "bad.diagram"
+    p.write_text(bad)
+    assert main(["validate", str(p)]) == 1

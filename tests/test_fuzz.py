@@ -49,6 +49,7 @@ def assert_contract(argv, capsys, where):
     err = capsys.readouterr().err
     assert code in (0, 1, 2), where
     assert "Traceback" not in err
+    return code
 
 
 @pytest.mark.parametrize("name", FROZEN_NAMES)
@@ -75,3 +76,56 @@ def test_mutated_triangulations_keep_the_exit_code_contract(tmp_path, capsys, na
         for flags in TRI_FLAGS:
             argv = ["triang", str(path)] + flags
             assert_contract(argv, capsys, "%s case %d %s" % (name, case, " ".join(flags)))
+
+
+def edit_triangulation(text: str, rng: random.Random) -> str:
+    """One or two edits that keep every glue line consistent with the
+    pentachora it names: relabel the vertices by a permutation (the
+    generators conjugated by it), change one generator image, swap two
+    pentachora together with their glue indices, or drop one glue line."""
+    rows = [ln.split() for ln in text.splitlines()]
+    n = int(next(r[1] for r in rows if r[0] == "vertices"))
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(4)
+        of_kind = [r for r in rows if r[0] == (None, "generator", "pentachoron", "glue")[kind]]
+        if kind == 0:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for r in rows:
+                if r[0] in ("pentachoron", "surface"):
+                    r[1:] = [str(perm[int(v)]) for v in r[1:]]
+                elif r[0] == "generator":
+                    image = [0] * n
+                    for v, w in enumerate(r[2:]):
+                        image[perm[v]] = perm[int(w)]
+                    r[2:] = map(str, image)
+        elif kind == 1 and of_kind:
+            r = rng.choice(of_kind)
+            r[2 + rng.randrange(n)] = str(rng.randrange(n))
+        elif kind == 2 and len(of_kind) > 1:
+            i, j = rng.sample(range(len(of_kind)), 2)
+            of_kind[i][1:], of_kind[j][1:] = of_kind[j][1:], of_kind[i][1:]
+            swap = {str(i): str(j), str(j): str(i)}
+            for r in rows:
+                if r[0] == "glue":
+                    r[1], r[3] = swap.get(r[1], r[1]), swap.get(r[3], r[3])
+        elif kind == 3 and of_kind:
+            rows.remove(rng.choice(of_kind))
+    return "\n".join(" ".join(r) for r in rows) + "\n"
+
+
+@pytest.mark.parametrize("name", TRI_NAMES)
+def test_consistent_triangulation_edits_reach_the_semantic_checks(tmp_path, capsys, name):
+    rng = random.Random("consistent " + name)
+    text = (resources.files("etd.data") / (name + ".tri")).read_text()
+    path = tmp_path / "fuzz.tri"
+    codes = set()
+    for case in range(CASES_PER_FILE):
+        edited = edit_triangulation(text, rng)
+        # every fourth case also takes the token-level edits of ``mutate``,
+        # so parse errors are in the set too
+        data = mutate(edited, rng, TRI_TAILS) if case % 4 == 3 else edited.encode()
+        path.write_bytes(data)
+        argv = ["triang", str(path), "--oracle"]
+        codes.add(assert_contract(argv, capsys, "%s case %d" % (name, case)))
+    assert codes == {0, 1, 2}

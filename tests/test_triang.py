@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from etd.cli import main
 from etd.cmap import DisjointSets
 from etd.diagio import FileFormatError
 from etd.triang import (
@@ -245,6 +246,31 @@ def test_parse_errors_name_their_line():
     for bad, message in cases:
         with pytest.raises(FileFormatError, match=re.escape(message)):
             parse_triangulation(bad)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("vertices 5", "vertices +5"),
+        ("pentachoron 0 1 2 3 4\nglue", "pentachoron 0 1 2 3 ٤\nglue"),
+        ("glue 0 4 1 4", "glue 0 4 +1 4"),
+        ("generator swap 1 0 2 3 4", "generator swap 1 0 2 3 0_4"),
+        ("generator cycle", "surface 0 1 ٢\ngenerator cycle"),
+    ],
+)
+def test_integers_are_plain_ascii_digits(tmp_path, old, new):
+    # int() reads all of these, but the file would not be written back
+    # byte for byte
+    text = serialize_triangulation(double_four_simplex())
+    lineno = text[: text.index(old)].count("\n") + 1
+    bad = text.replace(old, new, 1)
+    with pytest.raises(
+        FileFormatError, match=r"^line %d: bad line .* is not an integer$" % lineno
+    ):
+        parse_triangulation(bad)
+    p = tmp_path / "bad.tri"
+    p.write_text(bad)
+    assert main(["triang", str(p), "--oracle"]) == 1
 
 
 def test_vertex_count_bounded_by_the_pentachora():
