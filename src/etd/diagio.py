@@ -9,11 +9,11 @@
     edge 4 shadow3
     marked 0 1
 
-Integers are ASCII digits with an optional leading ``-``.  ``edge``
-lines name an edge by its smallest dart; unlisted edges are scaffold.
-``marked`` lists marked vertices by their smallest darts.  Unknown keys
-and malformed counts are rejected; a parse error in a line names its
-number.
+Integers are written as ``str`` writes them: ASCII digits, no leading
+zero, a ``-`` on negatives only.  ``edge`` lines name an edge by its
+smallest dart; unlisted edges are scaffold.  ``marked`` lists marked
+vertices by their smallest darts.  Unknown keys and malformed counts are
+rejected; a parse error in a line names its number.
 
 Optional blocks:
 
@@ -140,30 +140,44 @@ def serialize_diagram(
     return "\n".join(lines) + "\n"
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def read_ints(tokens) -> list[int]:
-    """The integers written by ``tokens``, each in ASCII ``-?[0-9]+``.
+    """The integers written by ``tokens``, each in ASCII ``0|-?[1-9][0-9]*``.
 
-    ``int`` also reads a ``+`` sign, ``_`` separators and non-ASCII
-    digits, which would not be written back the same.  One scan of the
-    joined row rejects them, with no check per token; the regex runs only
-    to name the bad token.
+    ``int`` also reads a ``+`` sign, ``_`` separators, leading zeros,
+    ``-0`` and non-ASCII digits, which would not be written back the
+    same.  A few scans of the joined row reject them, with no Python-level
+    work per token: every token that starts with ``0`` must be ``0``
+    itself.  The regex runs only to name the bad token.
     """
-    row = "".join(tokens)
-    if row.isascii() and "+" not in row and "_" not in row:
+    row = " " + " ".join(tokens)
+    if (
+        row.isascii()
+        and "+" not in row
+        and "_" not in row
+        and "-0" not in row
+        and row.count(" 0") == tokens.count("0")
+    ):
         try:
             return list(map(int, tokens))
         except ValueError:
             pass
-    bad = next(tok for tok in tokens if not _INTEGER.fullmatch(tok))
-    raise FileFormatError("%r is not an integer" % bad)
+    for tok in tokens:
+        if not _INTEGER.fullmatch(tok):
+            raise FileFormatError("%r is not an integer" % tok)
+    raise FileFormatError("integer too long")
 
 
 def read_int(tok: str) -> int:
-    """One integer token, accepted exactly as :func:`read_ints` accepts it."""
-    if tok.isascii() and tok.isdigit():
+    """One integer token, accepted exactly as :func:`read_ints` accepts it.
+
+    Single-token fields are mostly darts, so plain digits with no leading
+    zero skip the row scans: one ``edge``, ``voltage`` or ``meridian``
+    line per edge makes those scans cost more than the token itself.
+    """
+    if tok.isascii() and tok.isdigit() and (tok[0] != "0" or tok == "0"):
         return int(tok)
     return read_ints((tok,))[0]
 

@@ -11,6 +11,7 @@ and the mark of the dart it comes from.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,9 +72,13 @@ def shadow(i):
 SCAFFOLD = Color("scaffold")
 
 
+@functools.cache
 def parse_color(text: str) -> Color:
     """The color a token names: ``scaffold``, or ``alpha``/``shadow``
-    followed by exactly one ASCII digit, which must be 1, 2 or 3."""
+    followed by exactly one ASCII digit, which must be 1, 2 or 3.
+
+    Cached: a file names one of seven colors on every ``edge`` line, and
+    a bad token raises, so it is never stored."""
     if text == "scaffold":
         return SCAFFOLD
     for kind in ("alpha", "shadow"):

@@ -658,10 +658,18 @@ def serialize_triangulation(K: GTriangulation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _row_ints(ln: str, tokens: list[str]) -> list[int]:
+    """The integers of one line's ``tokens``; a bad one names the line."""
+    try:
+        return read_ints(tokens)
+    except FileFormatError as err:
+        raise FileFormatError("bad line %r: %s" % (ln, err))
+
+
 def parse_triangulation(text: str) -> GTriangulation:
     """Read the text format; every error names its 1-based line, except
     a missing header or ``vertices`` line.  Integers are read as
-    :func:`etd.diagio.read_ints` reads them: ASCII ``-?[0-9]+``."""
+    :func:`etd.diagio.read_ints` reads them: as ``str`` writes them."""
     rows = [
         (lineno, ln.strip())
         for lineno, ln in enumerate(text.splitlines(), 1)
@@ -680,34 +688,33 @@ def parse_triangulation(text: str) -> GTriangulation:
     for lineno, ln in rows[1:]:
         key, *rest = ln.split()
         try:
-            if key not in ("vertices", "pentachoron", "glue", "generator", "surface"):
-                raise FileFormatError("unknown key %r" % key)
-            if key == "generator":
-                if not rest:
-                    raise FileFormatError("generator needs a name: %r" % ln)
-                generator_names.append(rest.pop(0))
-            try:
-                vals = read_ints(rest)
-            except FileFormatError as err:
-                raise FileFormatError("bad line %r: %s" % (ln, err))
             if key == "vertices":
+                vals = _row_ints(ln, rest)
                 if len(vals) != 1:
                     raise FileFormatError("bad line %r" % ln)
                 (n_vertices,) = vals
             elif key == "pentachoron":
+                vals = _row_ints(ln, rest)
                 if len(vals) != 5:
                     raise FileFormatError("pentachoron needs 5 vertices: %r" % ln)
                 pentachora.append(tuple(vals))
             elif key == "glue":
+                vals = _row_ints(ln, rest)
                 if len(vals) != 4:
                     raise FileFormatError("glue needs 4 numbers: %r" % ln)
                 glues.append((lineno, tuple(vals)))
             elif key == "generator":
-                generators.append(tuple(vals))
-            elif len(vals) % 3:
-                raise FileFormatError("surface needs vertex triples: %r" % ln)
-            else:
+                if not rest:
+                    raise FileFormatError("generator needs a name: %r" % ln)
+                generator_names.append(rest[0])
+                generators.append(tuple(_row_ints(ln, rest[1:])))
+            elif key == "surface":
+                vals = _row_ints(ln, rest)
+                if len(vals) % 3:
+                    raise FileFormatError("surface needs vertex triples: %r" % ln)
                 surfaces.append([tuple(vals[i : i + 3]) for i in range(0, len(vals), 3)])
+            else:
+                raise FileFormatError("unknown key %r" % key)
         except FileFormatError as err:
             raise FileFormatError("line %d: %s" % (lineno, err))
     if n_vertices is None:

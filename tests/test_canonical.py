@@ -127,7 +127,9 @@ def _cases():
 def q8_lift(k):
     """The k-th Q8 lift: 428 darts for k < 3, then 856 and 1712."""
     base, reds = q8_reductions()
-    return derived_cover(base.diagram, reds[k][1]).diagram
+    lift = derived_cover(base.diagram, reds[k][1]).diagram
+    assert lift.surface.n_darts == (428, 428, 428, 856, 1712)[k]
+    return lift
 
 
 @pytest.mark.parametrize("build", _cases())

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from etd.catalog import q8_link_base, standard
@@ -6,6 +8,8 @@ from etd.cover import derived_cover
 from etd.diagio import (
     FileFormatError,
     parse_diagram_file,
+    read_int,
+    read_ints,
     serialize_diagram,
 )
 from etd.groups import GroupError, group_by_name
@@ -145,9 +149,12 @@ def test_catalog_entries_serialize_stably():
         ("rotation 2 5 4 1 0 3", "rotation 2 5 4 1 0 0_3"),
         ("edge 2 shadow2", "edge +2 shadow2"),
         ("marked 0 1", "marked 0 ١"),
+        ("darts 6", "darts 06"),
+        ("pairing 1 0 3 2 5 4", "pairing 1 0 3 2 5 -0"),
+        ("edge 2 shadow2", "edge 00 shadow2"),
     ],
 )
-def test_integers_are_plain_ascii_digits(tmp_path, old, new):
+def test_integers_are_written_as_str_writes_them(tmp_path, old, new):
     # int() reads all of these, but the file would not be written back
     # byte for byte
     text = theta_text()
@@ -158,3 +165,20 @@ def test_integers_are_plain_ascii_digits(tmp_path, old, new):
     p = tmp_path / "bad.diagram"
     p.write_text(bad)
     assert main(["validate", str(p)]) == 1
+
+
+def test_integer_reader_rejects_what_int_reads_differently():
+    assert read_ints(["0", "10", "-7", "0", "120"]) == [0, 10, -7, 0, 120]
+    assert read_ints([]) == []
+    for bad in ("007", "-0", "-05", "+1", "1_0", "٤", "0x1", "1-2", ""):
+        with pytest.raises(FileFormatError, match="is not an integer"):
+            read_ints(["3", bad, "0"])
+        with pytest.raises(FileFormatError, match="is not an integer"):
+            read_int(bad)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(FileFormatError, match="^integer too long$"):
+            read_ints(["1", "9" * 700])
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -256,9 +256,12 @@ def test_parse_errors_name_their_line():
         ("glue 0 4 1 4", "glue 0 4 +1 4"),
         ("generator swap 1 0 2 3 4", "generator swap 1 0 2 3 0_4"),
         ("generator cycle", "surface 0 1 ٢\ngenerator cycle"),
+        ("vertices 5", "vertices 05"),
+        ("glue 0 4 1 4", "glue -0 4 1 4"),
+        ("generator swap 1 0 2 3 4", "generator swap 1 0 2 3 04"),
     ],
 )
-def test_integers_are_plain_ascii_digits(tmp_path, old, new):
+def test_integers_are_written_as_str_writes_them(tmp_path, old, new):
     # int() reads all of these, but the file would not be written back
     # byte for byte
     text = serialize_triangulation(double_four_simplex())
