@@ -4,8 +4,8 @@ Commands operate on the line-oriented diagram and triangulation file
 formats (see :mod:`etd.diagio` and :mod:`etd.triang`) and share one
 exit-code contract so batch runs can triage:
 
-    0  success / fully valid
-    1  unreadable input (I/O or parse error)
+    0  success / fully valid (and ``--help``)
+    1  unreadable input (I/O or parse error) or a usage error
     2  semantic failure (invalid diagram, mismatch, unknown name, ...)
 
 ``--json`` emits a structured report instead of text; JSON reports carry
@@ -273,10 +273,19 @@ def cmd_triang(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with PARSE_ERROR;
+    subcommand parsers take the class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(PARSE_ERROR, "%s: error: %s\n" % (self.prog, message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``etd`` argument parser, built once per process."""
-    ap = argparse.ArgumentParser(prog="etd", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="etd", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a diagram file")

@@ -36,7 +36,6 @@ for an unconstrained slot.
 
 from __future__ import annotations
 
-import ast
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -70,16 +69,18 @@ def _element_token(x) -> str:
     return repr(x).replace(" ", "")
 
 
-def _parse_element(g: Group, tok: str):
-    if tok in g:
-        return tok
-    try:
-        val = ast.literal_eval(tok)
-    except (ValueError, SyntaxError):
-        raise FileFormatError("cannot read group element %r" % tok)
-    if val in g:
-        return val
-    raise FileFormatError("%r is not an element of %s" % (tok, g.name or "the group"))
+# the characters of the tokens of integers and of tuples of them
+_NUMERIC = frozenset("0123456789-(),")
+
+
+def _read_element(tokens: dict, g: Group, tok: str):
+    """The element of ``g`` that ``tok`` names; ``tokens`` maps each
+    element's :func:`_element_token` back to it."""
+    if tok in tokens:
+        return tokens[tok]
+    if set(tok) <= _NUMERIC:
+        raise FileFormatError("%r is not an element of %s" % (tok, g.name))
+    raise FileFormatError("cannot read group element %r" % tok)
 
 
 def serialize_diagram(
@@ -93,7 +94,7 @@ def serialize_diagram(
         "rotation %s" % " ".join(map(str, m.rotation)),
     ]
     for e in m.edges():
-        c = d.color[e]
+        c = d.dart_colors[e.dart]
         if c != SCAFFOLD:
             lines.append("edge %d %s" % (e.dart, c))
     marked = sorted(v.dart for v in d.marked)
@@ -197,7 +198,7 @@ def parse_diagram_file(text: str) -> DiagramFile:
     pairing = None
     rotation = None
     colors = []  # (lineno, dart, Color)
-    marked_rows = None  # [(lineno, dart)]
+    marked = None  # (lineno, darts)
     group = None
     action_rows = []  # (lineno, name, permutation)
     voltage_rows = []  # (lineno, dart, token)
@@ -229,9 +230,9 @@ def parse_diagram_file(text: str) -> DiagramFile:
                 except DiagramError as err:
                     raise DiagramError("line %d: %s" % (lineno, err))
             elif key == "marked":
-                if marked_rows is not None:
+                if marked is not None:
                     raise FileFormatError("duplicate marked line")
-                marked_rows = [(lineno, x) for x in read_ints(parts[1:])]
+                marked = (lineno, read_ints(parts[1:]))
             elif key == "group":
                 if group is not None:
                     raise FileFormatError("duplicate group line")
@@ -271,25 +272,33 @@ def parse_diagram_file(text: str) -> DiagramFile:
     if len(pairing) != n or len(rotation) != n:
         raise FileFormatError("pairing/rotation length disagrees with darts")
     m = CombMap(n, pairing, rotation)
-    edge_cells = {e.dart: e for e in m.edges()}
-    color = {}
+    ep = m.edge_pairing
+    vertices = m.vertices()
+
+    def is_edge_rep(x):
+        return 0 <= x < n and x < ep[x]
+
+    def is_vertex_rep(x):
+        return 0 <= x < n and vertices[m.vertex_of[x]].dart == x
+
+    dart_colors = [SCAFFOLD] * n
+    colored = set()
     for lineno, dart, c in colors:
-        if dart not in edge_cells:
+        if not is_edge_rep(dart):
             raise FileFormatError(
                 "line %d: edge %d is not an edge representative" % (lineno, dart)
             )
-        if edge_cells[dart] in color:
+        if dart in colored:
             raise FileFormatError("line %d: edge %d colored twice" % (lineno, dart))
-        color[edge_cells[dart]] = c
-    marked = set()
-    vertex_cells = {v.dart: v for v in m.vertices()}
-    for lineno, dart in marked_rows or ():
-        if dart not in vertex_cells:
+        colored.add(dart)
+        dart_colors[dart] = dart_colors[ep[dart]] = c
+    marked_line, marked_darts = marked or (0, [])
+    for dart in marked_darts:
+        if not is_vertex_rep(dart):
             raise FileFormatError(
-                "line %d: dart %d is not a vertex representative" % (lineno, dart)
+                "line %d: dart %d is not a vertex representative" % (marked_line, dart)
             )
-        marked.add(vertex_cells[dart])
-    d = ShadowDiagram(m, color, marked)
+    d = ShadowDiagram.from_darts(m, dart_colors, marked_darts)
 
     action = None
     if action_rows:
@@ -310,26 +319,27 @@ def parse_diagram_file(text: str) -> DiagramFile:
     if group is not None:
         from .cover import CoverError, VoltageAssignment
 
+        tokens = {_element_token(x): x for x in group.elements}
         volt = {x: group.identity for x in range(n)}
         for lineno, dart, tok in voltage_rows:
-            if dart not in edge_cells:
+            if not is_edge_rep(dart):
                 raise FileFormatError(
                     "line %d: voltage dart %d is not an edge representative" % (lineno, dart)
                 )
             try:
-                w = _parse_element(group, tok)
+                w = _read_element(tokens, group, tok)
             except FileFormatError as err:
                 raise FileFormatError("line %d: %s" % (lineno, err))
             volt[dart] = w
-            volt[m.edge_pairing[dart]] = group.inv(w)
+            volt[ep[dart]] = group.inv(w)
         mer = {}
         for lineno, dart, tok in meridian_rows:
-            if dart not in vertex_cells:
+            if not is_vertex_rep(dart):
                 raise FileFormatError(
                     "line %d: meridian dart %d is not a vertex representative" % (lineno, dart)
                 )
             try:
-                mer[vertex_cells[dart]] = _parse_element(group, tok)
+                mer[m.cell_of("vertex", dart)] = _read_element(tokens, group, tok)
             except FileFormatError as err:
                 raise FileFormatError("line %d: %s" % (lineno, err))
         try:

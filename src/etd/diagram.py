@@ -96,12 +96,13 @@ class ShadowDiagram:
     """A closed surface map decorated per dart: one color per dart, both
     darts of an edge sharing it, and marked bridge vertices.
 
-    ``dart_colors`` holds the colors; ``color`` maps each edge CellId to
-    its color and ``marked`` is a frozenset of vertex CellIds.  The
-    constructor takes ``color`` as an edge dict, uncolored edges
-    defaulting to scaffold; :meth:`from_darts` takes the per-dart colors
-    directly, which is how derived diagrams (subdivisions, quotients,
-    covers, tubes, mirrors) pull their decoration back along a dart map.
+    ``dart_colors`` holds the colors, one per dart, and ``marked`` is a
+    frozenset of vertex CellIds.  :meth:`from_darts` takes the per-dart
+    colors and marked darts, which is how files are read and how derived
+    diagrams (subdivisions, quotients, covers, tubes, mirrors) pull their
+    decoration back along a dart map.  The constructor takes ``color`` as
+    a dict from edge CellIds to colors, uncolored edges defaulting to
+    scaffold, and marked vertex CellIds.
 
     Data derived from the diagram (each family's curves, cut-system
     verdict and cycle classes) is computed once, on first use, and kept;
@@ -140,11 +141,10 @@ class ShadowDiagram:
         if len(dart_colors) != n:
             raise DiagramError("%d dart colors for %d darts" % (len(dart_colors), n))
         ep = surface.edge_pairing
-        color = {}
         by_color = {}
         for e in surface.edges():
             x, y = e.dart, ep[e.dart]
-            c = color[e] = dart_colors[x]
+            c = dart_colors[x]
             if not isinstance(c, Color):
                 raise DiagramError("colors must be Color values")
             if dart_colors[y] != c:
@@ -157,7 +157,6 @@ class ShadowDiagram:
             marked.add(surface.cell_of("vertex", x))
         self.surface = surface
         self.dart_colors = dart_colors
-        self.color = color
         self.marked = frozenset(marked)
         self._darts_by_color = {c: sorted(ds) for c, ds in by_color.items()}
         self._derived = {}
@@ -253,7 +252,7 @@ class ShadowDiagram:
                         errs.append(
                             "shadow%d ends at unmarked vertex %r" % (i, v)
                         )
-        present = {c.index for c in self.color.values() if c.kind == "shadow"}
+        present = {c.index for c in self._darts_by_color if c.kind == "shadow"}
         for v in sorted(self.marked):
             here = {
                 self.dart_color(d).index
@@ -323,30 +322,18 @@ def _edge_cycle(m: CombMap, darts):
     return {j: a for j, a in out.items() if a}
 
 
-def _dense(m: CombMap, cycles):
-    out = []
-    for cycle in cycles:
-        vec = [0] * len(m.edges())
-        for j, a in cycle.items():
-            vec[j] = a
-        out.append(vec)
-    return out
-
-
-def curve_classes(d: ShadowDiagram, i: int):
-    """One integer vector per Alpha(i) curve over the edge basis.
-
-    Orientations per curve are arbitrary; downstream uses are
-    sign-insensitive.
-    """
-    return _dense(d.surface, (_edge_cycle(d.surface, c) for c in _curves(d, i)))
-
-
 def _shadow_cycles(d: ShadowDiagram, i: int):
     """A cycle-space basis of the Shadow(i) subgraph, as sparse cycles
     (see :func:`_edge_cycle`): each edge off the subgraph's spanning
     forest, closed through the forest.  The paths from both ends up to
-    the root share their upper part, which cancels in the cycle."""
+    the root share their upper part, which cancels in the cycle.
+
+    Bridge disks attach to the handlebody along the family's arcs, so any
+    cycle supported on those arcs bounds on the handlebody side and counts
+    as a compression alongside the Alpha(i) curves.  Arc systems without
+    cycles (every diagram of a trivial tangle downstairs) contribute
+    nothing; cycles appear in lifted diagrams where arcs merge through
+    bridge points."""
     m = d.surface
     ep, vertex_of, edge_of = m.edge_pairing, m.vertex_of, m.edge_of
     darts = d.darts_of_color(shadow(i))
@@ -368,24 +355,12 @@ def _shadow_cycles(d: ShadowDiagram, i: int):
     ]
 
 
-def shadow_cycle_classes(d: ShadowDiagram, i: int):
-    """A cycle-space basis for the Shadow(i) subgraph, over the edge basis.
-
-    Bridge disks attach to the handlebody along the family's arcs, so any
-    cycle supported on those arcs bounds on the handlebody side and counts
-    as a compression alongside the Alpha(i) curves.  Arc systems without
-    cycles (every diagram of a trivial tangle downstairs) contribute
-    nothing; cycles appear in lifted diagrams where arcs merge through
-    bridge points.
-    """
-    return _dense(d.surface, _shadow_cycles(d, i))
-
-
 def family_cycles(d: ShadowDiagram, i: int):
     """The cycles that bound on the Alpha(i) handlebody side: one per
     Alpha(i) curve, then the Shadow(i) cycle basis, as sparse cycles for
-    :meth:`etd.invariants.H1Frame.quotient`.  Computed once per diagram;
-    raises MalformedColoring if the family branches."""
+    :meth:`etd.invariants.H1Frame.quotient`.  Curve orientations are
+    arbitrary; homology quotients do not see them.  Computed once per
+    diagram; raises MalformedColoring if the family branches."""
     return d._once(
         ("cycles", i),
         lambda: [_edge_cycle(d.surface, c) for c in _curves(d, i)] + _shadow_cycles(d, i),
@@ -710,7 +685,7 @@ def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
     if len(d.marked) % 2:
         raise OddMarkedCount("%d marked vertices" % len(d.marked))
     m = d.surface
-    has_shadow = any(c.kind == "shadow" for c in d.color.values())
+    has_shadow = any(c.kind == "shadow" for c in d._darts_by_color)
     if not has_shadow:
         return ShadowVerdict(True, 0, (), "no shadow arcs")
 

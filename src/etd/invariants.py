@@ -27,64 +27,30 @@ class EdgeInversionUnresolved(InvariantError):
 # Smith normal form
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def invariant_factors(M):
+    """The nonzero invariant factors of the integer matrix ``M``: the
+    diagonal of its Smith normal form, each dividing the next.
 
-
-def smith_normal_form(M):
-    """Smith normal form over the integers.
-
-    Returns (D, U, V) with U*M*V = D, U and V unimodular, D diagonal with
-    each invariant factor dividing the next.  Pivoting is deterministic:
-    smallest nonzero magnitude, ties broken by (row, column) index.
+    Only the diagonal is computed; the unimodular transforms are not
+    kept.  Pivoting is deterministic: smallest nonzero magnitude, ties
+    broken by (row, column) index.
     """
     A = [[int(x) for x in row] for row in M]
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    U = _identity(rows)
-    V = _identity(cols)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, k):
-        # row dst += k * row src
-        A[dst] = [a + k * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, k):
-        for r in A:
-            r[dst] += k * r[src]
-        for r in V:
-            r[dst] += k * r[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    def pivot(s):
-        best = None
+    s = 0
+    while s < min(rows, cols):
+        p = None
         for i in range(s, rows):
             for j in range(s, cols):
                 a = A[i][j]
-                if a and (best is None or abs(a) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    s = 0
-    while s < min(rows, cols):
-        p = pivot(s)
+                if a and (p is None or abs(a) < abs(A[p[0]][p[1]])):
+                    p = (i, j)
         if p is None:
             break
-        swap_rows(s, p[0])
-        swap_cols(s, p[1])
+        A[s], A[p[0]] = A[p[0]], A[s]
+        for r in A:
+            r[s], r[p[1]] = r[p[1]], r[s]
         # clear column s, then row s, re-selecting the globally smallest
         # pivot after every pass: any nonzero remainder strictly shrinks
         # the pivot, and never promoting a freshly reduced row keeps the
@@ -92,39 +58,27 @@ def smith_normal_form(M):
         if any(A[i][s] for i in range(s + 1, rows)):
             for i in range(s + 1, rows):
                 if A[i][s]:
-                    add_row(i, s, -(A[i][s] // A[s][s]))
+                    k = -(A[i][s] // A[s][s])
+                    A[i] = [a + k * b for a, b in zip(A[i], A[s])]
             continue
         if any(A[s][j] for j in range(s + 1, cols)):
             for j in range(s + 1, cols):
                 if A[s][j]:
-                    add_col(j, s, -(A[s][j] // A[s][s]))
+                    k = -(A[s][j] // A[s][s])
+                    for r in A:
+                        r[j] += k * r[s]
             continue
-        # enforce divisibility: fold any non-divisible entry into column s
-        culprit = None
-        for i in range(s + 1, rows):
-            for j in range(s + 1, cols):
-                if A[i][j] % A[s][s]:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
+        # enforce divisibility: fold the first row holding a non-divisible
+        # entry into row s
+        culprit = next(
+            (i for i in range(s + 1, rows) if any(A[i][j] % A[s][s] for j in range(s + 1, cols))),
+            None,
+        )
         if culprit is not None:
-            add_row(s, culprit, 1)
+            A[s] = [a + b for a, b in zip(A[s], A[culprit])]
             continue
-        if A[s][s] < 0:
-            negate_row(s)
         s += 1
-    D = A
-    return D, U, V
-
-
-def invariant_factors(M):
-    D, _, _ = smith_normal_form(M)
-    out = []
-    for i in range(min(len(D), len(D[0]) if D else 0)):
-        if D[i][i]:
-            out.append(abs(D[i][i]))
-    return out
+    return [abs(A[i][i]) for i in range(s)]
 
 
 @dataclass(frozen=True)
@@ -222,17 +176,12 @@ def _invariant_factors_sparse(rows):
     return residue
 
 
-def _sparse_cokernel(n_ambient, rows) -> AbelianGroup:
+def cokernel(n_ambient, rows) -> AbelianGroup:
+    """Z^n modulo the subgroup generated by the rows, each a dict
+    {column: nonzero entry}.  The row dicts are consumed."""
     facs = _invariant_factors_sparse(rows)
     torsion = tuple(sorted(f for f in facs if f > 1))
     return AbelianGroup(n_ambient - len(facs), torsion)
-
-
-def cokernel(n_ambient, relation_rows) -> AbelianGroup:
-    """Z^n modulo the subgroup generated by the given row vectors."""
-    return _sparse_cokernel(
-        n_ambient, [{j: int(v) for j, v in enumerate(row) if v} for row in relation_rows]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +242,7 @@ class H1Frame:
         """H1 modulo the given cycles, each a dict {edge index: coefficient}."""
         rows = [dict(r) for r in self.face_rows]
         rows.extend(self._project(c) for c in cycles)
-        return _sparse_cokernel(self.n_cols, rows)
+        return cokernel(self.n_cols, rows)
 
 
 def h1_frame(m: CombMap) -> H1Frame:
@@ -303,25 +252,17 @@ def h1_frame(m: CombMap) -> H1Frame:
     return m._h1_frame
 
 
-def surface_h1_mod(m: CombMap, extra_cycles=None) -> AbelianGroup:
-    """H1 of a closed surface map modulo the listed extra cycle vectors.
-
-    H1 is cycles-mod-face-boundaries over the edge lattice; the extra
-    vectors (one per curve, over the edge basis) are quotiented out as well.
-    The spanning forest and face rows come from the map's :class:`H1Frame`;
-    each extra vector is checked to be a cycle on every call.
-    """
-    frame = h1_frame(m)
-    cycles = []
-    for v in extra_cycles or ():
-        if len(v) != frame.n_edges:
-            raise InvariantError("cycle vector length disagrees with the edge count")
-        cycles.append({j: int(a) for j, a in enumerate(v) if a})
-    return frame.quotient(cycles)
+def surface_h1_mod(m: CombMap) -> AbelianGroup:
+    """H1 of a closed surface map: cycles modulo face boundaries, from
+    the map's :class:`H1Frame`.  To quotient by curves as well, pass
+    them as sparse cycles to :meth:`H1Frame.quotient`."""
+    return h1_frame(m).quotient([])
 
 
 def h1_mod_curves(d, families) -> AbelianGroup:
-    """H1 of the diagram surface modulo the curve classes of the families.
+    """H1 of the diagram surface modulo the cycles of the families, as
+    :func:`etd.diagram.family_cycles` lists them: each Alpha(i) curve,
+    then a cycle basis of the Shadow(i) arcs.
 
     With one family this is the handlebody H1 (Z^g for a genuine cut
     system); with all three it is H1 of the trisected 4-manifold.  Cycles

@@ -20,7 +20,6 @@ Full dart permutations are built only for results that hold them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
@@ -255,46 +254,6 @@ def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
         orders_count[o] = orders_count.get(o, 0) + 1
     order = len(closure)
     return ActionReport(True, order, _structure_hint(order, orders_count), orders_count)
-
-
-# ---------------------------------------------------------------------------
-# orbits and stabilizers
-
-
-def _cell_images(m, closure: GroupClosure, cell: CellId) -> list:
-    """The image of ``cell`` under every element, in closure order;
-    checks that each cell of the orbit is met |G|/|orbit| times."""
-    out = [m.cell_of(cell.kind, y) for y in closure.images(cell.dart)]
-    counts = Counter(out)
-    if any(len(counts) * k != len(out) for k in counts.values()):
-        raise SymmetryError("orbit-stabilizer equality fails at %r" % (cell,))
-    return out
-
-
-def orbits(m, a: DiagramAction, cells):
-    """Partition of the given cells into action orbits."""
-    closure = a.closure()
-    cells = list(cells)
-    cell_set = set(cells)
-    seen = set()
-    out = []
-    for c in cells:
-        if c in seen:
-            continue
-        orb = frozenset(_cell_images(m, closure, c))
-        if not orb <= cell_set:
-            raise SymmetryError("orbit of %r leaves the given cell set" % (c,))
-        seen |= orb
-        out.append(orb)
-    return out
-
-
-def stabilizer(m, a: DiagramAction, cell: CellId):
-    """The elements fixing the cell, as dart permutations in closure
-    order."""
-    closure = a.closure()
-    imgs = _cell_images(m, closure, cell)
-    return [e for e, c in zip(closure.permutations(), imgs) if c == cell]
 
 
 # ---------------------------------------------------------------------------

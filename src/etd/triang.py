@@ -668,7 +668,9 @@ def _row_ints(ln: str, tokens: list[str]) -> list[int]:
 
 def parse_triangulation(text: str) -> GTriangulation:
     """Read the text format; every error names its 1-based line, except
-    a missing header or ``vertices`` line.  Integers are read as
+    a missing header or ``vertices`` line and a missing ``glue`` line,
+    which names its facet.  Each facet shared by two pentachora takes
+    exactly one ``glue`` line, joining those two.  Integers are read as
     :func:`etd.diagio.read_ints` reads them: as ``str`` writes them."""
     rows = [
         (lineno, ln.strip())
@@ -719,6 +721,7 @@ def parse_triangulation(text: str) -> GTriangulation:
             raise FileFormatError("line %d: %s" % (lineno, err))
     if n_vertices is None:
         raise FileFormatError("missing vertices line")
+    glued = set()
     for lineno, (i, fi, j, fj) in glues:
         if not (0 <= i < len(pentachora) and 0 <= j < len(pentachora)):
             raise FileFormatError(
@@ -734,4 +737,15 @@ def parse_triangulation(text: str) -> GTriangulation:
                 "line %d: glue %r does not match facet vertex sets %r vs %r"
                 % (lineno, (i, fi, j, fj), a, b)
             )
-    return GTriangulation(n_vertices, pentachora, generators, generator_names, surfaces)
+        if i == j:
+            raise FileFormatError("line %d: glue joins pentachoron %d to itself" % (lineno, i))
+        if a in glued:
+            raise FileFormatError("line %d: facet %r is glued twice" % (lineno, a))
+        glued.add(a)
+    K = GTriangulation(n_vertices, pentachora, generators, generator_names, surfaces)
+    for t, owners in sorted(_facet_multiset(K).items()):
+        if len(owners) == 2 and t not in glued:
+            raise FileFormatError(
+                "facet %r of pentachora %d and %d has no glue line" % (t, *owners)
+            )
+    return K

@@ -21,8 +21,8 @@ from etd.invariants import (
     PolyhedralGraphData,
     free_action_genus_bound,
     h1_mod_curves,
+    invariant_factors,
     pu3_parameters,
-    smith_normal_form,
 )
 from etd.quotient import YES, quotient, quotient_is_trisection
 from etd.symmetry import act_on_cell
@@ -35,10 +35,11 @@ def relabeled_diagram(d: ShadowDiagram, perm):
     for x in range(m.n_darts):
         ep[perm[x]] = perm[m.edge_pairing[x]]
         rot[perm[x]] = perm[m.rotation[x]]
-    m2 = CombMap(m.n_darts, ep, rot)
-    color = {m2.cell_of("edge", perm[e.dart]): c for e, c in d.color.items()}
-    marked = {m2.cell_of("vertex", perm[v.dart]) for v in d.marked}
-    return ShadowDiagram(m2, color, marked)
+    colors = [None] * m.n_darts
+    for x, c in enumerate(d.dart_colors):
+        colors[perm[x]] = c
+    marked = [perm[v.dart] for v in d.marked]
+    return ShadowDiagram.from_darts(CombMap(m.n_darts, ep, rot), colors, marked)
 
 
 def test_q8_covering_family():
@@ -187,11 +188,6 @@ def _mat_mul(a, b):
     ]
 
 
-def _invariant_factors(mat):
-    d, _, _ = smith_normal_form([row[:] for row in mat])
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
-
-
 def test_property_suites():
     # cover -> quotient round trip on every voltage fixture
     base_entry, reds = q8_reductions()
@@ -216,10 +212,10 @@ def test_property_suites():
     for _ in range(100):
         rows, cols = rng.randint(2, 5), rng.randint(2, 5)
         mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        factors = _invariant_factors(mat)
+        factors = invariant_factors(mat)
         u = _random_unimodular(rng, rows)
         v = _random_unimodular(rng, cols)
-        assert _invariant_factors(_mat_mul(u, _mat_mul(mat, v))) == factors
+        assert invariant_factors(_mat_mul(u, _mat_mul(mat, v))) == factors
 
     # orbit-stabilizer equality on every cell of every catalog action
     for name in ("cp2", "s1xs3", "s2xs2_genus2", "d4_double", "d6_double", "d6_s4"):

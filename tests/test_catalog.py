@@ -25,13 +25,8 @@ from etd.symmetry import check_action
 
 def recolored(d, swap):
     """Apply a permutation {i: j} to the alpha families."""
-    color = {}
-    for e, c in d.color.items():
-        if c.kind == "alpha":
-            color[e] = alpha(swap.get(c.index, c.index))
-        else:
-            color[e] = c
-    return ShadowDiagram(d.surface, color, set(d.marked))
+    colors = [alpha(swap.get(c.index, c.index)) if c.kind == "alpha" else c for c in d.dart_colors]
+    return ShadowDiagram.from_darts(d.surface, colors, [v.dart for v in d.marked])
 
 
 @pytest.mark.parametrize("name", STANDARD_NAMES)

@@ -64,8 +64,13 @@ def test_usage_error_leaves_the_parser_usable(tmp_path, capsys):
     # leave state behind for the next call
     p = write_catalog(tmp_path, "s1xs3")
     for bad in (["validate"], ["nonsense", str(p)], ["validate", str(p), "--tier2-budget", "x"]):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_:
             main(bad)
+        assert exit_.value.code == 1  # unreadable input, as the contract says
+        assert "error: " in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", "--help"])
+    assert exit_.value.code == 0
     capsys.readouterr()
     assert main(["validate", str(p), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -279,15 +284,35 @@ THETA = (
     "tail, lineno, message",
     [
         pytest.param("edge 1 alpha1", 8, "edge 1 is not an edge representative", id="edge"),
+        pytest.param("edge -1 alpha1", 8, "edge -1 is not an edge representative", id="edge_negative"),
+        pytest.param("edge 6 alpha1", 8, "edge 6 is not an edge representative", id="edge_range"),
         pytest.param("edge 0 alpha1", 8, "edge 0 colored twice", id="edge_twice"),
         pytest.param("marked 0 2", 8, "dart 2 is not a vertex representative", id="marked"),
+        pytest.param("marked 0 -6", 8, "dart -6 is not a vertex representative", id="marked_negative"),
+        pytest.param("marked 1 6", 8, "dart 6 is not a vertex representative", id="marked_range"),
         pytest.param(
             "group cyclic 4\nvoltage 1 1", 9, "voltage dart 1 is not an edge representative",
             id="voltage_dart",
         ),
         pytest.param(
+            "group cyclic 4\nvoltage -1 1", 9, "voltage dart -1 is not an edge representative",
+            id="voltage_negative",
+        ),
+        pytest.param(
+            "group cyclic 4\nvoltage 6 1", 9, "voltage dart 6 is not an edge representative",
+            id="voltage_range",
+        ),
+        pytest.param(
             "group cyclic 4\nmeridian 2 1", 9, "meridian dart 2 is not a vertex representative",
             id="meridian_dart",
+        ),
+        pytest.param(
+            "group cyclic 4\nmeridian -6 1", 9, "meridian dart -6 is not a vertex representative",
+            id="meridian_negative",
+        ),
+        pytest.param(
+            "group cyclic 4\nmeridian 6 1", 9, "meridian dart 6 is not a vertex representative",
+            id="meridian_range",
         ),
         pytest.param(
             "cone vertex 2 2", 8, "cone dart 2 is not a cell representative", id="cone_dart"
@@ -340,6 +365,25 @@ def test_position_error_names_its_line(tmp_path, capsys, tail, lineno, message):
     p.write_text(THETA + tail + "\n")
     assert main(["validate", str(p)]) == 1
     assert capsys.readouterr().err == "parse error: line %d: %s\n" % (lineno, message)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("+1", "cannot read group element '+1'"),
+        ("0x1", "cannot read group element '0x1'"),
+        ("True", "cannot read group element 'True'"),
+        ("1.0", "cannot read group element '1.0'"),
+        ("01", "'01' is not an element of cyclic 3"),
+        ("(1,)", "'(1,)' is not an element of cyclic 3"),
+    ],
+)
+def test_group_elements_are_read_as_they_are_written(tmp_path, capsys, token, message):
+    # only the exact token serialize_diagram writes for an element names it
+    p = tmp_path / "bad.diagram"
+    p.write_text(THETA + "marked 0 1\ngroup cyclic 3\nvoltage 0 %s\n" % token)
+    assert main(["lift", str(p), "--out", str(tmp_path / "out.diagram")]) == 1
+    assert capsys.readouterr().err == "parse error: line 10: %s\n" % message
 
 
 def test_self_paired_dart_is_a_semantic_error(tmp_path, capsys):

@@ -2,16 +2,26 @@ import sys
 
 import pytest
 
-from etd.catalog import q8_link_base, standard
+from etd.catalog import (
+    FROZEN_NAMES,
+    frozen_file_text,
+    natural_genus1,
+    q8_link_base,
+    q8_reductions,
+    standard,
+)
 from etd.cli import main
+from etd.cmap import CombMap
 from etd.cover import derived_cover
 from etd.diagio import (
     FileFormatError,
+    _element_token,
     parse_diagram_file,
     read_int,
     read_ints,
     serialize_diagram,
 )
+from etd.diagram import ShadowDiagram, parse_color
 from etd.groups import GroupError, group_by_name
 
 
@@ -182,3 +192,60 @@ def test_integer_reader_rejects_what_int_reads_differently():
             read_ints(["1", "9" * 700])
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def edge_dict_diagram(text):
+    """Test-only copy of the parse the per-dart reader replaced: the
+    ``edge`` and ``marked`` lines of a well-formed file, read into dicts
+    of edge and vertex CellIds for the edge-dict constructor."""
+    rows = {}
+    for ln in text.splitlines():
+        key, *rest = ln.split()
+        rows.setdefault(key, []).append(rest)
+    n = int(rows["darts"][0][0])
+    m = CombMap(n, map(int, rows["pairing"][0]), map(int, rows["rotation"][0]))
+    edges = {e.dart: e for e in m.edges()}
+    vertices = {v.dart: v for v in m.vertices()}
+    color = {edges[int(x)]: parse_color(c) for x, c in rows.get("edge", ())}
+    marked = {vertices[int(x)] for row in rows.get("marked", ()) for x in row}
+    return ShadowDiagram(m, color, marked)
+
+
+def _q8_lift_text(k):
+    base, reds = q8_reductions()
+    return serialize_diagram(derived_cover(base.diagram, reds[k][1]).diagram)
+
+
+def _parity_cases():
+    cases = [pytest.param(lambda n=n: frozen_file_text(n), id=n) for n in FROZEN_NAMES]
+    cases += [
+        pytest.param(lambda m=m: serialize_diagram(natural_genus1(m).diagram), id="genus1_%d" % m)
+        for m in range(1, 7)
+    ]
+    cases += [pytest.param(lambda k=k: _q8_lift_text(k), id="q8_lift_%d" % k) for k in range(5)]
+    return cases
+
+
+@pytest.mark.parametrize("text", _parity_cases())
+def test_per_dart_parse_matches_edge_dict_constructor(text):
+    text = text()
+    d = parse_diagram_file(text).diagram
+    ref = edge_dict_diagram(text)
+    assert d.surface.edge_pairing == ref.surface.edge_pairing
+    assert d.dart_colors == ref.dart_colors
+    assert d.marked == ref.marked
+    assert serialize_diagram(d) == serialize_diagram(ref)
+
+
+@pytest.mark.parametrize(
+    "name", ["cyclic 3", "quaternion", "cyclic 2 x cyclic 2", "dihedral 3", "handlebody_torus 2"]
+)
+def test_every_element_token_reads_back_as_its_element(name):
+    g = group_by_name(name)
+    for x in g.elements:
+        if x == g.identity:
+            continue
+        text = theta_text() + "group %s\nvoltage 0 %s\n" % (name, _element_token(x))
+        df = parse_diagram_file(text)
+        assert df.voltages.voltage[0] == x and type(df.voltages.voltage[0]) is type(x)
+        assert serialize_diagram(df.diagram, voltages=df.voltages) == text

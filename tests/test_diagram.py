@@ -10,7 +10,7 @@ from etd.diagram import (
     SCAFFOLD,
     ShadowDiagram,
     alpha,
-    curve_classes,
+    family_cycles,
     parse_color,
     shadow,
     validate_cut_system,
@@ -123,7 +123,7 @@ def test_color_roundtrip():
 def test_diagram_defaults_and_checks():
     m = three_line_torus()
     d = ShadowDiagram(m)
-    assert all(c == SCAFFOLD for c in d.color.values())
+    assert d.dart_colors == (SCAFFOLD,) * m.n_darts
     with pytest.raises(DiagramError):
         ShadowDiagram(m, {m.cell_of("vertex", 0): alpha(1)})
     with pytest.raises(DiagramError):
@@ -185,8 +185,8 @@ def test_branching_family_rejected():
 def test_curve_classes_primitive():
     d = standard_torus_diagram()
     for i in (1, 2, 3):
-        (vec,) = curve_classes(d, i)
-        assert sum(abs(x) for x in vec) == 2  # two edges traversed once
+        (cycle,) = family_cycles(d, i)  # one curve, no shadow arcs
+        assert sorted(map(abs, cycle.values())) == [1, 1]  # two edges traversed once
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,8 @@ def edit_triangulation(text: str, rng: random.Random) -> str:
     """One or two edits that keep every glue line consistent with the
     pentachora it names: relabel the vertices by a permutation (the
     generators conjugated by it), change one generator image, swap two
-    pentachora together with their glue indices, or drop one glue line."""
+    pentachora together with their glue indices, or drop one glue line
+    (a parse error: every shared facet takes one)."""
     rows = [ln.split() for ln in text.splitlines()]
     n = int(next(r[1] for r in rows if r[0] == "vertices"))
     for _ in range(rng.randint(1, 2)):

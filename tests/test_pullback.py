@@ -46,7 +46,6 @@ def same(d, ref):
     )
     assert d.dart_colors == ref.dart_colors
     assert d.marked == ref.marked
-    assert d.color == ref.color
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +56,7 @@ def dict_subdivided(d, cells):
     m2, origin = subdivide_edges(d.surface, cells)
     color = {}
     for e in m2.edges():
-        color[e] = d.color[d.surface.cell_of("edge", origin[e.dart])]
+        color[e] = d.dart_colors[d.surface.cell_of("edge", origin[e.dart]).dart]
     marked = {m2.cell_of("vertex", v.dart) for v in d.marked}
     return ShadowDiagram(m2, color, marked)
 
@@ -70,7 +69,7 @@ def dict_quotient(q):
         reps.setdefault(q.projection[x], x)
     color_q = {}
     for e in mq.edges():
-        color_q[e] = sub_d.color[m2.cell_of("edge", reps[e.dart])]
+        color_q[e] = sub_d.dart_colors[m2.cell_of("edge", reps[e.dart]).dart]
     marked_q = {mq.cell_of("vertex", q.projection[v.dart]) for v in sub_d.marked}
     return ShadowDiagram(mq, color_q, marked_q)
 
@@ -82,7 +81,7 @@ def dict_demoted(q):
         drop |= folded_curve_edges(d, i)
     if not drop:
         return d
-    color = {e: (SCAFFOLD if e in drop else c) for e, c in d.color.items()}
+    color = {e: (SCAFFOLD if e in drop else d.dart_colors[e.dart]) for e in d.surface.edges()}
     return ShadowDiagram(d.surface, color, set(d.marked))
 
 
@@ -90,7 +89,7 @@ def dict_cover(base, res):
     m, lifted, proj = base.surface, res.diagram.surface, res.projection
     color = {}
     for e in lifted.edges():
-        color[e] = base.color[m.cell_of("edge", proj[e.dart][0])]
+        color[e] = base.dart_colors[m.cell_of("edge", proj[e.dart][0]).dart]
     marked = set()
     marked_base = {v.dart for v in base.marked}
     for v in lifted.vertices():
@@ -114,7 +113,7 @@ def dict_components(res):
         sub = CombMap(len(darts), ep, rot)
         color = {}
         for e in sub.edges():
-            color[e] = res.diagram.color[m.cell_of("edge", darts[e.dart])]
+            color[e] = res.diagram.dart_colors[m.cell_of("edge", darts[e.dart]).dart]
         marked = {
             sub.cell_of("vertex", index[v.dart]) for v in res.diagram.marked if v.dart in index
         }
@@ -129,9 +128,9 @@ def dict_tube(d1, d2, m):
     for e in m.edges():
         x = e.dart
         if x < n1:
-            color[e] = d1.color[m1.cell_of("edge", x)]
+            color[e] = d1.dart_colors[m1.cell_of("edge", x).dart]
         elif x < n1 + n2:
-            color[e] = d2.color[m2.cell_of("edge", x - n1)]
+            color[e] = d2.dart_colors[m2.cell_of("edge", x - n1).dart]
         else:
             color[e] = SCAFFOLD
     marked = {m.cell_of("vertex", v.dart) for v in d1.marked}
@@ -163,7 +162,7 @@ def dict_prune(d):
         m2 = CombMap(len(keep), ep, rot)
         color = {}
         for e in m2.edges():
-            color[e] = d.color[m.cell_of("edge", keep[e.dart])]
+            color[e] = d.dart_colors[m.cell_of("edge", keep[e.dart]).dart]
         marked = set()
         for v in d.marked:
             for x in m.orbit(v):
@@ -174,7 +173,7 @@ def dict_prune(d):
 
 
 def dict_mirror(d, m2):
-    return ShadowDiagram(m2, dict(d.color), set(d.marked))
+    return ShadowDiagram(m2, {e: d.dart_colors[e.dart] for e in d.surface.edges()}, set(d.marked))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ def test_tube_keeps_colors_and_adds_scaffold_rungs():
     d2 = theta_sphere()
     d, shift = tube(d1, d1.surface.faces()[0], d2, d2.surface.faces()[0])
     kinds = {}
-    for e, c in d.color.items():
+    for e in d.surface.edges():
+        c = d.dart_colors[e.dart]
         kinds[c.kind] = kinds.get(c.kind, 0) + 1
     assert kinds["shadow"] == 6
     assert kinds["scaffold"] == 2  # one rung per boundary dart of the face
@@ -63,7 +64,7 @@ def test_prune_pendant_scaffold_removes_whiskers():
     assert len(d.surface.edges()) == 2
     out = prune_pendant_scaffold(d)
     assert len(out.surface.edges()) == 1
-    assert all(c.kind == "shadow" for c in out.color.values())
+    assert all(c.kind == "shadow" for c in out.dart_colors)
 
 
 def test_prune_leaves_whisker_free_diagram_alone():

@@ -9,11 +9,10 @@ from etd.symmetry import (
     ColorBroken,
     DiagramAction,
     NotAutomorphism,
+    act_on_cell,
     check_action,
     is_equivalent_action,
-    orbits,
     singular_locus,
-    stabilizer,
 )
 from etd.torus import affine_dart_map, arrangement, line
 
@@ -78,11 +77,10 @@ def test_translation_action_free():
     assert rep.order == 4
     sing = singular_locus(d, a)
     assert sing.is_free
-    # free action: all vertex orbits have size 4
+    # free action: the four elements carry one vertex to all four
     m = d.surface
-    parts = orbits(m, a, m.vertices())
-    assert [len(p) for p in parts] == [4]
-    assert len(stabilizer(m, a, m.vertices()[0])) == 1
+    images = [act_on_cell(m, g, m.vertices()[0]) for g in a.elements()]
+    assert len(images) == 4 and sorted(images) == m.vertices()
 
 
 def test_negation_is_hyperelliptic():
@@ -109,8 +107,9 @@ def test_orbit_stabilizer_at_fixed_vertex():
     a = DiagramAction([nu], ["nu"])
     m = d.surface
     v0 = arr.vertex_at((0, 0))
-    assert len(stabilizer(m, a, v0)) == 2
-    face_parts = orbits(m, a, m.faces())
+    elems = a.elements()
+    assert sum(act_on_cell(m, g, v0) == v0 for g in elems) == 2
+    face_parts = {frozenset(act_on_cell(m, g, f) for g in elems) for f in m.faces()}
     assert sorted(len(p) for p in face_parts) == [2, 2]
 
 

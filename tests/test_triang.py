@@ -248,6 +248,32 @@ def test_parse_errors_name_their_line():
             parse_triangulation(bad)
 
 
+def test_each_shared_facet_takes_exactly_one_glue_line(tmp_path, capsys):
+    text = serialize_triangulation(double_four_simplex())
+    end = len(text.splitlines()) + 1
+    cases = [
+        (
+            text.replace("glue 0 4 1 4\n", ""),
+            "facet (0, 1, 2, 3) of pentachora 0 and 1 has no glue line",
+        ),
+        (text + "glue 0 4 1 4\n", "line %d: facet (0, 1, 2, 3) is glued twice" % end),
+        (text + "glue 1 3 0 3\n", "line %d: facet (0, 1, 2, 4) is glued twice" % end),
+        (text + "glue 0 4 0 4\n", "line %d: glue joins pentachoron 0 to itself" % end),
+        (text.replace("glue 0 4 1 4", "glue 1 4 1 4"), "line 5: glue joins pentachoron 1 to itself"),
+    ]
+    p = tmp_path / "bad.tri"
+    for bad, message in cases:
+        with pytest.raises(FileFormatError, match="^%s$" % re.escape(message)):
+            parse_triangulation(bad)
+        p.write_text(bad)
+        assert main(["triang", str(p), "--oracle"]) == 1
+        assert capsys.readouterr().err == "parse error: %s\n" % message
+    five = serialize_triangulation(boundary_five_simplex())
+    first = next(ln for ln in five.splitlines() if ln.startswith("glue"))
+    with pytest.raises(FileFormatError, match="has no glue line$"):
+        parse_triangulation(five.replace(first + "\n", ""))
+
+
 @pytest.mark.parametrize(
     "old, new",
     [

@@ -17,12 +17,12 @@ from etd.diagram import (
     MalformedColoring,
     ShadowDiagram,
     alpha,
-    curve_classes,
-    shadow_cycle_classes,
+    family_cycles,
     validate_cut_system,
     validate_trisection,
 )
 from etd.invariants import (
+    AbelianGroup,
     InvariantError,
     _invariant_factors_sparse,
     h1_frame,
@@ -118,6 +118,12 @@ def reference_invariant_factors_sparse(relation_rows):
             dense.append(row)
         residue.extend(invariant_factors(dense))
     return residue
+
+
+def dense(m, cycles):
+    """Sparse cycles {edge index: coefficient} as vectors over the edge
+    basis, the form the references read."""
+    return [[c.get(j, 0) for j in range(len(m.edges()))] for c in cycles]
 
 
 def reference_surface_h1_mod(m, extra_cycles=None):
@@ -230,13 +236,11 @@ def reference_cut_components(m, cells):
 def test_surface_h1_mod_matches_per_call_reference(build):
     d = build()
     m = d.surface
-    assert surface_h1_mod(m) == invariants_mod.AbelianGroup(*reference_surface_h1_mod(m))
+    assert surface_h1_mod(m) == AbelianGroup(*reference_surface_h1_mod(m))
     for fams in FAMILY_SETS:
-        vectors = []
-        for i in fams:
-            vectors += curve_classes(d, i) + shadow_cycle_classes(d, i)
-        want = reference_surface_h1_mod(m, vectors)
-        got = surface_h1_mod(m, vectors)
+        cycles = [c for i in fams for c in family_cycles(d, i)]
+        want = reference_surface_h1_mod(m, dense(m, cycles))
+        got = h1_frame(m).quotient(cycles)
         assert (got.rank, got.torsion) == want, fams
         assert h1_mod_curves(d, fams) == got, fams
 
@@ -244,16 +248,14 @@ def test_surface_h1_mod_matches_per_call_reference(build):
 def test_surface_h1_mod_rejects_non_cycles_on_every_call():
     d = entry("s2xs2_genus2").diagram
     m = d.surface
-    vec = curve_classes(d, 1)[0]
-    broken = list(vec)
-    j = next(k for k, a in enumerate(broken) if a)
-    broken[j] = 0
+    cycle = family_cycles(d, 1)[0]
+    broken = dict(cycle)
+    del broken[min(broken)]
     for _ in range(2):
         with pytest.raises(InvariantError, match="not a cycle"):
-            surface_h1_mod(m, [vec, broken])
-        with pytest.raises(InvariantError, match="edge count"):
-            surface_h1_mod(m, [vec[:-1]])
-    assert surface_h1_mod(m, [vec]) == invariants_mod.AbelianGroup(*reference_surface_h1_mod(m, [vec]))
+            h1_frame(m).quotient([cycle, broken])
+    want = reference_surface_h1_mod(m, dense(m, [cycle]))
+    assert h1_frame(m).quotient([cycle]) == AbelianGroup(*want)
 
 
 def _small_relation_matrices():
@@ -265,7 +267,7 @@ def _small_relation_matrices():
             continue
         for fams in FAMILY_SETS:
             rows = [dict(r) for r in frame.face_rows]
-            rows += [frame._project(c) for i in fams for c in diagram_mod.family_cycles(d, i)]
+            rows += [frame._project(c) for i in fams for c in family_cycles(d, i)]
             dense = [[r.get(c, 0) for c in range(frame.n_cols)] for r in rows]
             out.append(pytest.param(dense, id="%s-%s" % (name, "".join(map(str, fams)))))
     rng = random.Random(5)
@@ -357,9 +359,9 @@ def _branching_diagram():
     extra = next(
         x for x in m.orbit(m.vertices()[v]) if d.dart_colors[x].kind == "scaffold"
     )
-    color = dict(d.color)
-    color[m.cell_of("edge", extra)] = alpha(1)
-    return ShadowDiagram(m, color, d.marked)
+    colors = list(d.dart_colors)
+    colors[extra] = colors[m.edge_pairing[extra]] = alpha(1)
+    return ShadowDiagram.from_darts(m, colors, [v.dart for v in d.marked])
 
 
 def test_branching_family_raises_the_same_error_on_every_call():
@@ -370,7 +372,7 @@ def test_branching_family_raises_the_same_error_on_every_call():
             validate_cut_system(d, 1)
         messages.add(str(err.value))
         with pytest.raises(MalformedColoring) as err:
-            curve_classes(d, 1)
+            family_cycles(d, 1)
         messages.add(str(err.value))
     assert len(messages) == 1
     assert messages.pop().startswith("alpha1 has 3 darts at vertex")
