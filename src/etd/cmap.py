@@ -15,13 +15,19 @@ ascending minimum dart, and ``cell_of`` is served from these arrays.
 
 Two partition primitives serve every connectivity question in ``etd``:
 :func:`perm_orbits` gives the orbits of the group a set of dart
-permutations generates (cells, components, quotient darts), and
-:class:`DisjointSets` is the union-find for partitions built edge by
-edge (cut pieces, arc unions).  Both number their classes by least
-element.  :func:`spanning_forest` is the one rooted spanning tree
-(homology coordinates, shadow-arc cycles, voltage gauge fixing), and
-:func:`compose` and :func:`inverse` are the one product and inverse of
-dart permutations.
+permutations generates (cells, components, cut pieces, quotient darts),
+and :class:`DisjointSets` is the union-find for partitions built edge by
+edge (arc unions, canonical-form ties, triangulation connectivity).
+Both number their classes by least element.  :func:`spanning_forest` is
+the one rooted spanning tree, of the graph or of its dual (homology
+coordinates and the H1 cotree, shadow-arc cycles, voltage gauge
+fixing), and :func:`compose` and :func:`inverse` are the one product and
+inverse of dart permutations.
+
+:class:`CutSurface` slices a map along a set of edges in one orbit pass
+on flat arrays: its pieces are the orbits of the face walk together with
+the pairing of the uncut darts, and each boundary circle is walked on the
+face side of its cut darts with the face walk alone.
 """
 
 from __future__ import annotations
@@ -88,21 +94,25 @@ def inverse(p):
     return tuple(inv)
 
 
-def spanning_forest(m: CombMap, darts=None):
+def spanning_forest(m: CombMap, darts=None, dual=False):
     """A breadth-first spanning forest of the map's graph, or of the
-    subgraph of the edges in ``darts`` (both darts of each edge).
+    subgraph of the edges in ``darts`` (both darts of each edge).  With
+    ``dual`` the nodes are the faces instead of the vertices: each dart
+    joins its face to the face of its edge partner.
 
-    Roots are taken by ascending vertex index: every vertex, or only the
-    vertices the darts meet.  Each vertex's darts are walked in rotation
-    order from its least dart.  Returns ``(parent, order)``: ``parent[v]``
-    is the dart whose edge first reached vertex v (its tail is v's
-    parent), -1 at a root and at a vertex the darts miss; ``order`` lists
-    the reached vertices in visiting order.
+    Roots are taken by ascending node index: every node, or only the
+    nodes the darts meet.  Each node's darts are walked in its stored
+    orbit order (rotation or face walk) from its least dart.  Returns
+    ``(parent, order)``: ``parent[v]`` is the dart whose edge first
+    reached node v (the dart lies on v's parent, its partner on v), -1 at
+    a root and at a node the darts miss; ``order`` lists the reached
+    nodes in visiting order.
     """
-    vertex_of, ep = m.vertex_of, m.edge_pairing
-    n = len(m._vertex_orbits)
+    node_of, orbits = (m.face_of, m._face_orbits) if dual else (m.vertex_of, m._vertex_orbits)
+    ep = m.edge_pairing
+    n = len(orbits)
     use = None if darts is None else set(darts)
-    roots = range(n) if darts is None else sorted({vertex_of[x] for x in darts})
+    roots = range(n) if darts is None else sorted({node_of[x] for x in darts})
     parent, seen, order = [-1] * n, [False] * n, []
     for root in roots:
         if seen[root]:
@@ -110,8 +120,8 @@ def spanning_forest(m: CombMap, darts=None):
         seen[root] = True
         tree = [root]
         for u in tree:
-            for x in m._vertex_orbits[u]:
-                w = vertex_of[ep[x]]
+            for x in orbits[u]:
+                w = node_of[ep[x]]
                 if not seen[w] and (use is None or x in use):
                     seen[w] = True
                     parent[w] = x
@@ -273,13 +283,13 @@ class CombMap:
 # cutting
 
 
+@dataclass
 class CutComponent:
-    """One connected piece of a cut surface."""
+    """One connected piece of a cut surface: its Euler characteristic and
+    its boundary circles, each a list of cut darts."""
 
-    def __init__(self, chi, boundary_circles, darts):
-        self.chi = chi
-        self.boundary_circles = boundary_circles  # list of lists of cut darts
-        self.darts = darts
+    chi: int
+    boundary_circles: list
 
     @property
     def n_boundary(self):
@@ -291,100 +301,70 @@ class CutComponent:
 
 
 class CutSurface:
-    """Result of slicing a closed map along a set of edges.
+    """Result of slicing a closed map along the edges of the given darts.
 
-    Each cut edge becomes two boundary edges.  Vertices incident to cut
-    darts split into corners (maximal rotation runs between cut darts).
-    Faces persist, and ``base`` keeps the uncut map.
+    Each cut edge becomes two boundary edges, one on each side.  A dart
+    ``d`` stands for its face side: the corner between ``d`` and
+    ``rotation[d]`` at its tail, which lies in the face of ``d``.  Faces
+    survive the cut whole and an uncut edge glues its two faces, so the
+    pieces are the orbits of the darts under the face walk and the
+    pairing of the uncut darts; ``component_of[d]`` is the piece of dart
+    ``d``, pieces numbered by least dart.  ``cut[d]`` is 1 exactly on the
+    darts of cut edges.
+
+    A piece's vertices are its corners: one per cut dart at a vertex
+    that has cut darts, and the whole vertex at one that has none.  A cut
+    dart also brings one boundary edge, so the two cancel in the Euler
+    characteristic, which counts the uncut vertices, uncut edges and
+    faces of the piece.  The boundary circle through a cut dart ``d``
+    runs along its face side: from ``x = face_walk[d]``, step to
+    ``face_walk[edge_pairing[x]]`` (the clockwise neighbour of ``x``)
+    until ``x`` is cut; that is the next cut dart of the circle.
     """
 
-    def __init__(self, base: CombMap, cut_edges: Iterable[CellId]):
-        cut_darts = set()
-        for cell in cut_edges:
-            if cell.kind != "edge":
-                raise UnknownCell("CutSurface expects edge cells")
-            cut_darts.update(base.orbit(cell))
-        self.base = base
-        self.cut_darts = cut_darts
+    def __init__(self, m: CombMap, cut_darts: Iterable[int]):
+        n, ep, fw = m.n_darts, m.edge_pairing, m.face_walk
+        cut = bytearray(n)
+        darts = []
+        for d in cut_darts:
+            if not (isinstance(d, int) and 0 <= d < n):
+                raise UnknownCell("no edge at dart %r" % (d,))
+            if not cut[d]:
+                cut[d] = cut[ep[d]] = 1
+                darts += (d, ep[d])
+        darts.sort()
+        self.cut = cut
+        glue = [x if cut[x] else ep[x] for x in range(n)]
+        component_of, pieces = perm_orbits(n, (fw, glue))
+        self.component_of = component_of
 
-        # corners: split each vertex orbit at its cut darts
-        corner_of = [0] * base.n_darts
-        corners = []
-        for orbit in base._vertex_orbits:
-            local_cut = [d for d in orbit if d in cut_darts]
-            if not local_cut:
-                runs = [list(orbit)]
-            else:
-                # walk the rotation cycle; start a new corner at each cut dart
-                runs = []
-                for c in local_cut:
-                    run = [c]
-                    d = base.rotation[c]
-                    while d not in cut_darts:
-                        run.append(d)
-                        d = base.rotation[d]
-                    runs.append(run)
-            for run in runs:
-                for x in run:
-                    corner_of[x] = len(corners)
-                corners.append(run)
-        self.corners = corners
-        self._corner_of = corner_of
+        chi = [0] * len(pieces)
+        vertex_of = m.vertex_of
+        cut_vertices = {vertex_of[x] for x in darts}
+        for v, orb in enumerate(m._vertex_orbits):
+            if v not in cut_vertices:
+                chi[component_of[orb[0]]] += 1
+        for x, _ in m._edge_orbits:
+            if not cut[x]:
+                chi[component_of[x]] -= 1
+        for orb in m._face_orbits:
+            chi[component_of[orb[0]]] += 1
 
-        # boundary walk on cut darts: from d, the next cut dart around the
-        # same boundary circle is found by rotating from the partner's side.
-        def bwalk(d):
-            x = base.rotation[base.edge_pairing[d]]
-            while x not in cut_darts:
-                x = base.rotation[x]
-            return x
-
-        circles = []
-        seen = set()
-        for d in sorted(cut_darts):
-            if d in seen:
+        circles = [[] for _ in pieces]
+        seen = bytearray(n)
+        for d in darts:
+            if seen[d]:
                 continue
-            circ = [d]
-            seen.add(d)
-            x = bwalk(d)
-            while x != d:
-                circ.append(x)
-                seen.add(x)
-                x = bwalk(x)
-            circles.append(circ)
-        self.boundary_circle_darts = circles
-
-        # connectivity: corners joined by uncut edges, plus boundary walks
-        pieces = DisjointSets(len(corners))
-        for d in range(base.n_darts):
-            if d not in cut_darts:
-                pieces.union(corner_of[d], corner_of[base.edge_pairing[d]])
-        for circ in circles:
-            for a, b in zip(circ, circ[1:]):
-                pieces.union(corner_of[a], corner_of[b])
-
-        # number the components by their first corner, then count each
-        # one's corners, edges (a cut dart is one boundary edge), faces and
-        # boundary circles in one pass over each kind of cell
-        comp_of = pieces.labels()
-        k = max(comp_of, default=-1) + 1
-        chi = [0] * k
-        darts = [set() for _ in range(k)]
-        circles_in = [[] for _ in range(k)]
-        for i, corner in enumerate(corners):
-            chi[comp_of[i]] += 1
-            darts[comp_of[i]].update(corner)
-        for orb in base._edge_orbits:
-            if orb[0] in cut_darts:
-                for x in orb:
-                    chi[comp_of[corner_of[x]]] -= 1
-            else:
-                chi[comp_of[corner_of[orb[0]]]] -= 1
-        for orb in base._face_orbits:
-            chi[comp_of[corner_of[orb[0]]]] += 1
-        for circ in circles:
-            circles_in[comp_of[corner_of[circ[0]]]].append(circ)
-        self.components = [CutComponent(*c) for c in zip(chi, circles_in, darts)]
+            circle = []
+            x = d
+            while not seen[x]:
+                seen[x] = 1
+                circle.append(x)
+                x = fw[x]
+                while not cut[x]:
+                    x = fw[ep[x]]
+            circles[component_of[d]].append(circle)
+        self.components = [CutComponent(*c) for c in zip(chi, circles)]
 
     @property
     def n_components(self):

@@ -293,11 +293,13 @@ def parse_diagram_file(text: str) -> DiagramFile:
         colored.add(dart)
         dart_colors[dart] = dart_colors[ep[dart]] = c
     marked_line, marked_darts = marked or (0, [])
-    for dart in marked_darts:
+    for k, dart in enumerate(marked_darts):
         if not is_vertex_rep(dart):
             raise FileFormatError(
                 "line %d: dart %d is not a vertex representative" % (marked_line, dart)
             )
+        if dart in marked_darts[:k]:
+            raise FileFormatError("line %d: vertex %d marked twice" % (marked_line, dart))
     d = ShadowDiagram.from_darts(m, dart_colors, marked_darts)
 
     action = None
@@ -321,11 +323,15 @@ def parse_diagram_file(text: str) -> DiagramFile:
 
         tokens = {_element_token(x): x for x in group.elements}
         volt = {x: group.identity for x in range(n)}
+        given = set()
         for lineno, dart, tok in voltage_rows:
             if not is_edge_rep(dart):
                 raise FileFormatError(
                     "line %d: voltage dart %d is not an edge representative" % (lineno, dart)
                 )
+            if dart in given:
+                raise FileFormatError("line %d: edge %d has two voltages" % (lineno, dart))
+            given.add(dart)
             try:
                 w = _read_element(tokens, group, tok)
             except FileFormatError as err:
@@ -338,8 +344,11 @@ def parse_diagram_file(text: str) -> DiagramFile:
                 raise FileFormatError(
                     "line %d: meridian dart %d is not a vertex representative" % (lineno, dart)
                 )
+            v = m.cell_of("vertex", dart)
+            if v in mer:
+                raise FileFormatError("line %d: vertex %d has two meridians" % (lineno, dart))
             try:
-                mer[m.cell_of("vertex", dart)] = _read_element(tokens, group, tok)
+                mer[v] = _read_element(tokens, group, tok)
             except FileFormatError as err:
                 raise FileFormatError("line %d: %s" % (lineno, err))
         try:

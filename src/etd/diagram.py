@@ -404,15 +404,11 @@ def _cut_system_verdict(d: ShadowDiagram, i: int) -> CutSystemVerdict:
     m = d.surface
     g = m.genus()
     curves = _curves(d, i)  # raises MalformedColoring if branching
-    arcs = {m.edges()[m.edge_of[x]] for x in d.darts_of_color(shadow(i))}
+    arcs = d.darts_of_color(shadow(i))
     if not curves and not arcs:
         verdict = g == 0
         return CutSystemVerdict(verdict, verdict, 0, 1, "" if verdict else "no curves")
-    cells = set(arcs)
-    for curve in curves:
-        for x in curve:
-            cells.add(m.cell_of("edge", x))
-    cut = CutSurface(m, cells)
+    cut = CutSurface(m, [x for curve in curves for x in curve] + arcs)
     bad = [c for c in cut.components if c.genus != 0]
     if bad:
         return CutSystemVerdict(
@@ -551,21 +547,12 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
     aj = sorted(active_j)
     if len(ai) != len(aj):
         return HeegaardVerdict(HOMOLOGY_CERTIFIED, k, "tier-2 inconclusive")
-    cells = set()
     circle_owner = {}
-    for a in ai:
-        for x in curves_i[a]:
-            cell = m.cell_of("edge", x)
-            cells.add(cell)
-            circle_owner[x] = ("i", a)
-            circle_owner[m.edge_pairing[x]] = ("i", a)
-    for b in aj:
-        for x in curves_j[b]:
-            cell = m.cell_of("edge", x)
-            cells.add(cell)
-            circle_owner[x] = ("j", b)
-            circle_owner[m.edge_pairing[x]] = ("j", b)
-    cut = CutSurface(m, cells)
+    for side, active, curves in (("i", ai, curves_i), ("j", aj, curves_j)):
+        for a in active:
+            for x in curves[a]:
+                circle_owner[x] = circle_owner[m.edge_pairing[x]] = (side, a)
+    cut = CutSurface(m, circle_owner)
     allowed = set()
     for comp in cut.components:
         if comp.chi == 0 and comp.n_boundary == 2:
@@ -693,18 +680,10 @@ def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
         comps = color_components(d, shadow(i))
         if not comps:
             continue
-        curves = _curves(d, i)
-        cells = set()
-        for curve in curves:
-            for x in curve:
-                cells.add(m.cell_of("edge", x))
-        if cells:
-            cut = CutSurface(m, cells)
+        curve_darts = [x for curve in _curves(d, i) for x in curve]
+        if curve_darts:
             # locate each arc component in a complementary component
-            where = {}
-            for ci, comp in enumerate(cut.components):
-                for x in comp.darts:
-                    where[x] = ci
+            where = CutSurface(m, curve_darts).component_of
             count = {}
             for arc in comps:
                 regions = {where[y] for y in arc}

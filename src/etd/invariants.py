@@ -189,60 +189,84 @@ def cokernel(n_ambient, rows) -> AbelianGroup:
 
 
 class H1Frame:
-    """The per-map data of :func:`surface_h1_mod`, built once per map.
+    """The per-map data of :func:`surface_h1_mod`, built once per map:
+    a basis of H1 from a tree-cotree decomposition (Eppstein, *Dynamic
+    generators of topologically embedded graphs*, SODA 2003).
 
     A spanning forest of the 1-skeleton makes the non-tree edges
     coordinates of the cycle space: a cycle's coefficient on the
     fundamental cycle of a non-tree edge is just its entry at that edge.
-    The face boundaries are kept as sparse rows over those coordinates.
+    A spanning forest of the dual graph over the non-tree edges is the
+    cotree.  The ``rank`` edges in neither (2g on a connected surface of
+    genus g) are the columns, and cycles modulo face boundaries are
+    Z^rank on them.  Each face off the dual roots meets its parent cotree
+    edge exactly once, so its boundary relation solves for that edge in
+    terms of the face's other edges.  Faces are solved leaf faces first,
+    so the other non-tree edges of the face are columns or child cotree
+    edges, already solved.  ``coords[j]`` is edge j's class as a sparse
+    dict {column: coefficient}: a column its unit, a tree edge nothing.
+
     Cycles are given as dicts {edge index: coefficient}, an edge oriented
-    from the vertex of its least dart; see :meth:`quotient`.
+    from the vertex of its least dart; see :meth:`project`.
     """
 
     def __init__(self, m: CombMap):
         edges = m.edges()
         ep, vertex_of, edge_of = m.edge_pairing, m.vertex_of, m.edge_of
-        self.n_edges = len(edges)
+        n_edges = len(edges)
         self.tail = [vertex_of[c.dart] for c in edges]
         self.head = [vertex_of[ep[c.dart]] for c in edges]
-        in_tree = [False] * self.n_edges
+        in_forest = bytearray(n_edges)
         for x in spanning_forest(m)[0]:
             if x >= 0:
-                in_tree[edge_of[x]] = True
-        self.col_of = [-1] * self.n_edges
-        self.n_cols = 0
-        for j in range(self.n_edges):
-            if not in_tree[j]:
-                self.col_of[j] = self.n_cols
-                self.n_cols += 1
-        self.face_rows = []
-        for f in m.faces():
+                in_forest[edge_of[x]] = 1
+        non_tree = [x for x in range(m.n_darts) if not in_forest[edge_of[x]]]
+        parent, order = spanning_forest(m, non_tree, dual=True)
+        for x in parent:
+            if x >= 0:
+                in_forest[edge_of[x]] = 1
+        empty = {}  # shared by the tree edges, never written
+        coords = [empty] * n_edges
+        self.rank = 0
+        for j in range(n_edges):
+            if not in_forest[j]:
+                coords[j] = {self.rank: 1}
+                self.rank += 1
+        for f in reversed(order):
+            x = parent[f]
+            if x < 0:
+                continue
+            y = ep[x]  # the parent edge's dart on face f
             row = {}
-            for d in m.orbit(f):
-                j = edge_of[d]
-                row[j] = row.get(j, 0) + (1 if d <= ep[d] else -1)
-            self.face_rows.append(self._project(row))
+            for z in m._face_orbits[f]:
+                if z != y:
+                    a = 1 if z < ep[z] else -1
+                    for c, v in coords[edge_of[z]].items():
+                        row[c] = row.get(c, 0) + a * v
+            a = 1 if y < x else -1  # the boundary is a * edge + row = 0
+            coords[edge_of[y]] = {c: -a * v for c, v in row.items() if v}
+        self.coords = coords
 
-    def _project(self, row):
-        """The cycle ``row`` over the non-tree coordinates; raises
-        InvariantError if it is not a cycle."""
+    def project(self, cycle):
+        """The H1 class of ``cycle``, a dict {edge index: coefficient}, as
+        a sparse dict {column: coefficient}; raises InvariantError if it
+        is not a cycle."""
+        head, tail, coords = self.head, self.tail, self.coords
         bnd = {}
         out = {}
-        for j, a in row.items():
+        for j, a in cycle.items():
             if a:
-                bnd[self.head[j]] = bnd.get(self.head[j], 0) + a
-                bnd[self.tail[j]] = bnd.get(self.tail[j], 0) - a
-                if self.col_of[j] >= 0:
-                    out[self.col_of[j]] = a
+                bnd[head[j]] = bnd.get(head[j], 0) + a
+                bnd[tail[j]] = bnd.get(tail[j], 0) - a
+                for c, v in coords[j].items():
+                    out[c] = out.get(c, 0) + a * v
         if any(bnd.values()):
             raise InvariantError("relation vector is not a cycle")
-        return out
+        return {c: v for c, v in out.items() if v}
 
     def quotient(self, cycles) -> AbelianGroup:
         """H1 modulo the given cycles, each a dict {edge index: coefficient}."""
-        rows = [dict(r) for r in self.face_rows]
-        rows.extend(self._project(c) for c in cycles)
-        return cokernel(self.n_cols, rows)
+        return cokernel(self.rank, [self.project(c) for c in cycles])
 
 
 def h1_frame(m: CombMap) -> H1Frame:
@@ -253,10 +277,10 @@ def h1_frame(m: CombMap) -> H1Frame:
 
 
 def surface_h1_mod(m: CombMap) -> AbelianGroup:
-    """H1 of a closed surface map: cycles modulo face boundaries, from
-    the map's :class:`H1Frame`.  To quotient by curves as well, pass
-    them as sparse cycles to :meth:`H1Frame.quotient`."""
-    return h1_frame(m).quotient([])
+    """H1 of a closed surface map: cycles modulo face boundaries, free
+    on the columns of the map's :class:`H1Frame`.  To quotient by curves
+    as well, pass them as sparse cycles to :meth:`H1Frame.quotient`."""
+    return AbelianGroup(h1_frame(m).rank)
 
 
 def h1_mod_curves(d, families) -> AbelianGroup:

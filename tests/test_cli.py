@@ -287,6 +287,15 @@ THETA = (
         pytest.param("edge -1 alpha1", 8, "edge -1 is not an edge representative", id="edge_negative"),
         pytest.param("edge 6 alpha1", 8, "edge 6 is not an edge representative", id="edge_range"),
         pytest.param("edge 0 alpha1", 8, "edge 0 colored twice", id="edge_twice"),
+        pytest.param("marked 0 1 0", 8, "vertex 0 marked twice", id="marked_vertex_twice"),
+        pytest.param(
+            "group cyclic 4\nvoltage 2 1\nvoltage 2 3", 10, "edge 2 has two voltages",
+            id="voltage_edge_twice",
+        ),
+        pytest.param(
+            "group cyclic 4\nmeridian 1 1\nmeridian 1 3", 10, "vertex 1 has two meridians",
+            id="meridian_vertex_twice",
+        ),
         pytest.param("marked 0 2", 8, "dart 2 is not a vertex representative", id="marked"),
         pytest.param("marked 0 -6", 8, "dart -6 is not a vertex representative", id="marked_negative"),
         pytest.param("marked 1 6", 8, "dart 6 is not a vertex representative", id="marked_range"),

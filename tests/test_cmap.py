@@ -153,8 +153,7 @@ def test_orbit_is_the_stored_cycle():
 
 def test_cut_torus_along_essential_loop():
     m = square_torus()
-    loop_a = m.cell_of("edge", 0)
-    cut = CutSurface(m, [loop_a])
+    cut = CutSurface(m, [0])
     assert cut.n_components == 1
     comp = cut.components[0]
     assert comp.chi == 0
@@ -166,7 +165,7 @@ def test_cut_sphere_along_contractible_loop():
     # sphere: two vertices joined by two parallel edges
     m = CombMap(4, [2, 3, 0, 1], [1, 0, 3, 2])
     assert m.genus() == 0
-    cut = CutSurface(m, [m.cell_of("edge", 0), m.cell_of("edge", 1)])
+    cut = CutSurface(m, [0, 1])
     assert cut.n_components == 2
     for comp in cut.components:
         assert comp.chi == 1
@@ -183,8 +182,7 @@ def two_vertex_genus2():
 def test_cut_genus2_along_cut_system():
     m = two_vertex_genus2()
     assert m.genus() == 2
-    cells = [m.cell_of("edge", 0), m.cell_of("edge", 6)]
-    cut = CutSurface(m, cells)
+    cut = CutSurface(m, [0, 6])
     assert cut.n_components == 1
     comp = cut.components[0]
     assert comp.chi == -2
@@ -198,24 +196,37 @@ def test_cut_wedge_of_curves():
     ep = [2, 3, 0, 1, 6, 7, 4, 5]
     rot = [1, 2, 3, 4, 5, 6, 7, 0]
     m = CombMap(8, ep, rot)
-    cut = CutSurface(m, [m.cell_of("edge", 0), m.cell_of("edge", 4)])
+    cut = CutSurface(m, [0, 4])
     assert cut.total_chi() == -1
+    # either dart names the edge
+    assert [(c.chi, c.boundary_circles) for c in CutSurface(m, [2, 6]).components] == [
+        (c.chi, c.boundary_circles) for c in cut.components
+    ]
 
 
 def test_cut_unknown_cell():
     m = square_torus()
-    with pytest.raises(UnknownCell):
-        CutSurface(m, [CellId("edge", 1)])  # representative is 0, not 1
+    for dart in (4, -1, "0", CellId("edge", 0)):
+        with pytest.raises(UnknownCell):
+            CutSurface(m, [dart])
 
 
 def test_cut_chi_additivity():
-    m = octahedron()
-    cells = [m.edges()[0], m.edges()[5]]
-    cut = CutSurface(m, cells)
-    # cutting along closed curves or arcs through vertices never drops chi
-    # below; for a general edge set chi_total = chi + #cut edges - (vertex
-    # splits)... just sanity check boundary darts count
-    assert sum(len(c.boundary_circles) for c in cut.components) >= 1
+    # each cut edge adds an edge, and each vertex the cut meets becomes
+    # one corner per cut dart there: chi rises by #cut edges minus
+    # #vertices met, and every piece is a surface with 2 - chi - b even
+    # and non-negative
+    rng = random.Random(3)
+    for m in (octahedron(), two_vertex_genus2(), square_torus()):
+        for _ in range(40):
+            darts = rng.sample(range(m.n_darts), rng.randrange(1, m.n_darts + 1))
+            cut = CutSurface(m, darts)
+            n_edges = len({m.edge_of[x] for x in darts})
+            n_vertices = len({m.vertex_of[x] for x in range(m.n_darts) if cut.cut[x]})
+            assert cut.total_chi() == m.euler_characteristic() + n_edges - n_vertices
+            for c in cut.components:
+                assert c.genus >= 0 and (2 - c.chi - c.n_boundary) % 2 == 0
+            assert sum(c.n_boundary for c in cut.components) >= 1
 
 
 # ---- subdivision -----------------------------------------------------------

@@ -63,6 +63,23 @@ def test_malformed_files_rejected(mutation):
         parse_diagram_file(mutation(theta_text()))
 
 
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("marked 0 1 1\n", "line 8: vertex 1 marked twice"),
+        ("group cyclic 4\nvoltage 0 1\nvoltage 0 3\n", "line 10: edge 0 has two voltages"),
+        ("group cyclic 4\nmeridian 0 1\nmeridian 0 2\n", "line 10: vertex 0 has two meridians"),
+    ],
+    ids=["marked", "voltage", "meridian"],
+)
+def test_repeated_entries_rejected(tail, message):
+    # as a second edge line for one edge is: keeping one of them would
+    # write the file back different
+    text = theta_text().replace("marked 0 1\n", "") + tail
+    with pytest.raises(FileFormatError, match="^%s$" % message):
+        parse_diagram_file(text)
+
+
 def test_group_block_round_trip():
     text = theta_text() + "group cyclic 4\nvoltage 0 3\nmeridian 0 1\nmeridian 1 3\n"
     df = parse_diagram_file(text)

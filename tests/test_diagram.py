@@ -9,6 +9,8 @@ from etd.diagram import (
     OddMarkedCount,
     SCAFFOLD,
     ShadowDiagram,
+    _crossing_counts,
+    _curves,
     alpha,
     family_cycles,
     parse_color,
@@ -222,8 +224,14 @@ def test_tangency_is_not_a_crossing():
     assert d.surface.genus() == 1 and len(d.surface.vertices()) == 1
     assert d.well_formed_errors() == []
     # a tangency must not feed a dual-pair destabilization
+    assert _crossing_counts(d, _curves(d, 1), _curves(d, 2)) == {}
+    # the annulus matching verifies the pair instead: pushed off the
+    # tangency, the two loops are disjoint and homologous on the torus,
+    # so isotopic, and a genus-1 diagram with beta isotopic to alpha is
+    # S1 x S2.  The cut along both is a disk (the tangency side) and an
+    # annulus bounded by one side of each loop.
     v = validate_heegaard_pair(d, 1, 2)
-    assert (v.tier, v.k) == ("HomologyCertified", 1)
+    assert (v.tier, v.k) == ("Verified", 1)
 
 
 def test_lens_pair_fails_on_torsion():

@@ -1,7 +1,8 @@
-"""``cmap.spanning_forest`` and its three users, checked against test-only
-copies of the hand-rolled trees they replaced: the breadth-first forest
-of ``H1Frame``, the gauge fixing of ``cover.spanning_tree_normalize`` and
-the union-find forest of ``diagram._shadow_cycles``.  Then a
+"""``cmap.spanning_forest`` (of the graph and of its dual) and its three
+users, checked against test-only copies of the hand-rolled trees they
+replaced: the breadth-first forest of ``H1Frame``, the gauge fixing of
+``cover.spanning_tree_normalize`` and the union-find forest of
+``diagram._shadow_cycles``.  Then a
 differential oracle for branched covers: ``expected_lift_parameters``
 against the built cover, on seeded random gauge transforms of the Q8
 voltages and of their images in small cyclic and dihedral groups."""
@@ -142,8 +143,19 @@ def diagrams(q8):
 
 
 def test_h1_columns_match_the_old_forest(diagrams):
+    # the H1 frame's primal forest is the old one; its cotree then takes
+    # one old column per face beyond the first of each component, which
+    # leaves 2g columns
     for name, d in diagrams.items():
-        assert h1_frame(d.surface).col_of == old_col_of(d.surface), name
+        m = d.surface
+        old = old_col_of(m)
+        tree = {m.edge_of[x] for x in spanning_forest(m)[0] if x >= 0}
+        assert tree == {j for j, c in enumerate(old) if c < 0}, name
+        frame = h1_frame(m)
+        n_old = sum(c >= 0 for c in old)
+        assert frame.rank == n_old - (len(m.faces()) - len(m.components())), name
+        assert frame.rank == 2 * m.genus(), name
+        assert all(not frame.coords[j] for j in tree), name
 
 
 def test_shadow_cycles_span_the_old_lattice(diagrams):
@@ -204,32 +216,36 @@ def test_gauge_fixing_matches_the_old_tree(q8, diagrams):
 def _forest_cases(diagrams):
     for name, d in diagrams.items():
         m = d.surface
-        yield name, m, None
-        for c in sorted({c for c in d.dart_colors}, key=str):
-            yield "%s/%s" % (name, c), m, d.darts_of_color(c)
+        for dual in (False, True):
+            yield name, m, None, dual
+            for c in sorted({c for c in d.dart_colors}, key=str):
+                yield "%s/%s" % (name, c), m, d.darts_of_color(c), dual
 
 
 def test_spanning_forest_is_a_forest(diagrams):
+    # of the graph (nodes are vertices) and of the dual graph (faces)
     nx = pytest.importorskip("networkx")
-    for name, m, darts in _forest_cases(diagrams):
-        ep, vertex_of = m.edge_pairing, m.vertex_of
-        parent, order = spanning_forest(m, darts)
+    for name, m, darts, dual in _forest_cases(diagrams):
+        ep = m.edge_pairing
+        node_of = m.face_of if dual else m.vertex_of
+        n_nodes = len(m.faces() if dual else m.vertices())
+        parent, order = spanning_forest(m, darts, dual=dual)
         use = range(m.n_darts) if darts is None else darts
         g = nx.MultiGraph()
-        g.add_nodes_from(range(len(m.vertices())) if darts is None else {vertex_of[x] for x in use})
-        g.add_edges_from((vertex_of[x], vertex_of[ep[x]]) for x in use if x < ep[x])
+        g.add_nodes_from(range(n_nodes) if darts is None else {node_of[x] for x in use})
+        g.add_edges_from((node_of[x], node_of[ep[x]]) for x in use if x < ep[x])
         assert sorted(order) == sorted(g.nodes), name
         position = {v: k for k, v in enumerate(order)}
         in_darts = set(use)
         tree_edges = 0
-        for v in range(len(m.vertices())):
+        for v in range(n_nodes):
             x = parent[v]
             if x < 0:
                 continue
             tree_edges += 1
             assert x in in_darts, name
-            assert vertex_of[ep[x]] == v, name
-            assert position[vertex_of[x]] < position[v], name
+            assert node_of[ep[x]] == v, name
+            assert position[node_of[x]] < position[v], name
         assert tree_edges == g.number_of_nodes() - nx.number_connected_components(g), name
         # roots by ascending vertex index, one per component
         roots = [v for v in order if parent[v] < 0]

@@ -1,8 +1,12 @@
 """Differential checks of the validation path that works on per-dart
-arrays and per-diagram data: the H1 frame of ``surface_h1_mod``, the
-per-dart cell arrays of ``CombMap``, the one-pass ``CutSurface`` count,
-and the per-diagram curves and cut verdicts of ``validate_trisection``.
-The references below are the plain per-call versions."""
+arrays and per-map and per-diagram data: the tree-cotree H1 frame behind
+``surface_h1_mod`` and every curve quotient, the per-dart cell arrays of
+``CombMap``, the face-walk orbit pass of ``CutSurface``, and the
+per-diagram curves and cut verdicts of ``validate_trisection``.  The
+references below are the plain per-call versions, each built from the
+map alone: dense relation matrices over a spanning tree of their own,
+and cut pieces from a union-find over faces with their own corner and
+boundary counts."""
 
 import random
 
@@ -126,8 +130,10 @@ def dense(m, cycles):
     return [[c.get(j, 0) for j in range(len(m.edges()))] for c in cycles]
 
 
-def reference_surface_h1_mod(m, extra_cycles=None):
-    """H1 mod extra cycles with a fresh spanning tree and dense rows."""
+def reference_relations(m, extra_cycles=None):
+    """The dense relation matrix of H1 mod extra cycles over the non-tree
+    edges of a fresh spanning tree: one row per face boundary, then one
+    per extra cycle.  Returns ``(n_columns, rows)``."""
     edges = m.edges()
     verts = m.vertices()
     faces = m.faces()
@@ -174,58 +180,92 @@ def reference_surface_h1_mod(m, extra_cycles=None):
                 bnd[tail] = bnd.get(tail, 0) - a
         if any(bnd.values()):
             raise InvariantError("relation vector is not a cycle")
-    coeffs = [[row[j] for j in nontree] for row in rels]
+    return len(nontree), [[row[j] for j in nontree] for row in rels]
+
+
+def reference_surface_h1_mod(m, extra_cycles=None):
+    """H1 mod extra cycles from the dense relation matrix."""
+    n_cols, coeffs = reference_relations(m, extra_cycles)
     facs = reference_invariant_factors_sparse(coeffs)
-    return len(nontree) - len(facs), tuple(sorted(f for f in facs if f > 1))
+    return n_cols - len(facs), tuple(sorted(f for f in facs if f > 1))
 
 
-def reference_cut_components(m, cells):
-    """(chi, boundary circles, darts) per component, each component's
-    edges and faces counted by its own pass over every orbit."""
-    cut = CutSurface(m, cells)  # corners and circles come from here
-    cut_darts, corners, circles = cut.cut_darts, cut.corners, cut.boundary_circle_darts
-    corner_of = {}
-    for i, corner in enumerate(corners):
-        for d in corner:
-            corner_of[d] = i
-    parent = list(range(len(corners)))
+def reference_cut(m, darts):
+    """The cut along the edges of ``darts``, from the map alone.
+
+    Pieces: a union-find over faces, joined across every uncut edge,
+    numbered by least dart; a dart belongs to the piece of its face.
+    Corners: the rotation runs at each vertex from one cut dart up to the
+    next, or the whole vertex if it has none; a run lies in the piece of
+    the face of its first dart.  Boundary: the cut dart ``d`` is a
+    boundary edge from the run it starts to the run holding the dart just
+    before ``edge_pairing[d]`` in rotation, and the circles are the
+    classes of a union-find over runs along those edges.
+
+    Returns ``(component_of, pieces)``, each piece ``(chi, circles)``
+    with each circle the frozenset of its cut darts, circles sorted by
+    least dart."""
+    n, ep, rot = m.n_darts, m.edge_pairing, m.rotation
+    cut = set()
+    for d in darts:
+        cut.update((d, ep[d]))
+    faces = m.faces()
+    parent = list(range(len(faces)))
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    for d in range(n):
+        if d not in cut:
+            a, b = find(m.face_of[d]), find(m.face_of[ep[d]])
+            parent[max(a, b)] = min(a, b)
+    roots = sorted({find(f) for f in range(len(faces))})
+    number = {r: k for k, r in enumerate(roots)}
+    component_of = [number[find(m.face_of[d])] for d in range(n)]
 
-    for d in range(m.n_darts):
-        if d not in cut_darts:
-            union(corner_of[d], corner_of[m.edge_pairing[d]])
-    for circ in circles:
-        for a, b in zip(circ, circ[1:]):
-            union(corner_of[a], corner_of[b])
-    comp_ids = {}
-    for i in range(len(corners)):
-        comp_ids.setdefault(find(i), []).append(i)
-    out = []
-    for corner_list in comp_ids.values():
-        corner_set = set(corner_list)
-        darts = set()
-        for i in corner_list:
-            darts.update(corners[i])
-        n_interior = sum(
-            1
-            for e in m.edges()
-            if e.dart not in cut_darts and corner_of[e.dart] in corner_set
-        )
-        n_boundary_edges = sum(1 for d in darts if d in cut_darts)
-        n_faces = sum(1 for f in m.faces() if corner_of[f.dart] in corner_set)
-        circles_here = [c for c in circles if corner_of[c[0]] in corner_set]
-        chi = len(corner_list) - (n_interior + n_boundary_edges) + n_faces
-        out.append((chi, circles_here, darts))
-    return out
+    run_of = {}
+    runs = []
+    for v in m.vertices():
+        orbit = m.orbit(v)
+        starts = [d for d in orbit if d in cut] or orbit[:1]
+        for s0 in starts:
+            run = [s0]
+            while rot[run[-1]] not in cut and rot[run[-1]] != s0:
+                run.append(rot[run[-1]])
+            for x in run:
+                run_of[x] = len(runs)
+            runs.append(run)
+    chi = [0] * len(roots)
+    for run in runs:
+        chi[component_of[run[0]]] += 1
+    for d in range(n):
+        if d < ep[d] and d not in cut:
+            chi[component_of[d]] -= 1
+        if d in cut:
+            chi[component_of[d]] -= 1  # one boundary edge per side
+    for f in faces:
+        chi[component_of[f.dart]] += 1
+
+    ring = list(range(len(runs)))
+
+    def find_run(x):
+        while ring[x] != x:
+            x = ring[x]
+        return x
+
+    before = {rot[x]: x for x in range(n)}
+    for d in cut:
+        a, b = find_run(run_of[d]), find_run(run_of[before[ep[d]]])
+        ring[max(a, b)] = min(a, b)
+    circles = {}
+    for d in cut:
+        circles.setdefault(find_run(run_of[d]), set()).add(d)
+    pieces = [(c, []) for c in chi]
+    for circle in sorted(circles.values(), key=min):
+        pieces[component_of[min(circle)]][1].append(frozenset(circle))
+    return component_of, pieces
 
 
 # ---------------------------------------------------------------------------
@@ -254,31 +294,52 @@ def test_surface_h1_mod_rejects_non_cycles_on_every_call():
     for _ in range(2):
         with pytest.raises(InvariantError, match="not a cycle"):
             h1_frame(m).quotient([cycle, broken])
+        with pytest.raises(InvariantError, match="not a cycle"):
+            h1_frame(m).project(broken)
     want = reference_surface_h1_mod(m, dense(m, [cycle]))
     assert h1_frame(m).quotient([cycle]) == AbelianGroup(*want)
+
+
+def _face_boundary(m, f):
+    """The boundary of face ``f`` as a sparse cycle."""
+    out = {}
+    for x in m.orbit(f):
+        j = m.edge_of[x]
+        out[j] = out.get(j, 0) + (1 if x < m.edge_pairing[x] else -1)
+    return out
+
+
+@pytest.mark.parametrize("build", _cases())
+def test_h1_frame_has_2g_columns_and_kills_every_face(build):
+    m = build().surface
+    frame = h1_frame(m)
+    assert frame.rank == 2 * m.genus()
+    assert surface_h1_mod(m) == AbelianGroup(frame.rank)
+    for f in m.faces():
+        assert frame.project(_face_boundary(m, f)) == {}
+    assert all(c < frame.rank for coords in frame.coords for c in coords)
 
 
 def _small_relation_matrices():
     out = []
     for name in CATALOG:
         d = entry(name).diagram
-        frame = h1_frame(d.surface)
-        if frame.n_cols > 24:
+        m = d.surface
+        if len(m.edges()) - len(m.vertices()) + 1 > 24:
             continue
         for fams in FAMILY_SETS:
-            rows = [dict(r) for r in frame.face_rows]
-            rows += [frame._project(c) for i in fams for c in family_cycles(d, i)]
-            dense = [[r.get(c, 0) for c in range(frame.n_cols)] for r in rows]
-            out.append(pytest.param(dense, id="%s-%s" % (name, "".join(map(str, fams)))))
+            cycles = [c for i in fams for c in family_cycles(d, i)]
+            _, rows = reference_relations(m, dense(m, cycles))
+            out.append(pytest.param(rows, id="%s-%s" % (name, "".join(map(str, fams)))))
     rng = random.Random(5)
     for k in range(12):
         rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
-        dense = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        out.append(pytest.param(dense, id="random-%d" % k))
+        matrix = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
+        out.append(pytest.param(matrix, id="random-%d" % k))
     for k in range(6):
         rows, cols = rng.randrange(30, 61), rng.randrange(10, 41)
-        dense = [[rng.choice((-1, 1)) if rng.random() < 0.12 else 0 for _ in range(cols)] for _ in range(rows)]
-        out.append(pytest.param(dense, id="sparse-%d" % k))
+        matrix = [[rng.choice((-1, 1)) if rng.random() < 0.12 else 0 for _ in range(cols)] for _ in range(rows)]
+        out.append(pytest.param(matrix, id="sparse-%d" % k))
     return out
 
 
@@ -322,25 +383,61 @@ def _cut_sets(d):
     m = d.surface
     sets = []
     for i in (1, 2, 3):
-        cells = {m.cell_of("edge", x) for x in d.darts_of_color(alpha(i))}
-        if cells:
-            sets.append(cells)
+        darts = d.darts_of_color(alpha(i))
+        if darts:
+            sets.append(darts)
     rng = random.Random(m.n_darts)
-    edges = m.edges()
-    for _ in range(4):
-        sets.append(set(rng.sample(edges, rng.randrange(1, len(edges) + 1))))
+    edges = [e.dart for e in m.edges()]
+    for k in range(8):
+        # half the sets name each edge by its other dart
+        picked = rng.sample(edges, rng.randrange(1, len(edges) + 1))
+        sets.append([m.edge_pairing[x] for x in picked] if k % 2 else picked)
+    # a few edges at a time, which often touch at a vertex without
+    # passing through it
+    for _ in range(16):
+        sets.append(rng.sample(range(m.n_darts), rng.randrange(1, 5)))
     return sets
+
+
+def _check_cut(m, darts):
+    cut = CutSurface(m, darts)
+    component_of, pieces = reference_cut(m, darts)
+    assert cut.component_of == component_of
+    got = [(c.chi, sorted(map(frozenset, c.boundary_circles), key=min)) for c in cut.components]
+    assert got == pieces
+    for c in cut.components:
+        assert c.n_boundary == len(c.boundary_circles)
+        assert all(cut.cut[x] for circle in c.boundary_circles for x in circle)
+        # every piece is a compact orientable surface: 2 - chi - b = 2 * genus
+        defect = 2 - c.chi - c.n_boundary
+        assert defect >= 0 and defect % 2 == 0, (c.chi, c.n_boundary)
+    assert sorted(x for c in cut.components for circle in c.boundary_circles for x in circle) == [
+        x for x in range(m.n_darts) if cut.cut[x]
+    ]
+    return cut
 
 
 @pytest.mark.parametrize("build", _cases())
 def test_cut_components_match_per_component_reference(build):
     d = build()
-    for cells in _cut_sets(d):
-        cut = CutSurface(d.surface, cells)
-        got = [(c.chi, c.boundary_circles, c.darts) for c in cut.components]
-        assert got == reference_cut_components(d.surface, cells)
-        for c in cut.components:
-            assert c.n_boundary == len(c.boundary_circles)
+    for darts in _cut_sets(d):
+        _check_cut(d.surface, darts)
+
+
+@pytest.mark.parametrize(
+    "name, darts, want",
+    [
+        # cut edges that touch at a vertex without passing through it;
+        # a cut that paired corners with the far side of each boundary
+        # edge gave (-1, 2) and (2, 1) here, genus 1/2 and -1/2 ...
+        ("natural_genus1(m=1)", [0, 2, 4, 10], [(0, 2), (1, 1)]),
+        # ... and (2, 1) and (-4, 1) here, genus -1/2 and 5/2
+        ("s2xs2_genus2", [0, 2, 8, 30], [(-2, 2)]),
+    ],
+)
+def test_cut_where_edges_touch_without_crossing(name, darts, want):
+    cut = _check_cut(entry(name).diagram.surface, darts)
+    assert [(c.chi, c.n_boundary) for c in cut.components] == want
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +495,13 @@ def test_validation_does_each_piece_of_work_once(monkeypatch):
     d = derived_cover(base.diagram, reds[-1][1]).diagram  # a fresh diagram and map
     assert d.surface.n_darts == 1712
     calls = {"CutSurface": 0, "H1Frame": 0, "_family_curves": []}
-    real_cut, real_frame, real_curves = (
+    real_cut, real_frame, real_curves, real_cokernel = (
         diagram_mod.CutSurface,
         invariants_mod.H1Frame,
         diagram_mod._family_curves,
+        invariants_mod.cokernel,
     )
+    widths = []
 
     def cut(*args):
         calls["CutSurface"] += 1
@@ -416,11 +515,19 @@ def test_validation_does_each_piece_of_work_once(monkeypatch):
         calls["_family_curves"].append(i)
         return real_curves(dd, i)
 
+    def cokernel(n_ambient, rows):
+        widths.append(max([n_ambient] + [c + 1 for r in rows for c in r]))
+        return real_cokernel(n_ambient, rows)
+
     monkeypatch.setattr(diagram_mod, "CutSurface", cut)
     monkeypatch.setattr(invariants_mod, "H1Frame", frame)
     monkeypatch.setattr(diagram_mod, "_family_curves", curves)
+    monkeypatch.setattr(invariants_mod, "cokernel", cokernel)
     report = validate_trisection(d)
     assert report.gk() == (17, (5, 5, 5))
     # one cut per family for the cut systems and one per family for the
     # shadow arcs; one H1 frame for the surface; one extraction per family
     assert calls == {"CutSurface": 6, "H1Frame": 1, "_family_curves": [1, 2, 3]}
+    # the pair quotients run over the 2g = 34 columns alone: no face row
+    # reaches the cokernel
+    assert len(widths) == 3 and max(widths) <= 34
