@@ -12,12 +12,14 @@ and the mark of the dart it comes from.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .cmap import CellId, CombMap, CutSurface, DisjointSets, canonical_form, is_isomorphic
-from .cmap import spanning_forest
-from .invariants import h1_frame
+from .cmap import perm_orbits, spanning_forest
+from .invariants import h1_frame, h1_mod_curves
 
 
 class DiagramError(ValueError):
@@ -104,9 +106,11 @@ class ShadowDiagram:
     a dict from edge CellIds to colors, uncolored edges defaulting to
     scaffold, and marked vertex CellIds.
 
-    Data derived from the diagram (each family's curves, cut-system
-    verdict and cycle classes) is computed once, on first use, and kept;
-    the surface, colors and marks must not change after construction.
+    Derived data is computed once, on first use, and kept: the vertex
+    pass (color rotation, alpha crossings, structural errors), every
+    color's components, the dart labels, and each family's curves,
+    cut-system verdict, cycles and H1 classes.  The surface, colors and
+    marks must not change after construction.
     """
 
     def __init__(self, surface: CombMap, color=None, marked=()):
@@ -188,12 +192,15 @@ class ShadowDiagram:
         return got
 
     def dart_labels(self):
-        """Per-dart decorations for canonical forms and isomorphism."""
-        marked = [False] * self.surface.n_darts
-        for v in self.marked:
-            for d in self.surface.orbit(v):
-                marked[d] = True
-        return [(c.kind, c.index, mk) for c, mk in zip(self.dart_colors, marked)]
+        """Per-dart decorations for canonical forms and isomorphism:
+        (color kind, color index, whether the dart's vertex is marked).
+        Built once per diagram; callers must not mutate them."""
+        vertex_of = self.surface.vertex_of
+        marked = {vertex_of[v.dart] for v in self.marked}
+        return self._once(
+            "labels",
+            lambda: [(c.kind, c.index, v in marked) for c, v in zip(self.dart_colors, vertex_of)],
+        )
 
     def vertex_kind(self, v: CellId) -> str:
         if v in self.marked:
@@ -212,57 +219,100 @@ class ShadowDiagram:
     def isomorphic_to(self, other: "ShadowDiagram"):
         return is_isomorphic(self.surface, other.surface, self.dart_labels(), other.dart_labels())
 
-    # -- structural well-formedness ---------------------------------------
-
     def well_formed_errors(self) -> list[str]:
-        errs = []
-        m = self.surface
-        for v in m.vertices():
-            orbit = m.orbit(v)
-            alpha_families = {}
-            for d in orbit:
-                c = self.dart_color(d)
-                if c.kind == "alpha":
-                    alpha_families.setdefault(c.index, []).append(d)
-            for i, ds in alpha_families.items():
-                if len(ds) not in (0, 2):
-                    errs.append(
-                        "vertex %r carries %d darts of alpha%d (want 0 or 2)" % (v, len(ds), i)
-                    )
-            if len(alpha_families) > 2:
-                errs.append("more than two curve colors cross at vertex %r" % (v,))
-            if len(alpha_families) == 2 and len(orbit) == 4 and all(
-                len(ds) == 2 for ds in alpha_families.values()
-            ):
-                # transversality: the two families must alternate
-                fams = [self.dart_color(d).index for d in orbit]
-                if any(fams[k] == fams[(k + 1) % 4] for k in range(4)):
+        """The structural errors of the coloring and the marks, as
+        :func:`_vertex_pass` lists them; a new list on every call."""
+        return list(_vertex_data(self, "errors"))
+
+
+# ---------------------------------------------------------------------------
+# the vertex pass
+
+
+def _vertex_pass(d: ShadowDiagram) -> dict:
+    """Everything ``d`` reads off its vertex rotations, in one walk.
+
+    ``color_rotation[x]`` is the next dart of x's color around x's vertex:
+    the rotation each color induces.  ``crossings`` lists the transverse
+    alpha crossings as dart pairs (x, y), x of the lower family, where two
+    families have two darts each and either pair separates the other (a
+    tangency is none).  ``errors`` lists the structural errors vertex by
+    vertex, then the missing ends of shadow arcs."""
+    m = d.surface
+    rot, vertices = m.rotation, m.vertices()
+    colors = list(d._darts_by_color)  # the colors present, numbered
+    code = [0] * m.n_darts
+    for c, darts in enumerate(d._darts_by_color.values()):
+        for x in darts:
+            code[x] = c
+    marked = {m.vertex_of[v.dart] for v in d.marked}
+    present = sorted(c.index for c in colors if c.kind == "shadow")
+    color_rotation = list(rot)  # a vertex of one color keeps its rotation
+    crossings, errs, missing = [], [], []
+    for k, orbit in enumerate(m._vertex_orbits):
+        v = vertices[k]
+        cs = [code[x] for x in orbit]
+        here = dict.fromkeys(cs)  # the colors at v, by first appearance
+        if len(here) > 1:
+            for x in orbit:
+                y = rot[x]
+                while code[y] != code[x]:
+                    y = rot[y]
+                color_rotation[x] = y
+        alphas = [c for c in here if colors[c].kind == "alpha"]
+        shadows = [c for c in here if colors[c].kind == "shadow"]
+        for c in alphas:
+            if cs.count(c) != 2:
+                errs.append(
+                    "vertex %r carries %d darts of alpha%d (want 0 or 2)"
+                    % (v, cs.count(c), colors[c].index)
+                )
+        if len(alphas) > 2:
+            errs.append("more than two curve colors cross at vertex %r" % (v,))
+        if len(alphas) > 1:
+            # the families with two darts here, by index, at their first
+            twos = sorted((colors[c].index, cs.index(c)) for c in alphas if cs.count(c) == 2)
+            for (_, p1), (_, q1) in itertools.combinations(twos, 2):
+                p2, q2 = cs.index(cs[p1], p1 + 1), cs.index(cs[q1], q1 + 1)
+                if (p1 < q1 < p2) != (p1 < q2 < p2):
+                    crossings.append((orbit[p1], orbit[q1]))
+                elif len(alphas) == 2 and len(orbit) == 4:
                     errs.append("curve colors do not alternate at crossing %r" % (v,))
-            # shadow arcs: interior vertices carry 0 or 2 darts of one family
-            shadow_families = {}
-            for d in orbit:
-                c = self.dart_color(d)
-                if c.kind == "shadow":
-                    shadow_families.setdefault(c.index, []).append(d)
-            if v not in self.marked:
-                if len(shadow_families) > 1:
-                    errs.append("shadow families share interior vertex %r" % (v,))
-                for i, ds in shadow_families.items():
-                    if len(ds) != 2:
-                        errs.append(
-                            "shadow%d ends at unmarked vertex %r" % (i, v)
-                        )
-        present = {c.index for c in self._darts_by_color if c.kind == "shadow"}
-        for v in sorted(self.marked):
-            here = {
-                self.dart_color(d).index
-                for d in self.surface.orbit(v)
-                if self.dart_color(d).kind == "shadow"
-            }
-            for i in present:
-                if i not in here:
-                    errs.append("marked vertex %r has no shadow%d end" % (v, i))
-        return errs
+        if k in marked:
+            ends = {colors[c].index for c in shadows}
+            missing += [
+                "marked vertex %r has no shadow%d end" % (v, i) for i in present if i not in ends
+            ]
+            continue
+        if len(shadows) > 1:
+            errs.append("shadow families share interior vertex %r" % (v,))
+        for c in shadows:
+            if cs.count(c) != 2:
+                errs.append("shadow%d ends at unmarked vertex %r" % (colors[c].index, v))
+    return {"color_rotation": color_rotation, "crossings": crossings, "errors": errs + missing}
+
+
+def _vertex_data(d: ShadowDiagram, key: str):
+    """Entry ``key`` of the vertex pass, run once per diagram; do not mutate it."""
+    return d._once("vertices", lambda: _vertex_pass(d))[key]
+
+
+def _color_parts(d: ShadowDiagram):
+    """``(index, parts)``, once per diagram: ``parts[c]`` lists the
+    components of color c (see :func:`color_components`), ``index[x]``
+    the position of x's component in its color's list."""
+
+    def build():
+        m = d.surface
+        comp_of, comps = perm_orbits(m.n_darts, (m.edge_pairing, _vertex_data(d, "color_rotation")))
+        parts, index = {}, []
+        for comp in comps:
+            same = parts.setdefault(d.dart_colors[comp[0]], [])
+            index.append(len(same))
+            same.append(sorted(comp))
+        return [index[k] for k in comp_of], parts
+
+    return d._once("parts", build)
 
 
 # ---------------------------------------------------------------------------
@@ -271,37 +321,26 @@ class ShadowDiagram:
 
 def _family_curves(d: ShadowDiagram, i: int):
     """The Alpha(i) curves as lists of darts (one dart per traversed edge,
-    in traversal order).  Raises MalformedColoring on branching."""
+    in traversal order), each from its least dart, so that curve a holds
+    the darts of the family's color component a: the walk crosses each
+    dart's edge and turns to the family's other dart there, its color
+    rotation.  Raises MalformedColoring on branching, at the vertex of
+    the least dart that has not two of the family's darts."""
     m = d.surface
-    darts = d.darts_of_color(alpha(i))
-    # at each vertex the family's darts must pair up (0 or 2)
-    at_vertex = {}
-    for x in darts:
-        at_vertex.setdefault(m.vertex_of[x], []).append(x)
-    for v, ds in at_vertex.items():
-        if len(ds) != 2:
-            raise MalformedColoring(
-                "alpha%d has %d darts at vertex %r" % (i, len(ds), m.vertices()[v])
-            )
-    partner = {}
-    for ds in at_vertex.values():
-        partner[ds[0]] = ds[1]
-        partner[ds[1]] = ds[0]
-    curves = []
-    seen = set()
-    for x in darts:
-        if x in seen:
-            continue
-        curve = []
-        y = x
-        while True:
-            curve.append(y)
-            seen.add(y)
-            seen.add(m.edge_pairing[y])
-            y = partner[m.edge_pairing[y]]
-            if y == x:
-                break
-        curves.append(curve)
+    ep, rot = m.edge_pairing, _vertex_data(d, "color_rotation")
+    for x in d.darts_of_color(alpha(i)):
+        if rot[x] == x or rot[rot[x]] != x:
+            v = m.vertex_of[x]
+            n = sum(d.dart_colors[y] == alpha(i) for y in m._vertex_orbits[v])
+            raise MalformedColoring("alpha%d has %d darts at vertex %r" % (i, n, m.vertices()[v]))
+    curves, seen = [], set()
+    for x in d.darts_of_color(alpha(i)):
+        if x not in seen:
+            curve = [x]
+            while rot[ep[curve[-1]]] != x:
+                curve.append(rot[ep[curve[-1]]])
+            seen.update(curve + [ep[y] for y in curve])
+            curves.append(curve)
     return curves
 
 
@@ -357,14 +396,22 @@ def _shadow_cycles(d: ShadowDiagram, i: int):
 
 def family_cycles(d: ShadowDiagram, i: int):
     """The cycles that bound on the Alpha(i) handlebody side: one per
-    Alpha(i) curve, then the Shadow(i) cycle basis, as sparse cycles for
-    :meth:`etd.invariants.H1Frame.quotient`.  Curve orientations are
-    arbitrary; homology quotients do not see them.  Computed once per
-    diagram; raises MalformedColoring if the family branches."""
+    Alpha(i) curve, then the Shadow(i) cycle basis, as sparse cycles (see
+    :func:`_edge_cycle`).  Curve orientations are arbitrary; homology
+    quotients do not see them.  Computed once per diagram; raises
+    MalformedColoring if the family branches."""
     return d._once(
         ("cycles", i),
         lambda: [_edge_cycle(d.surface, c) for c in _curves(d, i)] + _shadow_cycles(d, i),
     )
+
+
+def family_classes(d: ShadowDiagram, i: int):
+    """The H1 classes of :func:`family_cycles`, projected once per
+    diagram by :meth:`etd.invariants.H1Frame.project`.  Callers must not
+    mutate them: ``cokernel`` consumes its rows, so it gets copies."""
+    frame = h1_frame(d.surface)
+    return d._once(("classes", i), lambda: [frame.project(c) for c in family_cycles(d, i)])
 
 
 # ---------------------------------------------------------------------------
@@ -437,35 +484,16 @@ class HeegaardVerdict:
         return self.tier in (VERIFIED, HOMOLOGY_CERTIFIED)
 
 
-def _crossing_counts(d: ShadowDiagram, curves_i, curves_j):
-    """Transversal crossing counts between two curve lists of different
-    families, keyed by curve indices (a, b).
-
-    Each family has 0 or 2 darts at a vertex (see :func:`_family_curves`),
-    so curves a and b cross at a shared vertex exactly when a's two darts
-    separate b's two darts in the vertex's rotation; a tangency counts
-    zero.
-    """
-    m = d.surface
-    owners = []
-    for curves in (curves_i, curves_j):
-        owner = [-1] * m.n_darts
-        for a, curve in enumerate(curves):
-            for x in curve:
-                owner[x] = owner[m.edge_pairing[x]] = a
-        owners.append(owner)
-    owner_i, owner_j = owners
-    counts = {}
-    for v in m.vertices():
-        orbit = m.orbit(v)
-        at_i = [(p, owner_i[x]) for p, x in enumerate(orbit) if owner_i[x] >= 0]
-        at_j = [(q, owner_j[x]) for q, x in enumerate(orbit) if owner_j[x] >= 0]
-        if at_i and at_j:
-            (p1, a), (p2, _) = at_i
-            (q1, b), (q2, _) = at_j
-            if (p1 < q1 < p2) != (p1 < q2 < p2):
-                counts[(a, b)] = counts.get((a, b), 0) + 1
-    return counts
+def _crossing_counts(d: ShadowDiagram, i: int, j: int):
+    """Transverse crossing counts between the Alpha(i) and the Alpha(j)
+    curves, keyed by curve indices (a, b), from the vertex pass; a
+    tangency counts zero.  A dart's curve index is the index of its color
+    component (see :func:`_family_curves`)."""
+    index, colors = _color_parts(d)[0], d.dart_colors
+    pairs = [(x, y) if colors[x].index == i else (y, x) for x, y in _vertex_data(d, "crossings")]
+    return Counter(
+        (index[x], index[y]) for x, y in pairs if (colors[x].index, colors[y].index) == (i, j)
+    )
 
 
 def _perfect_matching(n_left, n_right, allowed):
@@ -500,16 +528,15 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
     vj = validate_cut_system(d, j)
     if not (vi and vj):
         return HeegaardVerdict(FAILED, None, "not a cut system")
-    h = h1_frame(d.surface).quotient(family_cycles(d, i) + family_cycles(d, j))
+    h = h1_mod_curves(d, (i, j))
     if not h.is_free:
         return HeegaardVerdict(FAILED, None, "torsion %s in curve quotient" % (h,))
     k = h.rank
 
     # ---- tier 2 ---------------------------------------------------------
     m = d.surface
-    curves_i = _curves(d, i)
-    curves_j = _curves(d, j)
-    counts = _crossing_counts(d, curves_i, curves_j)
+    curves_i, curves_j = _curves(d, i), _curves(d, j)
+    counts = _crossing_counts(d, i, j)
     active_i = set(range(len(curves_i)))
     active_j = set(range(len(curves_j)))
     budget = tier2_budget
@@ -579,49 +606,26 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
 def color_components(d: ShadowDiagram, c: Color):
     """Connected components of the union of the edges of color ``c``,
     as ascending dart lists ordered by least dart: darts are joined
-    along their edge and at every vertex they share."""
-    m = d.surface
-    darts = d.darts_of_color(c)
-    sets = DisjointSets(m.n_darts)
-    first_at = {}
-    for x in darts:
-        sets.union(x, m.edge_pairing[x])
-        sets.union(x, first_at.setdefault(m.vertex_of[x], x))
-    comps = {}
-    for x in darts:
-        comps.setdefault(sets.find(x), []).append(x)
-    return list(comps.values())
+    along their edge and at every vertex they share, the orbits of the
+    edge pairing and the color rotation.  Computed once per diagram for
+    all colors; callers must not mutate them."""
+    return _color_parts(d)[1].get(c, [])
 
 
 def _arc_end_pairing(d: ShadowDiagram, v: CellId, i: int, j: int):
     """Pair Shadow(i) with Shadow(j) arc-ends at a marked vertex by
     rotation adjacency; returns list of (dart_i, dart_j) pairs."""
-    m = d.surface
-    seq = []
-    for x in m.orbit(v):
-        c = d.dart_color(x)
-        if c.kind == "shadow" and c.index in (i, j):
-            seq.append((x, c.index))
+    ends = (shadow(i), shadow(j))
+    seq = [(x, d.dart_colors[x].index) for x in d.surface.orbit(v) if d.dart_colors[x] in ends]
     pairs = []
-    seq = list(seq)
-    guard = len(seq) * len(seq) + 1
-    while seq and guard > 0:
-        guard -= 1
+    while seq:
         n = len(seq)
-        hit = None
-        for p in range(n):
-            (x1, f1), (x2, f2) = seq[p], seq[(p + 1) % n]
-            if {f1, f2} == {i, j}:
-                hit = p
-                break
+        hit = next((p for p in range(n) if {seq[p][1], seq[(p + 1) % n][1]} == {i, j}), None)
         if hit is None:
-            raise MalformedColoring(
-                "arc-ends of families %d/%d do not pair at %r" % (i, j, v)
-            )
-        (x1, f1), (x2, f2) = seq[hit], seq[(hit + 1) % n]
+            raise MalformedColoring("arc-ends of families %d/%d do not pair at %r" % (i, j, v))
+        (x1, f1), (x2, _) = seq[hit], seq[(hit + 1) % n]
         pairs.append((x1, x2) if f1 == i else (x2, x1))
-        for idx in sorted({hit, (hit + 1) % n}, reverse=True):
-            seq.pop(idx)
+        seq = [e for p, e in enumerate(seq) if p not in (hit, (hit + 1) % n)]
     return pairs
 
 
@@ -629,21 +633,15 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
     """Components of the closed 1-manifold a_i u a_j (arc families joined
     at bridge points, plus closed components of either family)."""
     m = d.surface
+    rot = _vertex_data(d, "color_rotation")
     marked = {m.vertex_of[v.dart] for v in d.marked}
     loops = DisjointSets(m.n_darts)
     allx = d.darts_of_color(shadow(i)) + d.darts_of_color(shadow(j))
     for x in allx:
         loops.union(x, m.edge_pairing[x])
-    # along each family, join the two darts at an unmarked pass-through
-    for f in (i, j):
-        at_vertex = {}
-        for x in d.darts_of_color(shadow(f)):
-            v = m.vertex_of[x]
-            if v not in marked:
-                at_vertex.setdefault(v, []).append(x)
-        for ds in at_vertex.values():
-            for a, b in zip(ds, ds[1:]):
-                loops.union(a, b)
+        # along each family, join the family's darts at an unmarked vertex
+        if m.vertex_of[x] not in marked:
+            loops.union(x, rot[x])
     # at marked vertices, join by the rotation-adjacency pairing
     for v in sorted(d.marked):
         for xi, xj in _arc_end_pairing(d, v, i, j):

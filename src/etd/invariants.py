@@ -286,16 +286,17 @@ def surface_h1_mod(m: CombMap) -> AbelianGroup:
 def h1_mod_curves(d, families) -> AbelianGroup:
     """H1 of the diagram surface modulo the cycles of the families, as
     :func:`etd.diagram.family_cycles` lists them: each Alpha(i) curve,
-    then a cycle basis of the Shadow(i) arcs.
+    then a cycle basis of the Shadow(i) arcs, projected once per diagram.
 
     With one family this is the handlebody H1 (Z^g for a genuine cut
     system); with all three it is H1 of the trisected 4-manifold.  Cycles
     supported on a family's shadow arcs bound bridge disks on the
     handlebody side and are quotiented alongside the curves.
     """
-    from .diagram import family_cycles  # avoids a cycle
+    from .diagram import family_classes  # avoids a cycle
 
-    return h1_frame(d.surface).quotient([c for i in families for c in family_cycles(d, i)])
+    rows = [dict(c) for i in families for c in family_classes(d, i)]
+    return cokernel(h1_frame(d.surface).rank, rows)
 
 
 # ---------------------------------------------------------------------------

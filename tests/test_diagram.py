@@ -224,7 +224,7 @@ def test_tangency_is_not_a_crossing():
     assert d.surface.genus() == 1 and len(d.surface.vertices()) == 1
     assert d.well_formed_errors() == []
     # a tangency must not feed a dual-pair destabilization
-    assert _crossing_counts(d, _curves(d, 1), _curves(d, 2)) == {}
+    assert _crossing_counts(d, 1, 2) == {}
     # the annulus matching verifies the pair instead: pushed off the
     # tangency, the two loops are disjoint and homologous on the torus,
     # so isotopic, and a genus-1 diagram with beta isotopic to alpha is
@@ -311,6 +311,149 @@ def test_well_formed_clean_fixtures():
     assert theta_sphere_diagram().well_formed_errors() == []
 
 
+def _V(dart):
+    return "CellId(kind='vertex', dart=%d)" % dart
+
+
+def _torus_colored(colors, marks=()):
+    """three_line_torus (vertices 0: [0, 4, 3, 7], 1: [1, 11, 2, 8],
+    5: [5, 10, 6, 9]) with the edges of the given darts colored."""
+    m = three_line_torus()
+    return ShadowDiagram(
+        m, {edge_cell(m, x): c for x, c in colors.items()}, [vertex_cell(m, x) for x in marks]
+    )
+
+
+def _tangent_colored(colors):
+    return ShadowDiagram.from_darts(tangent_torus_diagram().surface, colors)
+
+
+# Each case: the diagram, its well_formed_errors() and the structural
+# errors of its validation report, exactly and in order.
+MALFORMED = {
+    "three_single_darts": (
+        lambda: _torus_colored({0: alpha(1), 4: alpha(2), 2: alpha(3)}),
+        [
+            "vertex %s carries 1 darts of alpha1 (want 0 or 2)" % _V(0),
+            "vertex %s carries 1 darts of alpha2 (want 0 or 2)" % _V(0),
+            "vertex %s carries 1 darts of alpha3 (want 0 or 2)" % _V(0),
+            "more than two curve colors cross at vertex %s" % _V(0),
+            "vertex %s carries 1 darts of alpha1 (want 0 or 2)" % _V(1),
+            "vertex %s carries 1 darts of alpha3 (want 0 or 2)" % _V(1),
+            "vertex %s carries 1 darts of alpha2 (want 0 or 2)" % _V(5),
+        ],
+        [],
+    ),
+    "three_families_at_one_vertex": (
+        lambda: _tangent_colored([alpha(1)] * 2 + [alpha(2)] * 2 + [alpha(3)] * 2),
+        ["more than two curve colors cross at vertex %s" % _V(0)],
+        [],
+    ),
+    "three_darts": (
+        lambda: _torus_colored({0: alpha(1), 4: alpha(1), 2: alpha(1)}),
+        [
+            "vertex %s carries 3 darts of alpha1 (want 0 or 2)" % _V(0),
+            "vertex %s carries 1 darts of alpha1 (want 0 or 2)" % _V(5),
+        ],
+        [],
+    ),
+    "four_darts": (
+        lambda: _tangent_colored([alpha(1)] * 4 + [SCAFFOLD] * 2),
+        ["vertex %s carries 4 darts of alpha1 (want 0 or 2)" % _V(0)],
+        [],
+    ),
+    "not_alternating": (
+        lambda: _torus_colored({0: alpha(1), 4: alpha(1), 2: alpha(2), 6: alpha(2)}),
+        [
+            "curve colors do not alternate at crossing %s" % _V(0),
+            "vertex %s carries 1 darts of alpha1 (want 0 or 2)" % _V(1),
+            "vertex %s carries 1 darts of alpha2 (want 0 or 2)" % _V(1),
+            "vertex %s carries 1 darts of alpha1 (want 0 or 2)" % _V(5),
+            "vertex %s carries 1 darts of alpha2 (want 0 or 2)" % _V(5),
+        ],
+        [],
+    ),
+    "shadow_ends_inside": (
+        lambda: _torus_colored({0: shadow(1), 4: shadow(2)}),
+        [
+            "shadow families share interior vertex %s" % _V(0),
+            "shadow1 ends at unmarked vertex %s" % _V(0),
+            "shadow2 ends at unmarked vertex %s" % _V(0),
+            "shadow1 ends at unmarked vertex %s" % _V(1),
+            "shadow2 ends at unmarked vertex %s" % _V(5),
+        ],
+        [],
+    ),
+    "marked_without_ends": (
+        lambda: _torus_colored({0: shadow(1), 8: shadow(2)}, (0, 1, 5)),
+        [
+            "marked vertex %s has no shadow2 end" % _V(0),
+            "marked vertex %s has no shadow1 end" % _V(5),
+        ],
+        ["3 marked vertices"],
+    ),
+    "mixed": (
+        lambda: _torus_colored(
+            {0: alpha(1), 4: shadow(1), 2: alpha(2), 8: shadow(3), 10: alpha(1)}, (1, 5)
+        ),
+        [
+            "vertex %s carries 1 darts of alpha1 (want 0 or 2)" % _V(0),
+            "vertex %s carries 1 darts of alpha2 (want 0 or 2)" % _V(0),
+            "shadow1 ends at unmarked vertex %s" % _V(0),
+            "vertex %s carries 1 darts of alpha2 (want 0 or 2)" % _V(1),
+            "vertex %s carries 1 darts of alpha1 (want 0 or 2)" % _V(5),
+            "marked vertex %s has no shadow1 end" % _V(1),
+        ],
+        ["alpha1 has 1 darts at vertex %s" % _V(0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_structural_errors_exact(name):
+    build, errs, more = MALFORMED[name]
+    d = build()
+    assert d.well_formed_errors() == errs
+    d.well_formed_errors().append("a caller's own entry")
+    assert d.well_formed_errors() == errs
+    assert validate_trisection(d).structural_errors == errs + more
+    assert validate_trisection(d).structural_errors == errs + more
+
+
+@pytest.mark.parametrize(
+    "build, i, text",
+    [
+        (lambda: _torus_colored({0: alpha(1), 4: alpha(1)}), 1, "alpha1 has 1 darts at vertex %s" % _V(1)),
+        (MALFORMED["three_single_darts"][0], 3, "alpha3 has 1 darts at vertex %s" % _V(1)),
+        (MALFORMED["three_darts"][0], 1, "alpha1 has 3 darts at vertex %s" % _V(0)),
+        (MALFORMED["four_darts"][0], 1, "alpha1 has 4 darts at vertex %s" % _V(0)),
+        (MALFORMED["not_alternating"][0], 2, "alpha2 has 1 darts at vertex %s" % _V(1)),
+    ],
+)
+def test_branching_family_message(build, i, text):
+    d = build()
+    for _ in range(2):
+        with pytest.raises(MalformedColoring) as err:
+            _curves(d, i)
+        assert str(err.value) == text
+        assert validate_trisection(d).cut_verdicts[i].reason == text
+
+
+def test_arc_ends_that_do_not_pair():
+    # the theta sphere without its shadow2 arc: at each marked vertex the
+    # shadow1 end has no shadow2 end beside it
+    t = theta_sphere_diagram()
+    d = ShadowDiagram.from_darts(
+        t.surface, [shadow(1)] * 2 + [SCAFFOLD] * 2 + [shadow(3)] * 2, [0, 1]
+    )
+    text = "arc-ends of families 1/2 do not pair at %s" % _V(0)
+    with pytest.raises(MalformedColoring) as err:
+        validate_shadow(d)
+    assert str(err.value) == text
+    assert d.well_formed_errors() == []
+    assert validate_trisection(d).structural_errors == [text]
+
+
 # ---------------------------------------------------------------------------
 # full report
 
@@ -349,6 +492,7 @@ def test_report_flags_failures():
 def test_diagram_isomorphism_respects_colors():
     d1 = standard_torus_diagram()
     d2 = standard_torus_diagram()
+    assert d1.dart_labels() is d1.dart_labels()  # built once per diagram
     assert d1.isomorphic_to(d2) is not None
     assert d1.canonical() == d2.canonical()
     # permuting families changes the ordered-color type only if no

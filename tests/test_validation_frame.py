@@ -491,16 +491,29 @@ def test_validation_repeats_on_one_diagram(build):
 
 
 def test_validation_does_each_piece_of_work_once(monkeypatch):
+    real_pass = diagram_mod._vertex_pass
+    passes = []
+
+    def vertex_pass(dd):
+        passes.append(dd)
+        return real_pass(dd)
+
+    monkeypatch.setattr(diagram_mod, "_vertex_pass", vertex_pass)
     base, reds = q8_reductions()
-    d = derived_cover(base.diagram, reds[-1][1]).diagram  # a fresh diagram and map
+    passes.clear()
+    cover = derived_cover(base.diagram, reds[-1][1])
+    d = cover.diagram  # a fresh diagram and map
     assert d.surface.n_darts == 1712
-    calls = {"CutSurface": 0, "H1Frame": 0, "_family_curves": []}
+    # derived_cover reads the structural errors of the lift
+    assert cover.structural_errors == [] and passes == [d]
+    calls = {"CutSurface": 0, "H1Frame": 0, "_family_curves": [], "project": 0}
     real_cut, real_frame, real_curves, real_cokernel = (
         diagram_mod.CutSurface,
         invariants_mod.H1Frame,
         diagram_mod._family_curves,
         invariants_mod.cokernel,
     )
+    real_project = real_frame.project
     widths = []
 
     def cut(*args):
@@ -515,6 +528,10 @@ def test_validation_does_each_piece_of_work_once(monkeypatch):
         calls["_family_curves"].append(i)
         return real_curves(dd, i)
 
+    def project(frame, cycle):
+        calls["project"] += 1
+        return real_project(frame, cycle)
+
     def cokernel(n_ambient, rows):
         widths.append(max([n_ambient] + [c + 1 for r in rows for c in r]))
         return real_cokernel(n_ambient, rows)
@@ -522,12 +539,16 @@ def test_validation_does_each_piece_of_work_once(monkeypatch):
     monkeypatch.setattr(diagram_mod, "CutSurface", cut)
     monkeypatch.setattr(invariants_mod, "H1Frame", frame)
     monkeypatch.setattr(diagram_mod, "_family_curves", curves)
+    monkeypatch.setattr(real_frame, "project", project)
     monkeypatch.setattr(invariants_mod, "cokernel", cokernel)
     report = validate_trisection(d)
     assert report.gk() == (17, (5, 5, 5))
     # one cut per family for the cut systems and one per family for the
-    # shadow arcs; one H1 frame for the surface; one extraction per family
-    assert calls == {"CutSurface": 6, "H1Frame": 1, "_family_curves": [1, 2, 3]}
+    # shadow arcs; one H1 frame for the surface; one extraction per family;
+    # each family's 16 curves and 24 shadow cycles projected once
+    assert calls == {"CutSurface": 6, "H1Frame": 1, "_family_curves": [1, 2, 3], "project": 120}
+    # the vertex pass of the cover served the validation too
+    assert passes == [d]
     # the pair quotients run over the 2g = 34 columns alone: no face row
     # reaches the cokernel
     assert len(widths) == 3 and max(widths) <= 34
