@@ -8,12 +8,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .cmap import CombMap, automorphisms, build_from_faces, compose, inverse
+from .cmap import CombMap, build_from_faces, compose, inverse
 from .surgery import tube
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, shadow
 from .groups import greedy_generators
 from .invariants import AbelianGroup
-from .symmetry import DiagramAction
+from .symmetry import DiagramAction, automorphism_group
 from .torus import TorusArrangement, affine_dart_map, arrangement, line
 
 
@@ -248,8 +248,8 @@ def _s2xs2_genus2() -> CatalogEntry:
 
 def _aut_action(d: ShadowDiagram) -> DiagramAction:
     """The full color-preserving symmetry group, with a small greedy
-    generating set."""
-    auts = sorted(tuple(a) for a in automorphisms(d.surface, d.dart_labels()))
+    generating set taken over its elements in ascending order."""
+    auts = sorted(automorphism_group(d).permutations())
     gens = greedy_generators(auts, tuple(range(d.surface.n_darts)), compose)
     return DiagramAction(gens, ["g%d" % (i + 1) for i in range(len(gens))])
 

@@ -17,17 +17,20 @@ Two partition primitives serve every connectivity question in ``etd``:
 :func:`perm_orbits` gives the orbits of the group a set of dart
 permutations generates (cells, components, cut pieces, quotient darts),
 and :class:`DisjointSets` is the union-find for partitions built edge by
-edge (arc unions, canonical-form ties, triangulation connectivity).
-Both number their classes by least element.  :func:`spanning_forest` is
-the one rooted spanning tree, of the graph or of its dual (homology
-coordinates and the H1 cotree, shadow-arc cycles, voltage gauge
-fixing), and :func:`compose` and :func:`inverse` are the one product and
-inverse of dart permutations.
+edge (canonical-form ties, triangulation connectivity).  Both number
+their classes by least element.  :func:`spanning_forest` is the one
+rooted spanning tree, of the graph or of its dual (homology coordinates
+and the H1 cotree, shadow-arc cycles), and :func:`compose` and
+:func:`inverse` are the one product and inverse of dart permutations.
 
 :class:`CutSurface` slices a map along a set of edges in one orbit pass
 on flat arrays: its pieces are the orbits of the face walk together with
 the pairing of the uncut darts, and each boundary circle is walked on the
 face side of its cut darts with the face walk alone.
+
+:func:`canonical_search` is the one search over start darts: it gives the
+canonical form of a connected decorated map and, from the starts that
+tie the best code, generators of its automorphism group.
 """
 
 from __future__ import annotations
@@ -412,7 +415,14 @@ def subdivide_edges(m: CombMap, edges: Iterable[CellId]):
 
 
 def canonical_form(m: CombMap, labels: Optional[Sequence] = None):
-    """A relabeling-invariant encoding of a connected decorated map.
+    """A relabeling-invariant encoding of a connected decorated map: the
+    code of :func:`canonical_search`, its ties left unbuilt."""
+    return _search_starts(m, labels)[0]
+
+
+def canonical_search(m: CombMap, labels: Optional[Sequence] = None):
+    """The canonical form of a connected decorated map and generators of
+    its label-preserving automorphism group, as ``(code, ties)``.
 
     Relabel the darts breadth-first from a start dart, visiting the
     rotation successor before the edge partner of each dart; the start's
@@ -424,12 +434,21 @@ def canonical_form(m: CombMap, labels: Optional[Sequence] = None):
     entry at the same position: with an equal prefix that start can never
     win.  A start whose BFS runs to the end without going below the best
     code ties it, and then ``best_seq[i] -> seq[i]`` (the two BFS orders
-    side by side) is a label-preserving automorphism.  Its pairs are
-    merged into one :class:`DisjointSets` over the darts, whose classes
-    are the orbits of the automorphisms found so far.  A start whose class
-    holds a smaller dart is skipped: the class holds a tried start, and
-    the skipped start's code equals that start's code.  So the minimum,
-    and every code, is unchanged.
+    side by side) is a label-preserving automorphism, kept in ``ties``
+    even when a later start lowers the best code.  Its pairs are merged
+    into one :class:`DisjointSets` over the darts, whose classes are the
+    orbits of the automorphisms found so far.  A start whose class holds
+    a smaller dart is skipped: the class holds a tried start, and the
+    skipped start's code equals that start's code.  So the minimum, and
+    every code, is unchanged.
+
+    The ties generate the whole automorphism group Aut (McKay-Piperno,
+    *Practical graph isomorphism, II*, J. Symb. Comput. 2014): every
+    start with the minimum code is tried and ties the first one, or is
+    skipped in the orbit of a tried one, so the group H of the ties is
+    transitive on those starts, which form one free Aut-orbit; hence
+    |H| = |Aut|.  A map whose only automorphism is the identity has no
+    ties.
 
     Each tie that runs maps the best start outside its orbit under the
     automorphisms found before, so the group found at least doubles:
@@ -440,14 +459,22 @@ def canonical_form(m: CombMap, labels: Optional[Sequence] = None):
     array serves all starts and is reset through the visited darts, so
     memory stays linear.
     """
+    code, pairs = _search_starts(m, labels)
+    return code, [compose(seq, inverse(best_seq)) for best_seq, seq in pairs]
+
+
+def _search_starts(m: CombMap, labels):
+    """The loop of :func:`canonical_search`: the code, and the two BFS
+    orders ``(best_seq, seq)`` of each tie."""
     n = m.n_darts
     if n == 0:
-        return ()
+        return (), []
     rot, ep = m.rotation, m.edge_pairing
     lab = labels if labels else [None] * n
     order = [-1] * n  # dart -> new index for the current start
     best = [None] * n
     best_seq = None  # the BFS order that gave ``best``
+    ties = []
     orbits = DisjointSets(n)
     find = orbits.find
     for start in range(n):
@@ -484,9 +511,10 @@ def canonical_form(m: CombMap, labels: Optional[Sequence] = None):
             else:
                 for a, b in zip(best_seq, seq):
                     orbits.union(a, b)
+                ties.append((best_seq, seq))
         for d in seq:
             order[d] = -1
-    return tuple(best)
+    return tuple(best), ties
 
 
 def _propagate(m1: CombMap, m2: CombMap, labels1, labels2, d1: int, d2: int):
@@ -555,24 +583,6 @@ def is_isomorphic(m1: CombMap, m2: CombMap, labels1=None, labels2=None):
         if f is not None:
             return f
     return None
-
-
-def automorphisms(m: CombMap, labels=None):
-    """All label-preserving automorphisms of a connected map.
-
-    On a connected map an automorphism is determined by the image of a
-    single dart, so there are at most n_darts of them.
-    """
-    if m.n_darts == 0:
-        return [[]]
-    if not m.is_connected():
-        raise NotConnected("automorphisms requires a connected map")
-    out = []
-    for d2 in _seed_images(m, m, labels, labels):
-        f = _propagate(m, m, labels, labels, 0, d2)
-        if f is not None:
-            out.append(f)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .cmap import CellId, CombMap, spanning_forest
+from .cmap import CellId, CombMap
 from .diagram import ShadowDiagram
 from .groups import Group, greedy_generators
 from .invariants import branching_defect
@@ -241,12 +241,13 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
     ep = [0] * (n * order)
     rot = [0] * (n * order)
     proj = {}
+    mul = g.mul  # a cached function: a local name is the cheapest call
     for x in range(n):
         for e in g.elements:
             i = dart(x, e)
             proj[i] = (x, e)
-            ep[i] = dart(m.edge_pairing[x], g.mul(va.voltage[x], e))
-            rot[i] = dart(m.rotation[x], g.mul(twist[x], e))
+            ep[i] = dart(m.edge_pairing[x], mul(va.voltage[x], e))
+            rot[i] = dart(m.rotation[x], mul(twist[x], e))
     lifted = CombMap(n * order, ep, rot)
 
     # Riemann-Hurwitz, exactly (holds for the full cover, connected or not)
@@ -271,7 +272,7 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
     names = []
     for h in greedy_generators(g.elements, g.identity, g.mul) or [g.identity]:
         perm = tuple(
-            dart(proj[i][0], g.mul(proj[i][1], h)) for i in range(n * order)
+            dart(proj[i][0], mul(proj[i][1], h)) for i in range(n * order)
         )
         gens.append(perm)
         names.append(str(h))
@@ -298,30 +299,3 @@ def reduce_voltages(va: VoltageAssignment, target: Group, hom: dict) -> VoltageA
         {x: hom[v] for x, v in va.voltage.items()},
         {p: hom[w] for p, w in va.meridians.items()},
     )
-
-
-def spanning_tree_normalize(d: ShadowDiagram, va: VoltageAssignment) -> VoltageAssignment:
-    """Gauge-fix so that the darts of a BFS spanning tree carry the
-    identity; meridians are conjugated accordingly.  The derived cover is
-    unchanged up to isomorphism."""
-    va = va.validated(d)
-    g = va.group
-    m = d.surface
-    if not m.is_connected():
-        raise CoverError("base must be connected")
-    vertex_of, ep = m.vertex_of, m.edge_pairing
-    parent, order = spanning_forest(m)
-    pot = [g.identity] * len(order)
-    for v in order:
-        x = parent[v]
-        if x >= 0:
-            # make the tree dart x trivial: p(head) = p(tail) * v(x)^-1
-            pot[v] = g.mul(pot[vertex_of[x]], g.inv(va.voltage[x]))
-
-    def moved(w, head, tail):
-        """``w`` gauged by the potentials at the vertices of two darts."""
-        return g.mul(pot[vertex_of[head]], g.mul(w, g.inv(pot[vertex_of[tail]])))
-
-    new_volt = {x: moved(va.voltage[x], ep[x], x) for x in range(m.n_darts)}
-    new_mer = {v: moved(w, v.dart, v.dart) for v, w in va.meridians.items()}
-    return VoltageAssignment(g, new_volt, new_mer).validated(d)

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .cmap import CellId, CombMap, CutSurface, DisjointSets, canonical_form, is_isomorphic
+from .cmap import CellId, CombMap, CutSurface, canonical_form, is_isomorphic
 from .cmap import perm_orbits, spanning_forest
 from .invariants import h1_frame, h1_mod_curves
 
@@ -631,22 +631,34 @@ def _arc_end_pairing(d: ShadowDiagram, v: CellId, i: int, j: int):
 
 def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
     """Components of the closed 1-manifold a_i u a_j (arc families joined
-    at bridge points, plus closed components of either family)."""
-    m = d.surface
-    rot = _vertex_data(d, "color_rotation")
-    marked = {m.vertex_of[v.dart] for v in d.marked}
-    loops = DisjointSets(m.n_darts)
-    allx = d.darts_of_color(shadow(i)) + d.darts_of_color(shadow(j))
-    for x in allx:
-        loops.union(x, m.edge_pairing[x])
-        # along each family, join the family's darts at an unmarked vertex
-        if m.vertex_of[x] not in marked:
-            loops.union(x, rot[x])
-    # at marked vertices, join by the rotation-adjacency pairing
+    at bridge points, plus closed components of either family): the
+    orbits, on the two families' darts, of the edge pairing and the join
+    (the color rotation at an unmarked vertex, the arc-end pairing at a
+    marked one), one walk over each orbit's darts.  The walk follows both
+    maps from every dart: on a malformed diagram an arc can end or branch
+    at an unmarked vertex, where the join is no fixed-point-free
+    involution to alternate with the pairing."""
+    ep = d.surface.edge_pairing
+    join = _vertex_data(d, "color_rotation")
+    ends = {}
     for v in sorted(d.marked):
         for xi, xj in _arc_end_pairing(d, v, i, j):
-            loops.union(xi, xj)
-    return len({loops.find(x) for x in allx})
+            ends[xi], ends[xj] = xj, xi
+    seen = bytearray(d.surface.n_darts)
+    loops = 0
+    for x in d.darts_of_color(shadow(i)) + d.darts_of_color(shadow(j)):
+        if seen[x]:
+            continue
+        loops += 1
+        seen[x] = 1
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for z in (ep[y], ends.get(y, join[y])):
+                if not seen[z]:
+                    seen[z] = 1
+                    todo.append(z)
+    return loops
 
 
 @dataclass

@@ -264,10 +264,6 @@ class H1Frame:
             raise InvariantError("relation vector is not a cycle")
         return {c: v for c, v in out.items() if v}
 
-    def quotient(self, cycles) -> AbelianGroup:
-        """H1 modulo the given cycles, each a dict {edge index: coefficient}."""
-        return cokernel(self.rank, [self.project(c) for c in cycles])
-
 
 def h1_frame(m: CombMap) -> H1Frame:
     """The H1 frame of ``m``, built on first use and kept on the map."""
@@ -279,7 +275,8 @@ def h1_frame(m: CombMap) -> H1Frame:
 def surface_h1_mod(m: CombMap) -> AbelianGroup:
     """H1 of a closed surface map: cycles modulo face boundaries, free
     on the columns of the map's :class:`H1Frame`.  To quotient by curves
-    as well, pass them as sparse cycles to :meth:`H1Frame.quotient`."""
+    as well, take the cokernel of their :meth:`H1Frame.project` classes,
+    as :func:`h1_mod_curves` does."""
     return AbelianGroup(h1_frame(m).rank)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .cmap import CellId, compose, inverse
+from .cmap import CellId, canonical_search, compose, inverse
 from .diagram import ShadowDiagram
 from .groups import orbit_tree
 
@@ -325,6 +325,17 @@ def singular_locus(d: ShadowDiagram, a: DiagramAction) -> SingularReport:
 # equivalence of actions
 
 
+def automorphism_group(d: ShadowDiagram) -> GroupClosure:
+    """Every color-preserving automorphism of a connected diagram: the
+    closure of the canonical form's ties (see
+    :func:`etd.cmap.canonical_search`).  Without ties the identity is
+    the one generator, so that every element is a full dart permutation.
+    """
+    m = d.surface
+    ties = canonical_search(m, d.dart_labels())[1]
+    return GroupClosure(ties or [tuple(range(m.n_darts))], base_darts(m))
+
+
 def is_equivalent_action(d: ShadowDiagram, a: DiagramAction, b: DiagramAction,
                          up_to_group_automorphism: bool = True) -> bool:
     """Whether some color-preserving diagram automorphism conjugates one
@@ -334,18 +345,18 @@ def is_equivalent_action(d: ShadowDiagram, a: DiagramAction, b: DiagramAction,
     how elements are labeled (equivalence up to abstract-group
     automorphism); with the flag off, generators must match one by one
     under a single conjugator.  No claim beyond diagram equivalence.
+    The conjugators are the elements of :func:`automorphism_group`,
+    walked when the two groups have the same order; a disconnected
+    surface then raises NotConnected.
 
     Both actions must have passed :func:`check_action` on ``d``, so
     that a conjugated generator of ``a`` is the element of ``b``'s
     closure with the same key, if any.
     """
-    from .cmap import automorphisms
-
     ca, cb = a.closure(), b.closure()
     if len(ca) != len(cb):
         return False
-    labels = d.dart_labels()
-    for phi in automorphisms(d.surface, labels):
+    for phi in automorphism_group(d).permutations():
         phi_inv = inverse(phi)
         keys = [tuple(phi[g[phi_inv[x]]] for x in cb.base) for g in a.generators]
         if up_to_group_automorphism:

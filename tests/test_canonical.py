@@ -1,23 +1,26 @@
 """Differential checks of the pruned canonical form and the seeded
-isomorphism searches against the plain all-starts / all-images versions,
-and of the automorphism-orbit skip against prefix pruning alone."""
+isomorphism search against the plain all-starts / all-images versions,
+of the automorphism-orbit skip against prefix pruning alone, and of the
+automorphism group the canonical form's ties generate against every
+automorphism found by trying each image of dart 0."""
 
 import functools
 import random
 
 import pytest
 
-from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
+from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, _aut_action, entry, natural_genus1, q8_reductions
 from etd.cmap import (
     CombMap,
     DisjointSets,
     NotConnected,
     _propagate,
-    automorphisms,
     canonical_form,
+    canonical_search,
     is_isomorphic,
 )
 from etd.cover import derived_cover
+from etd.symmetry import GroupClosure, automorphism_group
 
 CATALOG = STANDARD_NAMES + FROZEN_NAMES
 
@@ -86,6 +89,8 @@ def prefix_pruned_canonical(m, labels=None):
 
 
 def all_images_automorphisms(m, labels=None):
+    """Every label-preserving automorphism of a connected map, by trying
+    each image of dart 0, ascending by that image."""
     out = []
     for d2 in range(m.n_darts):
         f = _propagate(m, m, labels, labels, 0, d2)
@@ -152,11 +157,58 @@ def test_seeded_isomorphism_search_matches_all_images(name):
     d = entry(name).diagram
     m = d.surface
     for labels in (d.dart_labels(), None):
-        assert automorphisms(m, labels) == all_images_automorphisms(m, labels)
         m2, labels2 = relabeled(m, labels, 7)
         f = is_isomorphic(m, m2, labels, labels2)
         assert f is not None
         assert f == all_images_isomorphism(m, m2, labels, labels2)
+
+
+def tie_closure(m, labels=None):
+    """The closure of the canonical form's ties, sorted; the identity
+    alone when there are no ties."""
+    code, ties = canonical_search(m, labels)
+    assert code == canonical_form(m, labels)
+    if not ties:
+        return [tuple(range(m.n_darts))]
+    return sorted(GroupClosure(ties, (0,)).permutations())
+
+
+@pytest.mark.parametrize(
+    "build",
+    _cases()[: len(CATALOG)]
+    + [pytest.param(lambda m=m: natural_genus1(m).diagram, id="natural_genus1_%d" % m) for m in range(1, 13)]
+    + [pytest.param(lambda k=k: q8_lift(k), id="q8_lift_%d" % k) for k in range(5)],
+)
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "bare"])
+def test_ties_generate_every_automorphism(build, labelled):
+    d = build()
+    labels = d.dart_labels() if labelled else None
+    want = sorted(tuple(f) for f in all_images_automorphisms(d.surface, labels))
+    assert tie_closure(d.surface, labels) == want
+    if labelled:
+        assert sorted(automorphism_group(d).permutations()) == want
+
+
+@pytest.mark.parametrize("name", ["q8_link_base", "s4_genus0"])
+def test_trivial_automorphism_group_has_no_ties(name):
+    d = entry(name).diagram
+    n = d.surface.n_darts
+    assert all_images_automorphisms(d.surface, d.dart_labels()) == [list(range(n))]
+    assert canonical_search(d.surface, d.dart_labels())[1] == []
+    assert automorphism_group(d).permutations() == [tuple(range(n))]
+    assert _aut_action(d).generators == []
+
+
+@pytest.mark.parametrize("m", [16, 24, 32])
+def test_genus1_automorphisms_are_the_affine_action(m):
+    # every color-preserving automorphism of the grid torus is affine: the
+    # ties lie in the catalog action, and both groups have order 2m^2
+    e = natural_genus1(m)
+    d = e.diagram
+    ties = canonical_search(d.surface, d.dart_labels())[1]
+    action = e.action.closure()
+    assert all(action.index(action.key_of(t)) is not None for t in ties)
+    assert len(GroupClosure(ties, (0,))) == len(action) == 2 * m * m
 
 
 def test_canonical_form_rejects_disconnected_maps():
@@ -165,6 +217,8 @@ def test_canonical_form_rejects_disconnected_maps():
         canonical_form(two_tori)
     with pytest.raises(NotConnected):
         canonical_form(two_tori, list(range(8)))
+    with pytest.raises(NotConnected):
+        canonical_search(two_tori)
 
 
 @pytest.mark.parametrize(

@@ -16,13 +16,13 @@ from etd.cmap import (
     NotConnected,
     NotInvolution,
     UnknownCell,
-    automorphisms,
     build_from_faces,
     canonical_form,
     is_isomorphic,
     subdivide_edges,
 )
 from etd.surgery import tube
+from test_canonical import all_images_automorphisms
 
 
 def square_torus():
@@ -333,14 +333,14 @@ def test_octahedron_two_presentations():
 
 def test_automorphisms_octahedron():
     m = octahedron()
-    auts = automorphisms(m)
+    auts = all_images_automorphisms(m)
     # orientation-preserving symmetries of the octahedron: order 24
     assert len(auts) == 24
 
 
 def test_automorphism_group_closure():
     m = octahedron()
-    auts = automorphisms(m)
+    auts = all_images_automorphisms(m)
     keyed = {tuple(a) for a in auts}
     for a in auts[:6]:
         for b in auts[:6]:
@@ -420,3 +420,66 @@ def test_maps_and_cuts_built_by_their_classes():
     for name in ("build_map", "cut_along"):
         assert not hasattr(etd.cmap, name), name
     assert not hasattr(CutSurface, "reglue")
+
+
+DELETED_NAMES = {
+    # the all-images automorphism search: Aut comes from canonical_search's ties
+    "automorphisms": None,
+    # the all-pairs check: hom_from_generator_images checks each generator
+    "homomorphism": None,
+    "is_abelian": "Group",
+    # reached only from tests
+    "spanning_tree_normalize": None,
+    "quotient": "H1Frame",
+}
+
+
+def deleted_definitions(tree):
+    """(line, name) of each definition in ``tree`` that DELETED_NAMES
+    rules out: a function or class at module level, or a method of the
+    named class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in DELETED_NAMES and DELETED_NAMES[node.name] is None:
+                found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f.lineno, "%s.%s" % (node.name, f.name))
+                for f in node.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and DELETED_NAMES.get(f.name) == node.name
+            ]
+    return found
+
+
+def test_deleted_names_stay_gone():
+    """Groups are known by their product and generators, and Aut by the
+    canonical form's ties: no module under etd defines the all-images
+    automorphism search, the all-pairs homomorphism check, is_abelian,
+    or the test-only spanning_tree_normalize and H1Frame.quotient."""
+    src = pathlib.Path(etd.__file__).parent
+    found = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in sorted(src.glob("*.py"))
+        for line, name in deleted_definitions(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_deleted_names_guard_sees_every_form():
+    tree = ast.parse(
+        "def automorphisms(m):\n"
+        "    pass\n"
+        "class Group:\n"
+        "    def is_abelian(self):\n"
+        "        pass\n"
+        "    def quotient(self):\n"
+        "        pass\n"
+        "class H1Frame:\n"
+        "    def quotient(self, cycles):\n"
+        "        pass\n"
+        "def quotient(d, a):\n"
+        "    pass\n"
+    )
+    assert deleted_definitions(tree) == [(1, "automorphisms"), (4, "Group.is_abelian"), (9, "H1Frame.quotient")]

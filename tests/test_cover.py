@@ -12,7 +12,6 @@ from etd.cover import (
     VoltageIncompatible,
     derived_cover,
     expected_lift_parameters,
-    spanning_tree_normalize,
 )
 from etd.quotient import quotient
 from etd.torus import arrangement, line
@@ -153,12 +152,23 @@ def test_gauge_fixing_preserves_cover():
     va = VoltageAssignment(
         g, edge_voltages(d, g, {0: 1}), {v: 1 for v in d.marked}
     )
-    fixed = spanning_tree_normalize(d, va)
+    # the gauge transform by vertex potentials p: dart x gets
+    # p(head) v(x) p(tail)^-1, a meridian at v gets p(v) w p(v)^-1
+    m = d.surface
+    pot = [g.identity, 1]  # the head of dart 0 gets the nontrivial element
+    assert m.vertex_of[0] == 0 and m.vertex_of[m.edge_pairing[0]] == 1
+
+    def moved(w, head, tail):
+        return g.mul(pot[m.vertex_of[head]], g.mul(w, g.inv(pot[m.vertex_of[tail]])))
+
+    volt = va.validated(d).voltage
+    fixed = VoltageAssignment(
+        g,
+        {x: moved(w, m.edge_pairing[x], x) for x, w in volt.items()},
+        {v: moved(w, v.dart, v.dart) for v, w in va.meridians.items()},
+    ).validated(d)
     # the tree dart between the two vertices now carries the identity
-    assert any(
-        va.validated(d).voltage[x] != fixed.voltage[x]
-        for x in range(d.surface.n_darts)
-    )
+    assert fixed.voltage[0] == g.identity != volt[0]
     r1 = derived_cover(d, va)
     r2 = derived_cover(d, fixed)
     assert r1.diagram.isomorphic_to(r2.diagram) is not None

@@ -1,11 +1,11 @@
-"""``cmap.spanning_forest`` (of the graph and of its dual) and its three
+"""``cmap.spanning_forest`` (of the graph and of its dual) and its
 users, checked against test-only copies of the hand-rolled trees they
-replaced: the breadth-first forest of ``H1Frame``, the gauge fixing of
-``cover.spanning_tree_normalize`` and the union-find forest of
-``diagram._shadow_cycles``.  Then a
-differential oracle for branched covers: ``expected_lift_parameters``
-against the built cover, on seeded random gauge transforms of the Q8
-voltages and of their images in small cyclic and dihedral groups."""
+replaced: the breadth-first forest of ``H1Frame`` and the union-find
+forest of ``diagram._shadow_cycles``.  Then a differential oracle for
+branched covers: ``expected_lift_parameters`` against the built cover,
+on seeded random gauge transforms of the Q8 voltages and of their images
+in small cyclic and dihedral groups, and the cover against the one of
+the voltages gauge-fixed on a spanning tree."""
 
 import random
 import warnings
@@ -20,11 +20,10 @@ from etd.cover import (
     derived_cover,
     expected_lift_parameters,
     reduce_voltages,
-    spanning_tree_normalize,
 )
 from etd.diagram import _curves, _edge_cycle, family_cycles, shadow
 from etd.groups import GroupError, cyclic, dihedral, hom_from_generator_images
-from etd.invariants import h1_frame
+from etd.invariants import cokernel, h1_frame
 
 # ---------------------------------------------------------------------------
 # the replaced code, kept as reference copies
@@ -59,6 +58,8 @@ def old_col_of(m):
 
 
 def old_spanning_tree_normalize(d, va):
+    """Gauge-fix so that the darts of a breadth-first spanning tree carry
+    the identity; meridians are conjugated accordingly."""
     va = va.validated(d)
     g = va.group
     m = d.surface
@@ -174,39 +175,15 @@ def test_shadow_cycles_span_the_old_lattice(diagrams):
                     for c in [_edge_cycle(d.surface, x) for x in _curves(d, i)]
                     + old_shadow_cycles(d, i)
                 ]
-                assert frame.quotient(new) == frame.quotient(old), (name, fams)
+                assert cokernel(frame.rank, [frame.project(c) for c in new]) == cokernel(
+                    frame.rank, [frame.project(c) for c in old]
+                ), (name, fams)
 
 
 def test_lifts_have_shadow_cycles(q8):
     # the full lift merges arcs through its branch points: 24 cycles per family
     lift = q8[2]["q8"]
     assert [len(family_cycles(lift, i)) - len(_curves(lift, i)) for i in (1, 2, 3)] == [24] * 3
-
-
-def _random_voltages(rng, d, g):
-    """Voltages with each edge's two darts mutually inverse, and random
-    meridians at the marked vertices."""
-    m = d.surface
-    volt = {}
-    for x in range(m.n_darts):
-        if x < m.edge_pairing[x]:
-            volt[x] = rng.choice(g.elements)
-            volt[m.edge_pairing[x]] = g.inv(volt[x])
-    return VoltageAssignment(g, volt, {v: rng.choice(g.elements) for v in d.marked})
-
-
-def test_gauge_fixing_matches_the_old_tree(q8, diagrams):
-    base, reductions, _ = q8
-    cases = [(base, va) for _, va, _ in reductions]
-    rng = random.Random(9)
-    for name in sorted(diagrams):
-        d = diagrams[name]
-        if d.surface.n_darts <= 1000:
-            cases.append((d, _random_voltages(rng, d, dihedral(3))))
-    for d, va in cases:
-        new, old = spanning_tree_normalize(d, va), old_spanning_tree_normalize(d, va)
-        assert new.voltage == old.voltage
-        assert new.meridians == old.meridians
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +296,7 @@ def test_lift_matches_riemann_hurwitz(k):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = derived_cover(d, va)
-        fixed = derived_cover(d, spanning_tree_normalize(d, va))
+        fixed = derived_cover(d, old_spanning_tree_normalize(d, va))
     m = res.diagram.surface
     defect = sum(len(g) - len(g) // g.element_order(w) for w in va.validated(d).meridians.values())
     assert m.euler_characteristic() == len(g) * d.surface.euler_characteristic() - defect, label

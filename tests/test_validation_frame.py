@@ -29,6 +29,7 @@ from etd.invariants import (
     AbelianGroup,
     InvariantError,
     _invariant_factors_sparse,
+    cokernel,
     h1_frame,
     h1_mod_curves,
     invariant_factors,
@@ -280,7 +281,8 @@ def test_surface_h1_mod_matches_per_call_reference(build):
     for fams in FAMILY_SETS:
         cycles = [c for i in fams for c in family_cycles(d, i)]
         want = reference_surface_h1_mod(m, dense(m, cycles))
-        got = h1_frame(m).quotient(cycles)
+        frame = h1_frame(m)
+        got = cokernel(frame.rank, [frame.project(c) for c in cycles])
         assert (got.rank, got.torsion) == want, fams
         assert h1_mod_curves(d, fams) == got, fams
 
@@ -293,11 +295,9 @@ def test_surface_h1_mod_rejects_non_cycles_on_every_call():
     del broken[min(broken)]
     for _ in range(2):
         with pytest.raises(InvariantError, match="not a cycle"):
-            h1_frame(m).quotient([cycle, broken])
-        with pytest.raises(InvariantError, match="not a cycle"):
             h1_frame(m).project(broken)
     want = reference_surface_h1_mod(m, dense(m, [cycle]))
-    assert h1_frame(m).quotient([cycle]) == AbelianGroup(*want)
+    assert cokernel(h1_frame(m).rank, [h1_frame(m).project(cycle)]) == AbelianGroup(*want)
 
 
 def _face_boundary(m, f):

@@ -7,7 +7,9 @@ errors, curve extraction, crossing counts, color components and bridge
 loop count (with the arc-end pairing it calls).  Seeded random
 recolorings and re-markings of the frozen data files, the standard
 catalog entries and four Q8 lifts must give the same reports, errors,
-components and folded edges under both.
+components and folded edges under both.  On the same diagrams, malformed
+ones included, the bridge loop count's orbit walk must agree with the
+union-find count it replaced.
 """
 
 import functools
@@ -203,6 +205,36 @@ def reference_count_bridge_loops(d, i, j):
     return len({loops.find(x) for x in allx})
 
 
+def union_find_count_bridge_loops(d, i, j):
+    """The bridge loop count by one union-find over all darts per pair,
+    reading the vertex pass's color rotation and the real arc-end
+    pairing: the version the orbit walk replaced."""
+    m = d.surface
+    rot = diagram_mod._vertex_data(d, "color_rotation")
+    marked = {m.vertex_of[v.dart] for v in d.marked}
+    loops = DisjointSets(m.n_darts)
+    allx = d.darts_of_color(shadow(i)) + d.darts_of_color(shadow(j))
+    for x in allx:
+        loops.union(x, m.edge_pairing[x])
+        if m.vertex_of[x] not in marked:
+            loops.union(x, rot[x])
+    for v in sorted(d.marked):
+        for xi, xj in diagram_mod._arc_end_pairing(d, v, i, j):
+            loops.union(xi, xj)
+    return len({loops.find(x) for x in allx})
+
+
+def _loop_counts(d, count):
+    """Each pair's bridge loop count, or the error that stops it."""
+    out = []
+    for i, j in PAIRS:
+        try:
+            out.append(count(d, i, j))
+        except MalformedColoring as err:
+            out.append(str(err))
+    return out
+
+
 def _outputs(d):
     """Everything compared: the report, the structural errors, the six
     colors' components, the folded edges and each pair's crossing counts
@@ -283,5 +315,10 @@ def test_vertex_pass_matches_the_reference_helpers(name, build):
         ref = _reference_outputs(ShadowDiagram.from_darts(d.surface, colors, marks))
         assert new == ref, (name, colors, marks)
         flagged += bool(new[1])
+        # the loop count on every diagram, validate_shadow's checks or not
+        dv = ShadowDiagram.from_darts(d.surface, colors, marks)
+        assert _loop_counts(dv, diagram_mod._count_bridge_loops) == _loop_counts(
+            dv, union_find_count_bridge_loops
+        ), (name, colors, marks)
     # the variants reach both clean and malformed diagrams
     assert not _outputs(d)[1] and flagged
