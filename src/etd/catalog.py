@@ -3,12 +3,13 @@ validation results, used as fixtures and regression surface."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .cmap import CombMap, build_from_faces, compose, inverse
+from .cmap import CombMap, build_from_faces, inverse
 from .surgery import tube
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, shadow
 from .groups import greedy_generators
@@ -248,10 +249,15 @@ def _s2xs2_genus2() -> CatalogEntry:
 
 def _aut_action(d: ShadowDiagram) -> DiagramAction:
     """The full color-preserving symmetry group, with a small greedy
-    generating set taken over its elements in ascending order."""
-    auts = sorted(automorphism_group(d).permutations())
-    gens = greedy_generators(auts, tuple(range(d.surface.n_darts)), compose)
-    return DiagramAction(gens, ["g%d" % (i + 1) for i in range(len(gens))])
+    generating set taken over its elements in ascending order: by key,
+    the image of dart 0, which fixes an automorphism of the connected
+    map.  Only the chosen generators are built as full permutations."""
+    aut = automorphism_group(d)
+    perm = functools.cache(lambda key: aut.permutation(aut.index(key)))
+    keys = greedy_generators(
+        sorted(aut.keys), aut.base, lambda g, key: tuple(perm(g)[x] for x in key)
+    )
+    return DiagramAction([perm(k) for k in keys], ["g%d" % (i + 1) for i in range(len(keys))])
 
 
 def _theta_surface(n_circles, circle_family, strand_family):
@@ -539,12 +545,3 @@ def entry_file_text(name: str) -> str:
     return serialize_diagram(
         e.diagram, expected=(e.expected.genus, e.expected.k), action=e.action
     )
-
-
-def frozen_file_text(name: str) -> str:
-    """The checked-in copy of a frozen fixture file."""
-    from importlib import resources
-
-    if name not in FROZEN_NAMES:
-        raise UnknownName(name)
-    return (resources.files("etd.data") / ("%s.diagram" % name)).read_text()

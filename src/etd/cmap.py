@@ -373,9 +373,6 @@ class CutSurface:
     def n_components(self):
         return len(self.components)
 
-    def total_chi(self):
-        return sum(c.chi for c in self.components)
-
 
 # ---------------------------------------------------------------------------
 # subdivision

@@ -87,20 +87,6 @@ class CoverResult:
     n_components: int
     structural_errors: list
 
-    def component_diagrams(self):
-        m = self.diagram.surface
-        out = []
-        for comp in m.components():
-            darts = sorted(comp)
-            index = {x: i for i, x in enumerate(darts)}
-            ep = [index[m.edge_pairing[x]] for x in darts]
-            rot = [index[m.rotation[x]] for x in darts]
-            sub = CombMap(len(darts), ep, rot)
-            colors = [self.diagram.dart_colors[x] for x in darts]
-            marked = [index[v.dart] for v in self.diagram.marked if v.dart in index]
-            out.append(ShadowDiagram.from_darts(sub, colors, marked))
-        return out
-
 
 def expected_lift_parameters(d: ShadowDiagram, va: VoltageAssignment):
     """(genus of a connected cover, per-branch lift counts) from the

@@ -167,9 +167,6 @@ class ShadowDiagram:
 
     # -- helpers ----------------------------------------------------------
 
-    def dart_color(self, d: int) -> Color:
-        return self.dart_colors[d]
-
     def darts_of_color(self, c: Color) -> list:
         """The darts of color ``c``, ascending; callers must not mutate it."""
         return self._darts_by_color.get(c, [])
@@ -201,14 +198,6 @@ class ShadowDiagram:
             "labels",
             lambda: [(c.kind, c.index, v in marked) for c, v in zip(self.dart_colors, vertex_of)],
         )
-
-    def vertex_kind(self, v: CellId) -> str:
-        if v in self.marked:
-            return "BridgePoint"
-        kinds = {self.dart_color(d).kind for d in self.surface.orbit(v)}
-        if kinds <= {"scaffold"}:
-            return "ScaffoldVertex"
-        return "Crossing"
 
     def genus(self) -> int:
         return self.surface.genus()
@@ -612,15 +601,16 @@ def color_components(d: ShadowDiagram, c: Color):
     return _color_parts(d)[1].get(c, [])
 
 
-def _arc_end_pairing(d: ShadowDiagram, v: CellId, i: int, j: int):
-    """Pair Shadow(i) with Shadow(j) arc-ends at a marked vertex by
-    rotation adjacency; returns list of (dart_i, dart_j) pairs."""
-    ends = (shadow(i), shadow(j))
-    seq = [(x, d.dart_colors[x].index) for x in d.surface.orbit(v) if d.dart_colors[x] in ends]
+def _arc_end_pairing(m: CombMap, family, v: CellId, i: int, j: int):
+    """Pair Shadow(i) with Shadow(j) arc-ends at the marked vertex ``v``
+    by rotation adjacency; ``family[x]`` is i or j on the darts of those
+    two families and 0 elsewhere.  Returns list of (dart_i, dart_j)
+    pairs."""
+    seq = [(x, family[x]) for x in m._vertex_orbits[m.vertex_of[v.dart]] if family[x]]
     pairs = []
     while seq:
         n = len(seq)
-        hit = next((p for p in range(n) if {seq[p][1], seq[(p + 1) % n][1]} == {i, j}), None)
+        hit = next((p for p in range(n) if seq[p][1] != seq[(p + 1) % n][1]), None)
         if hit is None:
             raise MalformedColoring("arc-ends of families %d/%d do not pair at %r" % (i, j, v))
         (x1, f1), (x2, _) = seq[hit], seq[(hit + 1) % n]
@@ -638,13 +628,18 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
     maps from every dart: on a malformed diagram an arc can end or branch
     at an unmarked vertex, where the join is no fixed-point-free
     involution to alternate with the pairing."""
-    ep = d.surface.edge_pairing
+    m = d.surface
+    ep = m.edge_pairing
     join = _vertex_data(d, "color_rotation")
+    family = bytearray(m.n_darts)
+    for k in (i, j):
+        for x in d.darts_of_color(shadow(k)):
+            family[x] = k
     ends = {}
     for v in sorted(d.marked):
-        for xi, xj in _arc_end_pairing(d, v, i, j):
+        for xi, xj in _arc_end_pairing(m, family, v, i, j):
             ends[xi], ends[xj] = xj, xi
-    seen = bytearray(d.surface.n_darts)
+    seen = bytearray(m.n_darts)
     loops = 0
     for x in d.darts_of_color(shadow(i)) + d.darts_of_color(shadow(j)):
         if seen[x]:
@@ -745,9 +740,6 @@ class ValidationReport:
             and all(self.pair_verdicts[i].at_least_certified() for i in (1, 2, 3))
             and (self.shadow_verdict is None or self.shadow_verdict.ok)
         )
-
-    def gk(self):
-        return self.genus, self.k
 
     def summary(self):
         ks = self.k

@@ -96,10 +96,6 @@ class AbelianGroup:
             raise InvariantError("torsion coefficients must exceed 1")
 
     @property
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion
-
-    @property
     def is_free(self):
         return not self.torsion
 

@@ -160,19 +160,6 @@ class PlanarDiagram:
             return self.map.cell_of("vertex", self.dart_point.index(pt))
         raise PlanarError("no vertex at %r" % (pt,))
 
-    def edges_of_strand(self, idx):
-        return sorted(
-            {self.map.cell_of("edge", d) for d, i in enumerate(self.dart_strand) if i == idx},
-            key=lambda c: c.dart,
-        )
-
-    def edges_by_label(self, label):
-        out = []
-        for i, s in enumerate(self.strands):
-            if s.label == label:
-                out.extend(self.edges_of_strand(i))
-        return out
-
 
 def branch_cut_crossings(pd: PlanarDiagram, cuts):
     """Signed crossings of each edge with each cut ray.

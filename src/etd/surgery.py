@@ -1,4 +1,4 @@
-"""Diagram surgeries: tubing two diagrams together and cleanup."""
+"""Diagram surgery: tubing two diagrams together."""
 
 from __future__ import annotations
 
@@ -60,31 +60,3 @@ def tube(d1: ShadowDiagram, face1: CellId, d2: ShadowDiagram, face2: CellId):
     colors = d1.dart_colors + d2.dart_colors + (SCAFFOLD,) * (2 * L)
     marked = [v.dart for v in d1.marked] + [v.dart + n1 for v in d2.marked]
     return ShadowDiagram.from_darts(m, colors, marked), n1
-
-
-def prune_pendant_scaffold(d: ShadowDiagram) -> ShadowDiagram:
-    """Delete valence-1 vertices attached by scaffold edges, repeatedly."""
-    while True:
-        m = d.surface
-        drop = None
-        for v in m.vertices():
-            orbit = m.orbit(v)
-            if len(orbit) == 1 and d.dart_color(orbit[0]) == SCAFFOLD:
-                drop = orbit[0]
-                break
-        if drop is None:
-            return d
-        other = m.edge_pairing[drop]
-        keep = [x for x in range(m.n_darts) if x not in (drop, other)]
-        index = {x: i for i, x in enumerate(keep)}
-        ep = [index[m.edge_pairing[x]] for x in keep]
-        rot = []
-        for x in keep:
-            y = m.rotation[x]
-            while y in (drop, other):
-                y = m.rotation[y]
-            rot.append(index[y])
-        m2 = CombMap(len(keep), ep, rot)
-        colors = [d.dart_colors[x] for x in keep]
-        marked = [index[x] for v in d.marked for x in m.orbit(v) if x in index]
-        d = ShadowDiagram.from_darts(m2, colors, marked)

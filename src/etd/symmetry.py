@@ -15,7 +15,8 @@ orbit tree of the base darts under the generators
 (:func:`etd.groups.orbit_tree`): O(|G| * #generators * #components)
 steps.  The action queries read keys and :meth:`GroupClosure.images`,
 the image of one dart under every element at one step per tree edge.
-Full dart permutations are built only for results that hold them.
+Full dart permutations are built only for generators and
+:meth:`DiagramAction.elements`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .cmap import CellId, canonical_search, compose, inverse
+from .cmap import CellId, canonical_search, compose, perm_orbits
 from .diagram import ShadowDiagram
 from .groups import orbit_tree
 
@@ -131,6 +132,14 @@ class GroupClosure:
             out.append(k)
         return out
 
+    def permutation(self, i) -> tuple:
+        """Element ``i`` as a full dart permutation, one composition per
+        generator of its word."""
+        out = tuple(range(len(self.generators[0])))
+        for g in self._word(i):
+            out = compose(g, out)
+        return out
+
     def permutations(self) -> list:
         """Every element as a full dart permutation, one composition per
         search-tree edge."""
@@ -179,10 +188,6 @@ class DiagramAction:
 
     def order(self):
         return len(self.closure())
-
-
-def act_on_cell(m, p, cell: CellId) -> CellId:
-    return m.cell_of(cell.kind, p[cell.dart])
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +245,7 @@ def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
         for e in m.edges():
             if d.dart_colors[g[e.dart]] != d.dart_colors[e.dart]:
                 raise ColorBroken(name, str(d.dart_colors[e.dart]))
-        marked_img = {act_on_cell(m, g, v) for v in d.marked}
+        marked_img = {m.cell_of("vertex", g[v.dart]) for v in d.marked}
         if marked_img != d.marked:
             raise ColorBroken(name, "marked set")
     comps = m.components()
@@ -268,7 +273,7 @@ class FixedCell:
 
 @dataclass
 class ElementFixedData:
-    element: tuple
+    element: tuple  # the element's key: its images of the base darts
     order: int
     fixed_vertices: list = field(default_factory=list)
     fixed_faces: list = field(default_factory=list)
@@ -282,7 +287,7 @@ class ElementFixedData:
 @dataclass
 class SingularReport:
     per_element: list  # ElementFixedData for each nonidentity element
-    hyperelliptic_involutions: list  # elements with 2g+2 fixed points
+    hyperelliptic_involutions: list  # keys of the involutions with 2g+2 fixed points
     genus: Optional[int]  # None on a disconnected surface
 
     @property
@@ -293,14 +298,15 @@ class SingularReport:
 def singular_locus(d: ShadowDiagram, a: DiagramAction) -> SingularReport:
     """Fixed vertices/faces and inverted edges of every nonidentity
     element, with local rotation orders; flags hyperelliptic involutions
-    (2g+2 fixed points on a genus-g surface).  A disconnected surface has
-    no genus: its report has ``genus=None`` and flags no involution."""
+    (2g+2 fixed points on a genus-g surface).  Elements are reported by
+    their closure keys.  A disconnected surface has no genus: its report
+    has ``genus=None`` and flags no involution."""
     m = d.surface
     g = m.genus() if m.is_connected() else None
     closure = a.closure()
     per = [
         ElementFixedData(e, order)
-        for e, order in zip(closure.permutations()[1:], closure.orders()[1:])
+        for e, order in zip(closure.keys[1:], closure.orders()[1:])
     ]
     for cells, fixed in (
         (m.vertices(), "fixed_vertices"), (m.faces(), "fixed_faces"), (m.edges(), "inverted_edges")
@@ -349,21 +355,25 @@ def is_equivalent_action(d: ShadowDiagram, a: DiagramAction, b: DiagramAction,
     walked when the two groups have the same order; a disconnected
     surface then raises NotConnected.
 
-    Both actions must have passed :func:`check_action` on ``d``, so
-    that a conjugated generator of ``a`` is the element of ``b``'s
-    closure with the same key, if any.
+    Both actions must have passed :func:`check_action` on ``d``.  An
+    automorphism of the connected map is fixed by one dart's image, so
+    phi g phi^-1 is the generator h of ``b`` exactly when h(phi(x)) =
+    phi(g(x)), and lies in ``b``'s group, which acts freely, exactly
+    when phi(g(x)) is in the orbit of phi(x).
     """
-    ca, cb = a.closure(), b.closure()
-    if len(ca) != len(cb):
+    if len(a.closure()) != len(b.closure()):
         return False
-    for phi in automorphism_group(d).permutations():
-        phi_inv = inverse(phi)
-        keys = [tuple(phi[g[phi_inv[x]]] for x in cb.base) for g in a.generators]
-        if up_to_group_automorphism:
-            if all(cb.index(k) is not None for k in keys):
-                return True
-        elif len(a.generators) == len(b.generators) and keys == [
-            cb.key_of(h) for h in b.generators
-        ]:
-            return True
-    return False
+    aut = automorphism_group(d)
+    (x,) = aut.base
+    phi_x = aut.images(x)
+    phi_gx = [aut.images(g[x]) for g in a.generators]
+    if up_to_group_automorphism:
+        orbit_of = perm_orbits(d.surface.n_darts, b.generators)[0]
+        return any(
+            all(orbit_of[img[i]] == orbit_of[y] for img in phi_gx) for i, y in enumerate(phi_x)
+        )
+    if len(a.generators) != len(b.generators):
+        return False
+    return any(
+        all(h[y] == img[i] for h, img in zip(b.generators, phi_gx)) for i, y in enumerate(phi_x)
+    )

@@ -60,20 +60,6 @@ class TorusArrangement:
     dart_dir: list  # dart -> outgoing direction (dx, dy)
     dart_line: list  # dart -> line index
 
-    def vertex_at(self, pt):
-        pt = (Fraction(pt[0]) % 1, Fraction(pt[1]) % 1)
-        X, Y = pt[0] * self.N, pt[1] * self.N
-        grid = (int(X), int(Y)) if X.denominator == Y.denominator == 1 else None
-        if grid in self.dart_point:
-            return self.map.cell_of("vertex", self.dart_point.index(grid))
-        raise ArrangementError("no vertex at %r" % (pt,))
-
-    def edges_of_line(self, idx):
-        return sorted(
-            {self.map.cell_of("edge", d) for d, i in enumerate(self.dart_line) if i == idx},
-            key=lambda c: c.dart,
-        )
-
 
 def arrangement(lines) -> TorusArrangement:
     """Build the combinatorial map of a line arrangement.

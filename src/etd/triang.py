@@ -314,8 +314,11 @@ def bridge_parameters(K: GTriangulation, surface) -> tuple:
 #     base of its level + index of its unit * cells per unit + local index,
 # its unit being its triangle, tetrahedron or pentachoron, and then runs
 # each check once over the whole surface: every edge borders two faces,
-# one union-find pass over the edges makes V - 1 merges, and the Euler
-# characteristic is even.  A failed check names a cell by its flag key.
+# one union-find pass makes V - 1 merges, and the Euler characteristic
+# is even.  That pass unions only the placed copies of one spanning
+# forest of the template: any other template edge joins two vertices
+# that the forest already joins in the same pentachoron.
+# A failed check names a cell by its flag key.
 
 
 def _sigma_cells():
@@ -477,9 +480,10 @@ class _Numbering:
 @cache
 def _sigma_template():
     """The cells of :func:`_sigma_cells` on flat ids, built on first use:
-    the vertex and edge numberings, the endpoint ids of each edge (those
-    of edge i at 2i and 2i + 1), every face's edge ids concatenated, and
-    the face count, all faces being pentachoron-level."""
+    the vertex and edge numberings, the endpoint ids of the edges of a
+    spanning forest (those of its i-th edge at 2i and 2i + 1), every
+    face's edge ids concatenated, and the face count, all faces being
+    pentachoron-level."""
     edges, faces = _sigma_cells()
 
     def place(key):
@@ -506,12 +510,13 @@ def _sigma_template():
 
     vertices, vid = number([x for ends in edges.values() for x in ends])
     edge_numbering, eid = number(edges)
-    ends = [0] * (2 * len(edges))
-    for key, (a, b) in edges.items():
-        ends[2 * eid[key]], ends[2 * eid[key] + 1] = vid[a], vid[b]
+    piece, forest = DisjointSets(len(vid)), []
+    for a, b in edges.values():
+        if piece.union(vid[a], vid[b]):
+            forest += (vid[a], vid[b])
     assert not _LEVEL.keys() & {key[0] for key, _ in faces}
     face_edges = tuple(eid[e] for _, boundary in faces for e in boundary)
-    return vertices, edge_numbering, tuple(ends), face_edges, len(faces)
+    return vertices, edge_numbering, forest, face_edges, len(faces)
 
 
 def _sigma_counts(K: GTriangulation):
@@ -519,7 +524,7 @@ def _sigma_counts(K: GTriangulation):
     template and checked to be closed (every edge borders two faces) and
     connected.  ``K`` needs a pentachoron, and 5 distinct vertices in
     each."""
-    vertices, edges, edge_ends, face_edges, faces = _sigma_template()
+    vertices, edges, forest, face_edges, faces = _sigma_template()
     tris, tets, pentas = {}, {}, []
     units = []  # per pentachoron: the index of each of its 16 units
     for ip, penta in enumerate(K.pentachora):
@@ -535,20 +540,20 @@ def _sigma_counts(K: GTriangulation):
     ebase = edges.bases(map(len, owners))
     V, E, F = vbase[3], ebase[3], faces * len(pentas)
 
-    ends = [0] * (2 * E)  # a shared edge is written alike by each of its pentachora
     use = [0] * E
+    pieces = DisjointSets(V)
+    merges = 0
     for unit in units:
         vg = []  # template vertex id -> id
         for first, n in vertices.blocks(unit, vbase):
             vg.extend(range(first, first + n))
-        ends_here = [vg[x] for x in edge_ends]
         eg = []  # template edge id -> id
         for first, n in edges.blocks(unit, ebase):
-            x = 2 * len(eg)
-            ends[2 * first : 2 * (first + n)] = ends_here[x : x + 2 * n]
             eg.extend(range(first, first + n))
         for x in face_edges:
             use[eg[x]] += 1
+        it = iter([vg[x] for x in forest])
+        merges += sum(map(pieces.union, it, it))
 
     if use.count(2) != E:
         bad = [g for g in range(E) if use[g] != 2]
@@ -556,9 +561,7 @@ def _sigma_counts(K: GTriangulation):
             "central surface is not closed at %d cells, e.g. %r"
             % (len(bad), edges.flag_key(bad[0], ebase, owners))
         )
-    pieces = DisjointSets(V)
-    it = iter(ends)
-    if sum(map(pieces.union, it, it)) != V - 1:
+    if merges != V - 1:
         root = pieces.find(0)
         apart = next(x for x in range(V) if pieces.find(x) != root)
         raise TriangError(
@@ -585,77 +588,7 @@ def sigma_oracle(K: GTriangulation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# fixtures
-
-
-def boundary_five_simplex() -> GTriangulation:
-    """The six-pentachoron 4-sphere with its full vertex symmetry."""
-    pentachora = list(combinations(range(6), 5))
-    swap = (1, 0, 2, 3, 4, 5)
-    cycle = (1, 2, 3, 4, 5, 0)
-    return GTriangulation(6, pentachora, [swap, cycle], ["swap", "cycle"])
-
-
-def double_four_simplex() -> GTriangulation:
-    """Two pentachora glued along all five facets: the smallest 4-sphere."""
-    p = tuple(range(5))
-    swap = (1, 0, 2, 3, 4)
-    cycle = (1, 2, 3, 4, 0)
-    return GTriangulation(5, [p, p], [swap, cycle], ["swap", "cycle"])
-
-
-def tetrahedral_sphere():
-    """The four triangles on vertices 0..3 (a subcomplex of both
-    4-sphere fixtures)."""
-    return [tuple(t) for t in combinations(range(4), 3)]
-
-
-def cyclic_polytope_boundary() -> GTriangulation:
-    """Boundary of the cyclic 5-polytope on 7 vertices, carrying the
-    7-vertex torus as an invariant surface.
-
-    Facets are the complements of the vertex pairs at odd distance (the
-    evenness condition for moment-curve polytopes); the reversal
-    v -> 6 - v preserves them and the torus.
-    """
-    penta = []
-    for a in range(7):
-        for b in range(a + 1, 7):
-            if (b - a) % 2 == 1:
-                penta.append(tuple(v for v in range(7) if v not in (a, b)))
-    rev = tuple(6 - v for v in range(7))
-    return GTriangulation(7, penta, [rev], ["rev"], [csaszar_torus()])
-
-
-def csaszar_torus():
-    """The 7-vertex torus with complete 1-skeleton: triangles
-    {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
-    tris = []
-    for i in range(7):
-        tris.append(tuple(sorted(((i, (i + 1) % 7, (i + 3) % 7)))))
-        tris.append(tuple(sorted(((i, (i + 2) % 7, (i + 3) % 7)))))
-    return tris
-
-
-# ---------------------------------------------------------------------------
 # text format
-
-
-def serialize_triangulation(K: GTriangulation) -> str:
-    lines = ["etd-triangulation 1", "vertices %d" % K.n_vertices]
-    for p in K.pentachora:
-        lines.append("pentachoron " + " ".join(str(v) for v in p))
-    for t, owners in sorted(_facet_multiset(K).items()):
-        if len(owners) == 2:
-            i, j = owners
-            fi = [x for x in range(5) if K.pentachora[i][x] not in t][0]
-            fj = [x for x in range(5) if K.pentachora[j][x] not in t][0]
-            lines.append("glue %d %d %d %d" % (i, fi, j, fj))
-    for g, name in zip(K.generators, K.generator_names):
-        lines.append("generator %s " % name + " ".join(str(v) for v in g))
-    for s in K.surfaces:
-        lines.append("surface " + " ".join(str(v) for tri in s for v in tri))
-    return "\n".join(lines) + "\n"
 
 
 def _row_ints(ln: str, tokens: list[str]) -> list[int]:

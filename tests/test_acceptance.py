@@ -4,13 +4,15 @@
 2. the projective-plane family parameters and the free-action bound;
 3. the classification fixtures with homology and action orders;
 4. the quotient suite (hyperelliptic, natural tori, exact branching count);
-5. the triangulation suite with the independent surface oracle;
+5. the triangulation suite on the frozen ``.tri`` files, with the
+   independent surface oracle;
 6. the property suites (round trips, relabeling, SNF stability,
    orbit-stabilizer).
 """
 
 import random
 import time
+from itertools import combinations
 
 from etd.catalog import entry, q8_reductions
 from etd.cmap import CombMap
@@ -25,7 +27,7 @@ from etd.invariants import (
     pu3_parameters,
 )
 from etd.quotient import YES, quotient, quotient_is_trisection
-from etd.symmetry import act_on_cell
+from test_catalog import frozen_text
 
 
 def relabeled_diagram(d: ShadowDiagram, perm):
@@ -60,8 +62,8 @@ def test_q8_covering_family():
         cover = derived_cover(base, va).diagram
         report = validate_trisection(cover)
         assert report.ok, label
-        assert report.gk() == (expect.genus, expect.k), label
-        seen.append(report.gk())
+        assert (report.genus, report.k) == (expect.genus, expect.k), label
+        seen.append((report.genus, report.k))
     for want in [
         (1, (0, 0, 0)),
         (3, (1, 1, 1)),
@@ -103,7 +105,7 @@ def test_classification_fixtures():
         e = entry(name)
         report = validate_trisection(e.diagram)
         assert report.ok, name
-        assert report.gk() == gk, name
+        assert (report.genus, report.k) == gk, name
         assert h1_mod_curves(e.diagram, (1, 2, 3)) == h1, name
         if order is not None:
             assert e.action.order() == order, name
@@ -139,29 +141,24 @@ def test_quotient_suite():
 
 
 def test_triangulation_suite():
-    from etd.triang import (
-        boundary_five_simplex,
-        bridge_parameters,
-        csaszar_torus,
-        cyclic_polytope_boundary,
-        double_four_simplex,
-        sigma_oracle,
-        tetrahedral_sphere,
-        trisection_parameters,
-    )
+    from etd.triang import bridge_parameters, parse_triangulation, sigma_oracle, trisection_parameters
 
     t0 = time.time()
-    for K in (boundary_five_simplex(), double_four_simplex()):
+    five, double, cyclic = (
+        parse_triangulation(frozen_text(name + ".tri"))
+        for name in ("boundary_5_simplex", "double_4_simplex", "cyclic_7_5")
+    )
+    for K in (five, double):
         r = trisection_parameters(K)
         assert sigma_oracle(K) == r.genus
         assert r.chi_simplex == 2 == r.chi_trisection
-    assert trisection_parameters(boundary_five_simplex()).k[0] == 19
-    assert bridge_parameters(boundary_five_simplex(), tetrahedral_sphere()) == (
+    assert trisection_parameters(five).k[0] == 19
+    assert bridge_parameters(five, list(combinations(range(4), 3))) == (
         12,
         (4, 4, 6),
     )
     assert 4 + 4 + 6 - 12 == 2
-    assert bridge_parameters(cyclic_polytope_boundary(), csaszar_torus()) == (
+    assert bridge_parameters(cyclic, cyclic.surfaces[0]) == (
         42,
         (7, 14, 21),
     )
@@ -228,6 +225,6 @@ def test_property_suites():
             ("face", m.faces()),
         ):
             for cell in cells:
-                orbit = {act_on_cell(m, g, cell) for g in elems}
-                stab = sum(1 for g in elems if act_on_cell(m, g, cell) == cell)
+                images = [m.cell_of(kind, g[cell.dart]) for g in elems]
+                orbit, stab = set(images), images.count(cell)
                 assert len(orbit) * stab == len(elems), (name, cell)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from etd.catalog import (
@@ -7,7 +9,6 @@ from etd.catalog import (
     UnknownName,
     entry,
     entry_file_text,
-    frozen_file_text,
     genus2_strongly_minimal,
     mirror,
     natural_genus1,
@@ -21,6 +22,11 @@ from etd.diagram import ShadowDiagram, alpha, validate_shadow, validate_trisecti
 from etd.invariants import h1_mod_curves
 from etd.quotient import quotient, quotient_is_trisection
 from etd.symmetry import check_action
+
+
+def frozen_text(filename):
+    """The checked-in copy of a file in ``etd.data``."""
+    return (resources.files("etd.data") / filename).read_text()
 
 
 def recolored(d, swap):
@@ -98,7 +104,7 @@ def test_genus_two_strongly_minimal_entries(name):
     e = genus2_strongly_minimal(name)
     rep = validate_trisection(e.diagram)
     assert rep.ok, rep.summary()
-    assert rep.gk() == (2, e.expected.k)
+    assert (rep.genus, rep.k) == (2, e.expected.k)
     assert h1_mod_curves(e.diagram, (1, 2, 3)) == e.expected.h1
     ar = check_action(e.diagram, e.action)
     assert ar.ok and ar.order == e.expected.action_order
@@ -129,7 +135,7 @@ def test_q8_base_shape():
     e = q8_link_base()
     rep = validate_trisection(e.diagram)
     assert rep.ok, rep.summary()
-    assert rep.gk() == (0, (0, 0, 0))
+    assert (rep.genus, rep.k) == (0, (0, 0, 0))
     sv = rep.shadow_verdict
     assert (sv.b, sv.p) == (4, (2, 2, 2))
     assert sv.chi_surface == 2
@@ -150,18 +156,18 @@ def test_q8_smallest_reduction_validates():
     cov = derived_cover(entry_.diagram, va).diagram
     rep = validate_trisection(cov)
     assert rep.ok, rep.summary()
-    assert rep.gk() == (1, (0, 0, 0))
+    assert (rep.genus, rep.k) == (1, (0, 0, 0))
     assert h1_mod_curves(cov, (1, 2, 3)) == expect.h1
 
 
 @pytest.mark.parametrize("name", FROZEN_NAMES)
 def test_frozen_fixture_files_match_generators(name):
-    assert frozen_file_text(name) == entry_file_text(name)
+    assert frozen_text(name + ".diagram") == entry_file_text(name)
 
 
 @pytest.mark.parametrize("name", FROZEN_NAMES)
 def test_frozen_fixture_files_parse_and_revalidate(name):
-    df = parse_diagram_file(frozen_file_text(name))
+    df = parse_diagram_file(frozen_text(name + ".diagram"))
     e = entry(name)
     assert df.diagram.canonical() == e.diagram.canonical()
     assert validate_shadow(df.diagram).ok

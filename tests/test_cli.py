@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from etd.cli import main
-from etd.catalog import entry, entry_file_text, frozen_file_text
+from etd.catalog import entry, entry_file_text
 from etd.cmap import CombMap
 from etd.diagio import parse_diagram_file, serialize_diagram
 from etd.diagram import ShadowDiagram
+from test_catalog import frozen_text
 
 
 def write_catalog(tmp_path, name):
@@ -192,14 +193,12 @@ def test_lift_needs_voltages(tmp_path):
 
 
 def test_triang_with_oracle(tmp_path, capsys):
-    from importlib.resources import files
-
     for name, expect in [
         ("boundary_5_simplex", "(181; 19,26,136)"),
         ("double_4_simplex", "(51; 4,6,41)"),
     ]:
         p = tmp_path / (name + ".tri")
-        p.write_text((files("etd.data") / (name + ".tri")).read_text())
+        p.write_text(frozen_text(name + ".tri"))
         assert main(["triang", str(p), "--oracle"]) == 0
         out = capsys.readouterr().out
         assert expect in out
@@ -227,7 +226,7 @@ def _no_traceback(capsys):
 
 
 def test_validate_bad_family_index_exits_2(tmp_path, capsys):
-    text = frozen_file_text("d4_double").replace("edge 12 alpha1\n", "edge 12 alpha7\n")
+    text = frozen_text("d4_double.diagram").replace("edge 12 alpha1\n", "edge 12 alpha7\n")
     p = tmp_path / "bad.diagram"
     p.write_text(text)
     assert main(["validate", str(p)]) == 2
@@ -248,7 +247,7 @@ def test_validate_disconnected_map_exits_2(tmp_path, capsys):
     "token", ["alpha7", "alphax", "shadow", "beta1", "alpha01", "alpha+1", "alpha\u0663"]
 )
 def test_bad_color_token_names_its_line(tmp_path, capsys, token):
-    text = frozen_file_text("d4_double")
+    text = frozen_text("d4_double.diagram")
     lineno = text.splitlines().index("edge 12 alpha1") + 1
     p = tmp_path / "bad.diagram"
     p.write_text(text.replace("edge 12 alpha1\n", "edge 12 %s\n" % token))

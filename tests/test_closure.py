@@ -7,11 +7,18 @@ from math import gcd
 import pytest
 
 from etd import symmetry
-from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
-from etd.cmap import CombMap, NotConnected
+from etd.catalog import (
+    FROZEN_NAMES,
+    STANDARD_NAMES,
+    _aut_action,
+    entry,
+    natural_genus1,
+    q8_reductions,
+)
+from etd.cmap import CombMap, NotConnected, compose, inverse
 from etd.cover import derived_cover, reduce_voltages
 from etd.diagram import ShadowDiagram
-from etd.groups import cyclic, hom_from_generator_images
+from etd.groups import cyclic, greedy_generators, hom_from_generator_images
 from etd.symmetry import (
     ClosureCapExceeded,
     DiagramAction,
@@ -20,10 +27,8 @@ from etd.symmetry import (
     SingularReport,
     SymmetryError,
     _structure_hint,
-    act_on_cell,
+    automorphism_group,
     check_action,
-    compose,
-    inverse,
     is_equivalent_action,
     singular_locus,
 )
@@ -165,20 +170,20 @@ def ref_orbits(m, a, cells):
     for c in cells:
         if c in seen:
             continue
-        orb = {act_on_cell(m, e, c) for e in elems}
+        orb = {m.cell_of(c.kind, e[c.dart]) for e in elems}
         assert orb <= set(cells)
         seen |= orb
         out.append(frozenset(orb))
     for orb in out:
         for c in orb:
-            stab = [e for e in elems if act_on_cell(m, e, c) == c]
+            stab = [e for e in elems if m.cell_of(c.kind, e[c.dart]) == c]
             assert len(orb) * len(stab) == len(elems)
     return out
 
 
 def ref_stabilizer(m, a, cell):
     elems = reference_closure(a.generators, 10**6)
-    return [e for e in elems if act_on_cell(m, e, cell) == cell]
+    return [e for e in elems if m.cell_of(cell.kind, e[cell.dart]) == cell]
 
 
 def ref_cycle_shift_order(cycle, perm):
@@ -193,14 +198,15 @@ def ref_singular_locus(d, a):
     per = []
     hyper = []
     for e in reference_closure(a.generators, 10**6)[1:]:
-        data = ElementFixedData(e, reference_order(e))
+        key = tuple(e[x] for x in a.base)
+        data = ElementFixedData(key, reference_order(e))
         for v in m.vertices():
-            if act_on_cell(m, e, v) == v:
+            if m.cell_of(v.kind, e[v.dart]) == v:
                 lo = ref_cycle_shift_order(m.orbit(v), e)
                 if lo > 1:
                     data.fixed_vertices.append(FixedCell(v, lo))
         for f in m.faces():
-            if act_on_cell(m, e, f) == f:
+            if m.cell_of(f.kind, e[f.dart]) == f:
                 lo = ref_cycle_shift_order(m.orbit(f), e)
                 if lo > 1:
                     data.fixed_faces.append(FixedCell(f, lo))
@@ -209,7 +215,7 @@ def ref_singular_locus(d, a):
                 data.inverted_edges.append(FixedCell(c, 2))
         per.append(data)
         if g is not None and data.order == 2 and data.n_fixed_points == 2 * g + 2:
-            hyper.append(e)
+            hyper.append(key)
     return SingularReport(per, hyper, g)
 
 
@@ -295,3 +301,20 @@ def test_is_equivalent_action_matches_reference(name, d, a):
                 assert _outcome(is_equivalent_action, d, x, y, flag) == _outcome(
                     ref_is_equivalent_action, d, x, y, flag
                 )
+
+
+def ref_aut_generators(d):
+    """The greedy generators of Aut taken over all its elements as full
+    permutations, ascending: the selection the key-based one replaced."""
+    auts = sorted(automorphism_group(d).permutations())
+    return greedy_generators(auts, tuple(range(d.surface.n_darts)), compose)
+
+
+AUT_CASES = [(n, lambda n=n: entry(n).diagram) for n in STANDARD_NAMES + FROZEN_NAMES]
+AUT_CASES += [("natural_genus1(%d)" % m, lambda m=m: natural_genus1(m).diagram) for m in range(4, 17)]
+
+
+@pytest.mark.parametrize("name, build", AUT_CASES, ids=[c[0] for c in AUT_CASES])
+def test_aut_generators_match_the_all_permutations_selection(name, build):
+    d = build()
+    assert _aut_action(d).generators == ref_aut_generators(d)

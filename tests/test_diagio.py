@@ -4,7 +4,6 @@ import pytest
 
 from etd.catalog import (
     FROZEN_NAMES,
-    frozen_file_text,
     natural_genus1,
     q8_link_base,
     q8_reductions,
@@ -23,6 +22,7 @@ from etd.diagio import (
 )
 from etd.diagram import ShadowDiagram, parse_color
 from etd.groups import GroupError, group_by_name
+from test_catalog import frozen_text
 
 
 def theta_text():
@@ -234,7 +234,7 @@ def _q8_lift_text(k):
 
 
 def _parity_cases():
-    cases = [pytest.param(lambda n=n: frozen_file_text(n), id=n) for n in FROZEN_NAMES]
+    cases = [pytest.param(lambda n=n: frozen_text(n + ".diagram"), id=n) for n in FROZEN_NAMES]
     cases += [
         pytest.param(lambda m=m: serialize_diagram(natural_genus1(m).diagram), id="genus1_%d" % m)
         for m in range(1, 7)

@@ -133,12 +133,17 @@ def test_diagram_defaults_and_checks():
 
 
 def test_vertex_kinds():
+    # the standard torus has unmarked alpha crossings only; the theta
+    # sphere's two marked vertices are bridge points, where all three
+    # shadow families end
     d = standard_torus_diagram()
     for v in d.surface.vertices():
-        assert d.vertex_kind(v) == "Crossing"
+        assert v not in d.marked
+        assert {d.dart_colors[x].kind for x in d.surface.orbit(v)} == {"alpha"}
     t = theta_sphere_diagram()
+    assert len(t.marked) == 2
     for v in t.marked:
-        assert t.vertex_kind(v) == "BridgePoint"
+        assert {str(t.dart_colors[x]) for x in t.surface.orbit(v)} == {"shadow1", "shadow2", "shadow3"}
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +466,7 @@ def test_arc_ends_that_do_not_pair():
 def test_standard_torus_report():
     r = validate_trisection(standard_torus_diagram())
     assert r.ok
-    assert r.gk() == (1, (0, 0, 0))
+    assert (r.genus, r.k) == (1, (0, 0, 0))
     assert r.chi_x == 3
     assert "(1; 0,0,0)" in r.summary()
 
@@ -469,7 +474,7 @@ def test_standard_torus_report():
 def test_parallel_torus_report():
     r = validate_trisection(parallel_torus_diagram())
     assert r.ok
-    assert r.gk() == (1, (1, 1, 1))
+    assert (r.genus, r.k) == (1, (1, 1, 1))
     assert r.chi_x == 0
 
 

@@ -3,12 +3,12 @@ and triangulations): every input ends in an exit code of the 0/1/2
 contract, never in a traceback."""
 
 import random
-from importlib import resources
 
 import pytest
 
-from etd.catalog import FROZEN_NAMES, frozen_file_text
+from etd.catalog import FROZEN_NAMES
 from etd.cli import main
+from test_catalog import frozen_text
 
 VERBS = ("validate", "invariants", "quotient", "lift")
 CASES_PER_FILE = 40
@@ -55,7 +55,7 @@ def assert_contract(argv, capsys, where):
 @pytest.mark.parametrize("name", FROZEN_NAMES)
 def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, capsys, name):
     rng = random.Random(name)
-    text = frozen_file_text(name)
+    text = frozen_text(name + ".diagram")
     path = tmp_path / "fuzz.diagram"
     out = tmp_path / "out.diagram"
     for case in range(CASES_PER_FILE):
@@ -69,7 +69,7 @@ def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", TRI_NAMES)
 def test_mutated_triangulations_keep_the_exit_code_contract(tmp_path, capsys, name):
     rng = random.Random(name)
-    text = (resources.files("etd.data") / (name + ".tri")).read_text()
+    text = frozen_text(name + ".tri")
     path = tmp_path / "fuzz.tri"
     for case in range(CASES_PER_FILE):
         path.write_bytes(mutate(text, rng, TRI_TAILS))
@@ -118,7 +118,7 @@ def edit_triangulation(text: str, rng: random.Random) -> str:
 @pytest.mark.parametrize("name", TRI_NAMES)
 def test_consistent_triangulation_edits_reach_the_semantic_checks(tmp_path, capsys, name):
     rng = random.Random("consistent " + name)
-    text = (resources.files("etd.data") / (name + ".tri")).read_text()
+    text = frozen_text(name + ".tri")
     path = tmp_path / "fuzz.tri"
     codes = set()
     for case in range(CASES_PER_FILE):

@@ -117,7 +117,7 @@ def test_surface_h1_rank():
     # mod the loop of edge 0: Z
     assert cokernel(frame.rank, [frame.project({0: 1})]) == AbelianGroup(1)
     # mod both loop classes: 0
-    assert cokernel(frame.rank, [frame.project(c) for c in ({0: 1}, {1: 1})]).is_trivial
+    assert cokernel(frame.rank, [frame.project(c) for c in ({0: 1}, {1: 1})]) == AbelianGroup(0)
 
 
 def test_surface_h1_genus2():

@@ -23,6 +23,15 @@ from etd.planar import (
 )
 
 
+def edges_labelled(pd, label):
+    """The edges of the strands labelled ``label``."""
+    return {
+        pd.map.cell_of("edge", x)
+        for x, i in enumerate(pd.dart_strand)
+        if pd.strands[i].label == label
+    }
+
+
 def test_segment_intersection_basic():
     kind, pt, t, u = segment_intersection((0, 0), (2, 2), (0, 2), (2, 0))
     assert pt == (1, 1)
@@ -57,7 +66,7 @@ def test_two_crossing_arcs_with_frame():
     assert m.euler_characteristic() == 2
     assert len(m.vertices()) == 5
     assert len(m.edges()) == 8
-    assert len(pd.edges_by_label("d1")) == 2
+    assert len(edges_labelled(pd, "d1")) == 2
     center = pd.vertex_at((0, 0))
     assert len(m.orbit(center)) == 4
 
@@ -90,7 +99,7 @@ def test_nested_loops_connected_by_arc():
     assert len(m.vertices()) == 2
     assert len(m.edges()) == 3
     assert m.genus() == 0
-    assert len(pd.edges_by_label("tie")) == 1
+    assert len(edges_labelled(pd, "tie")) == 1
 
 
 def test_triple_point_rejected():
@@ -157,7 +166,7 @@ def test_branch_cut_voltage_on_crossed_edge():
 def test_branch_cut_sign_tracks_crossing_direction():
     pd = cross_in_frame()
     m = pd.map
-    diam = set(pd.edges_by_label("diam"))
+    diam = edges_labelled(pd, "diam")
 
     def diam_signs(cut):
         cs = branch_cut_crossings(pd, [cut])

@@ -34,7 +34,8 @@ from etd.diagram import (
 from etd.groups import cyclic, hom_from_generator_images
 from etd.planar import PlanarError, rotation_by_angle
 from etd.quotient import _subdivided_diagram, demoted_diagram, folded_curve_edges, quotient
-from etd.surgery import prune_pendant_scaffold, tube
+from etd.surgery import tube
+from test_cover import component_diagrams
 
 NAMES = STANDARD_NAMES + FROZEN_NAMES
 
@@ -138,40 +139,6 @@ def dict_tube(d1, d2, m):
     return ShadowDiagram(m, color, marked)
 
 
-def dict_prune(d):
-    while True:
-        m = d.surface
-        drop = None
-        for v in m.vertices():
-            orbit = m.orbit(v)
-            if len(orbit) == 1 and d.dart_color(orbit[0]) == SCAFFOLD:
-                drop = orbit[0]
-                break
-        if drop is None:
-            return d
-        other = m.edge_pairing[drop]
-        keep = [x for x in range(m.n_darts) if x not in (drop, other)]
-        index = {x: i for i, x in enumerate(keep)}
-        ep = [index[m.edge_pairing[x]] for x in keep]
-        rot = []
-        for x in keep:
-            y = m.rotation[x]
-            while y in (drop, other):
-                y = m.rotation[y]
-            rot.append(index[y])
-        m2 = CombMap(len(keep), ep, rot)
-        color = {}
-        for e in m2.edges():
-            color[e] = d.dart_colors[m.cell_of("edge", keep[e.dart]).dart]
-        marked = set()
-        for v in d.marked:
-            for x in m.orbit(v):
-                if x in index:
-                    marked.add(m2.cell_of("vertex", index[x]))
-                    break
-        d = ShadowDiagram(m2, color, marked)
-
-
 def dict_mirror(d, m2):
     return ShadowDiagram(m2, {e: d.dart_colors[e.dart] for e in d.surface.edges()}, set(d.marked))
 
@@ -205,19 +172,6 @@ def quotient_cases():
 QUOTIENTS = list(quotient_cases())
 
 
-def whiskered(marked):
-    """A shadow loop at one vertex plus a pendant scaffold whisker:
-    "tip" marks the whisker's free end; "base" and "base, least dart"
-    mark the vertex it hangs from, the second named by the whisker's own
-    dart, which the pruning drops."""
-    if marked == "base, least dart":
-        m = CombMap(4, [1, 0, 3, 2], [2, 1, 3, 0])
-        return ShadowDiagram(m, {m.cell_of("edge", 2): shadow(1)}, [m.cell_of("vertex", 0)])
-    m = CombMap(4, [1, 0, 3, 2], [2, 1, 0, 3])
-    marks = [m.cell_of("vertex", 3 if marked == "tip" else 0)]
-    return ShadowDiagram(m, {m.cell_of("edge", 0): shadow(1)}, marks)
-
-
 def theta_sphere():
     m = CombMap(6, [1, 0, 3, 2, 5, 4], [2, 5, 4, 1, 0, 3])
     color = {m.cell_of("edge", x): shadow(x // 2 + 1) for x in (0, 2, 4)}
@@ -240,7 +194,7 @@ def test_covers_pull_back_along_the_sheet_map():
 def test_component_diagrams_pull_back_along_the_inclusions():
     _, covers = q8_covers()
     for label, res in covers:
-        comps = res.component_diagrams()
+        comps = component_diagrams(res)
         assert len(comps) == res.n_components
         for d, ref in zip(comps, dict_components(res)):
             same(d, ref)
@@ -266,16 +220,6 @@ def test_mirror_and_prune_pull_back(name):
     d = entry(name).diagram
     got = mirror(d)
     same(got, dict_mirror(d, got.surface))
-    same(prune_pendant_scaffold(d), dict_prune(d))
-
-
-@pytest.mark.parametrize("marked", ["tip", "base", "base, least dart"])
-def test_prune_keeps_marks_off_the_whisker(marked):
-    d = whiskered(marked)
-    got = prune_pendant_scaffold(d)
-    same(got, dict_prune(d))
-    assert got.surface.n_darts == 2
-    assert len(got.marked) == (0 if marked == "tip" else 1)
 
 
 def test_tubes_pull_back_along_the_two_inclusions():

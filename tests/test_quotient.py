@@ -28,14 +28,7 @@ def grid2():
 
 
 def grid2_diagram(arr):
-    color = {}
-    for i in (0, 1):
-        for e in arr.edges_of_line(i):
-            color[e] = alpha(1)
-    for i in (2, 3):
-        for e in arr.edges_of_line(i):
-            color[e] = alpha(2)
-    return ShadowDiagram(arr.map, color)
+    return ShadowDiagram.from_darts(arr.map, [alpha(1 if i < 2 else 2) for i in arr.dart_line])
 
 
 def full_action(arr):

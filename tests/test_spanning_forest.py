@@ -24,6 +24,7 @@ from etd.cover import (
 from etd.diagram import _curves, _edge_cycle, family_cycles, shadow
 from etd.groups import GroupError, cyclic, dihedral, hom_from_generator_images
 from etd.invariants import cokernel, h1_frame
+from test_cover import component_diagrams
 
 # ---------------------------------------------------------------------------
 # the replaced code, kept as reference copies
@@ -304,5 +305,5 @@ def test_lift_matches_riemann_hurwitz(k):
         assert m.genus() == genus, label
     assert {b.base_vertex: b.lift_count for b in res.branch_points} == counts, label
     # the gauge-fixed voltages give the same cover, colors and marks included
-    codes = [sorted(c.canonical() for c in r.component_diagrams()) for r in (res, fixed)]
+    codes = [sorted(c.canonical() for c in component_diagrams(r)) for r in (res, fixed)]
     assert codes[0] == codes[1], label

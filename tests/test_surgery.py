@@ -2,7 +2,7 @@ import pytest
 
 from etd.cmap import CombMap
 from etd.diagram import ShadowDiagram, shadow
-from etd.surgery import SurgeryError, prune_pendant_scaffold, tube
+from etd.surgery import SurgeryError, tube
 
 
 def theta_sphere():
@@ -49,25 +49,3 @@ def test_tube_rejects_mismatched_faces():
     with pytest.raises(SurgeryError):
         tube(d1, d1.surface.faces()[0], d2, d2.surface.faces()[0])
 
-
-def whiskered_sphere():
-    # a single loop edge at one vertex plus a pendant scaffold whisker
-    ep = [1, 0, 3, 2]
-    rot = [2, 1, 0, 3]
-    m = CombMap(4, ep, rot)
-    color = {m.cell_of("edge", 0): shadow(1)}
-    return ShadowDiagram(m, color)
-
-
-def test_prune_pendant_scaffold_removes_whiskers():
-    d = whiskered_sphere()
-    assert len(d.surface.edges()) == 2
-    out = prune_pendant_scaffold(d)
-    assert len(out.surface.edges()) == 1
-    assert all(c.kind == "shadow" for c in out.dart_colors)
-
-
-def test_prune_leaves_whisker_free_diagram_alone():
-    d = theta_sphere()
-    out = prune_pendant_scaffold(d)
-    assert out.surface.n_darts == d.surface.n_darts

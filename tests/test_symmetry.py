@@ -9,7 +9,6 @@ from etd.symmetry import (
     ColorBroken,
     DiagramAction,
     NotAutomorphism,
-    act_on_cell,
     check_action,
     is_equivalent_action,
     singular_locus,
@@ -30,16 +29,10 @@ def grid2():
 
 def grid2_diagram(arr=None, colored=True):
     arr = arr or grid2()
-    m = arr.map
-    color = {}
-    if colored:
-        for i in (0, 1):  # horizontal lines
-            for e in arr.edges_of_line(i):
-                color[e] = alpha(1)
-        for i in (2, 3):  # vertical lines
-            for e in arr.edges_of_line(i):
-                color[e] = alpha(2)
-    return ShadowDiagram(m, color)
+    if not colored:
+        return ShadowDiagram(arr.map)
+    # lines 0, 1 horizontal, lines 2, 3 vertical
+    return ShadowDiagram.from_darts(arr.map, [alpha(1 if i < 2 else 2) for i in arr.dart_line])
 
 
 def grid2_generators(arr):
@@ -79,7 +72,8 @@ def test_translation_action_free():
     assert sing.is_free
     # free action: the four elements carry one vertex to all four
     m = d.surface
-    images = [act_on_cell(m, g, m.vertices()[0]) for g in a.elements()]
+    v = m.vertices()[0]
+    images = [m.cell_of("vertex", g[v.dart]) for g in a.elements()]
     assert len(images) == 4 and sorted(images) == m.vertices()
 
 
@@ -97,7 +91,7 @@ def test_negation_is_hyperelliptic():
     assert len(data.fixed_vertices) == 4
     assert all(fc.local_order == 2 for fc in data.fixed_vertices)
     assert data.fixed_faces == [] and data.inverted_edges == []
-    assert sing.hyperelliptic_involutions == [nu]
+    assert sing.hyperelliptic_involutions == [(nu[0],)]
 
 
 def test_orbit_stabilizer_at_fixed_vertex():
@@ -106,10 +100,10 @@ def test_orbit_stabilizer_at_fixed_vertex():
     _, _, nu = grid2_generators(arr)
     a = DiagramAction([nu], ["nu"])
     m = d.surface
-    v0 = arr.vertex_at((0, 0))
+    v0 = m.cell_of("vertex", arr.dart_point.index((0, 0)))
     elems = a.elements()
-    assert sum(act_on_cell(m, g, v0) == v0 for g in elems) == 2
-    face_parts = {frozenset(act_on_cell(m, g, f) for g in elems) for f in m.faces()}
+    assert sum(m.cell_of(v0.kind, g[v0.dart]) == v0 for g in elems) == 2
+    face_parts = {frozenset(m.cell_of(f.kind, g[f.dart]) for g in elems) for f in m.faces()}
     assert sorted(len(p) for p in face_parts) == [2, 2]
 
 

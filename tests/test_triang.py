@@ -17,28 +17,34 @@ from etd.triang import (
     SurfaceNotInvariant,
     TriangError,
     _sigma_counts,
-    boundary_five_simplex,
     bridge_parameters,
-    csaszar_torus,
-    cyclic_polytope_boundary,
-    double_four_simplex,
     parse_triangulation,
-    serialize_triangulation,
     sigma_oracle,
-    tetrahedral_sphere,
     trisection_parameters,
     validate_triangulation,
 )
+from test_catalog import frozen_text
+
+
+def frozen_tri(name):
+    """The frozen triangulation ``name``.tri of ``etd.data``."""
+    return parse_triangulation(frozen_text(name + ".tri"))
+
+
+def tetrahedral_sphere():
+    """The four triangles on vertices 0..3, a subcomplex of both
+    4-sphere files."""
+    return list(combinations(range(4), 3))
 
 
 def test_boundary_five_simplex_counts():
-    K = boundary_five_simplex()
+    K = frozen_tri("boundary_5_simplex")
     assert K.counts() == (6, 15, 20, 15, 6)
     assert validate_triangulation(K)
 
 
 def test_boundary_five_simplex_parameters():
-    r = trisection_parameters(boundary_five_simplex())
+    r = trisection_parameters(frozen_tri("boundary_5_simplex"))
     assert r.k == (19, 26, 136)
     assert r.genus == 181
     assert r.chi_simplex == 2
@@ -46,7 +52,7 @@ def test_boundary_five_simplex_parameters():
 
 
 def test_double_four_simplex_parameters():
-    K = double_four_simplex()
+    K = frozen_tri("double_4_simplex")
     assert K.counts() == (5, 10, 10, 5, 2)
     r = trisection_parameters(K)
     assert r.k == (4, 6, 41)
@@ -55,12 +61,12 @@ def test_double_four_simplex_parameters():
 
 
 def test_oracle_agrees_on_spheres():
-    for K in (boundary_five_simplex(), double_four_simplex()):
+    for K in (frozen_tri("boundary_5_simplex"), frozen_tri("double_4_simplex")):
         assert sigma_oracle(K) == trisection_parameters(K).genus
 
 
 def test_oracle_agrees_on_cyclic_polytope():
-    K = cyclic_polytope_boundary()
+    K = frozen_tri("cyclic_7_5")
     r = trisection_parameters(K)
     assert r.chi_simplex == 2
     assert sigma_oracle(K) == r.genus == 379
@@ -77,7 +83,7 @@ def conjugated_generators(K, perm):
 
 def test_parameters_invariant_under_relabeling():
     rng = random.Random(7)
-    for K in (boundary_five_simplex(), cyclic_polytope_boundary()):
+    for K in (frozen_tri("boundary_5_simplex"), frozen_tri("cyclic_7_5")):
         base = trisection_parameters(K)
         for _ in range(5):
             perm = list(range(K.n_vertices))
@@ -107,14 +113,14 @@ def test_disconnected_rejected():
 
 
 def test_non_simplicial_generator_rejected():
-    K = double_four_simplex()
+    K = frozen_tri("double_4_simplex")
     bad = GTriangulation(5, K.pentachora, [(0, 1, 2, 3, 3)], ["bad"])
     with pytest.raises(NonSimplicialAction):
         validate_triangulation(bad)
 
 
 def test_non_pentachoron_preserving_generator_rejected():
-    K = cyclic_polytope_boundary()
+    K = frozen_tri("cyclic_7_5")
     # swapping vertices 0 and 1 does not preserve the facet list
     swap01 = (1, 0, 2, 3, 4, 5, 6)
     bad = GTriangulation(7, K.pentachora, [swap01], ["swap01"])
@@ -123,14 +129,14 @@ def test_non_pentachoron_preserving_generator_rejected():
 
 
 def test_open_surface_in_triangulation_rejected():
-    K = boundary_five_simplex()
+    K = frozen_tri("boundary_5_simplex")
     bad = GTriangulation(6, K.pentachora, surfaces=[[(0, 1, 2)]])
     with pytest.raises(NotClosedSurface):
         validate_triangulation(bad)
 
 
 def test_surface_invariance_checked():
-    K = boundary_five_simplex()
+    K = frozen_tri("boundary_5_simplex")
     sphere = tetrahedral_sphere()  # lives on vertices 0..3
     bad = GTriangulation(6, K.pentachora, [(1, 2, 3, 4, 5, 0)], ["cycle"], [sphere])
     with pytest.raises(SurfaceNotInvariant):
@@ -138,15 +144,15 @@ def test_surface_invariance_checked():
 
 
 def test_bridge_parameters_tetrahedral_sphere():
-    K = boundary_five_simplex()
+    K = frozen_tri("boundary_5_simplex")
     b, p = bridge_parameters(K, tetrahedral_sphere())
     assert (b, p) == (12, (4, 4, 6))
     assert sum(p) - b == 2
 
 
 def test_bridge_parameters_seven_vertex_torus():
-    K = cyclic_polytope_boundary()
-    b, p = bridge_parameters(K, csaszar_torus())
+    K = frozen_tri("cyclic_7_5")
+    b, p = bridge_parameters(K, K.surfaces[0])
     assert (b, p) == (42, (7, 14, 21))
     assert sum(p) - b == 0
 
@@ -163,7 +169,7 @@ def test_bridge_parameters_additive_on_disjoint_spheres():
 
 
 def test_bridge_rejects_open_surface():
-    K = boundary_five_simplex()
+    K = frozen_tri("boundary_5_simplex")
     with pytest.raises(NotClosedSurface):
         bridge_parameters(K, tetrahedral_sphere()[:3])
 
@@ -176,34 +182,14 @@ def test_genus_mismatch_on_inconsistent_counts():
         def tetrahedra(self):
             return super().tetrahedra()[:-1]
 
-    K = Broken(5, double_four_simplex().pentachora)
+    K = Broken(5, frozen_tri("double_4_simplex").pentachora)
     with pytest.raises(GenusMismatch):
         trisection_parameters(K)
 
 
 def test_fixed_vertices_note():
-    r = trisection_parameters(cyclic_polytope_boundary())
+    r = trisection_parameters(frozen_tri("cyclic_7_5"))
     assert any("first sector" in n for n in r.notes)
-
-
-def test_text_round_trip():
-    for K in (boundary_five_simplex(), double_four_simplex(), cyclic_polytope_boundary()):
-        text = serialize_triangulation(K)
-        K2 = parse_triangulation(text)
-        assert serialize_triangulation(K2) == text
-        assert K2.counts() == K.counts()
-
-
-def test_frozen_files_match_builders():
-    from importlib.resources import files
-
-    for name, build in [
-        ("boundary_5_simplex", boundary_five_simplex),
-        ("double_4_simplex", double_four_simplex),
-        ("cyclic_7_5", cyclic_polytope_boundary),
-    ]:
-        text = (files("etd.data") / (name + ".tri")).read_text()
-        assert text == serialize_triangulation(build())
 
 
 @pytest.mark.parametrize(
@@ -221,15 +207,15 @@ def test_frozen_files_match_builders():
     ],
 )
 def test_malformed_files_rejected(mutation):
-    text = serialize_triangulation(boundary_five_simplex())
+    text = frozen_text("boundary_5_simplex.tri")
     with pytest.raises(FileFormatError):
         parse_triangulation(mutation(text))
 
 
 def test_parse_errors_name_their_line():
-    text = serialize_triangulation(boundary_five_simplex())
+    text = frozen_text("boundary_5_simplex.tri")
     end = len(text.splitlines()) + 1
-    double = serialize_triangulation(double_four_simplex())
+    double = frozen_text("double_4_simplex.tri")
     dend = len(double.splitlines()) + 1
     cases = [
         (text + "generator\n", "line %d: generator needs a name" % end),
@@ -249,7 +235,7 @@ def test_parse_errors_name_their_line():
 
 
 def test_each_shared_facet_takes_exactly_one_glue_line(tmp_path, capsys):
-    text = serialize_triangulation(double_four_simplex())
+    text = frozen_text("double_4_simplex.tri")
     end = len(text.splitlines()) + 1
     cases = [
         (
@@ -268,7 +254,7 @@ def test_each_shared_facet_takes_exactly_one_glue_line(tmp_path, capsys):
         p.write_text(bad)
         assert main(["triang", str(p), "--oracle"]) == 1
         assert capsys.readouterr().err == "parse error: %s\n" % message
-    five = serialize_triangulation(boundary_five_simplex())
+    five = frozen_text("boundary_5_simplex.tri")
     first = next(ln for ln in five.splitlines() if ln.startswith("glue"))
     with pytest.raises(FileFormatError, match="has no glue line$"):
         parse_triangulation(five.replace(first + "\n", ""))
@@ -290,7 +276,7 @@ def test_each_shared_facet_takes_exactly_one_glue_line(tmp_path, capsys):
 def test_integers_are_written_as_str_writes_them(tmp_path, old, new):
     # int() reads all of these, but the file would not be written back
     # byte for byte
-    text = serialize_triangulation(double_four_simplex())
+    text = frozen_text("double_4_simplex.tri")
     lineno = text[: text.index(old)].count("\n") + 1
     bad = text.replace(old, new, 1)
     with pytest.raises(
@@ -303,12 +289,12 @@ def test_integers_are_written_as_str_writes_them(tmp_path, old, new):
 
 
 def test_vertex_count_bounded_by_the_pentachora():
-    two = double_four_simplex().pentachora
+    two = frozen_tri("double_4_simplex").pentachora
     with pytest.raises(TriangError, match="11 vertices, but 2 pentachora use at most 10"):
         validate_triangulation(GTriangulation(11, two))
     with pytest.raises(TriangError, match="unused vertices: 5, 6, 7, 8, 9$"):
         validate_triangulation(GTriangulation(10, two))
-    six = boundary_five_simplex().pentachora
+    six = frozen_tri("boundary_5_simplex").pentachora
     with pytest.raises(
         TriangError, match=re.escape("unused vertices: 6, 7, 8, 9, 10, ... (14 in all)")
     ):
@@ -513,7 +499,7 @@ def relabelled(K, perm):
 
 def differential_cases():
     rng = random.Random(13)
-    fixtures = [double_four_simplex(), boundary_five_simplex(), cyclic_polytope_boundary()]
+    fixtures = [frozen_tri(n) for n in ("double_4_simplex", "boundary_5_simplex", "cyclic_7_5")]
     cases = [pytest.param(K, id="fixture%d" % i) for i, K in enumerate(fixtures)]
     for i, K in enumerate(fixtures):
         for j in range(3):
@@ -526,7 +512,7 @@ def differential_cases():
 
 def test_gale_evenness_gives_the_cyclic_fixture():
     K = cyclic_five_polytope(7)
-    assert sorted(K.pentachora) == sorted(cyclic_polytope_boundary().pentachora)
+    assert sorted(K.pentachora) == sorted(frozen_tri("cyclic_7_5").pentachora)
     assert [len(cyclic_five_polytope(n).pentachora) for n in (8, 9)] == [20, 30]
 
 

@@ -542,7 +542,7 @@ def test_validation_does_each_piece_of_work_once(monkeypatch):
     monkeypatch.setattr(real_frame, "project", project)
     monkeypatch.setattr(invariants_mod, "cokernel", cokernel)
     report = validate_trisection(d)
-    assert report.gk() == (17, (5, 5, 5))
+    assert (report.genus, report.k) == (17, (5, 5, 5))
     # one cut per family for the cut systems and one per family for the
     # shadow arcs; one H1 frame for the surface; one extraction per family;
     # each family's 16 curves and 24 shadow cycles projected once

@@ -19,7 +19,7 @@ import pytest
 
 import etd.diagram as diagram_mod
 import etd.quotient as quotient_mod
-from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, frozen_file_text, q8_reductions
+from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, q8_reductions
 from etd.cmap import DisjointSets
 from etd.cover import derived_cover
 from etd.diagio import parse_diagram_file
@@ -32,6 +32,7 @@ from etd.diagram import (
     shadow,
     validate_trisection,
 )
+from test_catalog import frozen_text
 
 SIX = [alpha(i) for i in (1, 2, 3)] + [shadow(i) for i in (1, 2, 3)]
 PALETTE = SIX + [SCAFFOLD]
@@ -207,7 +208,7 @@ def reference_count_bridge_loops(d, i, j):
 
 def union_find_count_bridge_loops(d, i, j):
     """The bridge loop count by one union-find over all darts per pair,
-    reading the vertex pass's color rotation and the real arc-end
+    reading the vertex pass's color rotation and the reference arc-end
     pairing: the version the orbit walk replaced."""
     m = d.surface
     rot = diagram_mod._vertex_data(d, "color_rotation")
@@ -219,7 +220,7 @@ def union_find_count_bridge_loops(d, i, j):
         if m.vertex_of[x] not in marked:
             loops.union(x, rot[x])
     for v in sorted(d.marked):
-        for xi, xj in diagram_mod._arc_end_pairing(d, v, i, j):
+        for xi, xj in reference_arc_end_pairing(d, v, i, j):
             loops.union(xi, xj)
     return len({loops.find(x) for x in allx})
 
@@ -277,7 +278,7 @@ def _q8_lifts():
 
 
 BASES = (
-    [("data:" + n, lambda n=n: parse_diagram_file(frozen_file_text(n)).diagram) for n in FROZEN_NAMES]
+    [("data:" + n, lambda n=n: parse_diagram_file(frozen_text(n + ".diagram")).diagram) for n in FROZEN_NAMES]
     + [("catalog:" + n, lambda n=n: entry(n).diagram) for n in STANDARD_NAMES]
     + [("lift:%d" % k, lambda k=k: _q8_lifts()[k]) for k in range(4)]
 )
