@@ -7,11 +7,14 @@ vertex.  Vertices are rotation orbits, edges are pairing orbits, faces are
 orbits of the face walk rotation^-1 o edge_pairing.  Only orientable
 surfaces are representable; orientation is implicit in the rotation.
 
-Each map keeps three flat per-dart arrays, built once at construction:
-``vertex_of[d]``, ``edge_of[d]`` and ``face_of[d]`` are the positions of
-the vertex, edge and face containing dart ``d`` in the lists returned by
-``vertices()``, ``edges()`` and ``faces()``.  Cells are listed by
-ascending minimum dart, and ``cell_of`` is served from these arrays.
+Each map keeps flat per-dart arrays, built once at construction:
+``vertex_of[d]``, ``edge_of[d]`` and ``face_of[d]`` number the vertex,
+edge and face containing dart ``d``, and ``_vertex_orbits``,
+``_edge_orbits`` and ``_face_orbits`` list those cells' dart cycles in
+that numbering, by ascending least dart.  Hot code reads these arrays.
+The :class:`CellId` lists of ``vertices()``, ``edges()`` and ``faces()``
+are built per kind on first use, in the same order, and ``cell_of``
+indexes them.
 
 Two partition primitives serve every connectivity question in ``etd``:
 :func:`perm_orbits` gives the orbits of the group a set of dart
@@ -68,18 +71,26 @@ def perm_orbits(n: int, perms: Sequence[Sequence[int]]):
     """
     orbit_id = [-1] * n
     orbits = []
+    single = perms[0] if len(perms) == 1 else None
     for x in range(n):
         if orbit_id[x] >= 0:
             continue
         k = len(orbits)
         orbit_id[x] = k
         orb = [x]
-        for y in orb:
-            for p in perms:
-                z = p[y]
-                if orbit_id[z] < 0:
-                    orbit_id[z] = k
-                    orb.append(z)
+        if single is not None:  # walk the cycle
+            z = single[x]
+            while orbit_id[z] < 0:
+                orbit_id[z] = k
+                orb.append(z)
+                z = single[z]
+        else:
+            for y in orb:
+                for p in perms:
+                    z = p[y]
+                    if orbit_id[z] < 0:
+                        orbit_id[z] = k
+                        orb.append(z)
         orbits.append(orb)
     return orbit_id, orbits
 
@@ -181,60 +192,67 @@ class CellId:
 class CombMap:
     """Immutable closed combinatorial map on darts 0..n_darts-1: a
     fixed-point-free edge-pairing involution and a vertex rotation,
-    both checked on construction."""
+    both checked on construction.
+
+    Construction builds the flat arrays only: the face walk, the
+    ``*_of`` cell numbers and the three orbit lists.  The :class:`CellId`
+    lists are built per kind on the first call that needs one."""
 
     def __init__(self, n_darts, edge_pairing, rotation):
         edge_pairing = tuple(edge_pairing)
         rotation = tuple(rotation)
         if len(edge_pairing) != n_darts or len(rotation) != n_darts:
             raise MapError("permutation length does not match dart count")
-        if sorted(rotation) != list(range(n_darts)):
+        darts = list(range(n_darts))
+        if sorted(rotation) != darts:
             raise MapError("rotation is not a permutation of the darts")
-        if sorted(edge_pairing) != list(range(n_darts)):
+        if sorted(edge_pairing) != darts:
             raise MapError("edge_pairing is not a permutation of the darts")
-        for d in range(n_darts):
-            if edge_pairing[edge_pairing[d]] != d:
-                raise NotInvolution("edge_pairing is not an involution at dart %d" % d)
-        for d in range(n_darts):
-            if edge_pairing[d] == d:
-                raise DanglingDart("dart %d has no partner" % d)
+        if [edge_pairing[y] for y in edge_pairing] != darts:
+            d = next(d for d in darts if edge_pairing[edge_pairing[d]] != d)
+            raise NotInvolution("edge_pairing is not an involution at dart %d" % d)
+        self.edge_of, self._edge_orbits = perm_orbits(n_darts, (edge_pairing,))
+        if 2 * len(self._edge_orbits) != n_darts:  # n/2 orbits iff no fixed point
+            d = next(d for d in darts if edge_pairing[d] == d)
+            raise DanglingDart("dart %d has no partner" % d)
         self.n_darts = n_darts
         self.edge_pairing = edge_pairing
         self.rotation = rotation
         # face walk: rotation^-1 after edge_pairing
         self.face_walk = compose(inverse(rotation), edge_pairing)
         self.vertex_of, self._vertex_orbits = perm_orbits(n_darts, (rotation,))
-        self.edge_of, self._edge_orbits = perm_orbits(n_darts, (edge_pairing,))
         self.face_of, self._face_orbits = perm_orbits(n_darts, (self.face_walk,))
-        self._cells = {
-            kind: ([CellId(kind, o[0]) for o in orbs], of, orbs)
-            for kind, of, orbs in (
-                ("vertex", self.vertex_of, self._vertex_orbits),
-                ("edge", self.edge_of, self._edge_orbits),
-                ("face", self.face_of, self._face_orbits),
-            )
+        self._kinds = {
+            "vertex": (self.vertex_of, self._vertex_orbits),
+            "edge": (self.edge_of, self._edge_orbits),
+            "face": (self.face_of, self._face_orbits),
         }
+        self._cells = {}  # kind -> CellId list, built on first use
         self._components = None
         self._h1_frame = None  # built by invariants.h1_frame on first use
 
     # ---- cells ----------------------------------------------------------
     # The cell lists are built once per map; callers must not mutate them.
 
+    def _cell_list(self, kind):
+        cells = self._cells.get(kind)
+        if cells is None:
+            cells = self._cells[kind] = [CellId(kind, o[0]) for o in self._kinds[kind][1]]
+        return cells
+
     def vertices(self):
-        return self._cells["vertex"][0]
+        return self._cell_list("vertex")
 
     def edges(self):
-        return self._cells["edge"][0]
+        return self._cell_list("edge")
 
     def faces(self):
-        return self._cells["face"][0]
+        return self._cell_list("face")
 
     def cell_of(self, kind: str, dart: int) -> CellId:
-        table = self._cells.get(kind)
-        if table is None or not (isinstance(dart, int) and 0 <= dart < self.n_darts):
+        if kind not in self._kinds or not (isinstance(dart, int) and 0 <= dart < self.n_darts):
             raise UnknownCell("no %s cell at dart %r" % (kind, dart))
-        cells, of, _ = table
-        return cells[of[dart]]
+        return self._cell_list(kind)[self._kinds[kind][0][dart]]
 
     def orbit(self, cell: CellId) -> list[int]:
         """The dart cycle of ``cell`` (rotation, edge pairing or face walk)
@@ -242,7 +260,7 @@ class CombMap:
         mutate it."""
         if self.cell_of(cell.kind, cell.dart) != cell:
             raise UnknownCell("unknown %s %r" % (cell.kind, cell))
-        _, of, orbits = self._cells[cell.kind]
+        of, orbits = self._kinds[cell.kind]
         return orbits[of[cell.dart]]
 
     # ---- invariants -----------------------------------------------------

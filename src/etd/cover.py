@@ -120,16 +120,16 @@ def _solve_twists(d: ShadowDiagram, va: VoltageAssignment):
     """
     g = va.group
     m = d.surface
+    marked = {v: m._vertex_orbits[m.vertex_of[v.dart]] for v in d.marked}
     unknowns = set()
-    for v in d.marked:
-        unknowns.update(m.orbit(v))
+    for cyc in marked.values():
+        unknowns.update(cyc)
     t = {}
 
     # each constraint is a token word multiplying (left to right) to the
     # identity; tokens are ("const", elt) or ("unk", dart, exponent)
     constraints = []
-    for f in m.faces():
-        cyc = m.orbit(f)  # face-walk order d1 -> d2 -> ...
+    for cyc in m._face_orbits:  # face-walk order d1 -> d2 -> ...
         word = []
         k = len(cyc)
         # t(d1)^-1 v(dk) t(dk)^-1 v(d_{k-1}) ... t(d2)^-1 v(d1) = e
@@ -140,7 +140,7 @@ def _solve_twists(d: ShadowDiagram, va: VoltageAssignment):
         word.append(("const", va.voltage[cyc[0]]))
         constraints.append(word)
     for v in sorted(d.marked):
-        cyc = m.orbit(v)
+        cyc = marked[v]
         word = [("unk", c, 1) for c in reversed(cyc)]
         word.append(("const", g.inv(va.meridians[v])))
         constraints.append(word)
@@ -216,24 +216,22 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
     if not m.is_connected():
         raise CoverError("base must be connected")
     n = m.n_darts
-    order = len(g)
-    idx = {x: i for i, x in enumerate(g.elements)}
-
-    def dart(base, elt):
-        return base * order + idx[elt]
-
-    twist = _solve_twists(d, va)
-
-    ep = [0] * (n * order)
-    rot = [0] * (n * order)
-    proj = {}
+    elements = g.elements
+    order = len(elements)
+    idx = {x: i for i, x in enumerate(elements)}
     mul = g.mul  # a cached function: a local name is the cheapest call
+    twist = _solve_twists(d, va)
+    # left multiplication by each voltage and twist, as an index row
+    row = {w: [idx[mul(w, e)] for e in elements] for w in {*va.voltage.values(), *twist.values()}}
+
+    # lifted dart x*|G| + i is (base dart x, elements[i])
+    ep, rot = [], []
     for x in range(n):
-        for e in g.elements:
-            i = dart(x, e)
-            proj[i] = (x, e)
-            ep[i] = dart(m.edge_pairing[x], mul(va.voltage[x], e))
-            rot[i] = dart(m.rotation[x], mul(twist[x], e))
+        b = m.edge_pairing[x] * order
+        ep += [b + j for j in row[va.voltage[x]]]
+        b = m.rotation[x] * order
+        rot += [b + j for j in row[twist[x]]]
+    proj = dict(enumerate((x, e) for x in range(n) for e in elements))
     lifted = CombMap(n * order, ep, rot)
 
     # Riemann-Hurwitz, exactly (holds for the full cover, connected or not)
@@ -243,24 +241,24 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
 
     # lifted dart x*|G| + i takes the color and mark of base dart x
     colors = [c for c in d.dart_colors for _ in range(order)]
-    marked = [dart(v.dart, e) for v in d.marked for e in g.elements]
+    marked = [v.dart * order + i for v in d.marked for i in range(order)]
     dq = ShadowDiagram.from_darts(lifted, colors, marked)
 
     branch = []
     for v, w in sorted(va.meridians.items(), key=lambda it: it[0].dart):
         o = g.element_order(w)
-        lifts = len({lifted.vertex_of[dart(v.dart, e)] for e in g.elements})
+        b = v.dart * order
+        lifts = len({lifted.vertex_of[b + i] for i in range(order)})
         if lifts != order // o:
             raise CoverError("branch point lift count disagrees with the meridian order")
         branch.append(BranchPoint(v, o, lifts))
 
+    # right translation by h: (x, e) -> (x, e h)
     gens = []
     names = []
-    for h in greedy_generators(g.elements, g.identity, g.mul) or [g.identity]:
-        perm = tuple(
-            dart(proj[i][0], mul(proj[i][1], h)) for i in range(n * order)
-        )
-        gens.append(perm)
+    for h in greedy_generators(elements, g.identity, mul) or [g.identity]:
+        right_h = [idx[mul(e, h)] for e in elements]
+        gens.append(tuple(b + r for b in range(0, n * order, order) for r in right_h))
         names.append(str(h))
     comps = lifted.components()
     deck = DiagramAction(gens, names, base_darts(lifted))

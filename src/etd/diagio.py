@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cmap import CombMap, UnknownCell
+from .cmap import CellId, CombMap, UnknownCell
 from .diagram import SCAFFOLD, DiagramError, ShadowDiagram, parse_color
 from .groups import Group, GroupError, group_by_name
 
@@ -93,10 +93,10 @@ def serialize_diagram(
         "pairing %s" % " ".join(map(str, m.edge_pairing)),
         "rotation %s" % " ".join(map(str, m.rotation)),
     ]
-    for e in m.edges():
-        c = d.dart_colors[e.dart]
+    for x, _ in m._edge_orbits:
+        c = d.dart_colors[x]
         if c != SCAFFOLD:
-            lines.append("edge %d %s" % (e.dart, c))
+            lines.append("edge %d %s" % (x, c))
     marked = sorted(v.dart for v in d.marked)
     if marked:
         lines.append("marked %s" % " ".join(map(str, marked)))
@@ -113,8 +113,7 @@ def serialize_diagram(
             raise FileFormatError("deck group has no serializable name")
         lines.append("group %s" % g.name)
         filled = {}
-        for e in m.edges():
-            x, y = e.dart, m.edge_pairing[e.dart]
+        for x, y in m._edge_orbits:
             if x in voltages.voltage:
                 filled[x] = voltages.voltage[x]
             elif y in voltages.voltage:
@@ -123,10 +122,10 @@ def serialize_diagram(
                 filled[x] = g.identity
             filled[y] = g.inv(filled[x])
         va = type(voltages)(g, filled, voltages.meridians).validated(d)
-        for e in m.edges():
-            w = va.voltage[e.dart]
+        for x, _ in m._edge_orbits:
+            w = va.voltage[x]
             if w != g.identity:
-                lines.append("voltage %d %s" % (e.dart, _element_token(w)))
+                lines.append("voltage %d %s" % (x, _element_token(w)))
         for v in sorted(va.meridians, key=lambda c: c.dart):
             w = va.meridians[v]
             if w != g.identity:
@@ -272,14 +271,13 @@ def parse_diagram_file(text: str) -> DiagramFile:
     if len(pairing) != n or len(rotation) != n:
         raise FileFormatError("pairing/rotation length disagrees with darts")
     m = CombMap(n, pairing, rotation)
-    ep = m.edge_pairing
-    vertices = m.vertices()
+    ep, vertex_orbits, vertex_of = m.edge_pairing, m._vertex_orbits, m.vertex_of
 
     def is_edge_rep(x):
         return 0 <= x < n and x < ep[x]
 
     def is_vertex_rep(x):
-        return 0 <= x < n and vertices[m.vertex_of[x]].dart == x
+        return 0 <= x < n and vertex_orbits[vertex_of[x]][0] == x
 
     dart_colors = [SCAFFOLD] * n
     colored = set()
@@ -339,12 +337,13 @@ def parse_diagram_file(text: str) -> DiagramFile:
             volt[dart] = w
             volt[ep[dart]] = group.inv(w)
         mer = {}
+        marked_cells = {v.dart: v for v in d.marked}
         for lineno, dart, tok in meridian_rows:
             if not is_vertex_rep(dart):
                 raise FileFormatError(
                     "line %d: meridian dart %d is not a vertex representative" % (lineno, dart)
                 )
-            v = m.cell_of("vertex", dart)
+            v = marked_cells.get(dart) or CellId("vertex", dart)
             if v in mer:
                 raise FileFormatError("line %d: vertex %d has two meridians" % (lineno, dart))
             try:

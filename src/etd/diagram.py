@@ -144,10 +144,8 @@ class ShadowDiagram:
         dart_colors = tuple(dart_colors)
         if len(dart_colors) != n:
             raise DiagramError("%d dart colors for %d darts" % (len(dart_colors), n))
-        ep = surface.edge_pairing
         by_color = {}
-        for e in surface.edges():
-            x, y = e.dart, ep[e.dart]
+        for x, y in surface._edge_orbits:
             c = dart_colors[x]
             if not isinstance(c, Color):
                 raise DiagramError("colors must be Color values")
@@ -158,10 +156,10 @@ class ShadowDiagram:
         for x in marked_darts:
             if not (isinstance(x, int) and 0 <= x < n):
                 raise DiagramError("marked dart %r is not a dart" % (x,))
-            marked.add(surface.cell_of("vertex", x))
+            marked.add(surface.vertex_of[x])
         self.surface = surface
         self.dart_colors = dart_colors
-        self.marked = frozenset(marked)
+        self.marked = frozenset(CellId("vertex", surface._vertex_orbits[v][0]) for v in marked)
         self._darts_by_color = {c: sorted(ds) for c, ds in by_color.items()}
         self._derived = {}
 
@@ -228,7 +226,7 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
     tangency is none).  ``errors`` lists the structural errors vertex by
     vertex, then the missing ends of shadow arcs."""
     m = d.surface
-    rot, vertices = m.rotation, m.vertices()
+    rot = m.rotation
     colors = list(d._darts_by_color)  # the colors present, numbered
     code = [0] * m.n_darts
     for c, darts in enumerate(d._darts_by_color.values()):
@@ -239,7 +237,7 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
     color_rotation = list(rot)  # a vertex of one color keeps its rotation
     crossings, errs, missing = [], [], []
     for k, orbit in enumerate(m._vertex_orbits):
-        v = vertices[k]
+        v = orbit[0]  # named as a CellId in error messages only
         cs = [code[x] for x in orbit]
         here = dict.fromkeys(cs)  # the colors at v, by first appearance
         if len(here) > 1:
@@ -254,10 +252,10 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
             if cs.count(c) != 2:
                 errs.append(
                     "vertex %r carries %d darts of alpha%d (want 0 or 2)"
-                    % (v, cs.count(c), colors[c].index)
+                    % (CellId("vertex", v), cs.count(c), colors[c].index)
                 )
         if len(alphas) > 2:
-            errs.append("more than two curve colors cross at vertex %r" % (v,))
+            errs.append("more than two curve colors cross at vertex %r" % (CellId("vertex", v),))
         if len(alphas) > 1:
             # the families with two darts here, by index, at their first
             twos = sorted((colors[c].index, cs.index(c)) for c in alphas if cs.count(c) == 2)
@@ -266,18 +264,24 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
                 if (p1 < q1 < p2) != (p1 < q2 < p2):
                     crossings.append((orbit[p1], orbit[q1]))
                 elif len(alphas) == 2 and len(orbit) == 4:
-                    errs.append("curve colors do not alternate at crossing %r" % (v,))
+                    errs.append(
+                        "curve colors do not alternate at crossing %r" % (CellId("vertex", v),)
+                    )
         if k in marked:
             ends = {colors[c].index for c in shadows}
             missing += [
-                "marked vertex %r has no shadow%d end" % (v, i) for i in present if i not in ends
+                "marked vertex %r has no shadow%d end" % (CellId("vertex", v), i)
+                for i in present
+                if i not in ends
             ]
             continue
         if len(shadows) > 1:
-            errs.append("shadow families share interior vertex %r" % (v,))
+            errs.append("shadow families share interior vertex %r" % (CellId("vertex", v),))
         for c in shadows:
             if cs.count(c) != 2:
-                errs.append("shadow%d ends at unmarked vertex %r" % (colors[c].index, v))
+                errs.append(
+                    "shadow%d ends at unmarked vertex %r" % (colors[c].index, CellId("vertex", v))
+                )
     return {"color_rotation": color_rotation, "crossings": crossings, "errors": errs + missing}
 
 

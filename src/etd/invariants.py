@@ -207,11 +207,10 @@ class H1Frame:
     """
 
     def __init__(self, m: CombMap):
-        edges = m.edges()
         ep, vertex_of, edge_of = m.edge_pairing, m.vertex_of, m.edge_of
-        n_edges = len(edges)
-        self.tail = [vertex_of[c.dart] for c in edges]
-        self.head = [vertex_of[ep[c.dart]] for c in edges]
+        n_edges = len(m._edge_orbits)
+        self.tail = [vertex_of[x] for x, _ in m._edge_orbits]
+        self.head = [vertex_of[y] for _, y in m._edge_orbits]
         in_forest = bytearray(n_edges)
         for x in spanning_forest(m)[0]:
             if x >= 0:

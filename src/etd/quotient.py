@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .cmap import CombMap, inverse, perm_orbits, subdivide_edges
+from .cmap import CellId, CombMap, inverse, perm_orbits, subdivide_edges
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, color_components, validate_trisection
 from .invariants import branching_defect
 from .symmetry import (
@@ -107,7 +107,7 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientR
     # N-inverted edges: both darts in one N-orbit.  N is normal, so the
     # set is G-invariant and the whole group still acts after subdivision.
     orbit_id, _ = perm_orbits(m.n_darts, n_sub.generators)
-    inverted = [e for e in m.edges() if orbit_id[e.dart] == orbit_id[m.edge_pairing[e.dart]]]
+    inverted = [CellId("edge", x) for x, y in m._edge_orbits if orbit_id[x] == orbit_id[y]]
     sub_d, origin = _subdivided_diagram(d, inverted)
     m2 = sub_d.surface
     n_old = m.n_darts
@@ -134,15 +134,19 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientR
     # a cell is its share of the N-orbit of its dart, and the orbit of
     # the cell is the set of cells that dart orbit meets.
     cone = []
-    for kind in ("vertex", "face"):
-        for cell in (mq.vertices() if kind == "vertex" else mq.faces()):
-            pre = m2.cell_of(kind, reps[cell.dart])
-            met = [m2.cell_of(kind, y) for y in orbits[cell.dart]]
-            stab = met.count(pre)
+    for kind, of, q_orbits in (
+        ("vertex", m2.vertex_of, mq._vertex_orbits), ("face", m2.face_of, mq._face_orbits)
+    ):
+        for q_orbit in q_orbits:
+            i = q_orbit[0]  # the quotient cell's least dart
+            met = [of[y] for y in orbits[i]]  # met[0] is the cell of reps[i]
+            stab = met.count(met[0])
             if stab * len(set(met)) != order_n:
-                raise QuotientError("orbit-stabilizer equality fails at %r" % (pre,))
+                raise QuotientError(
+                    "orbit-stabilizer equality fails at %r" % (m2.cell_of(kind, reps[i]),)
+                )
             if stab > 1:
-                cone.append((cell, stab))
+                cone.append((CellId(kind, i), stab))
 
     # Riemann-Hurwitz, exactly
     chi = m2.euler_characteristic()

@@ -240,13 +240,14 @@ def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
     that they identify the elements of the closure.
     """
     m = d.surface
+    colors, vertex_of = d.dart_colors, m.vertex_of
+    marked = {vertex_of[v.dart] for v in d.marked}
     for g, name in zip(a.generators, a.names):
         check_automorphism(m, g, name)
-        for e in m.edges():
-            if d.dart_colors[g[e.dart]] != d.dart_colors[e.dart]:
-                raise ColorBroken(name, str(d.dart_colors[e.dart]))
-        marked_img = {m.cell_of("vertex", g[v.dart]) for v in d.marked}
-        if marked_img != d.marked:
+        for x, _ in m._edge_orbits:
+            if colors[g[x]] != colors[x]:
+                raise ColorBroken(name, str(colors[x]))
+        if {vertex_of[g[v.dart]] for v in d.marked} != marked:
             raise ColorBroken(name, "marked set")
     comps = m.components()
     if len(a.base) != len(comps) or any(

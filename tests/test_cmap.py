@@ -22,7 +22,7 @@ from etd.cmap import (
     subdivide_edges,
 )
 from etd.surgery import tube
-from test_canonical import all_images_automorphisms
+from test_canonical import all_images_automorphisms, q8_lift
 
 
 def square_torus():
@@ -117,6 +117,57 @@ def test_not_involution():
 def test_dangling_dart():
     with pytest.raises(DanglingDart, match="dart 0 has no partner"):
         CombMap(2, [0, 1], [1, 0])
+
+
+def test_not_involution_names_the_first_bad_dart():
+    # dart 0 is also a fixed point, but the involution check runs first
+    with pytest.raises(NotInvolution, match="not an involution at dart 1$"):
+        CombMap(4, [0, 2, 3, 1], [0, 1, 2, 3])
+
+
+def random_map(rng, n_edges):
+    """A random closed map: a random pairing and a random rotation."""
+    darts = list(range(2 * n_edges))
+    rng.shuffle(darts)
+    ep = [0] * len(darts)
+    for a, b in zip(darts[::2], darts[1::2]):
+        ep[a], ep[b] = b, a
+    rng.shuffle(darts)
+    return CombMap(len(darts), ep, darts)
+
+
+def lazy_cell_maps():
+    def lift(k):  # a fresh map: the cached lift may have built its cells
+        m = q8_lift(k).surface
+        return CombMap(m.n_darts, m.edge_pairing, m.rotation)
+
+    maps = [
+        pytest.param(lambda n=n: random_map(random.Random(n), n), id="random_%d" % n)
+        for n in (1, 5, 40)
+    ]
+    return maps + [pytest.param(lambda k=k: lift(k), id="q8_lift_%d" % k) for k in range(5)]
+
+
+@pytest.mark.parametrize("build", lazy_cell_maps())
+def test_cell_lists_are_built_once_and_indexed_by_the_arrays(build):
+    m = build()
+    assert m._cells == {}  # construction builds no CellId
+    for kind, cells, of, perm in (
+        ("vertex", m.vertices, m.vertex_of, m.rotation),
+        ("edge", m.edges, m.edge_of, m.edge_pairing),
+        ("face", m.faces, m.face_of, m.face_walk),
+    ):
+        listed = cells()
+        assert cells() is listed
+        assert [c.dart for c in listed] == sorted({min(m.orbit(c)) for c in listed})
+        assert all(c.kind == kind for c in listed)
+        for d in range(m.n_darts):
+            c = m.cell_of(kind, d)
+            assert c is listed[of[d]]
+            assert d in m.orbit(c)
+        for c in listed:
+            cyc = m.orbit(c)
+            assert [perm[x] for x in cyc] == cyc[1:] + cyc[:1]
 
 
 def test_genus_errors():

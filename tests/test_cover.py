@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from etd.catalog import q8_reductions
 from etd.cmap import CombMap
 from etd.diagram import ShadowDiagram, alpha, shadow
-from etd.groups import cyclic, quaternion
+from etd.groups import cyclic, greedy_generators, quaternion
 from etd.cover import (
     DisconnectedCoverWarning,
     MeridianMismatch,
     VoltageAssignment,
     VoltageIncompatible,
+    _solve_twists,
     derived_cover,
     expected_lift_parameters,
 )
@@ -202,3 +204,64 @@ def test_voltage_validation_errors():
             {x: 0 for x in range(d.surface.n_darts)},
             {d.surface.cell_of("vertex", 0): 1},
         ).validated(d)
+
+
+def per_dart_lift(d, va):
+    """The cover's pairing, rotation, projection and deck generators,
+    built one lifted dart at a time: dart x*|G| + i is (x, elements[i]),
+    each neighbour found by a group product and an index lookup."""
+    va = va.validated(d)
+    g, m = va.group, d.surface
+    n, order = m.n_darts, len(g)
+    idx = {x: i for i, x in enumerate(g.elements)}
+
+    def dart(base, elt):
+        return base * order + idx[elt]
+
+    twist = _solve_twists(d, va)
+    ep, rot, proj = [0] * (n * order), [0] * (n * order), {}
+    for x in range(n):
+        for e in g.elements:
+            i = dart(x, e)
+            proj[i] = (x, e)
+            ep[i] = dart(m.edge_pairing[x], g.mul(va.voltage[x], e))
+            rot[i] = dart(m.rotation[x], g.mul(twist[x], e))
+    gens = [
+        tuple(dart(proj[i][0], g.mul(proj[i][1], h)) for i in range(n * order))
+        for h in greedy_generators(g.elements, g.identity, g.mul) or [g.identity]
+    ]
+    return tuple(ep), tuple(rot), proj, gens
+
+
+def twisted_theta_cover():
+    d = theta_sphere_diagram()
+    g = cyclic(2)
+    va = VoltageAssignment(g, edge_voltages(d, g, {0: 1}), {v: 1 for v in d.marked})
+    return d, va
+
+
+def lift_cases():
+    cases = [pytest.param(lambda k=k: q8_case(k), id="q8_reduction_%d" % k) for k in range(5)]
+    return cases + [pytest.param(twisted_theta_cover, id="theta_twisted")]
+
+
+def q8_case(k):
+    base, reds = q8_reductions()
+    return base.diagram, reds[k][1]
+
+
+@pytest.mark.parametrize("build", lift_cases())
+def test_derived_cover_matches_the_per_dart_lift(build):
+    d, va = build()
+    ep, rot, proj, gens = per_dart_lift(d, va)
+    res = derived_cover(d, va)
+    assert res.diagram.surface.edge_pairing == ep
+    assert res.diagram.surface.rotation == rot
+    assert res.projection == proj
+    assert res.deck.generators == gens
+
+
+def test_theta_cover_has_a_nontrivial_twist():
+    d, va = twisted_theta_cover()
+    g = va.group
+    assert any(t != g.identity for t in _solve_twists(d, va.validated(d)).values())
