@@ -11,9 +11,11 @@
 
 Integers are written as ``str`` writes them: ASCII digits, no leading
 zero, a ``-`` on negatives only.  ``edge`` lines name an edge by its
-smallest dart; unlisted edges are scaffold.  ``marked`` lists marked
-vertices by their smallest darts.  Unknown keys and malformed counts are
-rejected; a parse error in a line names its number.
+smallest dart; unlisted edges are scaffold, and an ``edge`` line naming
+``scaffold`` is rejected, since it would not be written back.
+``marked`` lists marked vertices by their smallest darts.  Unknown keys
+and malformed counts are rejected; a parse error in a line names its
+number.
 
 Optional blocks:
 
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cmap import CellId, CombMap, UnknownCell
-from .diagram import SCAFFOLD, DiagramError, ShadowDiagram, parse_color
+from .diagram import COLOR_NAMES, SCAFFOLD, DiagramError, ShadowDiagram, parse_color
 from .groups import Group, GroupError, group_by_name
 
 FORMAT_NAME = "etd-diagram"
@@ -96,7 +98,7 @@ def serialize_diagram(
     for x, _ in m._edge_orbits:
         c = d.dart_colors[x]
         if c != SCAFFOLD:
-            lines.append("edge %d %s" % (x, c))
+            lines.append("edge %d %s" % (x, COLOR_NAMES[c]))
     marked = sorted(v.dart for v in d.marked)
     if marked:
         lines.append("marked %s" % " ".join(map(str, marked)))
@@ -196,7 +198,7 @@ def parse_diagram_file(text: str) -> DiagramFile:
     n = None
     pairing = None
     rotation = None
-    colors = []  # (lineno, dart, Color)
+    colors = []  # (lineno, dart, color code)
     marked = None  # (lineno, darts)
     group = None
     action_rows = []  # (lineno, name, permutation)
@@ -225,9 +227,14 @@ def parse_diagram_file(text: str) -> DiagramFile:
                     raise FileFormatError("bad edge line %r" % ln)
                 dart = read_int(parts[1])
                 try:
-                    colors.append((lineno, dart, parse_color(parts[2])))
+                    c = parse_color(parts[2])
                 except DiagramError as err:
                     raise DiagramError("line %d: %s" % (lineno, err))
+                if c == SCAFFOLD:
+                    raise FileFormatError(
+                        "edge %d is listed as scaffold, the color of unlisted edges" % dart
+                    )
+                colors.append((lineno, dart, c))
             elif key == "marked":
                 if marked is not None:
                     raise FileFormatError("duplicate marked line")
@@ -279,7 +286,7 @@ def parse_diagram_file(text: str) -> DiagramFile:
     def is_vertex_rep(x):
         return 0 <= x < n and vertex_orbits[vertex_of[x]][0] == x
 
-    dart_colors = [SCAFFOLD] * n
+    dart_colors = bytearray([SCAFFOLD]) * n
     colored = set()
     for lineno, dart, c in colors:
         if not is_edge_rep(dart):

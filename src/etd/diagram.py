@@ -7,6 +7,13 @@ Scaffold filler), and some darts mark their vertex as a bridge point.
 A derived diagram (subdivision, quotient, cover, tube, mirror) pulls
 this decoration back along its dart map: each new dart takes the color
 and the mark of the dart it comes from.
+
+A color is one integer code: ``alpha(i) = i - 1``, ``SCAFFOLD = 3``,
+``shadow(i) = 3 + i``.  The codes sort as the colors' (kind, index)
+names did, alpha1 < alpha2 < alpha3 < scaffold < shadow1 < shadow2 <
+shadow3: dart labels are built from them, so the order fixes the
+canonical form's best start, its ties and the automorphism group.  Only
+this module knows the names, ``COLOR_NAMES``, to read and write text.
 """
 
 from __future__ import annotations
@@ -41,52 +48,31 @@ class ArcOutsideComplementaryDisk(DiagramError):
 # ---------------------------------------------------------------------------
 # colors
 
-
-@dataclass(frozen=True)
-class Color:
-    kind: str  # 'alpha' | 'shadow' | 'scaffold'
-    index: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind in ("alpha", "shadow"):
-            if self.index not in (1, 2, 3):
-                raise DiagramError("curve/arc families are indexed 1..3")
-        elif self.kind == "scaffold":
-            if self.index is not None:
-                raise DiagramError("scaffold carries no index")
-        else:
-            raise DiagramError("unknown color kind %r" % (self.kind,))
-
-    def __str__(self):
-        if self.kind == "scaffold":
-            return "scaffold"
-        return "%s%d" % (self.kind, self.index)
+COLOR_NAMES = ("alpha1", "alpha2", "alpha3", "scaffold", "shadow1", "shadow2", "shadow3")
+SCAFFOLD = 3
 
 
 def alpha(i):
-    return Color("alpha", i)
+    if i not in (1, 2, 3):
+        raise DiagramError("curve/arc families are indexed 1..3")
+    return i - 1
 
 
 def shadow(i):
-    return Color("shadow", i)
-
-
-SCAFFOLD = Color("scaffold")
+    return alpha(i) + SCAFFOLD + 1
 
 
 @functools.cache
-def parse_color(text: str) -> Color:
+def parse_color(text: str) -> int:
     """The color a token names: ``scaffold``, or ``alpha``/``shadow``
     followed by exactly one ASCII digit, which must be 1, 2 or 3.
 
     Cached: a file names one of seven colors on every ``edge`` line, and
     a bad token raises, so it is never stored."""
-    if text == "scaffold":
-        return SCAFFOLD
-    for kind in ("alpha", "shadow"):
-        digit = text[len(kind):]
-        if text.startswith(kind) and len(digit) == 1 and digit in "0123456789":
-            return Color(kind, int(digit))
+    if text in COLOR_NAMES:
+        return COLOR_NAMES.index(text)
+    if text[:-1] in ("alpha", "shadow") and text[-1] in "0123456789":
+        raise DiagramError("curve/arc families are indexed 1..3")
     raise DiagramError("unknown color %r" % (text,))
 
 
@@ -98,12 +84,14 @@ class ShadowDiagram:
     """A closed surface map decorated per dart: one color per dart, both
     darts of an edge sharing it, and marked bridge vertices.
 
-    ``dart_colors`` holds the colors, one per dart, and ``marked`` is a
-    frozenset of vertex CellIds.  :meth:`from_darts` takes the per-dart
-    colors and marked darts, which is how files are read and how derived
-    diagrams (subdivisions, quotients, covers, tubes, mirrors) pull their
-    decoration back along a dart map.  The constructor takes ``color`` as
-    a dict from edge CellIds to colors, uncolored edges defaulting to
+    ``dart_colors`` is a ``bytes`` of color codes, one per dart, in the
+    order of the colors' (kind, index) names, which canonical ties rely
+    on (see the module docstring); ``marked`` is a frozenset of vertex
+    CellIds.  :meth:`from_darts` takes the per-dart codes and marked
+    darts, which is how files are read and how derived diagrams
+    (subdivisions, quotients, covers, tubes, mirrors) pull their
+    decoration back along a dart map.  The constructor takes ``color``
+    as a dict from edge CellIds to codes, uncolored edges defaulting to
     scaffold, and marked vertex CellIds.
 
     Derived data is computed once, on first use, and kept: the vertex
@@ -120,8 +108,6 @@ class ShadowDiagram:
         for cell, c in (color or {}).items():
             if cell not in edge_cells:
                 raise DiagramError("color assigned to unknown edge %r" % (cell,))
-            if not isinstance(c, Color):
-                raise DiagramError("colors must be Color values")
             dart_colors[cell.dart] = dart_colors[ep[cell.dart]] = c
         marked = list(marked)
         vertex_cells = set(surface.vertices())
@@ -141,33 +127,35 @@ class ShadowDiagram:
 
     def _decorate(self, surface, dart_colors, marked_darts):
         n = surface.n_darts
-        dart_colors = tuple(dart_colors)
-        if len(dart_colors) != n:
-            raise DiagramError("%d dart colors for %d darts" % (len(dart_colors), n))
-        by_color = {}
-        for x, y in surface._edge_orbits:
-            c = dart_colors[x]
-            if not isinstance(c, Color):
-                raise DiagramError("colors must be Color values")
-            if dart_colors[y] != c:
-                raise DiagramError("dart %d and its edge partner %d differ in color" % (x, y))
-            by_color.setdefault(c, []).extend((x, y))
+        try:
+            colors = bytes(iter(dart_colors))  # bytes(k) alone would take an int k as k zeros
+        except (TypeError, ValueError):
+            raise DiagramError("colors must be Color values") from None
+        if len(colors) != n:
+            raise DiagramError("%d dart colors for %d darts" % (len(colors), n))
+        if max(colors, default=0) >= len(COLOR_NAMES):
+            raise DiagramError("colors must be Color values")
+        if bytes(map(colors.__getitem__, surface.edge_pairing)) != colors:
+            x, y = next((x, y) for x, y in surface._edge_orbits if colors[x] != colors[y])
+            raise DiagramError("dart %d and its edge partner %d differ in color" % (x, y))
         marked = set()
         for x in marked_darts:
             if not (isinstance(x, int) and 0 <= x < n):
                 raise DiagramError("marked dart %r is not a dart" % (x,))
             marked.add(surface.vertex_of[x])
         self.surface = surface
-        self.dart_colors = dart_colors
+        self.dart_colors = colors
         self.marked = frozenset(CellId("vertex", surface._vertex_orbits[v][0]) for v in marked)
-        self._darts_by_color = {c: sorted(ds) for c, ds in by_color.items()}
+        self._darts_by_color = [[] for _ in COLOR_NAMES]
+        for x, c in enumerate(colors):
+            self._darts_by_color[c].append(x)
         self._derived = {}
 
     # -- helpers ----------------------------------------------------------
 
-    def darts_of_color(self, c: Color) -> list:
+    def darts_of_color(self, c: int) -> list:
         """The darts of color ``c``, ascending; callers must not mutate it."""
-        return self._darts_by_color.get(c, [])
+        return self._darts_by_color[c]
 
     def _once(self, key, build):
         """``build()``, computed on the first call under ``key`` and kept.
@@ -186,15 +174,16 @@ class ShadowDiagram:
             raise type(got)(*got.args)
         return got
 
-    def dart_labels(self):
+    def dart_labels(self) -> bytes:
         """Per-dart decorations for canonical forms and isomorphism:
-        (color kind, color index, whether the dart's vertex is marked).
-        Built once per diagram; callers must not mutate them."""
+        ``2 * color + 1`` if the dart's vertex is marked, else
+        ``2 * color``, which sort as (color kind, color index, marked)
+        would.  Built once per diagram."""
         vertex_of = self.surface.vertex_of
         marked = {vertex_of[v.dart] for v in self.marked}
         return self._once(
             "labels",
-            lambda: [(c.kind, c.index, v in marked) for c, v in zip(self.dart_colors, vertex_of)],
+            lambda: bytes(2 * c + (v in marked) for c, v in zip(self.dart_colors, vertex_of)),
         )
 
     def genus(self) -> int:
@@ -226,14 +215,9 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
     tangency is none).  ``errors`` lists the structural errors vertex by
     vertex, then the missing ends of shadow arcs."""
     m = d.surface
-    rot = m.rotation
-    colors = list(d._darts_by_color)  # the colors present, numbered
-    code = [0] * m.n_darts
-    for c, darts in enumerate(d._darts_by_color.values()):
-        for x in darts:
-            code[x] = c
+    rot, code = m.rotation, d.dart_colors
     marked = {m.vertex_of[v.dart] for v in d.marked}
-    present = sorted(c.index for c in colors if c.kind == "shadow")
+    present = [shadow(i) for i in (1, 2, 3) if d.darts_of_color(shadow(i))]
     color_rotation = list(rot)  # a vertex of one color keeps its rotation
     crossings, errs, missing = [], [], []
     for k, orbit in enumerate(m._vertex_orbits):
@@ -246,19 +230,19 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
                 while code[y] != code[x]:
                     y = rot[y]
                 color_rotation[x] = y
-        alphas = [c for c in here if colors[c].kind == "alpha"]
-        shadows = [c for c in here if colors[c].kind == "shadow"]
+        alphas = [c for c in here if c < SCAFFOLD]
+        shadows = [c for c in here if c > SCAFFOLD]
         for c in alphas:
             if cs.count(c) != 2:
                 errs.append(
-                    "vertex %r carries %d darts of alpha%d (want 0 or 2)"
-                    % (CellId("vertex", v), cs.count(c), colors[c].index)
+                    "vertex %r carries %d darts of %s (want 0 or 2)"
+                    % (CellId("vertex", v), cs.count(c), COLOR_NAMES[c])
                 )
         if len(alphas) > 2:
             errs.append("more than two curve colors cross at vertex %r" % (CellId("vertex", v),))
         if len(alphas) > 1:
-            # the families with two darts here, by index, at their first
-            twos = sorted((colors[c].index, cs.index(c)) for c in alphas if cs.count(c) == 2)
+            # the families with two darts here, by code, at their first
+            twos = sorted((c, cs.index(c)) for c in alphas if cs.count(c) == 2)
             for (_, p1), (_, q1) in itertools.combinations(twos, 2):
                 p2, q2 = cs.index(cs[p1], p1 + 1), cs.index(cs[q1], q1 + 1)
                 if (p1 < q1 < p2) != (p1 < q2 < p2):
@@ -268,11 +252,10 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
                         "curve colors do not alternate at crossing %r" % (CellId("vertex", v),)
                     )
         if k in marked:
-            ends = {colors[c].index for c in shadows}
             missing += [
-                "marked vertex %r has no shadow%d end" % (CellId("vertex", v), i)
-                for i in present
-                if i not in ends
+                "marked vertex %r has no %s end" % (CellId("vertex", v), COLOR_NAMES[c])
+                for c in present
+                if c not in here
             ]
             continue
         if len(shadows) > 1:
@@ -280,7 +263,7 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
         for c in shadows:
             if cs.count(c) != 2:
                 errs.append(
-                    "shadow%d ends at unmarked vertex %r" % (colors[c].index, CellId("vertex", v))
+                    "%s ends at unmarked vertex %r" % (COLOR_NAMES[c], CellId("vertex", v))
                 )
     return {"color_rotation": color_rotation, "crossings": crossings, "errors": errs + missing}
 
@@ -298,9 +281,9 @@ def _color_parts(d: ShadowDiagram):
     def build():
         m = d.surface
         comp_of, comps = perm_orbits(m.n_darts, (m.edge_pairing, _vertex_data(d, "color_rotation")))
-        parts, index = {}, []
+        parts, index = [[] for _ in COLOR_NAMES], []
         for comp in comps:
-            same = parts.setdefault(d.dart_colors[comp[0]], [])
+            same = parts[d.dart_colors[comp[0]]]
             index.append(len(same))
             same.append(sorted(comp))
         return [index[k] for k in comp_of], parts
@@ -321,13 +304,16 @@ def _family_curves(d: ShadowDiagram, i: int):
     the least dart that has not two of the family's darts."""
     m = d.surface
     ep, rot = m.edge_pairing, _vertex_data(d, "color_rotation")
-    for x in d.darts_of_color(alpha(i)):
+    c = alpha(i)
+    for x in d.darts_of_color(c):
         if rot[x] == x or rot[rot[x]] != x:
             v = m.vertex_of[x]
-            n = sum(d.dart_colors[y] == alpha(i) for y in m._vertex_orbits[v])
-            raise MalformedColoring("alpha%d has %d darts at vertex %r" % (i, n, m.vertices()[v]))
+            n = sum(d.dart_colors[y] == c for y in m._vertex_orbits[v])
+            raise MalformedColoring(
+                "%s has %d darts at vertex %r" % (COLOR_NAMES[c], n, m.vertices()[v])
+            )
     curves, seen = [], set()
-    for x in d.darts_of_color(alpha(i)):
+    for x in d.darts_of_color(c):
         if x not in seen:
             curve = [x]
             while rot[ep[curve[-1]]] != x:
@@ -483,10 +469,9 @@ def _crossing_counts(d: ShadowDiagram, i: int, j: int):
     tangency counts zero.  A dart's curve index is the index of its color
     component (see :func:`_family_curves`)."""
     index, colors = _color_parts(d)[0], d.dart_colors
-    pairs = [(x, y) if colors[x].index == i else (y, x) for x, y in _vertex_data(d, "crossings")]
-    return Counter(
-        (index[x], index[y]) for x, y in pairs if (colors[x].index, colors[y].index) == (i, j)
-    )
+    ci, cj = alpha(i), alpha(j)
+    pairs = [(x, y) if colors[x] == ci else (y, x) for x, y in _vertex_data(d, "crossings")]
+    return Counter((index[x], index[y]) for x, y in pairs if (colors[x], colors[y]) == (ci, cj))
 
 
 def _perfect_matching(n_left, n_right, allowed):
@@ -596,21 +581,21 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
 # shadow arcs and bridge data
 
 
-def color_components(d: ShadowDiagram, c: Color):
+def color_components(d: ShadowDiagram, c: int):
     """Connected components of the union of the edges of color ``c``,
     as ascending dart lists ordered by least dart: darts are joined
     along their edge and at every vertex they share, the orbits of the
     edge pairing and the color rotation.  Computed once per diagram for
     all colors; callers must not mutate them."""
-    return _color_parts(d)[1].get(c, [])
+    return _color_parts(d)[1][c]
 
 
-def _arc_end_pairing(m: CombMap, family, v: CellId, i: int, j: int):
+def _arc_end_pairing(d: ShadowDiagram, v: CellId, i: int, j: int):
     """Pair Shadow(i) with Shadow(j) arc-ends at the marked vertex ``v``
-    by rotation adjacency; ``family[x]`` is i or j on the darts of those
-    two families and 0 elsewhere.  Returns list of (dart_i, dart_j)
-    pairs."""
-    seq = [(x, family[x]) for x in m._vertex_orbits[m.vertex_of[v.dart]] if family[x]]
+    by rotation adjacency.  Returns list of (dart_i, dart_j) pairs."""
+    m, colors, ci = d.surface, d.dart_colors, shadow(i)
+    ends = (ci, shadow(j))
+    seq = [(x, colors[x]) for x in m._vertex_orbits[m.vertex_of[v.dart]] if colors[x] in ends]
     pairs = []
     while seq:
         n = len(seq)
@@ -618,7 +603,7 @@ def _arc_end_pairing(m: CombMap, family, v: CellId, i: int, j: int):
         if hit is None:
             raise MalformedColoring("arc-ends of families %d/%d do not pair at %r" % (i, j, v))
         (x1, f1), (x2, _) = seq[hit], seq[(hit + 1) % n]
-        pairs.append((x1, x2) if f1 == i else (x2, x1))
+        pairs.append((x1, x2) if f1 == ci else (x2, x1))
         seq = [e for p, e in enumerate(seq) if p not in (hit, (hit + 1) % n)]
     return pairs
 
@@ -635,13 +620,9 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
     m = d.surface
     ep = m.edge_pairing
     join = _vertex_data(d, "color_rotation")
-    family = bytearray(m.n_darts)
-    for k in (i, j):
-        for x in d.darts_of_color(shadow(k)):
-            family[x] = k
     ends = {}
     for v in sorted(d.marked):
-        for xi, xj in _arc_end_pairing(m, family, v, i, j):
+        for xi, xj in _arc_end_pairing(d, v, i, j):
             ends[xi], ends[xj] = xj, xi
     seen = bytearray(m.n_darts)
     loops = 0
@@ -681,8 +662,7 @@ def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
     if len(d.marked) % 2:
         raise OddMarkedCount("%d marked vertices" % len(d.marked))
     m = d.surface
-    has_shadow = any(c.kind == "shadow" for c in d._darts_by_color)
-    if not has_shadow:
+    if not any(d.darts_of_color(shadow(i)) for i in (1, 2, 3)):
         return ShadowVerdict(True, 0, (), "no shadow arcs")
 
     for i in (1, 2, 3):

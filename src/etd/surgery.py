@@ -57,6 +57,6 @@ def tube(d1: ShadowDiagram, face1: CellId, d2: ShadowDiagram, face2: CellId):
     if m.euler_characteristic() != want:
         raise SurgeryError("tube matching is orientation-incompatible")
 
-    colors = d1.dart_colors + d2.dart_colors + (SCAFFOLD,) * (2 * L)
+    colors = d1.dart_colors + d2.dart_colors + bytes([SCAFFOLD]) * (2 * L)
     marked = [v.dart for v in d1.marked] + [v.dart + n1 for v in d2.marked]
     return ShadowDiagram.from_darts(m, colors, marked), n1

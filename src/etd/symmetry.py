@@ -26,7 +26,7 @@ from math import gcd
 from typing import Optional
 
 from .cmap import CellId, canonical_search, compose, perm_orbits
-from .diagram import ShadowDiagram
+from .diagram import COLOR_NAMES, ShadowDiagram
 from .groups import orbit_tree
 
 # A safety bound on the size of every group closure, read each time a
@@ -120,16 +120,22 @@ class GroupClosure:
 
     def orders(self) -> list:
         """The order of every element: the least k whose k-th power
-        fixes the base darts, read by applying the element's word."""
-        out = []
+        fixes the base darts.  The powers of each element not yet
+        reached are walked once, by applying its word, and fill the
+        whole cyclic subgroup: ord(g^j) = ord(g) / gcd(j, ord(g))."""
+        out = [0] * len(self.keys)
         for i, key in enumerate(self.keys):
+            if out[i]:
+                continue
             word = self._word(i)
-            pts, k = key, 1
+            powers, pts = [i], key  # powers[j - 1] is g^j
             while pts != self.base:
                 for g in word:
                     pts = tuple(g[x] for x in pts)
-                k += 1
-            out.append(k)
+                powers.append(self._index[pts])
+            k = len(powers)
+            for j, e in enumerate(powers, 1):
+                out[e] = k // gcd(j, k)
         return out
 
     def permutation(self, i) -> tuple:
@@ -244,9 +250,9 @@ def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
     marked = {vertex_of[v.dart] for v in d.marked}
     for g, name in zip(a.generators, a.names):
         check_automorphism(m, g, name)
-        for x, _ in m._edge_orbits:
-            if colors[g[x]] != colors[x]:
-                raise ColorBroken(name, str(colors[x]))
+        if bytes(map(colors.__getitem__, g)) != colors:
+            x = next(x for x, _ in m._edge_orbits if colors[g[x]] != colors[x])
+            raise ColorBroken(name, COLOR_NAMES[colors[x]])
         if {vertex_of[g[v.dart]] for v in d.marked} != marked:
             raise ColorBroken(name, "marked set")
     comps = m.components()

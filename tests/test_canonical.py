@@ -20,7 +20,9 @@ from etd.cmap import (
     is_isomorphic,
 )
 from etd.cover import derived_cover
-from etd.symmetry import GroupClosure, automorphism_group
+from etd.diagram import SCAFFOLD, alpha, shadow
+from etd.symmetry import GroupClosure, automorphism_group, base_darts
+from test_vertex_pass import kind_index
 
 CATALOG = STANDARD_NAMES + FROZEN_NAMES
 
@@ -261,3 +263,43 @@ def test_disjoint_set_roots_are_least_elements():
         for x in (a, b, rng.randrange(n)):
             assert sets.find(x) == min(members[x])
     assert all(sets.find(x) == min(members[x]) for x in range(n))
+
+
+# ---------------------------------------------------------------------------
+# the order of the color codes
+
+
+def named_labels(d):
+    """Per-dart ``(kind, index, marked)`` tuples, the colors read by name:
+    the labels the byte codes must sort like."""
+    m = d.surface
+    marked = {m.vertex_of[v.dart] for v in d.marked}
+    return [kind_index(c) + (m.vertex_of[x] in marked,) for x, c in enumerate(d.dart_colors)]
+
+
+ORDER_CASES = [pytest.param(lambda name=name: entry(name).diagram, id=name) for name in CATALOG] + [
+    pytest.param(lambda k=k: q8_lift(k), id="q8_lift_%d" % k) for k in range(5)
+]
+
+
+@pytest.mark.parametrize("build", ORDER_CASES)
+def test_byte_labels_sort_as_named_labels(build):
+    # the canonical search reads only comparisons of labels, so labels
+    # that sort alike give the same best start, the same ties and the
+    # same automorphism group, element for element
+    d = build()
+    m = d.surface
+    ties = canonical_search(m, named_labels(d))[1]
+    assert canonical_search(m, d.dart_labels())[1] == ties
+    named = GroupClosure(ties or [tuple(range(m.n_darts))], base_darts(m))
+    assert automorphism_group(d).keys == named.keys
+
+
+def test_scaffold_coded_below_alpha_changes_the_ties():
+    # the order test above can fail: ranking scaffold first, as a code
+    # below alpha1 would, moves d4_double's best start
+    d = entry("d4_double").diagram
+    rank = {SCAFFOLD: 0, **{alpha(i): i for i in (1, 2, 3)}, **{shadow(i): 3 + i for i in (1, 2, 3)}}
+    scaffold_first = bytes(2 * rank[lab >> 1] + (lab & 1) for lab in d.dart_labels())
+    ties = canonical_search(d.surface, named_labels(d))[1]
+    assert canonical_search(d.surface, scaffold_first)[1] != ties

@@ -31,7 +31,8 @@ def frozen_text(filename):
 
 def recolored(d, swap):
     """Apply a permutation {i: j} to the alpha families."""
-    colors = [alpha(swap.get(c.index, c.index)) if c.kind == "alpha" else c for c in d.dart_colors]
+    alphas = {alpha(i): alpha(swap.get(i, i)) for i in (1, 2, 3)}
+    colors = [alphas.get(c, c) for c in d.dart_colors]
     return ShadowDiagram.from_darts(d.surface, colors, [v.dart for v in d.marked])
 
 

@@ -366,6 +366,10 @@ THETA = (
         ),
         pytest.param("color 0 alpha1", 8, "unknown key 'color'", id="unknown_key"),
         pytest.param("edge 0", 8, "bad edge line 'edge 0'", id="bad_edge_line"),
+        pytest.param(
+            "edge 0 scaffold", 8, "edge 0 is listed as scaffold, the color of unlisted edges",
+            id="edge_scaffold",
+        ),
     ],
 )
 def test_position_error_names_its_line(tmp_path, capsys, tail, lineno, message):

@@ -1,9 +1,14 @@
+import ast
+import pathlib
+import re
+
 import pytest
 
+import etd
 from etd.cmap import CombMap
 from etd.diagram import (
+    COLOR_NAMES,
     ArcOutsideComplementaryDisk,
-    Color,
     DiagramError,
     MalformedColoring,
     OddMarkedCount,
@@ -109,23 +114,42 @@ def theta_sphere_diagram():
 
 
 def test_color_roundtrip():
-    assert str(alpha(2)) == "alpha2"
-    assert str(shadow(3)) == "shadow3"
-    assert str(SCAFFOLD) == "scaffold"
+    assert COLOR_NAMES[alpha(2)] == "alpha2"
+    assert COLOR_NAMES[shadow(3)] == "shadow3"
+    assert COLOR_NAMES[SCAFFOLD] == "scaffold"
     for t in ("alpha1", "shadow2", "scaffold"):
-        assert str(parse_color(t)) == t
+        assert COLOR_NAMES[parse_color(t)] == t
     with pytest.raises(DiagramError):
         parse_color("beta1")
     with pytest.raises(DiagramError):
-        Color("alpha", 4)
-    with pytest.raises(DiagramError):
-        Color("scaffold", 1)
+        alpha(4)
+
+
+def test_color_names_live_in_diagram():
+    """Only etd.diagram knows what the color codes are called: no other
+    module under etd spells a color name or a name template (``alpha``,
+    ``shadow2``, ``shadow%d``, ``scaffold``) or defines COLOR_NAMES, and
+    only the modules that write text (files, error messages) read it."""
+    src = pathlib.Path(etd.__file__).parent
+    spelled, readers = [], set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "diagram.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"(alpha|shadow)(\d|%d)?|scaffold", node.value):
+                    spelled.append("%s:%d %r" % (path.name, node.lineno, node.value))
+            if isinstance(node, ast.Name) and node.id == "COLOR_NAMES":
+                readers.add(path.name)
+                assert isinstance(node.ctx, ast.Load), "%s:%d" % (path.name, node.lineno)
+    assert spelled == []
+    assert readers == {"diagio.py", "symmetry.py"}
 
 
 def test_diagram_defaults_and_checks():
     m = three_line_torus()
     d = ShadowDiagram(m)
-    assert d.dart_colors == (SCAFFOLD,) * m.n_darts
+    assert d.dart_colors == bytes([SCAFFOLD]) * m.n_darts
     with pytest.raises(DiagramError):
         ShadowDiagram(m, {m.cell_of("vertex", 0): alpha(1)})
     with pytest.raises(DiagramError):
@@ -139,11 +163,11 @@ def test_vertex_kinds():
     d = standard_torus_diagram()
     for v in d.surface.vertices():
         assert v not in d.marked
-        assert {d.dart_colors[x].kind for x in d.surface.orbit(v)} == {"alpha"}
+        assert {d.dart_colors[x] for x in d.surface.orbit(v)} <= {alpha(1), alpha(2), alpha(3)}
     t = theta_sphere_diagram()
     assert len(t.marked) == 2
     for v in t.marked:
-        assert {str(t.dart_colors[x]) for x in t.surface.orbit(v)} == {"shadow1", "shadow2", "shadow3"}
+        assert {t.dart_colors[x] for x in t.surface.orbit(v)} == {shadow(1), shadow(2), shadow(3)}
 
 
 # ---------------------------------------------------------------------------

@@ -256,8 +256,9 @@ def test_from_darts_checks():
     ok = [shadow(x // 2 + 1) for x in range(6)]
     d = ShadowDiagram.from_darts(m, ok, [0, 1, 4])
     same(d, theta_sphere())
-    with pytest.raises(DiagramError, match="Color values"):
-        ShadowDiagram.from_darts(m, ok[:4] + ["shadow3"] * 2)
+    for bad in ("shadow3", 7, -1, 255, None):
+        with pytest.raises(DiagramError, match="Color values"):
+            ShadowDiagram.from_darts(m, ok[:4] + [bad] * 2)
     with pytest.raises(DiagramError, match="5 dart colors for 6 darts"):
         ShadowDiagram.from_darts(m, ok[:5])
     for bad in (6, -1, None):
@@ -269,8 +270,9 @@ def test_init_keeps_its_checks():
     m = theta_sphere().surface
     with pytest.raises(DiagramError, match="unknown edge"):
         ShadowDiagram(m, {m.cell_of("vertex", 0): alpha(1)})
-    with pytest.raises(DiagramError, match="Color values"):
-        ShadowDiagram(m, {m.cell_of("edge", 0): "alpha1"})
+    for bad in ("alpha1", 7, -1, 255, None):
+        with pytest.raises(DiagramError, match="Color values"):
+            ShadowDiagram(m, {m.cell_of("edge", 0): bad})
     with pytest.raises(DiagramError, match="is not a vertex"):
         ShadowDiagram(m, {}, [m.cell_of("edge", 0)])
 
@@ -304,11 +306,12 @@ def test_color_components_match_the_chained_walk():
     diagrams = [entry(n).diagram for n in NAMES] + [q.diagram for _, q in QUOTIENTS]
     diagrams += [res.diagram for _, res in q8_covers()[1]]
     for d in diagrams:
-        for c in [alpha(i) for i in (1, 2, 3)] + [shadow(i) for i in (1, 2, 3)]:
-            comps, folded = chained_components(d, c)
-            assert color_components(d, c) == comps
-            if c.kind == "alpha":
-                assert folded_curve_edges(d, c.index) == folded
+        for i in (1, 2, 3):
+            for c in (alpha(i), shadow(i)):
+                comps, folded = chained_components(d, c)
+                assert color_components(d, c) == comps
+                if c == alpha(i):
+                    assert folded_curve_edges(d, i) == folded
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from etd.cmap import CombMap
-from etd.diagram import ShadowDiagram, shadow
+from etd.diagram import SCAFFOLD, ShadowDiagram, shadow
 from etd.surgery import SurgeryError, tube
 
 
@@ -34,12 +34,9 @@ def test_tube_keeps_colors_and_adds_scaffold_rungs():
     d1 = theta_sphere()
     d2 = theta_sphere()
     d, shift = tube(d1, d1.surface.faces()[0], d2, d2.surface.faces()[0])
-    kinds = {}
-    for e in d.surface.edges():
-        c = d.dart_colors[e.dart]
-        kinds[c.kind] = kinds.get(c.kind, 0) + 1
-    assert kinds["shadow"] == 6
-    assert kinds["scaffold"] == 2  # one rung per boundary dart of the face
+    edge_colors = [d.dart_colors[e.dart] for e in d.surface.edges()]
+    assert sum(edge_colors.count(shadow(i)) for i in (1, 2, 3)) == 6
+    assert edge_colors.count(SCAFFOLD) == 2  # one rung per boundary dart of the face
 
 
 def test_tube_rejects_mismatched_faces():

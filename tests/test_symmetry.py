@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from etd import symmetry
-from etd.diagram import ShadowDiagram, alpha
+from etd.cmap import CombMap
+from etd.diagram import ShadowDiagram, alpha, shadow
 from etd.symmetry import (
     ClosureCapExceeded,
     ColorBroken,
@@ -116,6 +117,20 @@ def test_rotation_by_90_breaks_colors():
     # on the uncolored diagram the same permutation is a valid symmetry
     rep = check_action(grid2_diagram(arr, colored=False), DiagramAction([r], ["r"]))
     assert rep.order == 4 and rep.structure_hint == "cyclic"
+
+
+def test_turn_of_the_theta_sphere_breaks_shadow_colors():
+    # the turn carries each edge of the theta sphere onto the next one;
+    # it fixes both marked vertices, and moves the shadow3 arc off itself
+    m = CombMap(6, [1, 0, 3, 2, 5, 4], [2, 5, 4, 1, 0, 3])
+    turn = (2, 3, 4, 5, 0, 1)
+    colors = [shadow(3)] * 2 + [shadow(1)] * 2 + [shadow(2)] * 2
+    d = ShadowDiagram.from_darts(m, colors, [0, 1])
+    with pytest.raises(ColorBroken, match="^generator turn does not preserve shadow3$"):
+        check_action(d, DiagramAction([turn], ["turn"]))
+    # with one shadow color on every edge the turn is a symmetry of order 3
+    rep = check_action(ShadowDiagram.from_darts(m, [shadow(2)] * 6, [0, 1]), DiagramAction([turn], ["turn"]))
+    assert rep.order == 3 and rep.structure_hint == "cyclic"
 
 
 def test_reflection_rejected():

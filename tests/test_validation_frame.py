@@ -18,6 +18,7 @@ from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_
 from etd.cmap import CutSurface, UnknownCell
 from etd.cover import derived_cover
 from etd.diagram import (
+    SCAFFOLD,
     MalformedColoring,
     ShadowDiagram,
     alpha,
@@ -454,7 +455,7 @@ def _branching_diagram():
         at.setdefault(m.vertex_of[x], []).append(x)
     v = next(iter(at))
     extra = next(
-        x for x in m.orbit(m.vertices()[v]) if d.dart_colors[x].kind == "scaffold"
+        x for x in m.orbit(m.vertices()[v]) if d.dart_colors[x] == SCAFFOLD
     )
     colors = list(d.dart_colors)
     colors[extra] = colors[m.edge_pairing[extra]] = alpha(1)

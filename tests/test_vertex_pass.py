@@ -24,8 +24,8 @@ from etd.cmap import DisjointSets
 from etd.cover import derived_cover
 from etd.diagio import parse_diagram_file
 from etd.diagram import (
+    COLOR_NAMES,
     SCAFFOLD,
-    Color,
     MalformedColoring,
     ShadowDiagram,
     alpha,
@@ -39,6 +39,13 @@ PALETTE = SIX + [SCAFFOLD]
 PAIRS = ((1, 2), (2, 3), (3, 1))
 
 
+def kind_index(c):
+    """A color code's (kind, index) pair, read off its name alone:
+    ``("alpha", 2)``, ``("scaffold", None)``."""
+    name = COLOR_NAMES[c]
+    return (name, None) if name == "scaffold" else (name[:-1], int(name[-1]))
+
+
 # ---------------------------------------------------------------------------
 # reference helpers
 
@@ -50,9 +57,9 @@ def reference_well_formed_errors(self):
         orbit = m.orbit(v)
         alpha_families = {}
         for d in orbit:
-            c = self.dart_colors[d]
-            if c.kind == "alpha":
-                alpha_families.setdefault(c.index, []).append(d)
+            kind, index = kind_index(self.dart_colors[d])
+            if kind == "alpha":
+                alpha_families.setdefault(index, []).append(d)
         for i, ds in alpha_families.items():
             if len(ds) not in (0, 2):
                 errs.append(
@@ -63,26 +70,25 @@ def reference_well_formed_errors(self):
         if len(alpha_families) == 2 and len(orbit) == 4 and all(
             len(ds) == 2 for ds in alpha_families.values()
         ):
-            fams = [self.dart_colors[d].index for d in orbit]
+            fams = [kind_index(self.dart_colors[d])[1] for d in orbit]
             if any(fams[k] == fams[(k + 1) % 4] for k in range(4)):
                 errs.append("curve colors do not alternate at crossing %r" % (v,))
         shadow_families = {}
         for d in orbit:
-            c = self.dart_colors[d]
-            if c.kind == "shadow":
-                shadow_families.setdefault(c.index, []).append(d)
+            kind, index = kind_index(self.dart_colors[d])
+            if kind == "shadow":
+                shadow_families.setdefault(index, []).append(d)
         if v not in self.marked:
             if len(shadow_families) > 1:
                 errs.append("shadow families share interior vertex %r" % (v,))
             for i, ds in shadow_families.items():
                 if len(ds) != 2:
                     errs.append("shadow%d ends at unmarked vertex %r" % (i, v))
-    present = {c.index for c in self.dart_colors if c.kind == "shadow"}
+    present = {i for k, i in map(kind_index, self.dart_colors) if k == "shadow"}
     for v in sorted(self.marked):
         here = {
-            self.dart_colors[d].index
-            for d in self.surface.orbit(v)
-            if self.dart_colors[d].kind == "shadow"
+            i for k, i in (kind_index(self.dart_colors[d]) for d in self.surface.orbit(v))
+            if k == "shadow"
         }
         for i in present:
             if i not in here:
@@ -163,9 +169,9 @@ def reference_color_components(d, c):
 def reference_arc_end_pairing(d, v, i, j):
     seq = []
     for x in d.surface.orbit(v):
-        c = d.dart_colors[x]
-        if c.kind == "shadow" and c.index in (i, j):
-            seq.append((x, c.index))
+        kind, index = kind_index(d.dart_colors[x])
+        if kind == "shadow" and index in (i, j):
+            seq.append((x, index))
     pairs = []
     while seq:
         n = len(seq)
@@ -293,7 +299,11 @@ def _variant(d, rng):
     marks = [v.dart for v in d.marked]
     if rng.random() < 0.5:
         perm = rng.sample((1, 2, 3), 3)
-        colors = [c if c.index is None else Color(c.kind, perm[c.index - 1]) for c in colors]
+        family = {"alpha": alpha, "shadow": shadow}
+        colors = [
+            c if i is None else family[kind](perm[i - 1])
+            for c, (kind, i) in zip(colors, map(kind_index, colors))
+        ]
     for _ in range(rng.choice((0, 1, 1, 2, 3))):
         x = rng.randrange(m.n_darts)
         colors[x] = colors[ep[x]] = rng.choice(PALETTE)
