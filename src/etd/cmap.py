@@ -18,18 +18,19 @@ indexes them.
 
 Two partition primitives serve every connectivity question in ``etd``:
 :func:`perm_orbits` gives the orbits of the group a set of dart
-permutations generates (cells, components, cut pieces, quotient darts),
-and :class:`DisjointSets` is the union-find for partitions built edge by
-edge (canonical-form ties, triangulation connectivity).  Both number
-their classes by least element.  :func:`spanning_forest` is the one
-rooted spanning tree, of the graph or of its dual (homology coordinates
-and the H1 cotree, shadow-arc cycles), and :func:`compose` and
-:func:`inverse` are the one product and inverse of dart permutations.
+permutations generates (cells, color components, quotient darts), and
+:class:`DisjointSets` is the union-find for partitions built edge by
+edge (canonical-form ties, shadow-arc regions, triangulation
+connectivity).  Both number their classes by least element.
+:func:`spanning_forest` is the one rooted spanning tree, of the graph or
+of its dual (components, homology coordinates and the H1 cotree,
+shadow-arc cycles), and :func:`compose` and :func:`inverse` are the one
+product and inverse of dart permutations.
 
-:class:`CutSurface` slices a map along a set of edges in one orbit pass
-on flat arrays: its pieces are the orbits of the face walk together with
-the pairing of the uncut darts, and each boundary circle is walked on the
-face side of its cut darts with the face walk alone.
+:class:`CutSurface` slices a map along a set of edges on flat arrays:
+its pieces are the face classes glued across the uncut edges, found in
+one breadth-first pass over the faces, and each boundary circle is
+walked on the face side of its cut darts with the face walk alone.
 
 :func:`canonical_search` is the one search over start darts: it gives the
 canonical form of a connected decorated map and, from the starts that
@@ -269,13 +270,20 @@ class CombMap:
         return len(self._vertex_orbits) - len(self._edge_orbits) + len(self._face_orbits)
 
     def components(self) -> list[set[int]]:
-        """Connected components as dart sets (orbits of <rotation, pairing>).
+        """Connected components as dart sets, by least dart: the trees of
+        the graph's :func:`spanning_forest`, each the darts of its
+        vertices.
 
         Computed once per map; callers must not mutate the result.
         """
         if self._components is None:
-            _, orbits = perm_orbits(self.n_darts, (self.rotation, self.edge_pairing))
-            self._components = [set(o) for o in orbits]
+            parent, order = spanning_forest(self)
+            comps = []
+            for v in order:
+                if parent[v] < 0:  # a root starts the next tree
+                    comps.append(set())
+                comps[-1].update(self._vertex_orbits[v])
+            self._components = comps
         return self._components
 
     def is_connected(self) -> bool:
@@ -328,10 +336,10 @@ class CutSurface:
     ``d`` stands for its face side: the corner between ``d`` and
     ``rotation[d]`` at its tail, which lies in the face of ``d``.  Faces
     survive the cut whole and an uncut edge glues its two faces, so the
-    pieces are the orbits of the darts under the face walk and the
-    pairing of the uncut darts; ``component_of[d]`` is the piece of dart
-    ``d``, pieces numbered by least dart.  ``cut[d]`` is 1 exactly on the
-    darts of cut edges.
+    pieces are the classes of faces glued across uncut edges, found
+    breadth-first over the faces in index order; ``component_of[d]`` is
+    the piece of dart ``d``'s face, pieces numbered by least dart (faces
+    are).  ``cut[d]`` is 1 exactly on the darts of cut edges.
 
     A piece's vertices are its corners: one per cut dart at a vertex
     that has cut darts, and the whole vertex at one that has none.  A cut
@@ -355,11 +363,26 @@ class CutSurface:
                 darts += (d, ep[d])
         darts.sort()
         self.cut = cut
-        glue = [x if cut[x] else ep[x] for x in range(n)]
-        component_of, pieces = perm_orbits(n, (fw, glue))
-        self.component_of = component_of
+        # pieces: a breadth-first pass over the faces, across uncut edges
+        face_of, face_orbits = m.face_of, m._face_orbits
+        piece_of = [-1] * len(face_orbits)
+        k = 0
+        for f in range(len(face_orbits)):
+            if piece_of[f] >= 0:
+                continue
+            piece_of[f] = k
+            piece = [f]
+            for g in piece:
+                for x in face_orbits[g]:
+                    if not cut[x]:
+                        h = face_of[ep[x]]
+                        if piece_of[h] < 0:
+                            piece_of[h] = k
+                            piece.append(h)
+            k += 1
+        self.component_of = component_of = [piece_of[f] for f in face_of]
 
-        chi = [0] * len(pieces)
+        chi = [0] * k
         vertex_of = m.vertex_of
         cut_vertices = {vertex_of[x] for x in darts}
         for v, orb in enumerate(m._vertex_orbits):
@@ -371,7 +394,7 @@ class CutSurface:
         for orb in m._face_orbits:
             chi[component_of[orb[0]]] += 1
 
-        circles = [[] for _ in pieces]
+        circles = [[] for _ in chi]
         seen = bytearray(n)
         for d in darts:
             if seen[d]:
@@ -469,10 +492,20 @@ def canonical_search(m: CombMap, labels: Optional[Sequence] = None):
     automorphisms found before, so the group found at least doubles:
     at most log2 |Aut| ties run in full, besides the starts that lower
     the best code, and the rest of each automorphism orbit is skipped.
-    That is O(n log |Aut|) on top of the prefix-pruned starts.  Start 0
-    always runs in full, so a disconnected map is rejected.  One ``order``
-    array serves all starts and is reset through the visited darts, so
-    memory stays linear.
+    That is O(n log |Aut|) on top of the prefix-pruned starts.
+
+    The best code itself is built only as far as it is read.  The best
+    start's BFS stays suspended, and a start compared past its end
+    extends it, to twice its length or to n.  A start that goes below
+    the best code stops there and becomes the suspended best, so only
+    the final best, and every best a tie runs against, reaches n
+    entries.  While two codes agree, their BFS orders have the same
+    length at every step, so the start being compared never runs out of
+    darts before the best one does; a disconnected map is rejected when
+    the best start's BFS ends short, at the latest when the final best
+    is completed.  Memory stays linear: the best and the start being
+    compared keep one ``order`` array each, reset through their visited
+    darts when they are done with.
     """
     code, pairs = _search_starts(m, labels)
     return code, [compose(seq, inverse(best_seq)) for best_seq, seq in pairs]
@@ -486,49 +519,73 @@ def _search_starts(m: CombMap, labels):
         return (), []
     rot, ep = m.rotation, m.edge_pairing
     lab = labels if labels else [None] * n
-    order = [-1] * n  # dart -> new index for the current start
-    best = [None] * n
-    best_seq = None  # the BFS order that gave ``best``
+    # the best start's BFS, suspended after ``len(best)`` entries of its
+    # code; start 0 to begin with
+    best, best_seq, best_order = [], [0], [-1] * n
+    best_order[0] = 0
+
+    def extend(stop):
+        """Run the best start's BFS on until its code has ``stop`` entries."""
+        for i in range(len(best), stop):
+            if i == len(best_seq):
+                raise NotConnected("canonical_form requires a connected map")
+            d = best_seq[i]
+            r = rot[d]
+            if best_order[r] < 0:
+                best_order[r] = len(best_seq)
+                best_seq.append(r)
+            e = ep[d]
+            if best_order[e] < 0:
+                best_order[e] = len(best_seq)
+                best_seq.append(e)
+            best.append((best_order[r], best_order[e], lab[d]))
+
+    order = [-1] * n  # dart -> new index for the start being compared
     ties = []
     orbits = DisjointSets(n)
     find = orbits.find
-    for start in range(n):
+    for start in range(1, n):
         if find(start) != start:
             continue
         seq = [start]
         order[start] = 0
-        below = start == 0  # prefix already below best: record every entry
         i = 0
-        while i < len(seq):
-            d = seq[i]
-            r = rot[d]
-            if order[r] < 0:
-                order[r] = len(seq)
-                seq.append(r)
-            e = ep[d]
-            if order[e] < 0:
-                order[e] = len(seq)
-                seq.append(e)
-            entry = (order[r], order[e], lab[d])
-            if below:
-                best[i] = entry
-            elif entry != best[i]:
-                if entry > best[i]:
+        while True:  # compare with the best code, extended as it is read
+            for i in range(i, len(best)):
+                d = seq[i]
+                r = rot[d]
+                if order[r] < 0:
+                    order[r] = len(seq)
+                    seq.append(r)
+                e = ep[d]
+                if order[e] < 0:
+                    order[e] = len(seq)
+                    seq.append(e)
+                entry = (order[r], order[e], lab[d])
+                if entry != best[i]:
                     break
-                below = True
-                best[i] = entry
-            i += 1
-        else:
-            if len(seq) != n:
-                raise NotConnected("canonical_form requires a connected map")
-            if below:
-                best_seq = seq
             else:
-                for a, b in zip(best_seq, seq):
-                    orbits.union(a, b)
-                ties.append((best_seq, seq))
+                i = len(best)
+                if i < n:
+                    extend(min(n, 2 * i + 1))
+                    continue
+                entry = None  # equal to the end
+            break
+        if entry is None:  # a tie
+            for a, b in zip(best_seq, seq):
+                orbits.union(a, b)
+            ties.append((best_seq, seq))
+        elif entry < best[i]:  # the new best, suspended after entry i
+            del best[i:]
+            best.append(entry)
+            for d in best_seq:
+                best_order[d] = -1
+            # extend() reads these names, so it runs the new best on
+            best_seq, best_order, order = seq, order, best_order
+            continue
         for d in seq:
             order[d] = -1
+    extend(n)
     return tuple(best), ties
 
 
@@ -559,28 +616,17 @@ def _propagate(m1: CombMap, m2: CombMap, labels1, labels2, d1: int, d2: int):
     return f
 
 
-def _degrees(m: CombMap):
-    """Per-dart vertex degrees and face degrees, as two lists."""
-    out = []
-    for orbits in (m._vertex_orbits, m._face_orbits):
-        deg = [0] * m.n_darts
-        for orbit in orbits:
-            for d in orbit:
-                deg[d] = len(orbit)
-        out.append(deg)
-    return out
-
-
 def _seed_images(m1: CombMap, m2: CombMap, labels1, labels2):
     """The darts of m2, ascending, that match dart 0 of m1 in label, vertex
     degree and face degree.  Isomorphisms preserve all three, so any other
     image of dart 0 fails in :func:`_propagate`."""
-    v1, f1 = _degrees(m1)
-    v2, f2 = (v1, f1) if m2 is m1 else _degrees(m2)
+    v1, f1 = len(m1._vertex_orbits[m1.vertex_of[0]]), len(m1._face_orbits[m1.face_of[0]])
+    vertex_of, vertices = m2.vertex_of, m2._vertex_orbits
+    face_of, faces = m2.face_of, m2._face_orbits
     return [
         d2
         for d2 in range(m2.n_darts)
-        if v2[d2] == v1[0] and f2[d2] == f1[0]
+        if len(vertices[vertex_of[d2]]) == v1 and len(faces[face_of[d2]]) == f1
         and (labels1 is None or labels1[0] == labels2[d2])
     ]
 

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .cmap import CellId, CombMap, CutSurface, canonical_form, is_isomorphic
+from .cmap import CellId, CombMap, CutSurface, DisjointSets, canonical_form, is_isomorphic
 from .cmap import perm_orbits, spanning_forest
 from .invariants import h1_frame, h1_mod_curves
 
@@ -96,9 +96,9 @@ class ShadowDiagram:
 
     Derived data is computed once, on first use, and kept: the vertex
     pass (color rotation, alpha crossings, structural errors), every
-    color's components, the dart labels, and each family's curves,
-    cut-system verdict, cycles and H1 classes.  The surface, colors and
-    marks must not change after construction.
+    color's components, the dart labels, and each family's curves, what
+    its one cut gives, cut-system verdict, cycles and H1 classes.  The
+    surface, colors and marks must not change after construction.
     """
 
     def __init__(self, surface: CombMap, color=None, marked=()):
@@ -427,21 +427,48 @@ def validate_cut_system(d: ShadowDiagram, i: int) -> CutSystemVerdict:
 
 
 def _cut_system_verdict(d: ShadowDiagram, i: int) -> CutSystemVerdict:
-    m = d.surface
-    g = m.genus()
+    g = d.surface.genus()
     curves = _curves(d, i)  # raises MalformedColoring if branching
     arcs = d.darts_of_color(shadow(i))
     if not curves and not arcs:
         verdict = g == 0
         return CutSystemVerdict(verdict, verdict, 0, 1, "" if verdict else "no curves")
-    cut = CutSurface(m, [x for curve in curves for x in curve] + arcs)
-    bad = [c for c in cut.components if c.genus != 0]
-    if bad:
+    genera, _ = _family_cut(d, i)
+    if any(genera):
         return CutSystemVerdict(
-            False, False, len(curves), cut.n_components, "complement has positive genus"
+            False, False, len(curves), len(genera), "complement has positive genus"
         )
-    tight = not arcs and len(curves) == g and cut.n_components == 1
-    return CutSystemVerdict(True, tight, len(curves), cut.n_components)
+    tight = not arcs and len(curves) == g and len(genera) == 1
+    return CutSystemVerdict(True, tight, len(curves), len(genera))
+
+
+def _family_cut(d: ShadowDiagram, i: int):
+    """What is read off the one cut of family i, along its curves and
+    its arcs, as ``(genera, arc_regions)``: the genus of each piece, and
+    for each Shadow(i) component (see :func:`color_components`) the set of
+    regions of the cut along the curves alone that its darts lie in.
+
+    Those regions are the cut's pieces merged across the Shadow(i)
+    edges, one union per arc dart: the pieces of a cut are its faces
+    joined across the uncut edges, and the arcs' edges are the ones the
+    curves alone leave uncut.  Computed once per diagram; only these
+    small results are kept, not the cut.  Raises MalformedColoring if the
+    family branches."""
+
+    def build():
+        m = d.surface
+        ep = m.edge_pairing
+        arcs = d.darts_of_color(shadow(i))
+        cut = CutSurface(m, [x for curve in _curves(d, i) for x in curve] + arcs)
+        piece = cut.component_of
+        regions = DisjointSets(cut.n_components)
+        for x in arcs:
+            regions.union(piece[x], piece[ep[x]])
+        find = regions.find
+        arc_regions = [{find(piece[y]) for y in arc} for arc in color_components(d, shadow(i))]
+        return [c.genus for c in cut.components], arc_regions
+
+    return d._once(("family_cut", i), build)
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +685,14 @@ class ShadowVerdict:
 
 def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
     """Check the per-family complementary-region condition and count the
-    bridge parameters (b; p1, p2, p3)."""
+    bridge parameters (b; p1, p2, p3).
+
+    Each Shadow(i) component must lie in one region of the surface cut
+    along the Alpha(i) curves, and no two in the same one.  The regions
+    come from the family's one cut along its curves and its arcs, which
+    the cut-system verdict reads too (see :func:`_family_cut`)."""
     if len(d.marked) % 2:
         raise OddMarkedCount("%d marked vertices" % len(d.marked))
-    m = d.surface
     if not any(d.darts_of_color(shadow(i)) for i in (1, 2, 3)):
         return ShadowVerdict(True, 0, (), "no shadow arcs")
 
@@ -669,18 +700,15 @@ def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
         comps = color_components(d, shadow(i))
         if not comps:
             continue
-        curve_darts = [x for curve in _curves(d, i) for x in curve]
-        if curve_darts:
+        if _curves(d, i):
             # locate each arc component in a complementary component
-            where = CutSurface(m, curve_darts).component_of
             count = {}
-            for arc in comps:
-                regions = {where[y] for y in arc}
+            for regions in _family_cut(d, i)[1]:
                 if len(regions) != 1:
                     raise ArcOutsideComplementaryDisk(
                         "shadow%d component crosses alpha%d" % (i, i)
                     )
-                r = regions.pop()
+                (r,) = regions
                 count[r] = count.get(r, 0) + 1
             for r, n in count.items():
                 if n > 1:

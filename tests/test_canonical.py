@@ -1,8 +1,9 @@
 """Differential checks of the pruned canonical form and the seeded
 isomorphism search against the plain all-starts / all-images versions,
-of the automorphism-orbit skip against prefix pruning alone, and of the
-automorphism group the canonical form's ties generate against every
-automorphism found by trying each image of dart 0."""
+of the automorphism-orbit skip against prefix pruning alone, of the
+lazily built best code against a search that builds every best code in
+full, and of the automorphism group the canonical form's ties generate
+against every automorphism found by trying each image of dart 0."""
 
 import functools
 import random
@@ -15,6 +16,7 @@ from etd.cmap import (
     DisjointSets,
     NotConnected,
     _propagate,
+    _search_starts,
     canonical_form,
     canonical_search,
     is_isomorphic,
@@ -88,6 +90,59 @@ def prefix_pruned_canonical(m, labels=None):
         for d in seq:
             order[d] = -1
     return tuple(best)
+
+
+def eager_search_starts(m, labels=None):
+    """The search over start darts with every best code built in full:
+    each start that goes below the best code runs to the end.  Returns
+    the code and the two BFS orders ``(best_seq, seq)`` of each tie, as
+    ``_search_starts`` does."""
+    n = m.n_darts
+    rot, ep = m.rotation, m.edge_pairing
+    lab = labels if labels else [None] * n
+    order = [-1] * n
+    best = [None] * n
+    best_seq = None
+    ties = []
+    orbits = DisjointSets(n)
+    for start in range(n):
+        if orbits.find(start) != start:
+            continue
+        seq = [start]
+        order[start] = 0
+        below = start == 0
+        i = 0
+        while i < len(seq):
+            d = seq[i]
+            r = rot[d]
+            if order[r] < 0:
+                order[r] = len(seq)
+                seq.append(r)
+            e = ep[d]
+            if order[e] < 0:
+                order[e] = len(seq)
+                seq.append(e)
+            entry = (order[r], order[e], lab[d])
+            if below:
+                best[i] = entry
+            elif entry != best[i]:
+                if entry > best[i]:
+                    break
+                below = True
+                best[i] = entry
+            i += 1
+        else:
+            if len(seq) != n:
+                raise NotConnected("canonical_form requires a connected map")
+            if below:
+                best_seq = seq
+            else:
+                for a, b in zip(best_seq, seq):
+                    orbits.union(a, b)
+                ties.append((best_seq, seq))
+        for d in seq:
+            order[d] = -1
+    return tuple(best), ties
 
 
 def all_images_automorphisms(m, labels=None):
@@ -221,6 +276,76 @@ def test_canonical_form_rejects_disconnected_maps():
         canonical_form(two_tori, list(range(8)))
     with pytest.raises(NotConnected):
         canonical_search(two_tori)
+
+
+def disjoint_union(m1, m2):
+    """m1 on the first darts, m2 shifted past them."""
+    k = m1.n_darts
+    return CombMap(
+        k + m2.n_darts,
+        list(m1.edge_pairing) + [k + x for x in m2.edge_pairing],
+        list(m1.rotation) + [k + x for x in m2.rotation],
+    )
+
+
+@pytest.mark.parametrize("small_first", [True, False], ids=["small_first", "large_first"])
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "bare"])
+def test_canonical_search_rejects_components_of_different_sizes(small_first, labelled):
+    # no start runs in full before the others are compared, so the
+    # search must notice a short BFS whichever component start 0 lies in
+    torus = CombMap(4, [2, 3, 0, 1], [1, 2, 3, 0])
+    grid = natural_genus1(2).diagram.surface
+    m = disjoint_union(torus, grid) if small_first else disjoint_union(grid, torus)
+    labels = [0] * m.n_darts if labelled else None
+    for search in (canonical_form, canonical_search, eager_search_starts):
+        with pytest.raises(NotConnected):
+            search(m, labels)
+
+
+class CountingLabels(list):
+    """Labels that count their reads: the search reads one label per
+    code entry it builds."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return list.__getitem__(self, k)
+
+
+def counted_search(search, m, labels):
+    """``search(m, labels)`` and the number of code entries it built;
+    bare maps get labels that are all None, which give the bare code."""
+    counting = CountingLabels(labels if labels is not None else [None] * m.n_darts)
+    return search(m, counting), counting.reads
+
+
+@pytest.mark.parametrize("build", _cases())
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "bare"])
+def test_lazy_best_code_matches_eager_search(build, labelled):
+    d = build()
+    labels = d.dart_labels() if labelled else None
+    maps = [(d.surface, labels)] + [relabeled(d.surface, labels, seed) for seed in (1, 2)]
+    for m, lab in maps:
+        want, eager_reads = counted_search(eager_search_starts, m, lab)
+        got, lazy_reads = counted_search(_search_starts, m, lab)
+        # the same code and the same ties, pair by pair and in order
+        assert got == want
+        assert lazy_reads <= eager_reads
+        assert canonical_search(m, lab)[0] == canonical_form(m, lab) == want[0]
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "bare"])
+def test_lazy_best_code_halves_the_entries_on_the_largest_lift(labelled):
+    # the starts that lower the best code all do so early, and most are
+    # beaten again soon after; only the final best and the best each tie
+    # runs against are built to the end (eager: 20,831 entries labelled)
+    d = q8_lift(4)
+    labels = d.dart_labels() if labelled else None
+    want, eager_reads = counted_search(eager_search_starts, d.surface, labels)
+    got, lazy_reads = counted_search(_search_starts, d.surface, labels)
+    assert got == want
+    assert 2 * lazy_reads <= eager_reads, (lazy_reads, eager_reads)
 
 
 @pytest.mark.parametrize(

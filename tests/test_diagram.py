@@ -5,6 +5,7 @@ import re
 import pytest
 
 import etd
+from etd.catalog import entry
 from etd.cmap import CombMap
 from etd.diagram import (
     COLOR_NAMES,
@@ -306,8 +307,26 @@ def test_two_arcs_in_one_region_rejected():
     color = {edge_cell(m, 0): shadow(1), edge_cell(m, 4): shadow(1)}
     marked = [m.cell_of("vertex", d) for d in (0, 1, 4, 5)]
     d = ShadowDiagram(m, color, marked)
-    with pytest.raises(ArcOutsideComplementaryDisk):
+    message = "^2 shadow1 components share a complementary region$"
+    with pytest.raises(ArcOutsideComplementaryDisk, match=message):
         validate_shadow(d)
+
+
+def test_arc_through_a_curve_vertex_rejected():
+    # s1xs3 with its shadow1 arcs replaced by two scaffold edges at one
+    # vertex of an alpha1 curve, on either side of the curve: one arc
+    # component in two complementary regions
+    d = entry("s1xs3").diagram
+    m = d.surface
+    colors = [SCAFFOLD if c == shadow(1) else c for c in d.dart_colors]
+    assert m.vertex_of[15] == m.vertex_of[16]
+    for x in (15, 16):
+        assert colors[x] == SCAFFOLD
+        colors[x] = colors[m.edge_pairing[x]] = shadow(1)
+    d = ShadowDiagram.from_darts(m, colors)
+    with pytest.raises(ArcOutsideComplementaryDisk, match="^shadow1 component crosses alpha1$"):
+        validate_shadow(d)
+    assert "shadow1 component crosses alpha1" in validate_trisection(d).structural_errors
 
 
 def test_no_shadow_arcs_is_fine():

@@ -1,12 +1,14 @@
 """Differential checks of the validation path that works on per-dart
 arrays and per-map and per-diagram data: the tree-cotree H1 frame behind
 ``surface_h1_mod`` and every curve quotient, the per-dart cell arrays of
-``CombMap``, the face-walk orbit pass of ``CutSurface``, and the
-per-diagram curves and cut verdicts of ``validate_trisection``.  The
-references below are the plain per-call versions, each built from the
-map alone: dense relation matrices over a spanning tree of their own,
-and cut pieces from a union-find over faces with their own corner and
-boundary counts."""
+``CombMap``, the face pass of ``CutSurface``, the shadow-arc regions
+read off each family's one cut, and the per-diagram curves and cut
+verdicts of ``validate_trisection``.  The references below are the plain
+per-call versions, each built from the map alone: dense relation
+matrices over a spanning tree of their own, cut pieces from a
+union-find over faces with their own corner and boundary counts, and
+cut pieces from the orbits of the face walk and the uncut pairing over
+darts."""
 
 import random
 
@@ -15,14 +17,18 @@ import pytest
 import etd.diagram as diagram_mod
 import etd.invariants as invariants_mod
 from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, natural_genus1, q8_reductions
-from etd.cmap import CutSurface, UnknownCell
+from etd.cmap import CutSurface, DisjointSets, UnknownCell, perm_orbits
 from etd.cover import derived_cover
 from etd.diagram import (
     SCAFFOLD,
     MalformedColoring,
     ShadowDiagram,
+    _curves,
+    _family_cut,
     alpha,
+    color_components,
     family_cycles,
+    shadow,
     validate_cut_system,
     validate_trisection,
 )
@@ -400,10 +406,54 @@ def _cut_sets(d):
     return sets
 
 
+def dart_orbit_cut(m, darts):
+    """The cut along the edges of ``darts`` with its pieces found over
+    darts: the orbits of the face walk and of the pairing of the uncut
+    darts.  Corners and boundary circles as :class:`CutSurface` counts and
+    walks them.  Returns ``(component_of, chis, circles)``."""
+    n, ep, fw = m.n_darts, m.edge_pairing, m.face_walk
+    cut = bytearray(n)
+    for d in darts:
+        cut[d] = cut[ep[d]] = 1
+    glue = [x if cut[x] else ep[x] for x in range(n)]
+    component_of, pieces = perm_orbits(n, (fw, glue))
+    chis = [0] * len(pieces)
+    cut_vertices = {m.vertex_of[x] for x in range(n) if cut[x]}
+    for v, orb in enumerate(m._vertex_orbits):
+        if v not in cut_vertices:
+            chis[component_of[orb[0]]] += 1
+    for x, _ in m._edge_orbits:
+        if not cut[x]:
+            chis[component_of[x]] -= 1
+    for orb in m._face_orbits:
+        chis[component_of[orb[0]]] += 1
+    circles = [[] for _ in pieces]
+    seen = bytearray(n)
+    for d in range(n):
+        if cut[d] and not seen[d]:
+            circle = []
+            x = d
+            while not seen[x]:
+                seen[x] = 1
+                circle.append(x)
+                x = fw[x]
+                while not cut[x]:
+                    x = fw[ep[x]]
+            circles[component_of[d]].append(circle)
+    return component_of, chis, circles
+
+
 def _check_cut(m, darts):
     cut = CutSurface(m, darts)
     component_of, pieces = reference_cut(m, darts)
     assert cut.component_of == component_of
+    # pieces found over faces, as over darts: the same numbers, and the
+    # same corners and circles, circle by circle
+    assert dart_orbit_cut(m, darts) == (
+        component_of,
+        [c.chi for c in cut.components],
+        [c.boundary_circles for c in cut.components],
+    )
     got = [(c.chi, sorted(map(frozenset, c.boundary_circles), key=min)) for c in cut.components]
     assert got == pieces
     for c in cut.components:
@@ -423,6 +473,51 @@ def test_cut_components_match_per_component_reference(build):
     d = build()
     for darts in _cut_sets(d):
         _check_cut(d.surface, darts)
+
+
+def least_darts(piece):
+    """The least dart of each class, from each dart's class number."""
+    least = {}
+    for x, p in enumerate(piece):
+        least.setdefault(p, x)
+    return least
+
+
+def pieces_by_least_dart(m, darts):
+    piece = CutSurface(m, darts).component_of
+    least = least_darts(piece)
+    return [least[p] for p in piece]
+
+
+@pytest.mark.parametrize("build", _cases())
+def test_arc_regions_match_the_cut_along_the_curves(build):
+    d = build()
+    m = d.surface
+    ep = m.edge_pairing
+    # merging a cut's pieces across some of its edges undoes cutting them
+    sets = _cut_sets(d)
+    for darts, more in zip(sets, sets[1:]):
+        cut = set(darts) | {ep[x] for x in darts}
+        more = [x for x in more if x not in cut]
+        piece = CutSurface(m, darts + more).component_of
+        merged = DisjointSets(max(piece) + 1)
+        for x in more:
+            merged.union(piece[x], piece[ep[x]])
+        classes = [merged.find(p) for p in piece]
+        least = least_darts(classes)
+        assert [least[c] for c in classes] == pieces_by_least_dart(m, darts)
+    # so each arc component's regions are those of the cut along the
+    # curves alone, region for region: a region of the family's cut is
+    # named by its least piece, which holds its least dart
+    for i in (1, 2, 3):
+        curve_darts = [x for curve in _curves(d, i) for x in curve]
+        arcs = d.darts_of_color(shadow(i))
+        if not arcs:
+            continue
+        region = pieces_by_least_dart(m, curve_darts)
+        want = [{region[y] for y in arc} for arc in color_components(d, shadow(i))]
+        least = least_darts(CutSurface(m, curve_darts + arcs).component_of)
+        assert [{least[r] for r in regions} for regions in _family_cut(d, i)[1]] == want
 
 
 @pytest.mark.parametrize(
@@ -544,10 +639,11 @@ def test_validation_does_each_piece_of_work_once(monkeypatch):
     monkeypatch.setattr(invariants_mod, "cokernel", cokernel)
     report = validate_trisection(d)
     assert (report.genus, report.k) == (17, (5, 5, 5))
-    # one cut per family for the cut systems and one per family for the
-    # shadow arcs; one H1 frame for the surface; one extraction per family;
-    # each family's 16 curves and 24 shadow cycles projected once
-    assert calls == {"CutSurface": 6, "H1Frame": 1, "_family_curves": [1, 2, 3], "project": 120}
+    # one cut per family, along its curves and arcs, read by both the cut
+    # systems and the shadow arcs; one H1 frame for the surface; one
+    # extraction per family; each family's 16 curves and 24 shadow cycles
+    # projected once
+    assert calls == {"CutSurface": 3, "H1Frame": 1, "_family_curves": [1, 2, 3], "project": 120}
     # the vertex pass of the cover served the validation too
     assert passes == [d]
     # the pair quotients run over the 2g = 34 columns alone: no face row
