@@ -5,7 +5,8 @@ formats (see :mod:`etd.diagio` and :mod:`etd.triang`) and share one
 exit-code contract so batch runs can triage:
 
     0  success / fully valid (and ``--help``)
-    1  unreadable input (I/O or parse error) or a usage error
+    1  unreadable input (I/O or parse error), an unwritable output file
+       or a usage error
     2  semantic failure (invalid diagram, mismatch, unknown name, ...)
 
 ``--json`` emits a structured report instead of text; JSON reports carry
@@ -68,6 +69,23 @@ def _read(path):
         raise FileFormatError(str(err))
     except UnicodeDecodeError as err:
         raise FileFormatError("%s: %s" % (path, err))
+
+
+class OutputError(Exception):
+    """An output file that cannot be written."""
+
+
+def _write(path, text):
+    """Write ``text`` to ``path``, creating its directory first; any
+    OSError becomes an OutputError naming the path."""
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise OutputError("cannot write %s: %s" % (path, err)) from None
 
 
 def _report_dict(report):
@@ -156,10 +174,8 @@ def cmd_catalog(args) -> int:
         print("unknown catalog name: %s" % err, file=sys.stderr)
         return SEMANTIC_ERROR
     if args.write:
-        os.makedirs(args.write, exist_ok=True)
         out = os.path.join(args.write, args.name + ".diagram")
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
         print("wrote %s" % out)
     else:
         sys.stdout.write(text)
@@ -191,12 +207,9 @@ def cmd_quotient(args) -> int:
     q = quotient(df.diagram, df.action, subgroup)
     verdict, report = quotient_is_trisection(q, tier2_budget=_tier2_budget())
     out = _out_path(args, "quotient")
-    with open(out, "w") as fh:
-        fh.write(
-            serialize_diagram(
-                demoted_diagram(q), cones=q.cone_points, action=q.induced_action
-            )
-        )
+    _write(
+        out, serialize_diagram(demoted_diagram(q), cones=q.cone_points, action=q.induced_action)
+    )
     payload = _report_dict(report)
     payload["verdict"] = verdict
     payload["cone_orders"] = q.cone_orders()
@@ -222,8 +235,7 @@ def cmd_lift(args) -> int:
     cover = derived_cover(df.diagram, df.voltages)
     report = validate_trisection(cover.diagram, tier2_budget=_tier2_budget(args.tier2_budget))
     out = _out_path(args, "lift")
-    with open(out, "w") as fh:
-        fh.write(serialize_diagram(cover.diagram))
+    _write(out, serialize_diagram(cover.diagram))
     payload = _report_dict(report)
     payload["output"] = out
     payload["riemann_hurwitz_genus"] = expected_genus
@@ -333,6 +345,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileFormatError as err:
         print("parse error: %s" % err, file=sys.stderr)
+        return PARSE_ERROR
+    except OutputError as err:
+        print("error: %s" % err, file=sys.stderr)
         return PARSE_ERROR
     except (
         CoverError, DiagramError, InvariantError, MapError, QuotientError, SymmetryError, TriangError

@@ -424,7 +424,8 @@ def subdivide_edges(m: CombMap, edges: Iterable[CellId]):
 
     Returns (new_map, origin) where the list origin maps every dart of
     the new map to the dart of ``m`` it came from (new midpoint darts map
-    to the dart of the half they extend).
+    to the dart of the half they extend).  With no edges listed the new
+    map is ``m`` itself and origin the identity.
     """
     targets = []
     for cell in edges:
@@ -432,6 +433,8 @@ def subdivide_edges(m: CombMap, edges: Iterable[CellId]):
             raise UnknownCell("subdivide_edges expects edge cells")
         targets.append(m.orbit(cell))
     n = m.n_darts
+    if not targets:
+        return m, list(range(n))
     ep = list(m.edge_pairing)
     rot = list(m.rotation)
     origin = list(range(n))

@@ -19,7 +19,7 @@ from .cmap import CellId, CombMap
 from .diagram import ShadowDiagram
 from .groups import Group, greedy_generators
 from .invariants import branching_defect
-from .symmetry import DiagramAction, base_darts, check_action
+from .symmetry import DiagramAction, base_darts, checked_closure
 
 
 class CoverError(ValueError):
@@ -268,9 +268,9 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
             DisconnectedCoverWarning,
         )
     errs = dq.well_formed_errors()
-    rep = check_action(dq, deck)
-    if rep.order != order:
-        raise CoverError("deck action order %d != group order %d" % (rep.order, order))
+    deck_order = len(checked_closure(dq, deck))
+    if deck_order != order:
+        raise CoverError("deck action order %d != group order %d" % (deck_order, order))
     return CoverResult(dq, deck, proj, branch, g, len(comps), errs)
 
 

@@ -19,8 +19,8 @@ from .symmetry import (
     NotAutomorphism,
     SymmetryError,
     base_darts,
-    check_action,
     check_automorphism,
+    checked_closure,
 )
 
 
@@ -41,8 +41,8 @@ class QuotientResult:
     diagram: ShadowDiagram
     cone_points: list  # (CellId in the quotient, order m)
     induced_action: DiagramAction
-    projection: list  # dart of the (subdivided) source -> quotient dart
-    source: ShadowDiagram  # the subdivided source diagram
+    projection: list  # dart of ``source`` -> quotient dart
+    source: ShadowDiagram  # the input itself when N inverts no edge, else its subdivision
     subgroup_order: int
 
     def cone_orders(self):
@@ -62,9 +62,13 @@ def _extend_perm(perm, m2: CombMap, n_old: int):
 
 
 def _subdivided_diagram(d: ShadowDiagram, cells):
+    """``d`` with a midpoint vertex on each listed edge; ``d`` itself
+    when no edge is listed."""
     m2, origin = subdivide_edges(d.surface, cells)
+    if m2 is d.surface:
+        return d
     colors = [d.dart_colors[x] for x in origin]
-    return ShadowDiagram.from_darts(m2, colors, [v.dart for v in d.marked]), origin
+    return ShadowDiagram.from_darts(m2, colors, [v.dart for v in d.marked])
 
 
 def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientResult:
@@ -73,49 +77,60 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientR
 
     N must be normal in the action's closure.  Returns the quotient
     diagram with cone points, the induced G/N action, and the dart
-    projection.
+    projection from the source: the input diagram itself when N inverts
+    no edge, else the input with each N-inverted edge subdivided.
+
+    The action and the induced action are checked by
+    :func:`etd.symmetry.checked_closure` (raising NotValidAction), and
+    G's closure serves the membership test of N's generators; a
+    generator of N that is not one of G's generators is checked by
+    :func:`etd.symmetry.check_automorphism` first (raising NotNormal).
     """
     try:
-        check_action(d, a)
+        g_closure = checked_closure(d, a)
     except SymmetryError as e:
         raise NotValidAction(str(e))
     m = d.surface
     if n_generators is None:
-        n_sub = a
+        n_sub, n_closure = a, g_closure
     else:
-        g_closure = a.closure()
         n_sub = DiagramAction(list(n_generators), base=a.base)
         for g, name in zip(n_sub.generators, n_sub.names):
-            # an automorphism is the group element with its base images
-            try:
-                check_automorphism(m, g, name)
-            except NotAutomorphism as e:
-                raise NotNormal("subgroup generator is not in the group: %s" % e)
+            # an automorphism is the group element with its base images;
+            # G's own generators passed checked_closure
+            if g not in a.generators:
+                try:
+                    check_automorphism(m, g, name)
+                except NotAutomorphism as e:
+                    raise NotNormal("subgroup generator is not in the group: %s" % e)
             if g_closure.index(g_closure.key_of(g)) is None:
                 raise NotNormal("subgroup generator is not in the group")
-    n_closure = n_sub.closure()
-    # in a finite group, N is normal iff g n g^-1 lies in N for every
-    # pair of generators g of G and n of N
-    for g in a.generators:
-        g_inv = inverse(g)
-        for n in n_sub.generators:
-            key = tuple(g[n[g_inv[b]]] for b in a.base)
-            if n_closure.index(key) is None:
-                raise NotNormal("subgroup is not normal in the action")
+        n_closure = n_sub.closure()
+        # in a finite group, N is normal iff g n g^-1 lies in N for every
+        # pair of generators g of G and n of N
+        for g in a.generators:
+            g_inv = inverse(g)
+            for n in n_sub.generators:
+                key = tuple(g[n[g_inv[b]]] for b in a.base)
+                if n_closure.index(key) is None:
+                    raise NotNormal("subgroup is not normal in the action")
     order_n = len(n_closure)
 
-    # N-inverted edges: both darts in one N-orbit.  N is normal, so the
-    # set is G-invariant and the whole group still acts after subdivision.
-    orbit_id, _ = perm_orbits(m.n_darts, n_sub.generators)
+    # N-orbits of darts become the quotient darts.  N-inverted edges
+    # have both darts in one N-orbit; N is normal, so that set is
+    # G-invariant, and after subdivision the whole group still acts and
+    # the orbits are found again on the midpoint-extended generators.
+    orbit_id, orbits = perm_orbits(m.n_darts, n_sub.generators)
     inverted = [CellId("edge", x) for x, y in m._edge_orbits if orbit_id[x] == orbit_id[y]]
-    sub_d, origin = _subdivided_diagram(d, inverted)
+    sub_d = _subdivided_diagram(d, inverted)
     m2 = sub_d.surface
-    n_old = m.n_darts
-
-    # N-orbits of darts become the quotient darts
-    orbit_id, orbits = perm_orbits(
-        m2.n_darts, [_extend_perm(n, m2, n_old) for n in n_sub.generators]
-    )
+    g_perms = a.generators
+    if inverted:
+        n_old = m.n_darts
+        orbit_id, orbits = perm_orbits(
+            m2.n_darts, [_extend_perm(n, m2, n_old) for n in n_sub.generators]
+        )
+        g_perms = [_extend_perm(g, m2, n_old) for g in g_perms]
     if any(len(orb) != order_n for orb in orbits):
         raise QuotientError("subgroup does not act freely on darts after subdivision")
     reps = [orb[0] for orb in orbits]
@@ -158,19 +173,14 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientR
         )
 
     # induced G/N action from the images of the original generators
-    induced_gens = []
-    induced_names = []
-    for g, name in zip(a.generators, a.names):
-        g2 = _extend_perm(g, m2, n_old)
-        perm = tuple(orbit_id[g2[reps[i]]] for i in range(k))
-        induced_gens.append(perm)
-        induced_names.append(name)
+    induced_gens = [tuple(orbit_id[g2[r]] for r in reps) for g2 in g_perms]
+    induced_names = list(a.names)
     if not induced_gens:
         induced_gens = [tuple(range(k))]
         induced_names = ["e"]
     induced = DiagramAction(induced_gens, induced_names, base_darts(mq))
     try:
-        check_action(dq, induced)
+        checked_closure(dq, induced)
     except SymmetryError as e:
         raise NotValidAction("induced action on the quotient is invalid: %s" % e)
 

@@ -69,7 +69,7 @@ class GroupClosure:
     Element ``i > 0`` is ``generators[via[i]]`` after element
     ``parent[i]``.  Keys identify elements only when the base meets
     every connected component of the map the generators act on; that is
-    what :func:`check_action` establishes.  Raises ClosureCapExceeded
+    what :func:`checked_closure` establishes.  Raises ClosureCapExceeded
     past ``CLOSURE_CAP`` elements.
     """
 
@@ -237,13 +237,16 @@ def check_automorphism(m, g, name):
             raise NotAutomorphism(name, x, "does not commute with the rotation")
 
 
-def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
-    """Validate an action and report its order and a structure hint.
+def checked_closure(d: ShadowDiagram, a: DiagramAction) -> GroupClosure:
+    """Check an action on a diagram and return its group closure.
 
-    The hint (trivial/cyclic/dihedral/other) is heuristic, from element
-    orders only; correctness never depends on it.  The action's base
-    darts must meet each connected component of the surface once, so
-    that they identify the elements of the closure.
+    In this order, each generator must be a map automorphism
+    (:func:`check_automorphism`), preserve every color family and
+    preserve the marked set; the action's base darts must meet each
+    connected component of the surface once, so that they identify the
+    elements of the closure; and the closure must stay within
+    ``CLOSURE_CAP``.  The first failed check raises its SymmetryError.
+    This is every check of :func:`check_action`, without the report.
     """
     m = d.surface
     colors, vertex_of = d.dart_colors, m.vertex_of
@@ -260,7 +263,19 @@ def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
         sum(1 for b in a.base if b in c) != 1 for c in comps
     ):
         raise SymmetryError("the action's base darts must meet each connected component once")
-    closure = a.closure()
+    return a.closure()
+
+
+def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
+    """Validate an action and report its order and a structure hint.
+
+    The checks, and the errors they raise, are those of
+    :func:`checked_closure`; the report adds the element orders
+    (:meth:`GroupClosure.orders`).  The hint (trivial/cyclic/dihedral/
+    other) is heuristic, from element orders only; correctness never
+    depends on it.
+    """
+    closure = checked_closure(d, a)
     orders_count = {}
     for o in closure.orders()[1:]:
         orders_count[o] = orders_count.get(o, 0) + 1
@@ -362,7 +377,7 @@ def is_equivalent_action(d: ShadowDiagram, a: DiagramAction, b: DiagramAction,
     walked when the two groups have the same order; a disconnected
     surface then raises NotConnected.
 
-    Both actions must have passed :func:`check_action` on ``d``.  An
+    Both actions must have passed :func:`checked_closure` on ``d``.  An
     automorphism of the connected map is fixed by one dart's image, so
     phi g phi^-1 is the generator h of ``b`` exactly when h(phi(x)) =
     phi(g(x)), and lies in ``b``'s group, which acts freely, exactly

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from etd.cli import main
-from etd.catalog import entry, entry_file_text
+from etd.catalog import entry, entry_file_text, q8_reductions
 from etd.cmap import CombMap
 from etd.diagio import parse_diagram_file, serialize_diagram
 from etd.diagram import ShadowDiagram
@@ -428,3 +428,45 @@ def test_validate_output_does_not_depend_on_hash_seed(tmp_path):
         assert "has no shadow1 end" in run.stdout
         outs.add(run.stdout)
     assert len(outs) == 1
+
+
+# ---- output files ------------------------------------------------------------
+
+
+def _writer_argv(verb, tmp_path, out):
+    """The argv of ``verb`` writing its output file to ``out``; catalog
+    writes ``<its --write dir>/cp2.diagram``, so ``out`` names that file."""
+    if verb == "catalog":
+        assert out.name == "cp2.diagram"
+        return ["catalog", "cp2", "--write", str(out.parent)]
+    if verb == "quotient":
+        src = write_catalog(tmp_path, "cp2")
+        return ["quotient", str(src), "--out", str(out)]
+    base, reds = q8_reductions()
+    src = tmp_path / "z2_i.diagram"
+    src.write_text(serialize_diagram(base.diagram, voltages=reds[0][1]))
+    return ["lift", str(src), "--out", str(out)]
+
+
+@pytest.mark.parametrize("verb", ["catalog", "quotient", "lift"])
+def test_output_into_a_missing_directory_creates_it(tmp_path, capsys, verb):
+    out = tmp_path / "new" / "deeper" / "cp2.diagram"
+    assert main(_writer_argv(verb, tmp_path, out)) == 0
+    assert capsys.readouterr().out.startswith("wrote %s\n" % out)
+    assert parse_diagram_file(out.read_text()).diagram.surface.n_darts > 0
+
+
+@pytest.mark.parametrize("verb", ["catalog", "quotient", "lift"])
+@pytest.mark.parametrize("blocker", ["target is a directory", "parent is a file"])
+def test_unwritable_output_exits_1_without_traceback(tmp_path, capsys, verb, blocker):
+    if blocker == "target is a directory":
+        out = tmp_path / "taken" / "cp2.diagram"
+        out.mkdir(parents=True)
+    else:
+        (tmp_path / "taken").write_text("a file\n")
+        out = tmp_path / "taken" / "cp2.diagram"
+    assert main(_writer_argv(verb, tmp_path, out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s: " % out)
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1

@@ -211,7 +211,7 @@ def test_quotients_pull_back_along_the_orbit_map(name, q):
 def test_subdivision_pulls_back_along_the_origin_map(name):
     d = entry(name).diagram
     for cells in (d.surface.edges()[::2], d.surface.edges()[1::3], []):
-        got, _ = _subdivided_diagram(d, cells)
+        got = _subdivided_diagram(d, cells)
         same(got, dict_subdivided(d, cells))
 
 
