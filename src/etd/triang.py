@@ -19,9 +19,10 @@ central surface cell by cell (vertical annuli, disks and planar pieces
 inside every pentachoron, glued along the shared triangles and
 tetrahedra) and reads the genus off the assembled complex.  The cells
 of one pentachoron are enumerated once, on the standard pentachoron, as
-a template on flat integer ids; every pentachoron places a copy of it
-by offsets, and the closedness, connectivity and parity checks run once
-over the whole surface.
+a template on flat integer ids, which proves once that the piece is
+connected and closed away from its shared triangles and tetrahedra; per
+triangulation, the closedness and connectivity checks visit only those
+shared cells.
 
 Limitations, by design: vertex links are not checked for sphericity
 (that would need 3-sphere recognition), so the input is trusted to be a
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from .cmap import DisjointSets
 from .diagio import FileFormatError, read_ints
@@ -312,12 +313,17 @@ def bridge_parameters(K: GTriangulation, surface) -> tuple:
 # pentachoron (0, 1, 2, 3, 4), and the result is kept as a template on
 # flat integer ids.  The assembly gives each cell the id
 #     base of its level + index of its unit * cells per unit + local index,
-# its unit being its triangle, tetrahedron or pentachoron, and then runs
-# each check once over the whole surface: every edge borders two faces,
-# one union-find pass makes V - 1 merges, and the Euler characteristic
-# is even.  That pass unions only the placed copies of one spanning
-# forest of the template: any other template edge joins two vertices
-# that the forest already joins in the same pentachoron.
+# its unit being its triangle, tetrahedron or pentachoron.  Two facts
+# are proved once, on the template: its piece is connected, and every
+# pentachoron-level edge borders two of its faces.  So the per-K checks
+# visit only the shared units:
+#   * closed: the faces of the template slot a tetrahedron fills in each
+#     of its pentachora, summed over them, border each of its edges twice
+#     (triangles carry no edges);
+#   * connected: one union-find over the units, each pentachoron joined
+#     to its 10 triangles and 5 tetrahedra, makes one class, since every
+#     unit carries vertices and every piece is connected;
+#   * and the Euler characteristic is even.
 # A failed check names a cell by its flag key.
 
 
@@ -459,15 +465,6 @@ class _Numbering:
             base.append(base[-1] + n * k)
         return base
 
-    def blocks(self, unit, base):
-        """(first id, count) of each of a pentachoron's 16 units, given
-        their indices ``unit``; the template's ids run through them in
-        order."""
-        return [
-            (base[level] + u * self.per_unit[level], self.per_unit[level])
-            for level, u in zip(_UNIT_LEVEL, unit)
-        ]
-
     def flag_key(self, g, base, owners):
         """The flag key of id ``g``; ``owners[level]`` lists that level's
         simplices by index (sorted pentachora at level 2)."""
@@ -480,10 +477,12 @@ class _Numbering:
 @cache
 def _sigma_template():
     """The cells of :func:`_sigma_cells` on flat ids, built on first use:
-    the vertex and edge numberings, the endpoint ids of the edges of a
-    spanning forest (those of its i-th edge at 2i and 2i + 1), every
-    face's edge ids concatenated, and the face count, all faces being
-    pentachoron-level."""
+    the vertex and edge numberings, the face count (all faces are
+    pentachoron-level), the use vector of each of the 16 unit slots (how
+    many faces border each of the unit's edges, by local index) and the
+    number of components of the piece.  It proves, once per process, that
+    the piece is connected, that the pentachoron's own slot uses every
+    edge twice and that a triangle carries no edges."""
     edges, faces = _sigma_cells()
 
     def place(key):
@@ -510,29 +509,36 @@ def _sigma_template():
 
     vertices, vid = number([x for ends in edges.values() for x in ends])
     edge_numbering, eid = number(edges)
-    piece, forest = DisjointSets(len(vid)), []
-    for a, b in edges.values():
-        if piece.union(vid[a], vid[b]):
-            forest += (vid[a], vid[b])
+    piece = DisjointSets(len(vid))
+    components = len(vid) - sum(piece.union(vid[a], vid[b]) for a, b in edges.values())
     assert not _LEVEL.keys() & {key[0] for key, _ in faces}
-    face_edges = tuple(eid[e] for _, boundary in faces for e in boundary)
-    return vertices, edge_numbering, forest, face_edges, len(faces)
+    use = [0] * len(eid)
+    for _, boundary in faces:
+        for e in boundary:
+            use[eid[e]] += 1
+    ids = iter(use)  # the template's ids run through its units in slot order
+    slot_use = tuple(tuple(islice(ids, edge_numbering.per_unit[level])) for level in _UNIT_LEVEL)
+    assert components == 1 and set(slot_use[-1]) == {2}, "template piece is open or disconnected"
+    assert edge_numbering.per_unit[0] == 0, "a triangle carries edges"
+    return vertices, edge_numbering, len(faces), slot_use, components
 
 
 def _sigma_counts(K: GTriangulation):
     """(V, E, F) of the central surface of ``K``, assembled from the
     template and checked to be closed (every edge borders two faces) and
-    connected.  ``K`` needs a pentachoron, and 5 distinct vertices in
-    each."""
-    vertices, edges, forest, face_edges, faces = _sigma_template()
+    connected on the shared units alone, the template proving both inside
+    one pentachoron.  ``K`` needs a pentachoron, and 5 distinct vertices
+    in each."""
+    vertices, edges, faces, slot_use, _ = _sigma_template()
     tris, tets, pentas = {}, {}, []
-    units = []  # per pentachoron: the index of each of its 16 units
-    for ip, penta in enumerate(K.pentachora):
+    units = []  # per pentachoron: the indices of its 10 triangles, and of its 5 tetrahedra
+    for penta in K.pentachora:
         S = tuple(sorted(penta))
         units.append(
-            [tris.setdefault(f, len(tris)) for f in combinations(S, 3)]
-            + [tets.setdefault(t, len(tets)) for t in combinations(S, 4)]
-            + [ip]
+            (
+                [tris.setdefault(f, len(tris)) for f in combinations(S, 3)],
+                [tets.setdefault(t, len(tets)) for t in combinations(S, 4)],
+            )
         )
         pentas.append(S)
     owners = (list(tris), list(tets), pentas)
@@ -540,33 +546,44 @@ def _sigma_counts(K: GTriangulation):
     ebase = edges.bases(map(len, owners))
     V, E, F = vbase[3], ebase[3], faces * len(pentas)
 
-    use = [0] * E
-    pieces = DisjointSets(V)
+    # union-find nodes: the triangles, then the tetrahedra, then the pentachora
+    pieces = DisjointSets(len(tris) + len(tets) + len(pentas))
+    union = pieces.union
     merges = 0
-    for unit in units:
-        vg = []  # template vertex id -> id
-        for first, n in vertices.blocks(unit, vbase):
-            vg.extend(range(first, first + n))
-        eg = []  # template edge id -> id
-        for first, n in edges.blocks(unit, ebase):
-            eg.extend(range(first, first + n))
-        for x in face_edges:
-            use[eg[x]] += 1
-        it = iter([vg[x] for x in forest])
-        merges += sum(map(pieces.union, it, it))
+    slots = [[] for _ in tets]  # per tetrahedron: the slot it fills in each owner
+    for node, (row3, row4) in enumerate(units, len(tris) + len(tets)):
+        for f in row3:
+            merges += union(node, f)
+        for slot, t in enumerate(row4, 10):
+            slots[t].append(slot)
+            merges += union(node, len(tris) + t)
 
-    if use.count(2) != E:
-        bad = [g for g in range(E) if use[g] != 2]
+    # triangles carry no edges, so only a tetrahedron can be open
+    unclosed = {}  # sorted slots -> the local edges whose uses do not sum to 2
+    bad = []  # per open tetrahedron, in id order: (the least such edge's id, their number)
+    for t, filled in enumerate(slots):
+        key = tuple(sorted(filled))
+        off = unclosed.get(key)
+        if off is None:
+            total = map(sum, zip(*(slot_use[s] for s in key)))
+            off = unclosed[key] = [x for x, n in enumerate(total) if n != 2]
+        if off:
+            bad.append((ebase[1] + t * edges.per_unit[1] + off[0], len(off)))
+    if bad:
         raise TriangError(
             "central surface is not closed at %d cells, e.g. %r"
-            % (len(bad), edges.flag_key(bad[0], ebase, owners))
+            % (sum(n for _, n in bad), edges.flag_key(bad[0][0], ebase, owners))
         )
-    if merges != V - 1:
+    if merges != len(pieces.parent) - 1:
+        # a tetrahedron or pentachoron apart from triangle 0 keeps its
+        # pentachora's triangles with it, and vertex ids start with the
+        # triangles', so the least vertex apart from vertex 0 is the
+        # first vertex of a triangle
         root = pieces.find(0)
-        apart = next(x for x in range(V) if pieces.find(x) != root)
+        apart = next(u for u in range(len(tris)) if pieces.find(u) != root)
         raise TriangError(
             "central surface is disconnected, e.g. at %r"
-            % (vertices.flag_key(apart, vbase, owners),)
+            % (vertices.flag_key(apart * vertices.per_unit[0], vbase, owners),)
         )
     return V, E, F
 
@@ -574,10 +591,10 @@ def _sigma_counts(K: GTriangulation):
 def sigma_oracle(K: GTriangulation) -> int:
     """Genus of the central surface, from an explicit cell assembly.
 
-    Shares no formula with :func:`trisection_parameters`: every
-    pentachoron places a copy of the template's cells (:func:`_sigma_counts`),
-    the whole surface is checked to be closed and connected, and its
-    genus is read off the Euler characteristic, which must be even.
+    Shares no formula with :func:`trisection_parameters`: the surface
+    is assembled from one copy of the template's cells per pentachoron
+    (:func:`_sigma_counts`) and checked to be closed and connected, and
+    its genus is read off the Euler characteristic, which must be even.
     """
     validate_triangulation(K)
     V, E, F = _sigma_counts(K)

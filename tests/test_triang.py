@@ -17,6 +17,7 @@ from etd.triang import (
     SurfaceNotInvariant,
     TriangError,
     _sigma_counts,
+    _sigma_template,
     bridge_parameters,
     parse_triangulation,
     sigma_oracle,
@@ -523,7 +524,7 @@ def test_template_assembly_matches_keyed_assembly(K):
     assert sigma_oracle(K) == keyed_sigma_oracle(K) == trisection_parameters(K).genus
 
 
-@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("n", [12, 16, 24])
 def test_oracle_on_larger_cyclic_polytopes(n):
     K = cyclic_five_polytope(n)
     r = trisection_parameters(K)
@@ -556,3 +557,101 @@ def test_broken_assemblies_name_a_cell_of_the_keyed_assembly():
         keyed_sigma_oracle(K)
     vertex = ast.literal_eval(str(err.value).split("e.g. at ")[1])
     assert vertex in {x for ends in keyed_sigma_cells(K)[0].values() for x in ends}
+
+
+def test_template_piece_is_connected_and_closed_off_its_shared_units():
+    """The facts the per-K checks rest on: one pentachoron's piece is
+    connected, its own 840 edges border two of its faces each, and each
+    tetrahedron slot's faces border each of that tetrahedron's 36 edges
+    once, so exactly two pentachora around a tetrahedron close it."""
+    vertices, edges, faces, slot_use, components = _sigma_template()
+    assert vertices.per_unit == (6, 24, 360) and edges.per_unit == (0, 36, 840)
+    assert vertices.bases([10, 5, 1])[3] == 540 and components == 1
+    assert faces == 430
+    assert slot_use == ((),) * 10 + ((1,) * 36,) * 5 + ((2,) * 840,)
+
+
+def two_boundary_spheres(shared):
+    """Two copies of the boundary of the 5-simplex, the second on
+    vertices 0..shared-1 and 6 onwards: they share one simplex on
+    ``shared`` vertices (none for 0), and no tetrahedron.  Unvalidated:
+    the triangulation is not connected through facets."""
+    K = frozen_tri("boundary_5_simplex")
+    other = list(range(shared)) + list(range(6, 12 - shared))
+    return GTriangulation(12 - shared, K.pentachora + [tuple(other[v] for v in p) for p in K.pentachora])
+
+
+@pytest.mark.parametrize(
+    "shared, apart",
+    [
+        (3, None),
+        (2, ("q", 0, (0, 1), (0, 1, 6))),
+        (1, ("q", 0, (0, 6), (0, 6, 7))),
+        (0, ("q", 6, (6, 7), (6, 7, 8))),
+    ],
+    ids=["triangle", "edge", "vertex", "nothing"],
+)
+def test_spheres_glued_at_one_simplex(shared, apart):
+    """A shared triangle joins the two central surfaces; a shared edge or
+    vertex does not, since no cell of the surface is shared through an
+    edge or a vertex alone.  The template path and the keyed assembly
+    agree on every case."""
+    K = two_boundary_spheres(shared)
+    if apart is None:
+        assert _sigma_counts(K) == keyed_counts(K) == (5274, 11160, 5160)
+        assert keyed_sigma_oracle(K) == 364 == (2 - (5274 - 11160 + 5160)) // 2
+        return
+    with pytest.raises(TriangError) as err:
+        _sigma_counts(K)
+    assert str(err.value) == "central surface is disconnected, e.g. at %r" % (apart,)
+    with pytest.raises(TriangError, match="disconnected"):
+        keyed_sigma_oracle(K)
+
+
+def broken_assembly_cases():
+    one, other = tuple(range(5)), tuple(range(5, 10))
+    B = frozen_tri("boundary_5_simplex").pentachora
+    C = frozen_tri("cyclic_7_5").pentachora
+    open_at = "central surface is not closed at %d cells, e.g. %r"
+    h = ("h", 0, (0, 1))
+    return [
+        ([one], open_at % (180, h + ((0, 1, 2), (0, 1, 2, 3)))),
+        ([one] * 3, open_at % (180, h + ((0, 1, 2), (0, 1, 2, 3)))),
+        ([(6, 0, 5, 2, 3)], open_at % (180, ("h", 0, (0, 2), (0, 2, 3), (0, 2, 3, 5)))),
+        (B[1:], open_at % (180, h + ((0, 1, 2), (0, 1, 2, 3)))),
+        (B[:3] + B[4:], open_at % (180, h + ((0, 1, 3), (0, 1, 3, 4)))),
+        (B + [B[3]], open_at % (180, h + ((0, 1, 3), (0, 1, 3, 4)))),
+        (C[:-1], open_at % (180, ("h", 1, (1, 2), (1, 2, 3), (1, 2, 3, 4)))),
+        (C[::2], open_at % (576, ("h", 2, (2, 3), (2, 3, 4), (2, 3, 4, 5)))),
+        (
+            [one, one, other, other],
+            "central surface is disconnected, e.g. at %r" % (("q", 5, (5, 6), (5, 6, 7)),),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("pentachora, message", broken_assembly_cases())
+def test_broken_assemblies_keep_their_messages(pentachora, message):
+    """The exact text each failed check gave when it visited every cell:
+    the number of bad edges and the flag key of the least, or the least
+    vertex apart from vertex 0."""
+    with pytest.raises(TriangError) as err:
+        _sigma_counts(GTriangulation(12, pentachora))
+    assert str(err.value) == message
+
+
+def test_oracle_unions_each_pentachoron_with_its_shared_units_only(monkeypatch):
+    """Work guard: the union-find runs over units, 15 unions per
+    pentachoron, not over the placed copies of the template's forest."""
+    K = frozen_tri("cyclic_7_5")
+    expected = _sigma_counts(K)  # the template is built once per process, outside the count
+    calls = []
+    union = DisjointSets.union
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return union(self, a, b)
+
+    monkeypatch.setattr(DisjointSets, "union", counted)
+    assert _sigma_counts(K) == expected
+    assert len(calls) <= 15 * len(K.pentachora)
