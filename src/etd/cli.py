@@ -5,8 +5,9 @@ formats (see :mod:`etd.diagio` and :mod:`etd.triang`) and share one
 exit-code contract so batch runs can triage:
 
     0  success / fully valid (and ``--help``)
-    1  unreadable input (I/O or parse error), an unwritable output file
-       or a usage error
+    1  unreadable input (I/O or parse error), an unwritable output file,
+       a closed standard output (``etd validate FILE | head -1``) or a
+       usage error
     2  semantic failure (invalid diagram, mismatch, unknown name, ...)
 
 ``--json`` emits a structured report instead of text; JSON reports carry
@@ -342,7 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the stdlib recipe: point stdout at devnull, so that the flush at
+        # exit does not meet the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return PARSE_ERROR
     except FileFormatError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return PARSE_ERROR

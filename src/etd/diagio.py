@@ -9,8 +9,15 @@
     edge 4 shadow3
     marked 0 1
 
-Integers are written as ``str`` writes them: ASCII digits, no leading
-zero, a ``-`` on negatives only.  ``edge`` lines name an edge by its
+Integers are written as ``str`` writes them, ``0|-?[1-9][0-9]*`` in
+ASCII: no leading zero, a ``-`` on negatives only, and none of the ``+``,
+``_``, ``-0`` or non-ASCII digits that ``int`` also reads; one with more
+digits than ``int`` reads is a parse error.  An integer row
+(``pairing``, ``rotation``, ``marked``, an ``action`` permutation) of
+ASCII digits, ``-`` and spaces without ``-0`` is decoded in one call of
+the JSON scanner: JSON's integer grammar, ``-?(0|[1-9][0-9]*)``, is this
+one plus ``-0``.  Any other row is read token by token, which names its
+first bad token.  ``edge`` lines name an edge by its
 smallest dart; unlisted edges are scaffold, and an ``edge`` line naming
 ``scaffold`` is rejected, since it would not be written back.
 ``marked`` lists marked vertices by their smallest darts.  Unknown keys
@@ -38,6 +45,7 @@ for an unconstrained slot.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -172,6 +180,27 @@ def read_ints(tokens) -> list[int]:
     raise FileFormatError("integer too long")
 
 
+def _read_row(row: str) -> list[int]:
+    """The integers of ``row``, the text of a line after its key,
+    accepted exactly as :func:`read_ints` accepts ``row.split()``.
+
+    A row of ASCII digits, ``-`` and spaces without ``-0`` is read in one
+    call of the JSON scanner, its spaces turned into commas.  Between the
+    brackets there are then only digits, ``-`` and commas, so the scanner
+    can read nothing but integers, and JSON's integer grammar,
+    ``-?(0|[1-9][0-9]*)``, is this format's once ``-0`` is excluded.  Any
+    other row, and any row the scanner rejects (an empty token from a
+    double space, ``00``, ``1-2``, an integer longer than ``int`` reads),
+    goes to :func:`read_ints`, which names the error.
+    """
+    if row.isascii() and not row.encode().translate(None, b"0123456789- ") and "-0" not in row:
+        try:
+            return json.loads("[" + row.replace(" ", ",") + "]")
+        except ValueError:
+            pass
+    return read_ints(row.split())
+
+
 def read_int(tok: str) -> int:
     """One integer token, accepted exactly as :func:`read_ints` accepts it.
 
@@ -179,14 +208,27 @@ def read_int(tok: str) -> int:
     zero skip the row scans: one ``edge``, ``voltage`` or ``meridian``
     line per edge makes those scans cost more than the token itself.
     """
-    if tok.isascii() and tok.isdigit() and (tok[0] != "0" or tok == "0"):
+    if _is_plain_natural(tok):
         return int(tok)
     return read_ints((tok,))[0]
 
 
+def _is_plain_natural(tok: str) -> bool:
+    """Whether ``tok`` is ASCII digits with no leading zero, short enough
+    that ``int`` reads it under any digit limit; a longer one goes to
+    :func:`read_ints`, which reports it."""
+    return tok.isdigit() and tok.isascii() and (tok[0] != "0" or tok == "0") and len(tok) < 19
+
+
+# the codes of the colors an ``edge`` line may name: all but scaffold
+_EDGE_COLORS = {name: c for c, name in enumerate(COLOR_NAMES) if c != SCAFFOLD}
+
+
 def parse_diagram_file(text: str) -> DiagramFile:
-    rows = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
-    rows = [(i, ln) for i, ln in rows if ln and not ln.startswith("#")]
+    rows = [
+        (i, ln) for i, ln in enumerate(map(str.strip, text.splitlines()), 1)
+        if ln and ln[0] != "#"
+    ]
     if not rows:
         raise FileFormatError("empty diagram file")
     head = rows[0][1].split()
@@ -207,27 +249,38 @@ def parse_diagram_file(text: str) -> DiagramFile:
     cone_rows = []  # (lineno, kind, dart, order)
     expected = None
     for lineno, ln in rows[1:]:
-        parts = ln.split()
-        key = parts[0]
+        key, _, rest = ln.partition(" ")
+        if key == "edge":
+            # the short path of ``edge <dart> <color>``; any other edge
+            # line takes the checks below
+            tok, _, name = rest.partition(" ")
+            c = _EDGE_COLORS.get(name)
+            if c is not None and _is_plain_natural(tok):
+                colors.append((lineno, int(tok), c))
+                continue
+        elif not key.isalpha():  # whitespace other than one space ends the key
+            key, _, rest = " ".join(ln.split()).partition(" ")
         try:
             if key == "darts":
-                if n is not None or len(parts) != 2:
+                parts = rest.split()
+                if n is not None or len(parts) != 1:
                     raise FileFormatError("bad darts line")
-                n = read_int(parts[1])
+                n = read_int(parts[0])
             elif key == "pairing":
                 if pairing is not None:
                     raise FileFormatError("duplicate pairing line")
-                pairing = read_ints(parts[1:])
+                pairing = _read_row(rest)
             elif key == "rotation":
                 if rotation is not None:
                     raise FileFormatError("duplicate rotation line")
-                rotation = read_ints(parts[1:])
+                rotation = _read_row(rest)
             elif key == "edge":
-                if len(parts) != 3:
+                parts = rest.split()
+                if len(parts) != 2:
                     raise FileFormatError("bad edge line %r" % ln)
-                dart = read_int(parts[1])
+                dart = read_int(parts[0])
                 try:
-                    c = parse_color(parts[2])
+                    c = parse_color(parts[1])
                 except DiagramError as err:
                     raise DiagramError("line %d: %s" % (lineno, err))
                 if c == SCAFFOLD:
@@ -238,37 +291,42 @@ def parse_diagram_file(text: str) -> DiagramFile:
             elif key == "marked":
                 if marked is not None:
                     raise FileFormatError("duplicate marked line")
-                marked = (lineno, read_ints(parts[1:]))
+                marked = (lineno, _read_row(rest))
             elif key == "group":
                 if group is not None:
                     raise FileFormatError("duplicate group line")
                 try:
-                    group = group_by_name(" ".join(parts[1:]))
+                    group = group_by_name(" ".join(rest.split()))
                 except GroupError as err:
                     raise FileFormatError(str(err))
             elif key == "action":
-                if len(parts) < 3:
+                name_row = rest.split(None, 1)
+                if len(name_row) < 2:
                     raise FileFormatError("bad action line %r" % ln)
-                action_rows.append((lineno, parts[1], read_ints(parts[2:])))
+                action_rows.append((lineno, name_row[0], _read_row(name_row[1])))
             elif key == "voltage":
-                if len(parts) != 3:
+                parts = rest.split()
+                if len(parts) != 2:
                     raise FileFormatError("bad voltage line %r" % ln)
-                voltage_rows.append((lineno, read_int(parts[1]), parts[2]))
+                voltage_rows.append((lineno, read_int(parts[0]), parts[1]))
             elif key == "meridian":
-                if len(parts) != 3:
+                parts = rest.split()
+                if len(parts) != 2:
                     raise FileFormatError("bad meridian line %r" % ln)
-                meridian_rows.append((lineno, read_int(parts[1]), parts[2]))
+                meridian_rows.append((lineno, read_int(parts[0]), parts[1]))
             elif key == "cone":
-                if len(parts) != 4:
+                parts = rest.split()
+                if len(parts) != 3:
                     raise FileFormatError("bad cone line %r" % ln)
-                cone_rows.append((lineno, parts[1], *read_ints(parts[2:])))
+                cone_rows.append((lineno, parts[0], *read_ints(parts[1:])))
             elif key == "expected":
                 if expected is not None:
                     raise FileFormatError("duplicate expected line")
-                if len(parts) != 5:
+                parts = rest.split()
+                if len(parts) != 4:
                     raise FileFormatError("bad expected line %r" % ln)
-                ks = tuple(None if p == "?" else read_int(p) for p in parts[2:])
-                expected = (read_int(parts[1]), ks)
+                ks = tuple(None if p == "?" else read_int(p) for p in parts[1:])
+                expected = (read_int(parts[0]), ks)
             else:
                 raise FileFormatError("unknown key %r" % key)
         except FileFormatError as err:
@@ -287,15 +345,13 @@ def parse_diagram_file(text: str) -> DiagramFile:
         return 0 <= x < n and vertex_orbits[vertex_of[x]][0] == x
 
     dart_colors = bytearray([SCAFFOLD]) * n
-    colored = set()
     for lineno, dart, c in colors:
-        if not is_edge_rep(dart):
+        if not (0 <= dart < n and dart < ep[dart]):
             raise FileFormatError(
                 "line %d: edge %d is not an edge representative" % (lineno, dart)
             )
-        if dart in colored:
+        if dart_colors[dart] != SCAFFOLD:  # no edge line names scaffold
             raise FileFormatError("line %d: edge %d colored twice" % (lineno, dart))
-        colored.add(dart)
         dart_colors[dart] = dart_colors[ep[dart]] = c
     marked_line, marked_darts = marked or (0, [])
     for k, dart in enumerate(marked_darts):
@@ -311,8 +367,9 @@ def parse_diagram_file(text: str) -> DiagramFile:
     if action_rows:
         from .symmetry import DiagramAction, base_darts
 
+        darts = list(range(n))
         for lineno, name, perm in action_rows:
-            if sorted(perm) != list(range(n)):
+            if sorted(perm) != darts:
                 raise FileFormatError(
                     "line %d: action generator %s is not a dart permutation" % (lineno, name)
                 )

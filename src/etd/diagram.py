@@ -95,10 +95,11 @@ class ShadowDiagram:
     scaffold, and marked vertex CellIds.
 
     Derived data is computed once, on first use, and kept: the vertex
-    pass (color rotation, alpha crossings, structural errors), every
-    color's components, the dart labels, and each family's curves, what
-    its one cut gives, cut-system verdict, cycles and H1 classes.  The
-    surface, colors and marks must not change after construction.
+    pass (color rotation, alpha crossings, structural errors), the darts
+    of each color, every color's components, the dart labels, and each
+    family's curves, what its one cut gives, cut-system verdict, cycles
+    and H1 classes.  The surface, colors and marks must not change after
+    construction.
     """
 
     def __init__(self, surface: CombMap, color=None, marked=()):
@@ -146,16 +147,20 @@ class ShadowDiagram:
         self.surface = surface
         self.dart_colors = colors
         self.marked = frozenset(CellId("vertex", surface._vertex_orbits[v][0]) for v in marked)
-        self._darts_by_color = [[] for _ in COLOR_NAMES]
-        for x, c in enumerate(colors):
-            self._darts_by_color[c].append(x)
         self._derived = {}
 
     # -- helpers ----------------------------------------------------------
 
     def darts_of_color(self, c: int) -> list:
-        """The darts of color ``c``, ascending; callers must not mutate it."""
-        return self._darts_by_color[c]
+        """The darts of color ``c``, ascending; callers must not mutate it.
+        The first call lists every color's darts, in one pass."""
+        return self._once("darts_by_color", self._darts_by_color)[c]
+
+    def _darts_by_color(self) -> list:
+        by_color = [[] for _ in COLOR_NAMES]
+        for x, c in enumerate(self.dart_colors):
+            by_color[c].append(x)
+        return by_color
 
     def _once(self, key, build):
         """``build()``, computed on the first call under ``key`` and kept.

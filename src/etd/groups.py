@@ -192,7 +192,10 @@ def _atom_by_name(name: str):
     if words == ["quaternion"]:
         return quaternion, 8
     if len(words) == 2 and words[1].isdecimal():
-        kind, n = words[0], int(words[1])
+        try:
+            kind, n = words[0], int(words[1])
+        except ValueError:  # more digits than int reads
+            raise GroupError("integer too long in group name") from None
         if kind == "cyclic":
             return (lambda: cyclic(n)), n
         if kind == "dihedral":

@@ -430,6 +430,26 @@ def test_validate_output_does_not_depend_on_hash_seed(tmp_path):
     assert len(outs) == 1
 
 
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    """``etd validate FILE | head -1``: a pipe closed before the report is
+    written ends in exit code 1, with nothing on stderr."""
+    p = write_catalog(tmp_path, "cp2")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes, so every write fails
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, etd.cli; sys.exit(etd.cli.main(sys.argv[1:]))",
+             "validate", str(p)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert run.stderr == ""
+
+
 # ---- output files ------------------------------------------------------------
 
 

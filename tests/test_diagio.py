@@ -9,6 +9,7 @@ from etd.catalog import (
     q8_reductions,
     standard,
 )
+from etd import diagio
 from etd.cli import main
 from etd.cmap import CombMap
 from etd.cover import derived_cover
@@ -20,7 +21,7 @@ from etd.diagio import (
     read_ints,
     serialize_diagram,
 )
-from etd.diagram import ShadowDiagram, parse_color
+from etd.diagram import ShadowDiagram, alpha, parse_color, shadow
 from etd.groups import GroupError, group_by_name
 from test_catalog import frozen_text
 
@@ -266,3 +267,77 @@ def test_every_element_token_reads_back_as_its_element(name):
         df = parse_diagram_file(text)
         assert df.voltages.voltage[0] == x and type(df.voltages.voltage[0]) is type(x)
         assert serialize_diagram(df.diagram, voltages=df.voltages) == text
+
+
+LONG = "9" * 5000  # more digits than int reads under its default limit
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("darts 6", "darts " + LONG, "line 2: integer too long"),
+        ("pairing 1 0 3 2 5 4", "pairing 1 0 3 2 5 " + LONG, "line 3: integer too long"),
+        ("edge 2 shadow2", "edge %s shadow2" % LONG, "line 6: integer too long"),
+        ("marked 0 1", "marked 0 1\nexpected %s 1 1 1" % LONG, "line 9: integer too long"),
+        ("marked 0 1", "marked 0 1\nexpected 1 1 %s 1" % LONG, "line 9: integer too long"),
+        ("marked 0 1", "marked 0 1\ncone vertex 0 " + LONG, "line 9: integer too long"),
+        (
+            "marked 0 1",
+            "marked 0 1\ngroup cyclic 4\nvoltage %s 1" % LONG,
+            "line 10: integer too long",
+        ),
+        (
+            "marked 0 1",
+            "marked 0 1\ngroup cyclic " + LONG,
+            "line 9: integer too long in group name",
+        ),
+    ],
+    ids=["darts", "pairing", "edge", "expected", "expected_k", "cone", "voltage", "group"],
+)
+def test_over_long_integer_is_a_parse_error(tmp_path, capsys, old, new, message):
+    text = theta_text().replace(old, new)
+    with pytest.raises(FileFormatError, match="^%s$" % message):
+        parse_diagram_file(text)
+    p = tmp_path / "long.diagram"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == "parse error: %s\n" % message
+
+
+def test_over_long_single_tokens():
+    with pytest.raises(FileFormatError, match="^integer too long$"):
+        read_int(LONG)
+    with pytest.raises(GroupError, match="^integer too long in group name$"):
+        group_by_name("cyclic " + LONG)
+    assert read_int("9" * 18) == int("9" * 18)
+    assert read_int("9" * 30) == int("9" * 30)  # past the plain-digit path, still read
+
+
+def test_reading_rows_calls_no_per_token_reader(monkeypatch):
+    # the natural_genus1(10) file: 1200 darts, 600 edge lines, 3 action rows
+    e = natural_genus1(10)
+    text = serialize_diagram(e.diagram, expected=(e.expected.genus, e.expected.k), action=e.action)
+    calls = {"read_ints": 0, "by_color": 0}
+    read_ints_ = diagio.read_ints
+    by_color = ShadowDiagram._darts_by_color
+
+    def counted_read_ints(tokens):
+        calls["read_ints"] += 1
+        return read_ints_(tokens)
+
+    def counted_by_color(self):
+        calls["by_color"] += 1
+        return by_color(self)
+
+    monkeypatch.setattr(diagio, "read_ints", counted_read_ints)
+    monkeypatch.setattr(ShadowDiagram, "_darts_by_color", counted_by_color)
+    df = parse_diagram_file(text)
+    assert len(df.action.generators) == 3 and df.diagram.surface.n_darts == 1200
+    assert calls == {"read_ints": 0, "by_color": 0}
+    shadows = df.diagram.darts_of_color(shadow(1))
+    assert shadows == [x for x, c in enumerate(df.diagram.dart_colors) if c == shadow(1)]
+    df.diagram.darts_of_color(alpha(1))
+    assert calls == {"read_ints": 0, "by_color": 1}
+    # a row the scanner does not take still goes through read_ints
+    parse_diagram_file(text.replace("pairing ", "pairing  ", 1))
+    assert calls["read_ints"] == 1

@@ -13,7 +13,8 @@ from test_catalog import frozen_text
 VERBS = ("validate", "invariants", "quotient", "lift")
 CASES_PER_FILE = 40
 TAILS = (
-    b"\xff\xfe", b"\x00", b"\xc3", b" 7", b"\n", b" x", b"\nedge 0 alpha1", b"\ncone vertex 0 2"
+    b"\xff\xfe", b"\x00", b"\xc3", b" 7", b"\n", b" x", b"\nedge 0 alpha1", b"\ncone vertex 0 2",
+    b"\nedge %s alpha1" % (b"9" * 5000),  # more digits than int reads
 )
 TRI_NAMES = ("double_4_simplex", "boundary_5_simplex", "cyclic_7_5")
 TRI_FLAGS = (["--oracle"], ["--oracle", "--json"])
