@@ -275,7 +275,7 @@ def cmd_triang(args) -> int:
     lines = [report.summary(), "chi(X) = %d = %d" % (report.chi_simplex, report.chi_trisection)]
     code = OK
     if args.oracle:
-        og = sigma_oracle(K)
+        og = sigma_oracle(K, validated=True)  # trisection_parameters validated K
         payload["oracle_genus"] = og
         lines.append(
             "oracle genus %d (%s)" % (og, "agrees" if og == report.genus else "MISMATCH")

@@ -593,26 +593,35 @@ def _search_starts(m: CombMap, labels):
 
 
 def _propagate(m1: CombMap, m2: CombMap, labels1, labels2, d1: int, d2: int):
-    """Extend dart assignment d1 -> d2 to a full isomorphism, or fail."""
+    """Extend dart assignment d1 -> d2 to a full isomorphism, or fail.
+
+    One walk over the darts: each assigned dart a, with image b, fixes
+    the images of its rotation and edge successors.  The two pairs of
+    arrays are read from a local tuple, and ``used`` is a bytearray
+    marking the taken darts of m2.  Each dart's label is compared when
+    it is popped, and a dart of m1 left unreached (m1 disconnected)
+    fails the walk."""
+    steps = ((m1.rotation, m2.rotation), (m1.edge_pairing, m2.edge_pairing))
     f = [-1] * m1.n_darts
     f[d1] = d2
-    used = [False] * m2.n_darts
-    used[d2] = True
+    used = bytearray(m2.n_darts)
+    used[d2] = 1
     stack = [d1]
     while stack:
         a = stack.pop()
         b = f[a]
         if labels1 is not None and labels1[a] != labels2[b]:
             return None
-        for pa, pb in ((m1.rotation, m2.rotation), (m1.edge_pairing, m2.edge_pairing)):
+        for pa, pb in steps:
             na, nb = pa[a], pb[b]
-            if f[na] == -1:
+            fa = f[na]
+            if fa == -1:
                 if used[nb]:
                     return None
                 f[na] = nb
-                used[nb] = True
+                used[nb] = 1
                 stack.append(na)
-            elif f[na] != nb:
+            elif fa != nb:
                 return None
     if -1 in f:
         return None  # m1 disconnected

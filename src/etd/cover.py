@@ -7,13 +7,17 @@ multiplies the sheet by it, so the vertex lifts to |G|/order(meridian)
 branch points.  (Conceptually the vertex is blown up into a small polygon
 whose boundary carries the meridian as net voltage, the polygon's lifts
 being collapsed back to vertices; the twisted rotation below is that
-construction with the polygon elided.)
+construction with the polygon elided.)  The twists are solved on the
+constraints that hold a marked corner only; every other face is checked
+by the product of its voltages.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .cmap import CellId, CombMap
 from .diagram import ShadowDiagram
@@ -106,6 +110,22 @@ def expected_lift_parameters(d: ShadowDiagram, va: VoltageAssignment):
     return (2 - chi_lift) // 2, {v: n // o for v, o in orders.items()}
 
 
+def _face_word(cyc, volt, unknowns):
+    """The constraint of the face ``cyc`` (face-walk order d1 -> d2 ->
+    ...) as a token word, ``("const", element)`` or ``("unk", dart,
+    exponent)``, multiplying left to right to the identity:
+    t(d1)^-1 v(dk) t(dk)^-1 v(d_{k-1}) ... t(d2)^-1 v(d1).  Only the
+    corners in ``unknowns`` carry a twist token; any other twist is the
+    identity."""
+    word = [("unk", cyc[0], -1)] if cyc[0] in unknowns else []
+    for x in reversed(cyc[1:]):
+        word.append(("const", volt[x]))
+        if x in unknowns:
+            word.append(("unk", x, -1))
+    word.append(("const", volt[cyc[0]]))
+    return word
+
+
 def _solve_twists(d: ShadowDiagram, va: VoltageAssignment):
     """Per-corner sheet twists at the marked vertices.
 
@@ -117,85 +137,82 @@ def _solve_twists(d: ShadowDiagram, va: VoltageAssignment):
     exactly one face constraint and one vertex constraint, so the system
     peels off one constraint at a time; an unsatisfiable residue means
     the declared meridians are globally inconsistent.
+
+    Only the constraints that hold a marked corner are built as words
+    and swept: the vertex constraints, and the faces through a marked
+    corner.  Every other face has no unknown, so its check is the plain
+    product of its voltages.  All constraints are checked in one order,
+    faces in face-walk order and then the marked vertices, so the first
+    failing one decides the error.
     """
     g = va.group
+    mul, inv, e = g.mul, g.inv, g.identity
     m = d.surface
+    volt = va.voltage
     marked = {v: m._vertex_orbits[m.vertex_of[v.dart]] for v in d.marked}
     unknowns = set()
     for cyc in marked.values():
         unknowns.update(cyc)
     t = {}
 
-    # each constraint is a token word multiplying (left to right) to the
-    # identity; tokens are ("const", elt) or ("unk", dart, exponent)
-    constraints = []
-    for cyc in m._face_orbits:  # face-walk order d1 -> d2 -> ...
-        word = []
-        k = len(cyc)
-        # t(d1)^-1 v(dk) t(dk)^-1 v(d_{k-1}) ... t(d2)^-1 v(d1) = e
-        word.append(("unk", cyc[0], -1))
-        for i in range(k - 1, 0, -1):
-            word.append(("const", va.voltage[cyc[i]]))
-            word.append(("unk", cyc[i], -1))
-        word.append(("const", va.voltage[cyc[0]]))
-        constraints.append(word)
+    # each constraint with an unknown is a token word multiplying (left
+    # to right) to the identity (see _face_word); ``checks`` holds every
+    # constraint in order: a word, or the voltages of a face without a
+    # marked corner, in product order
+    words, checks = [], []
+    for cyc in m._face_orbits:
+        if unknowns.isdisjoint(cyc):
+            checks.append((False, [volt[x] for x in reversed(cyc)]))
+        else:
+            words.append(_face_word(cyc, volt, unknowns))
+            checks.append((True, words[-1]))
     for v in sorted(d.marked):
-        cyc = marked[v]
-        word = [("unk", c, 1) for c in reversed(cyc)]
-        word.append(("const", g.inv(va.meridians[v])))
-        constraints.append(word)
+        word = [("unk", c, 1) for c in reversed(marked[v])]
+        word.append(("const", inv(va.meridians[v])))
+        words.append(word)
+        checks.append((True, word))
 
     def token_value(tok):
         if tok[0] == "const":
             return tok[1]
-        _, dart, s = tok
-        if dart not in unknowns:
-            return g.identity  # unmarked corner: no twist
-        val = t.get(dart)
-        if val is None:
-            return None
-        return val if s == 1 else g.inv(val)
-
-    def unsolved(word):
-        return [tok for tok in word if tok[0] == "unk" and tok[1] in unknowns and tok[1] not in t]
+        val = t[tok[1]]
+        return val if tok[2] == 1 else inv(val)
 
     pending = set(unknowns)
     while pending:
         progressed = False
-        for word in constraints:
-            open_toks = unsolved(word)
+        for word in words:
+            open_toks = [tok for tok in word if tok[0] == "unk" and tok[1] not in t]
             if len(open_toks) != 1:
                 continue
-            (_, dart, s) = open_toks[0]
-            before = g.identity
-            after = g.identity
+            (unk,) = open_toks
+            _, dart, s = unk
+            before = e
+            after = e
             seen = False
             for tok in word:
-                if tok[0] == "unk" and tok[1] == dart and tok[1] not in t:
+                if tok is unk:
                     seen = True
                     continue
                 val = token_value(tok)
                 if seen:
-                    after = g.mul(after, val)
+                    after = mul(after, val)
                 else:
-                    before = g.mul(before, val)
+                    before = mul(before, val)
             # before * u^s * after = e
-            u_s = g.mul(g.inv(before), g.inv(after))
-            t[dart] = u_s if s == 1 else g.inv(u_s)
+            u_s = mul(inv(before), inv(after))
+            t[dart] = u_s if s == 1 else inv(u_s)
             pending.discard(dart)
             progressed = True
         if not progressed:
             # gauge freedom: pin an arbitrary twist and keep peeling
             dart = min(pending)
-            t[dart] = g.identity
+            t[dart] = e
             pending.discard(dart)
 
-    for word in constraints:
-        total = g.identity
-        for tok in word:
-            total = g.mul(total, token_value(tok))
-        if total != g.identity:
-            if any(tok[0] == "unk" and tok[1] in unknowns for tok in word):
+    for is_word, factors in checks:
+        if reduce(mul, map(token_value, factors) if is_word else factors) != e:
+            if is_word:
                 raise MeridianMismatch(
                     "declared meridians are inconsistent with the voltages"
                 )
@@ -203,7 +220,7 @@ def _solve_twists(d: ShadowDiagram, va: VoltageAssignment):
                 "face with nontrivial holonomy: branching is only allowed "
                 "at marked vertices"
             )
-    return {x: t.get(x, g.identity) for x in range(m.n_darts)}
+    return {x: t.get(x, e) for x in range(m.n_darts)}
 
 
 def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
@@ -226,12 +243,13 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
 
     # lifted dart x*|G| + i is (base dart x, elements[i])
     ep, rot = [], []
+    pairing, rotation, voltage = m.edge_pairing, m.rotation, va.voltage
     for x in range(n):
-        b = m.edge_pairing[x] * order
-        ep += [b + j for j in row[va.voltage[x]]]
-        b = m.rotation[x] * order
+        b = pairing[x] * order
+        ep += [b + j for j in row[voltage[x]]]
+        b = rotation[x] * order
         rot += [b + j for j in row[twist[x]]]
-    proj = dict(enumerate((x, e) for x in range(n) for e in elements))
+    proj = dict(enumerate(itertools.product(range(n), elements)))
     lifted = CombMap(n * order, ep, rot)
 
     # Riemann-Hurwitz, exactly (holds for the full cover, connected or not)

@@ -218,7 +218,13 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
     alpha crossings as dart pairs (x, y), x of the lower family, where two
     families have two darts each and either pair separates the other (a
     tangency is none).  ``errors`` lists the structural errors vertex by
-    vertex, then the missing ends of shadow arcs."""
+    vertex, then the missing ends of shadow arcs.
+
+    Short path: an unmarked 4-valent vertex whose colors alternate
+    ``a b a b`` (a != b, not both shadow families) has no error; it only
+    writes its four color rotation entries, and its crossing when both
+    colors are curve families.  Every other vertex, marked ones
+    included, takes the general branch."""
     m = d.surface
     rot, code = m.rotation, d.dart_colors
     marked = {m.vertex_of[v.dart] for v in d.marked}
@@ -226,6 +232,17 @@ def _vertex_pass(d: ShadowDiagram) -> dict:
     color_rotation = list(rot)  # a vertex of one color keeps its rotation
     crossings, errs, missing = [], [], []
     for k, orbit in enumerate(m._vertex_orbits):
+        if len(orbit) == 4 and k not in marked:
+            x0, x1, x2, x3 = orbit
+            a, b = code[x0], code[x1]
+            if a != b and code[x2] == a and code[x3] == b and min(a, b) <= SCAFFOLD:
+                color_rotation[x0] = x2
+                color_rotation[x1] = x3
+                color_rotation[x2] = x0
+                color_rotation[x3] = x1
+                if max(a, b) < SCAFFOLD:
+                    crossings.append((x0, x1) if a < b else (x1, x0))
+                continue
         v = orbit[0]  # named as a CellId in error messages only
         cs = [code[x] for x in orbit]
         here = dict.fromkeys(cs)  # the colors at v, by first appearance
@@ -648,14 +665,18 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
     marked one), one walk over each orbit's darts.  The walk follows both
     maps from every dart: on a malformed diagram an arc can end or branch
     at an unmarked vertex, where the join is no fixed-point-free
-    involution to alternate with the pairing."""
+    involution to alternate with the pairing.
+
+    The join is one flat array, a copy of the color rotation with the
+    arc-end pairing written over it, so each step of the walk is two
+    array reads.  The arc-end pairing is found marked vertex by marked
+    vertex, by :func:`_arc_end_pairing`."""
     m = d.surface
     ep = m.edge_pairing
-    join = _vertex_data(d, "color_rotation")
-    ends = {}
+    join = list(_vertex_data(d, "color_rotation"))
     for v in sorted(d.marked):
         for xi, xj in _arc_end_pairing(d, v, i, j):
-            ends[xi], ends[xj] = xj, xi
+            join[xi], join[xj] = xj, xi
     seen = bytearray(m.n_darts)
     loops = 0
     for x in d.darts_of_color(shadow(i)) + d.darts_of_color(shadow(j)):
@@ -666,10 +687,14 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
         todo = [x]
         while todo:
             y = todo.pop()
-            for z in (ep[y], ends.get(y, join[y])):
-                if not seen[z]:
-                    seen[z] = 1
-                    todo.append(z)
+            z = ep[y]
+            if not seen[z]:
+                seen[z] = 1
+                todo.append(z)
+            z = join[y]
+            if not seen[z]:
+                seen[z] = 1
+                todo.append(z)
     return loops
 
 

@@ -186,12 +186,21 @@ def group_by_name(name: str) -> Group:
     return reduce(direct_product, (build() for build, _ in atoms))
 
 
+def _is_natural(tok: str) -> bool:
+    """Whether ``tok`` is ASCII digits with no leading zero: the rule the
+    diagram reader applies to its integer tokens."""
+    return tok.isdigit() and tok.isascii() and (tok[0] != "0" or tok == "0")
+
+
 def _atom_by_name(name: str):
-    """``(build, order)`` for a named group that is not a product."""
+    """``(build, order)`` for a named group that is not a product.
+
+    Its order is ASCII digits with no leading zero, as ``str`` writes a
+    number, so a name reads back as it is written."""
     words = name.split()
     if words == ["quaternion"]:
         return quaternion, 8
-    if len(words) == 2 and words[1].isdecimal():
+    if len(words) == 2 and _is_natural(words[1]):
         try:
             kind, n = words[0], int(words[1])
         except ValueError:  # more digits than int reads

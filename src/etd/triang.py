@@ -588,15 +588,18 @@ def _sigma_counts(K: GTriangulation):
     return V, E, F
 
 
-def sigma_oracle(K: GTriangulation) -> int:
+def sigma_oracle(K: GTriangulation, *, validated: bool = False) -> int:
     """Genus of the central surface, from an explicit cell assembly.
 
     Shares no formula with :func:`trisection_parameters`: the surface
     is assembled from one copy of the template's cells per pentachoron
     (:func:`_sigma_counts`) and checked to be closed and connected, and
     its genus is read off the Euler characteristic, which must be even.
+    ``K`` is validated first, unless the caller passes ``validated=True``
+    for a ``K`` that :func:`trisection_parameters` has already accepted.
     """
-    validate_triangulation(K)
+    if not validated:
+        validate_triangulation(K)
     V, E, F = _sigma_counts(K)
     chi = V - E + F
     if chi % 2:

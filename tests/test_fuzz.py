@@ -15,6 +15,7 @@ CASES_PER_FILE = 40
 TAILS = (
     b"\xff\xfe", b"\x00", b"\xc3", b" 7", b"\n", b" x", b"\nedge 0 alpha1", b"\ncone vertex 0 2",
     b"\nedge %s alpha1" % (b"9" * 5000),  # more digits than int reads
+    "\ngroup cyclic \u0662".encode(), b"\ngroup cyclic 02",  # orders str does not write
 )
 TRI_NAMES = ("double_4_simplex", "boundary_5_simplex", "cyclic_7_5")
 TRI_FLAGS = (["--oracle"], ["--oracle", "--json"])

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from etd.catalog import q8_reductions
+from etd.cli import main
+from etd.diagio import serialize_diagram
 from etd.groups import (
     MAX_NAMED_ORDER,
     Group,
@@ -143,6 +146,31 @@ def test_named_groups_are_groups(name):
             ab = table[a, b]
             for c in g.elements:
                 assert table[ab, c] == table[a, table[b, c]], (name, a, b, c)
+
+
+@pytest.mark.parametrize(
+    "name", ["cyclic 02", "cyclic \u0662", "dihedral \u0663", "cyclic 2 x cyclic 002", "cyclic \uff12"]
+)
+def test_group_orders_are_ascii_digits_without_leading_zeros(name):
+    # such a name would read as a group whose name is written differently
+    with pytest.raises(GroupError, match="^unknown group name "):
+        group_by_name(name)
+
+
+def test_cli_rejects_a_group_line_that_does_not_round_trip(tmp_path, capsys):
+    base, reds = q8_reductions()
+    label, va, report = reds[0]
+    assert label == "z2_i" and va.group.name == "cyclic 2"
+    text = serialize_diagram(base.diagram, voltages=va, expected=(report.genus, report.k))
+    assert "\ngroup cyclic 2\n" in text
+    lineno = text.splitlines().index("group cyclic 2") + 1
+    for order in ("02", "\u0662"):
+        p = tmp_path / "z2_i.diagram"
+        p.write_text(text.replace("\ngroup cyclic 2\n", "\ngroup cyclic %s\n" % order), encoding="utf-8")
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == "parse error: line %d: unknown group name 'cyclic %s'\n" % (
+            lineno, order,
+        )
 
 
 def test_building_a_group_costs_linear_products():

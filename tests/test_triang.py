@@ -5,6 +5,8 @@ from itertools import combinations
 
 import pytest
 
+import etd.cli
+import etd.triang as triang_mod
 from etd.cli import main
 from etd.cmap import DisjointSets
 from etd.diagio import FileFormatError
@@ -64,6 +66,29 @@ def test_double_four_simplex_parameters():
 def test_oracle_agrees_on_spheres():
     for K in (frozen_tri("boundary_5_simplex"), frozen_tri("double_4_simplex")):
         assert sigma_oracle(K) == trisection_parameters(K).genus
+
+
+@pytest.mark.parametrize("name", ["double_4_simplex", "boundary_5_simplex", "cyclic_7_5"])
+def test_triang_with_the_oracle_validates_once(tmp_path, capsys, monkeypatch, name):
+    calls, oracle_calls = [], []
+    validate = triang_mod.validate_triangulation
+    monkeypatch.setattr(triang_mod, "validate_triangulation", lambda K: calls.append(K) or validate(K))
+    # the oracle still runs under its name in the CLI namespace, the one
+    # bench/tracing.py times as triang.sigma_oracle
+    oracle = etd.cli.sigma_oracle
+    monkeypatch.setattr(
+        etd.cli, "sigma_oracle", lambda K, **kw: oracle_calls.append(kw) or oracle(K, **kw)
+    )
+    p = tmp_path / (name + ".tri")
+    p.write_text(frozen_text(name + ".tri"))
+    assert main(["triang", str(p), "--oracle"]) == 0
+    assert "oracle genus" in capsys.readouterr().out
+    assert len(calls) == 1
+    assert oracle_calls == [{"validated": True}]
+    # the library entry point still validates what it is given
+    calls.clear()
+    assert sigma_oracle(frozen_tri(name)) == trisection_parameters(frozen_tri(name)).genus
+    assert len(calls) == 2
 
 
 def test_oracle_agrees_on_cyclic_polytope():

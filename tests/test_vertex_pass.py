@@ -6,21 +6,27 @@ before the helpers read one per-diagram vertex pass: the structural
 errors, curve extraction, crossing counts, color components and bridge
 loop count (with the arc-end pairing it calls).  Seeded random
 recolorings and re-markings of the frozen data files, the standard
-catalog entries and four Q8 lifts must give the same reports, errors,
-components and folded edges under both.  On the same diagrams, malformed
-ones included, the bridge loop count's orbit walk must agree with the
-union-find count it replaced.
+catalog entries and the five Q8 lifts must give the same reports,
+errors, components and folded edges under both.  On the same diagrams,
+malformed ones included, the bridge loop count's orbit walk must agree
+with the union-find count it replaced, and the vertex pass must give
+what ``reference_vertex_pass``, the pass without its short path for
+plain crossings, gives.  Further variants put each two-color pattern of
+a 4-valent vertex at an unmarked and at a marked vertex.
 """
 
 import functools
+import inspect
+import itertools
 import random
+import sys
 
 import pytest
 
 import etd.diagram as diagram_mod
 import etd.quotient as quotient_mod
 from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, q8_reductions
-from etd.cmap import DisjointSets
+from etd.cmap import CellId, DisjointSets
 from etd.cover import derived_cover
 from etd.diagio import parse_diagram_file
 from etd.diagram import (
@@ -48,6 +54,61 @@ def kind_index(c):
 
 # ---------------------------------------------------------------------------
 # reference helpers
+
+
+def reference_vertex_pass(d):
+    """The vertex pass with every vertex on its general branch."""
+    m = d.surface
+    rot, code = m.rotation, d.dart_colors
+    marked = {m.vertex_of[v.dart] for v in d.marked}
+    present = [shadow(i) for i in (1, 2, 3) if d.darts_of_color(shadow(i))]
+    color_rotation = list(rot)
+    crossings, errs, missing = [], [], []
+    for k, orbit in enumerate(m._vertex_orbits):
+        v = orbit[0]
+        cs = [code[x] for x in orbit]
+        here = dict.fromkeys(cs)
+        if len(here) > 1:
+            for x in orbit:
+                y = rot[x]
+                while code[y] != code[x]:
+                    y = rot[y]
+                color_rotation[x] = y
+        alphas = [c for c in here if c < SCAFFOLD]
+        shadows = [c for c in here if c > SCAFFOLD]
+        for c in alphas:
+            if cs.count(c) != 2:
+                errs.append(
+                    "vertex %r carries %d darts of %s (want 0 or 2)"
+                    % (CellId("vertex", v), cs.count(c), COLOR_NAMES[c])
+                )
+        if len(alphas) > 2:
+            errs.append("more than two curve colors cross at vertex %r" % (CellId("vertex", v),))
+        if len(alphas) > 1:
+            twos = sorted((c, cs.index(c)) for c in alphas if cs.count(c) == 2)
+            for (_, p1), (_, q1) in itertools.combinations(twos, 2):
+                p2, q2 = cs.index(cs[p1], p1 + 1), cs.index(cs[q1], q1 + 1)
+                if (p1 < q1 < p2) != (p1 < q2 < p2):
+                    crossings.append((orbit[p1], orbit[q1]))
+                elif len(alphas) == 2 and len(orbit) == 4:
+                    errs.append(
+                        "curve colors do not alternate at crossing %r" % (CellId("vertex", v),)
+                    )
+        if k in marked:
+            missing += [
+                "marked vertex %r has no %s end" % (CellId("vertex", v), COLOR_NAMES[c])
+                for c in present
+                if c not in here
+            ]
+            continue
+        if len(shadows) > 1:
+            errs.append("shadow families share interior vertex %r" % (CellId("vertex", v),))
+        for c in shadows:
+            if cs.count(c) != 2:
+                errs.append(
+                    "%s ends at unmarked vertex %r" % (COLOR_NAMES[c], CellId("vertex", v))
+                )
+    return {"color_rotation": color_rotation, "crossings": crossings, "errors": errs + missing}
 
 
 def reference_well_formed_errors(self):
@@ -280,13 +341,13 @@ def _reference_outputs(d):
 @functools.cache
 def _q8_lifts():
     base, reds = q8_reductions()
-    return [derived_cover(base.diagram, va).diagram for _, va, _ in reds[:4]]
+    return [derived_cover(base.diagram, va).diagram for _, va, _ in reds]
 
 
 BASES = (
     [("data:" + n, lambda n=n: parse_diagram_file(frozen_text(n + ".diagram")).diagram) for n in FROZEN_NAMES]
     + [("catalog:" + n, lambda n=n: entry(n).diagram) for n in STANDARD_NAMES]
-    + [("lift:%d" % k, lambda k=k: _q8_lifts()[k]) for k in range(4)]
+    + [("lift:%d" % k, lambda k=k: _q8_lifts()[k]) for k in range(5)]
 )
 
 
@@ -314,17 +375,60 @@ def _variant(d, rng):
     return colors, marks
 
 
+# the two colors of a 4-valent vertex, in rotation order from its first
+# dart: a b a b (both orders of each pair) and the tangency a a b b
+PATTERNS = [
+    pattern
+    for a, b in (
+        (alpha(1), alpha(2)),
+        (alpha(1), shadow(2)),
+        (alpha(3), SCAFFOLD),
+        (SCAFFOLD, shadow(1)),
+        (shadow(1), shadow(3)),  # shadow families share the vertex: an error
+    )
+    for pattern in ((a, b, a, b), (b, a, b, a))
+] + [(alpha(1), alpha(1), alpha(2), alpha(2))]
+
+
+def _pattern_variants(d, rng):
+    """``(k, variants)``: ``d`` with each pattern put on the four edges at
+    its 4-valent vertex k, which is left unmarked once and marked once,
+    as ``(pattern, marked, colors, marks)``; no variants if no 4-valent
+    vertex has four distinct edges."""
+    m = d.surface
+    ep = m.edge_pairing
+    at = [
+        k for k, orbit in enumerate(m._vertex_orbits)
+        if len(orbit) == 4 and len({min(x, ep[x]) for x in orbit}) == 4
+    ]
+    if not at:
+        return None, []
+    k = rng.choice(at)
+    orbit = m._vertex_orbits[k]
+    others = [v.dart for v in d.marked if m.vertex_of[v.dart] != k]
+    out = []
+    for pattern in PATTERNS:
+        colors = list(d.dart_colors)
+        for x, c in zip(orbit, pattern):
+            colors[x] = colors[ep[x]] = c
+        out += [(pattern, False, colors, others), (pattern, True, colors, others + [orbit[0]])]
+    return k, out
+
+
 @pytest.mark.parametrize("name, build", BASES, ids=[n for n, _ in BASES])
 def test_vertex_pass_matches_the_reference_helpers(name, build):
     d = build()
     rng = random.Random(name)
     variants = [(list(d.dart_colors), [v.dart for v in d.marked])]
     variants += [_variant(d, rng) for _ in range(20)]
+    variants += [(colors, marks) for _, _, colors, marks in _pattern_variants(d, rng)[1]]
     flagged = 0
     for colors, marks in variants:
         new = _outputs(ShadowDiagram.from_darts(d.surface, colors, marks))
         ref = _reference_outputs(ShadowDiagram.from_darts(d.surface, colors, marks))
         assert new == ref, (name, colors, marks)
+        dv = ShadowDiagram.from_darts(d.surface, colors, marks)
+        assert diagram_mod._vertex_pass(dv) == reference_vertex_pass(dv), (name, colors, marks)
         flagged += bool(new[1])
         # the loop count on every diagram, validate_shadow's checks or not
         dv = ShadowDiagram.from_darts(d.surface, colors, marks)
@@ -333,3 +437,67 @@ def test_vertex_pass_matches_the_reference_helpers(name, build):
         ), (name, colors, marks)
     # the variants reach both clean and malformed diagrams
     assert not _outputs(d)[1] and flagged
+
+
+def _general_branch_vertices(d):
+    """The vertex pass on ``d``, and the indices of the vertices that took
+    its general branch, read off a line trace of the pass.
+
+    The general branch is found by its ``here = dict.fromkeys(`` line; if
+    that line is rewritten the unpacking below fails, not the count.  The
+    tracer in place before (coverage's, a debugger's) is put back."""
+    code = diagram_mod._vertex_pass.__code__
+    lines, first = inspect.getsourcelines(diagram_mod._vertex_pass)
+    (general,) = [first + i for i, ln in enumerate(lines) if "here = dict.fromkeys(" in ln]
+    seen = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == general:
+            seen.append(frame.f_locals["k"])
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = diagram_mod._vertex_pass(d)
+    finally:
+        sys.settrace(outer)
+    return got, seen
+
+
+def test_the_line_trace_puts_back_the_tracer_before_it():
+    def mine(frame, event, arg):
+        return None
+
+    outer = sys.gettrace()
+    sys.settrace(mine)
+    try:
+        _general_branch_vertices(_q8_lifts()[0])
+        assert sys.gettrace() is mine
+    finally:
+        sys.settrace(outer)
+
+
+def test_each_pattern_takes_its_branch_of_the_vertex_pass():
+    # the short path is for an unmarked a b a b vertex, a != b, not both shadows
+    d = _q8_lifts()[4]
+    k, variants = _pattern_variants(d, random.Random(0))
+    assert len(variants) == 2 * len(PATTERNS)
+    for pattern, marked, colors, marks in variants:
+        dv = ShadowDiagram.from_darts(d.surface, colors, marks)
+        got, general = _general_branch_vertices(dv)
+        assert got == reference_vertex_pass(dv)
+        a, b, *rest = pattern
+        plain = rest == [a, b] and a != b and min(a, b) <= SCAFFOLD
+        assert (k in general) == (marked or not plain), (pattern, marked)
+
+
+def test_vertex_pass_takes_its_general_branch_only_off_plain_crossings():
+    d = _q8_lifts()[4]
+    m = d.surface
+    assert (m.n_darts, len(m._vertex_orbits)) == (1712, 392)
+    got, general = _general_branch_vertices(d)
+    assert got == reference_vertex_pass(d)
+    assert len(general) == 16  # of 392 vertices, 376 are plain crossings
