@@ -7,15 +7,18 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .cmap import CombMap, build_from_faces, inverse
-from .surgery import tube
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, shadow
 from .groups import greedy_generators
 from .invariants import AbelianGroup
 from .symmetry import DiagramAction, automorphism_group
-from .torus import TorusArrangement, affine_dart_map, arrangement, line
+
+# torus and surgery load with the builders that use them, so that
+# importing etd does not load them
+if TYPE_CHECKING:
+    from .torus import TorusArrangement
 
 
 class CatalogError(ValueError):
@@ -32,6 +35,8 @@ class NonStandardSlopes(CatalogError):
 
 @dataclass
 class ExpectedReport:
+    """What validating a catalog entry should report."""
+
     genus: int
     k: tuple
     b: int = 0
@@ -46,6 +51,8 @@ class ExpectedReport:
 
 @dataclass
 class CatalogEntry:
+    """A named diagram with its action, expected report and note."""
+
     name: str
     diagram: ShadowDiagram
     action: Optional[DiagramAction]
@@ -89,6 +96,8 @@ def _grid_torus(m: int, slopes):
     """The m x m grid torus: the full translation/negation orbit of each
     slope, colored alpha1..3, plus scaffold transversals when all three
     slopes are parallel.  Returns (arrangement, diagram)."""
+    from .torus import arrangement, line
+
     slopes = [_normalize_slope(s) for s in slopes]
     for a in range(3):
         for b in range(a + 1, 3):
@@ -132,6 +141,8 @@ def _grid_torus(m: int, slopes):
 
 def natural_torus_action(arr: TorusArrangement, m: int) -> DiagramAction:
     """Translations by 1/m and negation, as dart permutations."""
+    from .torus import affine_dart_map
+
     tx = affine_dart_map(arr, ((1, 0), (0, 1)), (Fraction(1, m), 0))
     ty = affine_dart_map(arr, ((1, 0), (0, 1)), (0, Fraction(1, m)))
     nu = affine_dart_map(arr, ((-1, 0), (0, -1)))
@@ -225,6 +236,9 @@ def _s2xs2_genus2() -> CatalogEntry:
     """Two mirrored half-offset tori joined by a tube through their
     hexagonal faces; the diagram's color-preserving symmetry group is
     Z2 x Z2 (negation on both factors, and the factor swap)."""
+    from .surgery import tube
+    from .torus import arrangement, line
+
     arr = arrangement(
         [line(1, 0, Fraction(1, 2)), line(0, 1, Fraction(1, 2)), line(1, 1, Fraction(1, 2))]
     )

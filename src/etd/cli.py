@@ -16,36 +16,75 @@ a ``format`` key ("etd-report 1").  The environment variable
 curve-standardization tier of validation, for ``validate`` and ``lift``
 (unless ``--tier2-budget`` is given) and for the quotient that
 ``quotient`` validates.
+
+Each module that one verb alone needs loads when that verb first runs:
+:mod:`etd.cover` with ``lift`` and :mod:`etd.triang` with ``triang``.
+The names the verbs call from them are still attributes of this module
+before then; reading one loads its module.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
 
 from .catalog import FROZEN_NAMES, STANDARD_NAMES, UnknownName, entry_file_text
 from .cmap import MapError
-from .cover import CoverError, derived_cover, expected_lift_parameters
 from .diagio import FileFormatError, parse_diagram_file, serialize_diagram
 from .diagram import DiagramError, validate_trisection
 from .invariants import InvariantError, h1_mod_curves
 from .quotient import QuotientError, demoted_diagram, quotient, quotient_is_trisection
 from .symmetry import SymmetryError
-from .triang import (
-    TriangError,
-    parse_triangulation,
-    sigma_oracle,
-    trisection_parameters,
-)
 
 REPORT_FORMAT = "etd-report 1"
 
 OK = 0
 PARSE_ERROR = 1
 SEMANTIC_ERROR = 2
+
+# The modules that one verb alone needs: module -> the names its verb
+# calls here, its error class first.  The verbs call these names from
+# this module's globals, so a patch of them (bench/tracing.py) holds.
+_DEFERRED = {
+    "cover": ("CoverError", "derived_cover", "expected_lift_parameters"),
+    "triang": ("TriangError", "parse_triangulation", "sigma_oracle", "trisection_parameters"),
+}
+
+
+def _load(module):
+    """Import ``module`` and bind its deferred names here; a name that
+    is bound already (a patch) is kept."""
+    bound, names = globals(), _DEFERRED[module]
+    if all(map(bound.__contains__, names)):
+        return
+    mod = importlib.import_module("." + module, __package__)
+    for name in names:
+        bound.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    """A deferred name, read before its verb has run: load its module."""
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def _semantic_errors():
+    """The error classes that exit SEMANTIC_ERROR, with the error class
+    of each deferred module that is loaded, whoever loaded it (diagio
+    loads cover to read a voltage block)."""
+    out = [DiagramError, InvariantError, MapError, QuotientError, SymmetryError]
+    for module, names in _DEFERRED.items():
+        mod = sys.modules.get("%s.%s" % (__package__, module))
+        if mod is not None:
+            out.append(getattr(mod, names[0]))
+    return tuple(out)
 
 
 def _tier2_budget(given=None):
@@ -228,12 +267,14 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    _load("cover")
     df = parse_diagram_file(_read(args.path))
     if df.voltages is None:
         print("file carries no voltage block", file=sys.stderr)
         return SEMANTIC_ERROR
-    expected_genus, _ = expected_lift_parameters(df.diagram, df.voltages)
-    cover = derived_cover(df.diagram, df.voltages)
+    # the reader validated the voltages
+    expected_genus, _ = expected_lift_parameters(df.diagram, df.voltages, validated=True)
+    cover = derived_cover(df.diagram, df.voltages, validated=True)
     report = validate_trisection(cover.diagram, tier2_budget=_tier2_budget(args.tier2_budget))
     out = _out_path(args, "lift")
     _write(out, serialize_diagram(cover.diagram))
@@ -262,6 +303,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_triang(args) -> int:
+    _load("triang")
     K = parse_triangulation(_read(args.path))
     report = trisection_parameters(K)
     payload = {
@@ -357,9 +399,7 @@ def main(argv=None) -> int:
     except OutputError as err:
         print("error: %s" % err, file=sys.stderr)
         return PARSE_ERROR
-    except (
-        CoverError, DiagramError, InvariantError, MapError, QuotientError, SymmetryError, TriangError
-    ) as err:
+    except _semantic_errors() as err:
         print("error: %s" % err, file=sys.stderr)
         return SEMANTIC_ERROR
 

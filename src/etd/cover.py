@@ -44,6 +44,8 @@ class DisconnectedCoverWarning(UserWarning):
 
 @dataclass
 class VoltageAssignment:
+    """Deck-group voltages on the darts and meridians at marked vertices."""
+
     group: Group
     voltage: dict  # dart -> group element
     meridians: dict = field(default_factory=dict)  # marked vertex CellId -> element
@@ -76,6 +78,8 @@ class VoltageAssignment:
 
 @dataclass
 class BranchPoint:
+    """A marked base vertex, its meridian's order and its number of lifts."""
+
     base_vertex: CellId
     order: int
     lift_count: int
@@ -83,6 +87,8 @@ class BranchPoint:
 
 @dataclass
 class CoverResult:
+    """A derived cover with its deck action, projection and branch data."""
+
     diagram: ShadowDiagram
     deck: DiagramAction
     projection: dict  # lifted dart -> (base dart, group element)
@@ -92,10 +98,13 @@ class CoverResult:
     structural_errors: list
 
 
-def expected_lift_parameters(d: ShadowDiagram, va: VoltageAssignment):
+def expected_lift_parameters(d: ShadowDiagram, va: VoltageAssignment, *, validated=False):
     """(genus of a connected cover, per-branch lift counts) from the
-    Riemann-Hurwitz formula, without building anything."""
-    va = va.validated(d)
+    Riemann-Hurwitz formula, without building anything.  ``va`` is
+    validated first, unless the caller passes ``validated=True`` for
+    the result of :meth:`VoltageAssignment.validated` on ``d``."""
+    if not validated:
+        va = va.validated(d)
     g = va.group
     m = d.surface
     if not m.is_connected():
@@ -223,11 +232,14 @@ def _solve_twists(d: ShadowDiagram, va: VoltageAssignment):
     return {x: t.get(x, e) for x in range(m.n_darts)}
 
 
-def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
+def derived_cover(d: ShadowDiagram, va: VoltageAssignment, *, validated=False) -> CoverResult:
     """Build the derived cover, its deck action (right translation), and
     branch data; warns DisconnectedCoverWarning when the voltages do not
-    generate the deck group."""
-    va = va.validated(d)
+    generate the deck group.  ``va`` is validated first, unless the
+    caller passes ``validated=True`` as for
+    :func:`expected_lift_parameters`."""
+    if not validated:
+        va = va.validated(d)
     g = va.group
     m = d.surface
     if not m.is_connected():

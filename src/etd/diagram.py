@@ -421,6 +421,8 @@ def family_classes(d: ShadowDiagram, i: int):
 
 @dataclass(frozen=True)
 class CutSystemVerdict:
+    """Whether one family's curves form a cut system, and why not."""
+
     valid: bool
     tight: bool
     n_curves: int
@@ -504,6 +506,8 @@ FAILED = "Failed"
 
 @dataclass
 class HeegaardVerdict:
+    """The tier reached for one pair of families, with its k."""
+
     tier: str
     k: Optional[int]
     reason: str = ""
@@ -641,19 +645,25 @@ def color_components(d: ShadowDiagram, c: int):
 
 def _arc_end_pairing(d: ShadowDiagram, v: CellId, i: int, j: int):
     """Pair Shadow(i) with Shadow(j) arc-ends at the marked vertex ``v``
-    by rotation adjacency.  Returns list of (dart_i, dart_j) pairs."""
-    m, colors, ci = d.surface, d.dart_colors, shadow(i)
-    ends = (ci, shadow(j))
-    seq = [(x, colors[x]) for x in m._vertex_orbits[m.vertex_of[v.dart]] if colors[x] in ends]
-    pairs = []
-    while seq:
-        n = len(seq)
-        hit = next((p for p in range(n) if seq[p][1] != seq[(p + 1) % n][1]), None)
-        if hit is None:
-            raise MalformedColoring("arc-ends of families %d/%d do not pair at %r" % (i, j, v))
-        (x1, f1), (x2, _) = seq[hit], seq[(hit + 1) % n]
-        pairs.append((x1, x2) if f1 == ci else (x2, x1))
-        seq = [e for p, e in enumerate(seq) if p not in (hit, (hit + 1) % n)]
+    by rotation adjacency.  Returns list of (dart_i, dart_j) pairs.
+
+    One pass in rotation order from the vertex's first dart, with a
+    stack that holds ends of one family: an end of the other family
+    pairs with the top, any other end is pushed.  Ends left on the
+    stack do not pair."""
+    m, colors, ci, cj = d.surface, d.dart_colors, shadow(i), shadow(j)
+    stack, pairs = [], []
+    for x in m._vertex_orbits[m.vertex_of[v.dart]]:
+        c = colors[x]
+        if c != ci and c != cj:
+            continue
+        if stack and colors[stack[-1]] != c:
+            top = stack.pop()
+            pairs.append((x, top) if c == ci else (top, x))
+        else:
+            stack.append(x)
+    if stack:
+        raise MalformedColoring("arc-ends of families %d/%d do not pair at %r" % (i, j, v))
     return pairs
 
 
@@ -700,6 +710,8 @@ def _count_bridge_loops(d: ShadowDiagram, i: int, j: int) -> int:
 
 @dataclass
 class ShadowVerdict:
+    """The bridge count b and the loop counts p of the shadow arcs."""
+
     ok: bool
     b: int
     p: tuple
@@ -762,6 +774,8 @@ def validate_shadow(d: ShadowDiagram) -> ShadowVerdict:
 
 @dataclass
 class ValidationReport:
+    """Every verdict of one validation, with its genus and Euler characteristics."""
+
     genus: int
     cut_verdicts: dict  # i -> CutSystemVerdict
     pair_verdicts: dict  # i -> HeegaardVerdict for the pair (i, i+1)

@@ -50,13 +50,18 @@ def _angle_key(d):
 def rotation_by_angle(n, dart_point, dart_dir):
     """The rotation of darts 0..n-1 that turns each dart to the next
     outgoing direction counterclockwise around its point.  Raises
-    PlanarError when two darts leave one point in the same direction."""
+    PlanarError when two darts leave one point in the same direction.
+
+    The distinct directions are ranked once by :func:`_angle_key`, with
+    parallel directions sharing a rank, so each point sorts its darts
+    by an integer."""
     at_point = {}
     for d in range(n):
         at_point.setdefault(dart_point[d], []).append(d)
     dirs = [dart_dir[d] for d in range(n)]
     keys = {u: _angle_key(u) for u in set(dirs)}
-    key = [keys[u] for u in dirs]
+    rank = {k: r for r, k in enumerate(sorted(set(keys.values())))}
+    key = [rank[keys[u]] for u in dirs]
     rotation = [0] * n
     for pt, ds in at_point.items():
         keyed = sorted(ds, key=key.__getitem__)
@@ -108,6 +113,8 @@ def segment_intersection(p1, p2, q1, q2):
 
 @dataclass
 class Strand:
+    """An integer polyline: an open arc, or a closed polygon."""
+
     points: list
     closed: bool = False
     label: object = None

@@ -38,6 +38,8 @@ class NotValidAction(QuotientError):
 
 @dataclass
 class QuotientResult:
+    """A quotient diagram with its cone points, induced action and projection."""
+
     diagram: ShadowDiagram
     cone_points: list  # (CellId in the quotient, order m)
     induced_action: DiagramAction

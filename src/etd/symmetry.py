@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 from typing import Optional
 
 from .cmap import CellId, canonical_search, compose, perm_orbits
@@ -202,6 +203,8 @@ class DiagramAction:
 
 @dataclass
 class ActionReport:
+    """Whether an action is valid, with its order and element orders."""
+
     ok: bool
     order: int
     structure_hint: str
@@ -226,14 +229,22 @@ def _structure_hint(order, orders_count):
 
 def check_automorphism(m, g, name):
     """Raise NotAutomorphism unless g is a dart permutation commuting
-    with the map's edge pairing and rotation."""
+    with the map's edge pairing and rotation.  Both are checked as
+    whole arrays; only a failed check walks to the first bad dart, the
+    edge pairing before the rotation at each dart."""
     n = m.n_darts
     if len(g) != n or sorted(g) != list(range(n)):
         raise NotAutomorphism(name, -1, "not a permutation of the darts")
+    if not n:
+        return
+    # itemgetter composes in C: after_g(p) is p after g, itemgetter(*p)(g) is g after p
+    ep, rot, after_g = m.edge_pairing, m.rotation, itemgetter(*g)
+    if itemgetter(*ep)(g) == after_g(ep) and itemgetter(*rot)(g) == after_g(rot):
+        return
     for x in range(n):
-        if g[m.edge_pairing[x]] != m.edge_pairing[g[x]]:
+        if g[ep[x]] != ep[g[x]]:
             raise NotAutomorphism(name, x, "does not commute with the edge pairing")
-        if g[m.rotation[x]] != m.rotation[g[x]]:
+        if g[rot[x]] != rot[g[x]]:
             raise NotAutomorphism(name, x, "does not commute with the rotation")
 
 
@@ -289,12 +300,16 @@ def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
 
 @dataclass
 class FixedCell:
+    """A cell fixed by a group element, with its local order."""
+
     cell: CellId
     local_order: int
 
 
 @dataclass
 class ElementFixedData:
+    """The cells one group element fixes or inverts."""
+
     element: tuple  # the element's key: its images of the base darts
     order: int
     fixed_vertices: list = field(default_factory=list)
@@ -308,6 +323,8 @@ class ElementFixedData:
 
 @dataclass
 class SingularReport:
+    """The fixed cells of every nonidentity element of an action."""
+
     per_element: list  # ElementFixedData for each nonidentity element
     hyperelliptic_involutions: list  # keys of the involutions with 2g+2 fixed points
     genus: Optional[int]  # None on a disconnected surface

@@ -31,6 +31,8 @@ def _ext_gcd(a, b):
 
 @dataclass(frozen=True)
 class TorusLine:
+    """The closed geodesic q*x - p*y = c (mod 1) of primitive slope (p, q)."""
+
     p: int
     q: int
     c: Fraction
@@ -53,6 +55,8 @@ def line(p, q, c=0):
 
 @dataclass
 class TorusArrangement:
+    """The map of a torus line arrangement, with each dart's point, direction and line."""
+
     map: CombMap
     lines: list
     N: int  # points lie on the grid (1/N)Z^2 mod 1

@@ -66,6 +66,8 @@ class NotClosedSurface(TriangError):
 
 @dataclass
 class GTriangulation:
+    """A 4-manifold triangulation with a vertex action and marked surfaces."""
+
     n_vertices: int
     pentachora: list  # 5-tuples of vertex indices
     generators: list = field(default_factory=list)  # vertex permutations
@@ -203,6 +205,8 @@ def validate_triangulation(K: GTriangulation) -> bool:
 
 @dataclass
 class TriParamReport:
+    """Trisection parameters read off a triangulation."""
+
     genus: int
     k: tuple  # (k1, k2, k3)
     chi_simplex: int  # V - E + F - T + P

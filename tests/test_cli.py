@@ -192,6 +192,44 @@ def test_lift_needs_voltages(tmp_path):
     assert main(["lift", str(p)]) == 2
 
 
+@pytest.mark.parametrize("label", ["z2_i", "q8"])
+def test_lift_validates_the_voltages_once(tmp_path, capsys, monkeypatch, label):
+    import etd.cli
+    from etd.cover import VoltageAssignment, derived_cover, expected_lift_parameters
+
+    base, reds = q8_reductions()
+    _, va, report = next(r for r in reds if r[0] == label)
+    calls, cli_calls = [], []
+    validated = VoltageAssignment.validated
+    monkeypatch.setattr(
+        VoltageAssignment, "validated", lambda self, d: calls.append(d) or validated(self, d)
+    )
+    # both run under their names in the CLI namespace, the ones
+    # bench/tracing.py times as cover.expected_lift and cover.derived_cover
+    for name in ("expected_lift_parameters", "derived_cover"):
+        fn = getattr(etd.cli, name)
+        monkeypatch.setattr(
+            etd.cli, name,
+            lambda d, v, fn=fn, name=name, **kw: cli_calls.append((name, kw)) or fn(d, v, **kw),
+        )
+    p = tmp_path / (label + ".diagram")
+    p.write_text(serialize_diagram(base.diagram, voltages=va, expected=(report.genus, report.k)))
+    calls.clear()  # the writer validates too
+    out = tmp_path / "lift.diagram"
+    assert main(["lift", str(p), "--check-expected", "--out", str(out)]) == 0
+    assert "expected (%d; %s): ok" % (report.genus, report.k) in capsys.readouterr().out
+    assert len(calls) == 1  # the reader's
+    assert cli_calls == [
+        ("expected_lift_parameters", {"validated": True}),
+        ("derived_cover", {"validated": True}),
+    ]
+    # the library entry points still validate what they are given
+    calls.clear()
+    assert expected_lift_parameters(base.diagram, va)[0] == report.genus
+    assert derived_cover(base.diagram, va).diagram.surface.genus() == report.genus
+    assert len(calls) == 2
+
+
 def test_triang_with_oracle(tmp_path, capsys):
     for name, expect in [
         ("boundary_5_simplex", "(181; 19,26,136)"),

@@ -599,3 +599,58 @@ def test_branch_cuts_on_strand_segments_match_the_polyline_walker():
             kinds["crossed" if any(want.values()) else "uncrossed"] += 1
     # every outcome occurs often, so the comparison is not vacuous
     assert min(kinds.values()) >= 20, kinds
+
+
+def ref_rotation_by_angle(n, dart_point, dart_dir):
+    """The rotation as it was computed before directions were ranked:
+    each point sorts its darts by their ``_angle_key`` tuples."""
+    at_point = {}
+    for d in range(n):
+        at_point.setdefault(dart_point[d], []).append(d)
+    key = [etd.planar._angle_key(dart_dir[d]) for d in range(n)]
+    rotation = [0] * n
+    for pt, ds in at_point.items():
+        keyed = sorted(ds, key=key.__getitem__)
+        if any(key[a] == key[b] for a, b in zip(keyed, keyed[1:])):
+            raise PlanarError("parallel darts at %r" % (pt,))
+        for k, d in enumerate(keyed):
+            rotation[d] = keyed[(k + 1) % len(keyed)]
+    return rotation
+
+
+def _rotation_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PlanarError as err:
+        return str(err)
+
+
+def test_ranked_rotation_matches_the_reference(monkeypatch):
+    """Every rotation built for the Q8 link base, for natural_genus1(m),
+    m <= 16, and for the random arrangements is the reference's; so are
+    the parallel-dart errors."""
+    from etd.catalog import natural_genus1, q8_link_base
+
+    calls = []
+    ranked = etd.planar.rotation_by_angle
+
+    def both(n, dart_point, dart_dir):
+        calls.append(n)
+        want = _rotation_outcome(ref_rotation_by_angle, n, dart_point, dart_dir)
+        assert _rotation_outcome(ranked, n, dart_point, dart_dir) == want
+        return ranked(n, dart_point, dart_dir)
+
+    monkeypatch.setattr(etd.planar, "rotation_by_angle", both)
+    q8_link_base()
+    for m in range(1, 17):
+        natural_genus1(m)
+    for _, make in ARRANGEMENTS:
+        _planar_outcome(build_planar, make())
+    assert len(calls) >= 1 + 16  # the base and every torus at least
+    points = {0: (0, 0), 1: (0, 0), 2: (0, 0), 3: (1, 1)}
+    for dirs in ({0: (1, 0), 1: (2, 0), 2: (0, 1), 3: (1, 0)},
+                 {0: (-1, 1), 1: (0, 1), 2: (-3, 3), 3: (5, 2)},
+                 {0: (0, -2), 1: (3, -1), 2: (0, -1), 3: (0, -1)}):
+        want = _rotation_outcome(ref_rotation_by_angle, 4, points, dirs)
+        assert _rotation_outcome(ranked, 4, points, dirs) == want
+        assert want.startswith("parallel darts")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -186,3 +187,61 @@ def test_equivalent_actions():
     assert is_equivalent_action(d_plain, ax, ay)
     assert not is_equivalent_action(d_colored, ax, ay)
     assert is_equivalent_action(d_colored, ax, ax)
+
+
+def loop_check_automorphism(m, g, name):
+    """``check_automorphism`` as it was before the whole-array checks:
+    one dart at a time, the edge pairing before the rotation."""
+    n = m.n_darts
+    if len(g) != n or sorted(g) != list(range(n)):
+        raise NotAutomorphism(name, -1, "not a permutation of the darts")
+    for x in range(n):
+        if g[m.edge_pairing[x]] != m.edge_pairing[g[x]]:
+            raise NotAutomorphism(name, x, "does not commute with the edge pairing")
+        if g[m.rotation[x]] != m.rotation[g[x]]:
+            raise NotAutomorphism(name, x, "does not commute with the rotation")
+
+
+def _automorphism_outcome(check, m, g):
+    try:
+        check(m, g, "g")
+    except NotAutomorphism as err:
+        return (err.generator, err.dart, str(err))
+    return None
+
+
+def test_check_automorphism_matches_the_dart_loop():
+    """On the grid generators, swaps of their images, rotations of the
+    map, non-permutations and maps of 0 and 2 darts, the whole-array
+    check raises what the dart loop raises: the same dart and message,
+    or nothing."""
+    from etd.catalog import natural_genus1
+
+    rng = random.Random(5)
+    arr, torus = grid2(), natural_genus1(3)
+    cases, outcomes = [], set()
+    for m, gens in (
+        (arr.map, grid2_generators(arr)),
+        (torus.diagram.surface, torus.action.generators),
+    ):
+        n = m.n_darts
+        cases += [(m, tuple(g)) for g in gens]
+        cases += [(m, tuple(m.rotation)), (m, tuple(m.edge_pairing))]
+        cases += [(m, tuple(range(n))[:-1]), (m, (0,) * n)]
+        for g in gens:
+            for _ in range(15):
+                h = list(g)
+                a, b = rng.sample(range(n), 2)
+                h[a], h[b] = h[b], h[a]
+                cases.append((m, tuple(h)))
+    cases += [(CombMap(0, [], []), ()), (CombMap(2, [1, 0], [0, 1]), (1, 0))]
+    for m, g in cases:
+        got = _automorphism_outcome(symmetry.check_automorphism, m, g)
+        assert got == _automorphism_outcome(loop_check_automorphism, m, g), g
+        outcomes.add(got[2].split(": ")[-1] if got else None)
+    assert outcomes == {
+        None,
+        "not a permutation of the darts",
+        "does not commute with the edge pairing",
+        "does not commute with the rotation",
+    }

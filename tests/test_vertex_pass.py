@@ -439,6 +439,58 @@ def test_vertex_pass_matches_the_reference_helpers(name, build):
     assert not _outputs(d)[1] and flagged
 
 
+def old_arc_end_pairing(d, v, i, j):
+    """``diagram._arc_end_pairing`` as it was before its one-pass form:
+    it refiltered the end list once per pair found."""
+    m, colors, ci = d.surface, d.dart_colors, shadow(i)
+    ends = (ci, shadow(j))
+    seq = [(x, colors[x]) for x in m._vertex_orbits[m.vertex_of[v.dart]] if colors[x] in ends]
+    pairs = []
+    while seq:
+        n = len(seq)
+        hit = next((p for p in range(n) if seq[p][1] != seq[(p + 1) % n][1]), None)
+        if hit is None:
+            raise MalformedColoring("arc-ends of families %d/%d do not pair at %r" % (i, j, v))
+        (x1, f1), (x2, _) = seq[hit], seq[(hit + 1) % n]
+        pairs.append((x1, x2) if f1 == ci else (x2, x1))
+        seq = [e for p, e in enumerate(seq) if p not in (hit, (hit + 1) % n)]
+    return pairs
+
+
+def _pairings(d, pairing):
+    """Each marked vertex's arc-end pairing for each ordered pair of
+    shadow families, or the error that stops it."""
+    out = []
+    for v in sorted(d.marked):
+        for i, j in itertools.permutations((1, 2, 3), 2):
+            try:
+                out.append(pairing(d, v, i, j))
+            except MalformedColoring as err:
+                out.append(str(err))
+    return out
+
+
+@pytest.mark.parametrize("name, build", BASES, ids=[n for n, _ in BASES])
+def test_arc_end_pairing_matches_the_old_one(name, build):
+    """The one-pass pairing gives the old pairs and errors, at the marked
+    vertices of each base, of random recolorings and re-markings of it,
+    and of each two-color pattern put on a marked vertex."""
+    d = build()
+    rng = random.Random("pairing " + name)
+    variants = [(list(d.dart_colors), [v.dart for v in d.marked])]
+    variants += [_variant(d, rng) for _ in range(20)]
+    variants += [(colors, marks) for _, _, colors, marks in _pattern_variants(d, rng)[1]]
+    seen = set()
+    for colors, marks in variants:
+        dv = ShadowDiagram.from_darts(d.surface, colors, marks)
+        new = _pairings(dv, diagram_mod._arc_end_pairing)
+        assert new == _pairings(dv, old_arc_end_pairing), (name, colors, marks)
+        assert new == _pairings(dv, reference_arc_end_pairing), (name, colors, marks)
+        seen.update(type(p) for p in new)
+    # both pairs and errors are compared
+    assert seen == {list, str} or not d.marked
+
+
 def _general_branch_vertices(d):
     """The vertex pass on ``d``, and the indices of the vertices that took
     its general branch, read off a line trace of the pass.
