@@ -170,12 +170,6 @@ class DisjointSets:
             self.parent[ra] = rb
         return True
 
-    def labels(self) -> list[int]:
-        """The class number of each element, classes numbered by least
-        element."""
-        index = {}
-        return [index.setdefault(self.find(x), len(index)) for x in range(len(self.parent))]
-
 
 @dataclass(frozen=True, order=True)
 class CellId:
@@ -296,16 +290,6 @@ class CombMap:
         if (2 - chi) % 2:
             raise MapError("odd Euler defect; map is not an orientable closed surface")
         return (2 - chi) // 2
-
-    # ---- relabeling -----------------------------------------------------
-
-    def relabel(self, perm: Sequence[int]) -> "CombMap":
-        """Return the same map with dart d renamed perm[d]."""
-        n = self.n_darts
-        inv = inverse(perm)
-        ep = [perm[self.edge_pairing[inv[d]]] for d in range(n)]
-        rot = [perm[self.rotation[inv[d]]] for d in range(n)]
-        return CombMap(n, ep, rot)
 
 
 # ---------------------------------------------------------------------------

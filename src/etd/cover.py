@@ -23,7 +23,7 @@ from .cmap import CellId, CombMap
 from .diagram import ShadowDiagram
 from .groups import Group, greedy_generators
 from .invariants import branching_defect
-from .symmetry import DiagramAction, base_darts, checked_closure
+from .symmetry import DiagramAction, base_darts, check_action
 
 
 class CoverError(ValueError):
@@ -298,7 +298,7 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment, *, validated=False) -
             DisconnectedCoverWarning,
         )
     errs = dq.well_formed_errors()
-    deck_order = len(checked_closure(dq, deck))
+    deck_order = len(check_action(dq, deck))
     if deck_order != order:
         raise CoverError("deck action order %d != group order %d" % (deck_order, order))
     return CoverResult(dq, deck, proj, branch, g, len(comps), errs)

@@ -1,4 +1,5 @@
-"""Integer linear algebra and closed-form parameter calculators.
+"""Integer linear algebra: Smith normal form, surface homology and the
+Riemann-Hurwitz defect of a branched cover.
 
 Everything is exact: matrices are lists of Python-int rows, so there is no
 overflow and no rational shortcut that could hide torsion.
@@ -12,14 +13,6 @@ from .cmap import CombMap, spanning_forest
 
 
 class InvariantError(ValueError):
-    pass
-
-
-class NotSphere(InvariantError):
-    pass
-
-
-class EdgeInversionUnresolved(InvariantError):
     pass
 
 
@@ -292,43 +285,7 @@ def h1_mod_curves(d, families) -> AbelianGroup:
 
 
 # ---------------------------------------------------------------------------
-# closed-form parameter calculators
-
-
-@dataclass
-class PolyhedralGraphData:
-    """A polyhedral graph on the sphere with its acting-group bookkeeping.
-
-    ``extension_order`` is the order of the lifted group acting on the
-    trisection surface; ``edge_orbits`` the number of group orbits of the
-    graph's edges.  Inverted edges must already have been replaced by
-    parallel bigon pairs (set ``has_unresolved_inversions`` otherwise).
-    """
-
-    graph: CombMap
-    group_order: int
-    extension_order: int
-    vertex_orbits: int
-    edge_orbits: int
-    has_unresolved_inversions: bool = False
-
-
-def pu3_parameters(p: PolyhedralGraphData):
-    """Trisection parameters of the projective-plane family from a
-    polyhedral graph: g = |G~| * |O_E| + 1, k = (0, |V|-1, g-|V|)."""
-    if p.has_unresolved_inversions:
-        raise EdgeInversionUnresolved("replace inverted edges by parallel bigons first")
-    if p.graph.genus() != 0:
-        raise NotSphere("the polyhedral graph must be drawn on the sphere")
-    n_vertices = len(p.graph.vertices())
-    g = p.extension_order * p.edge_orbits + 1
-    k1 = 0
-    k2 = n_vertices - 1
-    k3 = g - n_vertices
-    chi = 2 + g - (k1 + k2 + k3)
-    if chi != 3:
-        raise InvariantError("parameter identity failed: chi = %d" % chi)
-    return g, (k1, k2, k3)
+# branched covers
 
 
 def branching_defect(group_order: int, branch_orders) -> int:
@@ -337,16 +294,3 @@ def branching_defect(group_order: int, branch_orders) -> int:
     surface of Euler characteristic chi has Euler characteristic
     |G| * chi - defect."""
     return sum(group_order - group_order // m for m in branch_orders)
-
-
-def free_action_genus_bound(group_order: int, handlebody_genus: int):
-    """Whether a free action of the given order fits the genus: requires
-    genus = 1 mod order; returns (verdict, quotient_genus_or_None)."""
-    if group_order < 1:
-        raise InvariantError("group order must be positive")
-    if (handlebody_genus - 1) % group_order:
-        return False, None
-    mu = (handlebody_genus - 1) // group_order + 1
-    if mu < 0:
-        return False, None
-    return True, mu

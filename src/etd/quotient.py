@@ -19,8 +19,8 @@ from .symmetry import (
     NotAutomorphism,
     SymmetryError,
     base_darts,
+    check_action,
     check_automorphism,
-    checked_closure,
 )
 
 
@@ -83,13 +83,13 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientR
     no edge, else the input with each N-inverted edge subdivided.
 
     The action and the induced action are checked by
-    :func:`etd.symmetry.checked_closure` (raising NotValidAction), and
+    :func:`etd.symmetry.check_action` (raising NotValidAction), and
     G's closure serves the membership test of N's generators; a
     generator of N that is not one of G's generators is checked by
     :func:`etd.symmetry.check_automorphism` first (raising NotNormal).
     """
     try:
-        g_closure = checked_closure(d, a)
+        g_closure = check_action(d, a)
     except SymmetryError as e:
         raise NotValidAction(str(e))
     m = d.surface
@@ -99,7 +99,7 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientR
         n_sub = DiagramAction(list(n_generators), base=a.base)
         for g, name in zip(n_sub.generators, n_sub.names):
             # an automorphism is the group element with its base images;
-            # G's own generators passed checked_closure
+            # G's own generators passed check_action
             if g not in a.generators:
                 try:
                     check_automorphism(m, g, name)
@@ -182,7 +182,7 @@ def quotient(d: ShadowDiagram, a: DiagramAction, n_generators=None) -> QuotientR
         induced_names = ["e"]
     induced = DiagramAction(induced_gens, induced_names, base_darts(mq))
     try:
-        checked_closure(dq, induced)
+        check_action(dq, induced)
     except SymmetryError as e:
         raise NotValidAction("induced action on the quotient is invalid: %s" % e)
 

@@ -4,7 +4,9 @@ Actions are given by generator permutations of the dart set.  A valid
 element commutes with the edge pairing and the rotation (so it is an
 orientation-preserving map automorphism; anti-automorphisms inverting the
 rotation are rejected), preserves each color family setwise, and preserves
-the marked set.
+the marked set.  :func:`check_action` is the one check of all this, and
+returns the checked group closure; :func:`etd.quotient.quotient`,
+:func:`etd.cover.derived_cover` and :func:`singular_locus` run it.
 
 A map automorphism is fixed by its images of one dart per connected
 component (Gross-Tucker, *Topological Graph Theory*, 1987): it commutes
@@ -70,7 +72,7 @@ class GroupClosure:
     Element ``i > 0`` is ``generators[via[i]]`` after element
     ``parent[i]``.  Keys identify elements only when the base meets
     every connected component of the map the generators act on; that is
-    what :func:`checked_closure` establishes.  Raises ClosureCapExceeded
+    what :func:`check_action` establishes.  Raises ClosureCapExceeded
     past ``CLOSURE_CAP`` elements.
     """
 
@@ -193,38 +195,9 @@ class DiagramAction:
         first; raises ClosureCapExceeded past ``CLOSURE_CAP`` elements."""
         return self.closure().permutations()
 
-    def order(self):
-        return len(self.closure())
-
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-@dataclass
-class ActionReport:
-    """Whether an action is valid, with its order and element orders."""
-
-    ok: bool
-    order: int
-    structure_hint: str
-    element_orders: dict  # order -> count
-    reason: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
-def _structure_hint(order, orders_count):
-    if order == 1:
-        return "trivial"
-    if orders_count.get(order, 0) > 0:
-        return "cyclic"
-    if order % 2 == 0:
-        n = order // 2
-        if orders_count.get(2, 0) >= n and (n <= 2 or orders_count.get(n, 0) > 0):
-            return "dihedral"
-    return "other"
 
 
 def check_automorphism(m, g, name):
@@ -248,7 +221,7 @@ def check_automorphism(m, g, name):
             raise NotAutomorphism(name, x, "does not commute with the rotation")
 
 
-def checked_closure(d: ShadowDiagram, a: DiagramAction) -> GroupClosure:
+def check_action(d: ShadowDiagram, a: DiagramAction) -> GroupClosure:
     """Check an action on a diagram and return its group closure.
 
     In this order, each generator must be a map automorphism
@@ -257,7 +230,6 @@ def checked_closure(d: ShadowDiagram, a: DiagramAction) -> GroupClosure:
     connected component of the surface once, so that they identify the
     elements of the closure; and the closure must stay within
     ``CLOSURE_CAP``.  The first failed check raises its SymmetryError.
-    This is every check of :func:`check_action`, without the report.
     """
     m = d.surface
     colors, vertex_of = d.dart_colors, m.vertex_of
@@ -275,23 +247,6 @@ def checked_closure(d: ShadowDiagram, a: DiagramAction) -> GroupClosure:
     ):
         raise SymmetryError("the action's base darts must meet each connected component once")
     return a.closure()
-
-
-def check_action(d: ShadowDiagram, a: DiagramAction) -> ActionReport:
-    """Validate an action and report its order and a structure hint.
-
-    The checks, and the errors they raise, are those of
-    :func:`checked_closure`; the report adds the element orders
-    (:meth:`GroupClosure.orders`).  The hint (trivial/cyclic/dihedral/
-    other) is heuristic, from element orders only; correctness never
-    depends on it.
-    """
-    closure = checked_closure(d, a)
-    orders_count = {}
-    for o in closure.orders()[1:]:
-        orders_count[o] = orders_count.get(o, 0) + 1
-    order = len(closure)
-    return ActionReport(True, order, _structure_hint(order, orders_count), orders_count)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +294,11 @@ def singular_locus(d: ShadowDiagram, a: DiagramAction) -> SingularReport:
     element, with local rotation orders; flags hyperelliptic involutions
     (2g+2 fixed points on a genus-g surface).  Elements are reported by
     their closure keys.  A disconnected surface has no genus: its report
-    has ``genus=None`` and flags no involution."""
+    has ``genus=None`` and flags no involution.  The action must pass
+    :func:`check_action` on ``d``; its first failed check raises."""
+    closure = check_action(d, a)
     m = d.surface
     g = m.genus() if m.is_connected() else None
-    closure = a.closure()
     per = [
         ElementFixedData(e, order)
         for e, order in zip(closure.keys[1:], closure.orders()[1:])
@@ -394,7 +350,7 @@ def is_equivalent_action(d: ShadowDiagram, a: DiagramAction, b: DiagramAction,
     walked when the two groups have the same order; a disconnected
     surface then raises NotConnected.
 
-    Both actions must have passed :func:`checked_closure` on ``d``.  An
+    Both actions must have passed :func:`check_action` on ``d``.  An
     automorphism of the connected map is fixed by one dart's image, so
     phi g phi^-1 is the generator h of ``b`` exactly when h(phi(x)) =
     phi(g(x)), and lies in ``b``'s group, which acts freely, exactly

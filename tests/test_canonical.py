@@ -19,6 +19,7 @@ from etd.cmap import (
     _search_starts,
     canonical_form,
     canonical_search,
+    inverse,
     is_isomorphic,
 )
 from etd.cover import derived_cover
@@ -164,6 +165,12 @@ def all_images_isomorphism(m1, m2, labels1=None, labels2=None):
     return None
 
 
+def relabel_map(m, perm):
+    """``m`` with dart x renamed perm[x]."""
+    inv = inverse(perm)
+    return CombMap(m.n_darts, [perm[m.edge_pairing[y]] for y in inv], [perm[m.rotation[y]] for y in inv])
+
+
 def relabeled(m, labels, seed):
     perm = list(range(m.n_darts))
     random.Random(seed).shuffle(perm)
@@ -172,7 +179,7 @@ def relabeled(m, labels, seed):
         new_labels = [None] * m.n_darts
         for d in range(m.n_darts):
             new_labels[perm[d]] = labels[d]
-    return m.relabel(perm), new_labels
+    return relabel_map(m, perm), new_labels
 
 
 def _cases():

@@ -26,7 +26,6 @@ from etd.symmetry import (
     FixedCell,
     SingularReport,
     SymmetryError,
-    _structure_hint,
     automorphism_group,
     check_action,
     is_equivalent_action,
@@ -118,20 +117,13 @@ CASES = list(catalog_cases()) + [(label, d, a) for label, d, a, _ in DECKS]
 def test_closure_matches_reference(name, d, a):
     ref = reference_closure(a.generators, 10**6)
     assert a.elements() == ref
-    orders = {}
-    for p in ref[1:]:
-        o = reference_order(p)
-        orders[o] = orders.get(o, 0) + 1
-    rep = check_action(d, a)
-    assert rep.order == len(ref)
-    assert rep.element_orders == orders
-    assert rep.structure_hint == _structure_hint(len(ref), orders)
+    assert len(check_action(d, a)) == len(ref)
     assert a.closure().orders() == [reference_order(p) for p in ref]
 
 
 @pytest.mark.parametrize("name, d, a", CASES, ids=[c[0] for c in CASES])
 def test_closure_cap_matches_reference(name, d, a, monkeypatch):
-    order = a.order()
+    order = len(a.closure())
     for cap in (order - 1, order):
         monkeypatch.setattr(symmetry, "CLOSURE_CAP", cap)
         try:

@@ -22,7 +22,7 @@ from etd.cmap import (
     subdivide_edges,
 )
 from etd.surgery import tube
-from test_canonical import all_images_automorphisms, q8_lift
+from test_canonical import all_images_automorphisms, q8_lift, relabel_map
 
 
 def square_torus():
@@ -313,7 +313,7 @@ def test_subdivide_all_edges():
 def random_relabel(m, rng):
     perm = list(range(m.n_darts))
     rng.shuffle(perm)
-    return m.relabel(perm), perm
+    return relabel_map(m, perm), perm
 
 
 def test_canonical_form_relabel_invariance():

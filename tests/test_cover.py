@@ -77,7 +77,7 @@ def test_trivial_group_cover():
     res = derived_cover(d, trivial_voltages(d, cyclic(1)))
     assert res.n_components == 1
     assert res.diagram.isomorphic_to(d) is not None
-    assert res.deck.order() == 1
+    assert len(res.deck.closure()) == 1
 
 
 def square_torus_diagram():
@@ -95,7 +95,7 @@ def test_unbranched_double_cover_of_torus():
     res = derived_cover(d, va)
     assert res.n_components == 1
     assert res.diagram.surface.genus() == 1
-    assert res.deck.order() == 2
+    assert len(res.deck.closure()) == 2
 
 
 def test_nongenerating_voltages_disconnect():

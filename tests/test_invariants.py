@@ -6,16 +6,11 @@ from hypothesis import given, settings, strategies as st
 from etd.cmap import CombMap
 from etd.invariants import (
     AbelianGroup,
-    EdgeInversionUnresolved,
     InvariantError,
-    NotSphere,
-    PolyhedralGraphData,
     branching_defect,
     cokernel,
-    free_action_genus_bound,
     h1_frame,
     invariant_factors,
-    pu3_parameters,
     surface_h1_mod,
 )
 
@@ -137,67 +132,6 @@ def test_surface_h1_torsion_detection():
     g = cokernel(frame.rank, [frame.project({0: 2})])
     assert g.rank == 1
     assert g.torsion == (2,)
-
-
-def octahedron_map():
-    from etd.cmap import build_from_faces
-
-    faces = [
-        [(0, "01"), (1, "12"), (2, "02")],
-        [(0, "02"), (2, "23"), (3, "03")],
-        [(0, "03"), (3, "34"), (4, "04")],
-        [(0, "04"), (4, "14"), (1, "01")],
-        [(5, "15"), (1, "14"), (4, "45")],
-        [(5, "45"), (4, "34"), (3, "35")],
-        [(5, "35"), (3, "23"), (2, "25")],
-        [(5, "25"), (2, "12"), (1, "15")],
-    ]
-    m, _ = build_from_faces(faces)
-    return m
-
-
-def test_pu3_octahedron():
-    data = PolyhedralGraphData(
-        graph=octahedron_map(),
-        group_order=12,
-        extension_order=24,
-        vertex_orbits=1,
-        edge_orbits=1,
-    )
-    g, k = pu3_parameters(data)
-    assert g == 25
-    assert k == (0, 5, 19)
-    assert 2 + g - sum(k) == 3
-
-
-def test_pu3_degenerate_single_vertex():
-    # single vertex with one bigon orbit under the trivial group
-    m = CombMap(4, [2, 3, 0, 1], [1, 0, 3, 2])  # two-vertex sphere... need 1-vertex
-    # a single vertex with a loop: 2 darts
-    loop = CombMap(2, [1, 0], [1, 0])
-    data = PolyhedralGraphData(loop, 1, 1, 1, 1)
-    g, k = pu3_parameters(data)
-    assert g == 2
-    assert k == (0, 0, 1)
-
-
-def test_pu3_errors():
-    ep = [1, 0, 3, 2]
-    rot = [2, 3, 1, 0]
-    torus = CombMap(4, ep, rot)
-    with pytest.raises(NotSphere):
-        pu3_parameters(PolyhedralGraphData(torus, 1, 1, 1, 1))
-    with pytest.raises(EdgeInversionUnresolved):
-        pu3_parameters(PolyhedralGraphData(octahedron_map(), 1, 1, 1, 1, True))
-
-
-def test_free_action_genus_bound():
-    ok, mu = free_action_genus_bound(24, 25)
-    assert ok and mu == 2
-    ok, mu = free_action_genus_bound(5, 7)
-    assert not ok and mu is None
-    ok, mu = free_action_genus_bound(1, 9)
-    assert ok and mu == 9
 
 
 def test_branching_defect():

@@ -61,17 +61,17 @@ def test_disjoint_sets_match_networkx(seed):
     for a, b in pairs:
         assert sets.union(a, b) == (not nx.has_path(g, a, b))
         g.add_edge(a, b)
-    labels = sets.labels()
-    expected = _classes_by_least(nx.connected_components(g))
-    assert max(labels) + 1 == len(expected)
-    assert [[x for x in range(n) if labels[x] == k] for k in range(len(expected))] == expected
+    # find(x) is the least element of x's class
+    roots = sorted({sets.find(x) for x in range(n)})
+    assert [[x for x in range(n) if sets.find(x) == r] for r in roots] == _classes_by_least(
+        nx.connected_components(g)
+    )
     assert all(sets.find(a) == sets.find(b) for a, b in pairs)
 
 
 def test_empty_partitions():
     assert perm_orbits(0, ()) == ([], [])
     assert perm_orbits(0, ([],)) == ([], [])
-    assert DisjointSets(0).labels() == []
 
 
 def test_one_union_find_and_one_orbit_walk():

@@ -3,11 +3,13 @@ and class, and every public method of a public class, is referenced by
 name from another place in etd or from bench/*.py.  A name that only
 tests reach is either wired to a verb or deleted.
 
-References are matched by name alone: a read of the name or of an
-attribute so named, an imported name, or a string constant equal to it
-(``getattr`` in bench/tracing.py).  So a method that shares its name
-with a reached one passes unseen, and a definition's references to
-itself do not count."""
+References are matched by name alone.  A top-level name is reached by a
+read of the name or of an attribute so named, or by an imported name; a
+method only by a read of an attribute so named.  A string constant in
+bench/*.py counts as an attribute read (``getattr`` in bench/tracing.py);
+one inside etd, such as a cache key, does not.  So a method that shares
+its name with a reached attribute, such as a field of another class,
+passes unseen, and a definition's references to itself do not count."""
 
 import ast
 import pathlib
@@ -17,12 +19,10 @@ import etd
 ROOT = pathlib.Path(__file__).parent.parent
 
 # Reached only from tests, kept for the equivariant census of ROADMAP
-# item 3, which reports them for every subgroup of Aut.
+# item 7, which reports them for every subgroup of Aut.
 ALLOWED = {
-    "symmetry.singular_locus",  # item 3: cone orders and hyperelliptic involutions
-    "symmetry.is_equivalent_action",  # item 3: subgroups up to conjugacy
-    "invariants.pu3_parameters",  # item 3: linear actions on CP^2 (with PolyhedralGraphData)
-    "invariants.free_action_genus_bound",  # item 3: the genus bound of a free action
+    "symmetry.singular_locus",  # cone orders and hyperelliptic involutions
+    "symmetry.is_equivalent_action",  # subgroups up to conjugacy
 }
 
 
@@ -45,36 +45,44 @@ def definitions(tree):
     return out
 
 
-def references(tree):
-    """Each name ``tree`` refers to, once per reference."""
-    out = []
+def references(tree, strings=False):
+    """The names ``tree`` reads as names and the names it reads as
+    attributes, once per reference; with ``strings``, each string
+    constant counts as an attribute read."""
+    names, attributes = [], []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append(node.id)
+            names.append(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append(node.attr)
+            attributes.append(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            out += [alias.name for alias in node.names]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.append(node.value)
-    return out
+            names += [alias.name for alias in node.names]
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            attributes.append(node.value)
+    return names, attributes
 
 
 def unreached(modules):
     """The qualified names, as ``module.name``, that ``modules`` (label
-    -> tree; etd modules are the ones defining names) define and refer
-    to nowhere outside their own definition."""
-    count = {}
-    for tree in modules.values():
-        for name in references(tree):
-            count[name] = count.get(name, 0) + 1
+    -> tree; etd modules are the ones defining names, bench/ modules the
+    ones whose strings count) define and refer to nowhere outside their
+    own definition."""
+    names, attributes = {}, {}
+    for label, tree in modules.items():
+        for count, found in zip((names, attributes), references(tree, label.startswith("bench/"))):
+            for name in found:
+                count[name] = count.get(name, 0) + 1
     out = []
     for label, tree in modules.items():
         if not label.startswith("etd."):
             continue
         for qualified, node in definitions(tree):
             name = qualified.rsplit(".", 1)[-1]
-            if count.get(name, 0) == references(node).count(name):
+            own_names, own_attributes = references(node)
+            reached = attributes.get(name, 0) - own_attributes.count(name)
+            if "." not in qualified:
+                reached += names.get(name, 0) - own_names.count(name)
+            if not reached:
                 out.append("%s.%s" % (label[len("etd.") :], qualified))
     return out
 
@@ -113,15 +121,32 @@ def test_surface_guard_sees_every_form():
             "        return self.perimeter()\n"
             "    def _helper(self):\n"
             "        pass\n"
+            "    def scale(self):\n"
+            "        pass\n"
+            "    def labels(self):\n"
+            "        pass\n"
+            "    def looked_up_method(self):\n"
+            "        pass\n"
             "class Unused:\n"
             "    pass\n"
             "class _Hidden:\n"
             "    def method(self):\n"
             "        pass\n"
         ),
-        "etd.b": ast.parse("from .a import used\nUnused = Shape()\nShape().area()\n"),
-        "bench/c.py": ast.parse("getattr(a, 'looked_up')()\n"),
+        # a string inside etd (a cache key) does not reach a method
+        "etd.b": ast.parse(
+            "from .a import used\nUnused = Shape()\nShape().area()\ncache = {'labels': None}\n"
+        ),
+        # a function named like a method does not reach the method
+        "bench/c.py": ast.parse(
+            "def scale():\n"
+            "    pass\n"
+            "scale()\n"
+            "getattr(a, 'looked_up')()\n"
+            "getattr(a, 'looked_up_method')()\n"
+        ),
     }
     assert unreached(modules) == [
-        "a.tested_only", "a.recursive", "a.Shape.perimeter", "a.Unused"
+        "a.tested_only", "a.recursive", "a.Shape.perimeter", "a.Shape.scale", "a.Shape.labels",
+        "a.Unused",
     ]

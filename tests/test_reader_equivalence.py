@@ -33,6 +33,7 @@ from etd.diagio import (
 )
 from etd.diagram import COLOR_NAMES, SCAFFOLD, DiagramError, ShadowDiagram, parse_color
 from etd.groups import GroupError, group_by_name
+from test_canonical import relabel_map
 from test_catalog import frozen_text
 
 
@@ -270,7 +271,7 @@ def relabelled_text(d, seed):
     for x, c in enumerate(d.dart_colors):
         colors[perm[x]] = c
     marked = [perm[v.dart] for v in d.marked]
-    return serialize_diagram(ShadowDiagram.from_darts(m.relabel(perm), colors, marked))
+    return serialize_diagram(ShadowDiagram.from_darts(relabel_map(m, perm), colors, marked))
 
 
 def q8_texts():

@@ -11,6 +11,7 @@ from etd.symmetry import (
     ColorBroken,
     DiagramAction,
     NotAutomorphism,
+    SymmetryError,
     check_action,
     is_equivalent_action,
     singular_locus,
@@ -47,9 +48,7 @@ def grid2_generators(arr):
 def test_identity_action():
     arr = grid2()
     d = grid2_diagram(arr)
-    rep = check_action(d, DiagramAction([tuple(range(d.surface.n_darts))], ["e"]))
-    assert rep.ok and rep.order == 1
-    assert rep.structure_hint == "trivial"
+    assert len(check_action(d, DiagramAction([tuple(range(d.surface.n_darts))], ["e"]))) == 1
 
 
 def test_full_grid_action_order8():
@@ -57,10 +56,10 @@ def test_full_grid_action_order8():
     d = grid2_diagram(arr)
     tx, ty, nu = grid2_generators(arr)
     a = DiagramAction([tx, ty, nu], ["tx", "ty", "nu"])
-    rep = check_action(d, a)
-    assert rep.ok and rep.order == 8
+    closure = check_action(d, a)
+    assert len(closure) == 8
     # every nonidentity element is an involution here
-    assert rep.element_orders == {2: 7}
+    assert closure.orders() == [1] + [2] * 7
 
 
 def test_translation_action_free():
@@ -68,8 +67,7 @@ def test_translation_action_free():
     d = grid2_diagram(arr)
     tx, ty, _ = grid2_generators(arr)
     a = DiagramAction([tx, ty], ["tx", "ty"])
-    rep = check_action(d, a)
-    assert rep.order == 4
+    assert len(check_action(d, a)) == 4
     sing = singular_locus(d, a)
     assert sing.is_free
     # free action: the four elements carry one vertex to all four
@@ -84,8 +82,7 @@ def test_negation_is_hyperelliptic():
     d = grid2_diagram(arr)
     _, _, nu = grid2_generators(arr)
     a = DiagramAction([nu], ["nu"])
-    rep = check_action(d, a)
-    assert rep.order == 2 and rep.structure_hint == "cyclic"
+    assert len(check_action(d, a)) == 2
     sing = singular_locus(d, a)
     (data,) = sing.per_element
     assert data.order == 2
@@ -116,8 +113,7 @@ def test_rotation_by_90_breaks_colors():
     with pytest.raises(ColorBroken, match="^generator r does not preserve alpha1$"):
         check_action(d, DiagramAction([r], ["r"]))
     # on the uncolored diagram the same permutation is a valid symmetry
-    rep = check_action(grid2_diagram(arr, colored=False), DiagramAction([r], ["r"]))
-    assert rep.order == 4 and rep.structure_hint == "cyclic"
+    assert len(check_action(grid2_diagram(arr, colored=False), DiagramAction([r], ["r"]))) == 4
 
 
 def test_turn_of_the_theta_sphere_breaks_shadow_colors():
@@ -130,8 +126,20 @@ def test_turn_of_the_theta_sphere_breaks_shadow_colors():
     with pytest.raises(ColorBroken, match="^generator turn does not preserve shadow3$"):
         check_action(d, DiagramAction([turn], ["turn"]))
     # with one shadow color on every edge the turn is a symmetry of order 3
-    rep = check_action(ShadowDiagram.from_darts(m, [shadow(2)] * 6, [0, 1]), DiagramAction([turn], ["turn"]))
-    assert rep.order == 3 and rep.structure_hint == "cyclic"
+    d = ShadowDiagram.from_darts(m, [shadow(2)] * 6, [0, 1])
+    assert len(check_action(d, DiagramAction([turn], ["turn"]))) == 3
+
+
+def test_singular_locus_checks_its_action():
+    # a report of fixed cells is only about a group acting on the diagram
+    arr = grid2()
+    d = grid2_diagram(arr)
+    r = affine_dart_map(arr, ROT90)
+    with pytest.raises(ColorBroken, match="^generator r does not preserve alpha1$"):
+        singular_locus(d, DiagramAction([r], ["r"]))
+    _, _, nu = grid2_generators(arr)
+    with pytest.raises(SymmetryError, match="base darts must meet each connected component"):
+        singular_locus(d, DiagramAction([nu], ["nu"], base=()))
 
 
 def test_reflection_rejected():
@@ -165,8 +173,7 @@ def test_order3_rotation_fixes_three_faces():
     d = ShadowDiagram(arr.map)  # scaffold only: the symmetry permutes lines
     b = affine_dart_map(arr, ((0, -1), (1, -1)))
     a = DiagramAction([b], ["b"])
-    rep = check_action(d, a)
-    assert rep.order == 3 and rep.structure_hint == "cyclic"
+    assert len(check_action(d, a)) == 3
     sing = singular_locus(d, a)
     for data in sing.per_element:
         assert data.fixed_vertices == [] and data.inverted_edges == []
