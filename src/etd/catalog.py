@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Optional
 
+from . import EtdError
 from .cmap import CombMap, build_from_faces, inverse
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, shadow
 from .groups import greedy_generators
@@ -21,7 +22,7 @@ if TYPE_CHECKING:
     from .torus import TorusArrangement
 
 
-class CatalogError(ValueError):
+class CatalogError(EtdError):
     pass
 
 

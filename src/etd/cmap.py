@@ -40,10 +40,12 @@ tie the best code, generators of its automorphism group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
+
+from . import EtdError
 
 
-class MapError(ValueError):
+class MapError(EtdError):
     pass
 
 
@@ -94,6 +96,11 @@ def perm_orbits(n: int, perms: Sequence[Sequence[int]]):
                         orb.append(z)
         orbits.append(orb)
     return orbit_id, orbits
+
+
+def is_permutation(p, n: int) -> bool:
+    """Whether ``p`` is a permutation of ``0..n-1``: n entries covering them."""
+    return len(p) == n and set(p).issuperset(range(n))
 
 
 def compose(p, q):
@@ -198,11 +205,11 @@ class CombMap:
         rotation = tuple(rotation)
         if len(edge_pairing) != n_darts or len(rotation) != n_darts:
             raise MapError("permutation length does not match dart count")
-        darts = list(range(n_darts))
-        if sorted(rotation) != darts:
+        if not is_permutation(rotation, n_darts):
             raise MapError("rotation is not a permutation of the darts")
-        if sorted(edge_pairing) != darts:
+        if not is_permutation(edge_pairing, n_darts):
             raise MapError("edge_pairing is not a permutation of the darts")
+        darts = list(range(n_darts))
         if [edge_pairing[y] for y in edge_pairing] != darts:
             d = next(d for d in darts if edge_pairing[edge_pairing[d]] != d)
             raise NotInvolution("edge_pairing is not an involution at dart %d" % d)
@@ -439,13 +446,13 @@ def subdivide_edges(m: CombMap, edges: Iterable[CellId]):
 # canonical forms and isomorphism
 
 
-def canonical_form(m: CombMap, labels: Optional[Sequence] = None):
+def canonical_form(m: CombMap, labels: Sequence):
     """A relabeling-invariant encoding of a connected decorated map: the
     code of :func:`canonical_search`, its ties left unbuilt."""
     return _search_starts(m, labels)[0]
 
 
-def canonical_search(m: CombMap, labels: Optional[Sequence] = None):
+def canonical_search(m: CombMap, labels: Sequence):
     """The canonical form of a connected decorated map and generators of
     its label-preserving automorphism group, as ``(code, ties)``.
 
@@ -505,7 +512,6 @@ def _search_starts(m: CombMap, labels):
     if n == 0:
         return (), []
     rot, ep = m.rotation, m.edge_pairing
-    lab = labels if labels else [None] * n
     # the best start's BFS, suspended after ``len(best)`` entries of its
     # code; start 0 to begin with
     best, best_seq, best_order = [], [0], [-1] * n
@@ -525,7 +531,7 @@ def _search_starts(m: CombMap, labels):
             if best_order[e] < 0:
                 best_order[e] = len(best_seq)
                 best_seq.append(e)
-            best.append((best_order[r], best_order[e], lab[d]))
+            best.append((best_order[r], best_order[e], labels[d]))
 
     order = [-1] * n  # dart -> new index for the start being compared
     ties = []
@@ -548,7 +554,7 @@ def _search_starts(m: CombMap, labels):
                 if order[e] < 0:
                     order[e] = len(seq)
                     seq.append(e)
-                entry = (order[r], order[e], lab[d])
+                entry = (order[r], order[e], labels[d])
                 if entry != best[i]:
                     break
             else:
@@ -594,7 +600,7 @@ def _propagate(m1: CombMap, m2: CombMap, labels1, labels2, d1: int, d2: int):
     while stack:
         a = stack.pop()
         b = f[a]
-        if labels1 is not None and labels1[a] != labels2[b]:
+        if labels1[a] != labels2[b]:
             return None
         for pa, pb in steps:
             na, nb = pa[a], pb[b]
@@ -623,11 +629,11 @@ def _seed_images(m1: CombMap, m2: CombMap, labels1, labels2):
         d2
         for d2 in range(m2.n_darts)
         if len(vertices[vertex_of[d2]]) == v1 and len(faces[face_of[d2]]) == f1
-        and (labels1 is None or labels1[0] == labels2[d2])
+        and labels1[0] == labels2[d2]
     ]
 
 
-def is_isomorphic(m1: CombMap, m2: CombMap, labels1=None, labels2=None):
+def is_isomorphic(m1: CombMap, m2: CombMap, labels1, labels2):
     """A label-preserving isomorphism (dart map m1 -> m2), or None."""
     if m1.n_darts != m2.n_darts:
         return None

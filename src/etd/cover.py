@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import reduce
 
+from . import EtdError
 from .cmap import CellId, CombMap
 from .diagram import ShadowDiagram
 from .groups import Group, greedy_generators
@@ -26,7 +27,7 @@ from .invariants import branching_defect
 from .symmetry import DiagramAction, base_darts, check_action
 
 
-class CoverError(ValueError):
+class CoverError(EtdError):
     pass
 
 
@@ -44,13 +45,17 @@ class DisconnectedCoverWarning(UserWarning):
 
 @dataclass
 class VoltageAssignment:
-    """Deck-group voltages on the darts and meridians at marked vertices."""
+    """Deck-group voltages on the darts and meridians at marked vertices.
+    A :meth:`validated` copy is checked once per diagram: neither may change."""
 
     group: Group
     voltage: dict  # dart -> group element
     meridians: dict = field(default_factory=dict)  # marked vertex CellId -> element
+    _checked_on = None  # the diagram a validated copy was checked on; not a field
 
     def validated(self, d: ShadowDiagram) -> "VoltageAssignment":
+        if self._checked_on is d:
+            return self
         g = self.group
         m = d.surface
         volt = dict(self.voltage)
@@ -73,7 +78,9 @@ class VoltageAssignment:
                 raise MeridianMismatch("meridian at %r is not a group element" % (v,))
         for v in d.marked:
             mer.setdefault(v, g.identity)
-        return VoltageAssignment(g, volt, mer)
+        out = VoltageAssignment(g, volt, mer)
+        out._checked_on = d
+        return out
 
 
 @dataclass
@@ -98,13 +105,11 @@ class CoverResult:
     structural_errors: list
 
 
-def expected_lift_parameters(d: ShadowDiagram, va: VoltageAssignment, *, validated=False):
+def expected_lift_parameters(d: ShadowDiagram, va: VoltageAssignment):
     """(genus of a connected cover, per-branch lift counts) from the
     Riemann-Hurwitz formula, without building anything.  ``va`` is
-    validated first, unless the caller passes ``validated=True`` for
-    the result of :meth:`VoltageAssignment.validated` on ``d``."""
-    if not validated:
-        va = va.validated(d)
+    validated first."""
+    va = va.validated(d)
     g = va.group
     m = d.surface
     if not m.is_connected():
@@ -232,14 +237,11 @@ def _solve_twists(d: ShadowDiagram, va: VoltageAssignment):
     return {x: t.get(x, e) for x in range(m.n_darts)}
 
 
-def derived_cover(d: ShadowDiagram, va: VoltageAssignment, *, validated=False) -> CoverResult:
+def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
     """Build the derived cover, its deck action (right translation), and
     branch data; warns DisconnectedCoverWarning when the voltages do not
-    generate the deck group.  ``va`` is validated first, unless the
-    caller passes ``validated=True`` as for
-    :func:`expected_lift_parameters`."""
-    if not validated:
-        va = va.validated(d)
+    generate the deck group.  ``va`` is validated first."""
+    va = va.validated(d)
     g = va.group
     m = d.surface
     if not m.is_connected():

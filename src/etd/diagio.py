@@ -50,7 +50,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cmap import CellId, CombMap, UnknownCell
+from . import EtdError
+from .cmap import CellId, CombMap, UnknownCell, is_permutation
 from .diagram import COLOR_NAMES, SCAFFOLD, DiagramError, ShadowDiagram, parse_color
 from .groups import Group, GroupError, group_by_name
 
@@ -58,7 +59,7 @@ FORMAT_NAME = "etd-diagram"
 FORMAT_VERSION = 1
 
 
-class FileFormatError(ValueError):
+class FileFormatError(EtdError):
     pass
 
 
@@ -112,7 +113,7 @@ def serialize_diagram(
         lines.append("marked %s" % " ".join(map(str, marked)))
     if action is not None:
         for perm, name in zip(action.generators, action.names):
-            if sorted(perm) != list(range(m.n_darts)):
+            if not is_permutation(perm, m.n_darts):
                 raise FileFormatError(
                     "action generator %s is not a dart permutation" % name
                 )
@@ -122,16 +123,7 @@ def serialize_diagram(
         if not g.name:
             raise FileFormatError("deck group has no serializable name")
         lines.append("group %s" % g.name)
-        filled = {}
-        for x, y in m._edge_orbits:
-            if x in voltages.voltage:
-                filled[x] = voltages.voltage[x]
-            elif y in voltages.voltage:
-                filled[x] = g.inv(voltages.voltage[y])
-            else:
-                filled[x] = g.identity
-            filled[y] = g.inv(filled[x])
-        va = type(voltages)(g, filled, voltages.meridians).validated(d)
+        va = voltages.validated(d)
         for x, _ in m._edge_orbits:
             w = va.voltage[x]
             if w != g.identity:
@@ -367,9 +359,8 @@ def parse_diagram_file(text: str) -> DiagramFile:
     if action_rows:
         from .symmetry import DiagramAction, base_darts
 
-        darts = list(range(n))
         for lineno, name, perm in action_rows:
-            if sorted(perm) != darts:
+            if not is_permutation(perm, n):
                 raise FileFormatError(
                     "line %d: action generator %s is not a dart permutation" % (lineno, name)
                 )

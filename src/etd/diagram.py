@@ -24,12 +24,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+from . import EtdError
 from .cmap import CellId, CombMap, CutSurface, DisjointSets, canonical_form, is_isomorphic
 from .cmap import perm_orbits, spanning_forest
 from .invariants import h1_frame, h1_mod_curves
 
 
-class DiagramError(ValueError):
+class DiagramError(EtdError):
     pass
 
 

@@ -8,8 +8,10 @@ from __future__ import annotations
 from functools import cache, reduce
 from math import prod
 
+from . import EtdError
 
-class GroupError(ValueError):
+
+class GroupError(EtdError):
     pass
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import EtdError
 from .cmap import CombMap, spanning_forest
 
 
-class InvariantError(ValueError):
+class InvariantError(EtdError):
     pass
 
 

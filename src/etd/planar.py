@@ -12,10 +12,11 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import EtdError
 from .cmap import CombMap
 
 
-class PlanarError(ValueError):
+class PlanarError(EtdError):
     pass
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from . import EtdError
 from .cmap import CellId, CombMap, inverse, perm_orbits, subdivide_edges
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, color_components, validate_trisection
 from .invariants import branching_defect
@@ -24,7 +25,7 @@ from .symmetry import (
 )
 
 
-class QuotientError(ValueError):
+class QuotientError(EtdError):
     pass
 
 

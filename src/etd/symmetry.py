@@ -28,7 +28,8 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional
 
-from .cmap import CellId, canonical_search, compose, perm_orbits
+from . import EtdError
+from .cmap import CellId, canonical_search, compose, is_permutation, perm_orbits
 from .diagram import COLOR_NAMES, ShadowDiagram
 from .groups import orbit_tree
 
@@ -37,7 +38,7 @@ from .groups import orbit_tree
 CLOSURE_CAP = 100_000
 
 
-class SymmetryError(ValueError):
+class SymmetryError(EtdError):
     pass
 
 
@@ -206,7 +207,7 @@ def check_automorphism(m, g, name):
     whole arrays; only a failed check walks to the first bad dart, the
     edge pairing before the rotation at each dart."""
     n = m.n_darts
-    if len(g) != n or sorted(g) != list(range(n)):
+    if not is_permutation(g, n):
         raise NotAutomorphism(name, -1, "not a permutation of the darts")
     if not n:
         return

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import EtdError
 from .cmap import CombMap
 
 
-class ArrangementError(ValueError):
+class ArrangementError(EtdError):
     pass
 
 

@@ -36,11 +36,12 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, islice
 
-from .cmap import DisjointSets
+from . import EtdError
+from .cmap import DisjointSets, is_permutation
 from .diagio import FileFormatError, read_ints
 
 
-class TriangError(ValueError):
+class TriangError(EtdError):
     pass
 
 
@@ -66,13 +67,15 @@ class NotClosedSurface(TriangError):
 
 @dataclass
 class GTriangulation:
-    """A 4-manifold triangulation with a vertex action and marked surfaces."""
+    """A 4-manifold triangulation with a vertex action and marked surfaces.
+    It is validated once (:func:`validate_triangulation`): it must not change."""
 
     n_vertices: int
     pentachora: list  # 5-tuples of vertex indices
     generators: list = field(default_factory=list)  # vertex permutations
     generator_names: list = field(default_factory=list)
     surfaces: list = field(default_factory=list)  # lists of triangles
+    _valid = False  # set by validate_triangulation; not a field
 
     def __post_init__(self):
         self.pentachora = [tuple(p) for p in self.pentachora]
@@ -128,7 +131,9 @@ def _facet_multiset(K: GTriangulation):
 
 def validate_triangulation(K: GTriangulation) -> bool:
     """Check the closed-pseudomanifold, connectivity, action and surface
-    invariants; raises a :class:`TriangError` subclass on failure."""
+    invariants once per ``K``; raises a :class:`TriangError` subclass on failure."""
+    if K._valid:
+        return True
     for p in K.pentachora:
         if len(p) != 5 or len(set(p)) != 5:
             raise TriangError("pentachoron %r does not have 5 distinct vertices" % (p,))
@@ -166,7 +171,7 @@ def validate_triangulation(K: GTriangulation) -> bool:
 
     penta_multiset = sorted(tuple(sorted(p)) for p in K.pentachora)
     for g, name in zip(K.generators, K.generator_names):
-        if sorted(g) != list(range(K.n_vertices)):
+        if not is_permutation(g, K.n_vertices):
             raise NonSimplicialAction("generator %s is not a vertex permutation" % name)
         image = sorted(tuple(sorted(g[v] for v in p)) for p in K.pentachora)
         if image != penta_multiset:
@@ -196,6 +201,7 @@ def validate_triangulation(K: GTriangulation) -> bool:
                 raise SurfaceNotInvariant(
                     "surface %d is not invariant under generator %s" % (si, name)
                 )
+    K._valid = True
     return True
 
 
@@ -212,7 +218,6 @@ class TriParamReport:
     chi_simplex: int  # V - E + F - T + P
     bridge: list  # per surface: (b, (p1, p2, p3))
     notes: list
-    oracle_genus: int = None
 
     @property
     def chi_trisection(self):
@@ -224,8 +229,6 @@ class TriParamReport:
         ]
         for b, p in self.bridge:
             lines.append("surface (%d; %d,%d,%d)" % ((b,) + p))
-        if self.oracle_genus is not None:
-            lines.append("oracle genus %d" % self.oracle_genus)
         lines.extend(self.notes)
         return "\n".join(lines)
 
@@ -592,18 +595,16 @@ def _sigma_counts(K: GTriangulation):
     return V, E, F
 
 
-def sigma_oracle(K: GTriangulation, *, validated: bool = False) -> int:
+def sigma_oracle(K: GTriangulation) -> int:
     """Genus of the central surface, from an explicit cell assembly.
 
     Shares no formula with :func:`trisection_parameters`: the surface
     is assembled from one copy of the template's cells per pentachoron
     (:func:`_sigma_counts`) and checked to be closed and connected, and
     its genus is read off the Euler characteristic, which must be even.
-    ``K`` is validated first, unless the caller passes ``validated=True``
-    for a ``K`` that :func:`trisection_parameters` has already accepted.
+    ``K`` is validated first.
     """
-    if not validated:
-        validate_triangulation(K)
+    validate_triangulation(K)
     V, E, F = _sigma_counts(K)
     chi = V - E + F
     if chi % 2:

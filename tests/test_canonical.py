@@ -30,7 +30,7 @@ from test_vertex_pass import kind_index
 CATALOG = STANDARD_NAMES + FROZEN_NAMES
 
 
-def all_starts_canonical(m, labels=None):
+def all_starts_canonical(m, labels):
     """The canonical form as the minimum of every start's full BFS code."""
     best = None
     for start in range(m.n_darts):
@@ -47,21 +47,19 @@ def all_starts_canonical(m, labels=None):
                     seq.append(nxt)
         assert len(seq) == m.n_darts
         code = tuple(
-            (order[m.rotation[d]], order[m.edge_pairing[d]], labels[d] if labels else None)
-            for d in seq
+            (order[m.rotation[d]], order[m.edge_pairing[d]], labels[d]) for d in seq
         )
         if best is None or code < best:
             best = code
     return best
 
 
-def prefix_pruned_canonical(m, labels=None):
+def prefix_pruned_canonical(m, labels):
     """The canonical form with prefix pruning only: every start runs until
     its code exceeds the best one, so each start of the best code's
     automorphism orbit runs in full."""
     n = m.n_darts
     rot, ep = m.rotation, m.edge_pairing
-    lab = labels if labels else [None] * n
     order = [-1] * n
     best = [None] * n
     for start in range(n):
@@ -79,7 +77,7 @@ def prefix_pruned_canonical(m, labels=None):
             if order[e] < 0:
                 order[e] = len(seq)
                 seq.append(e)
-            entry = (order[r], order[e], lab[d])
+            entry = (order[r], order[e], labels[d])
             if below:
                 best[i] = entry
             elif entry != best[i]:
@@ -93,14 +91,13 @@ def prefix_pruned_canonical(m, labels=None):
     return tuple(best)
 
 
-def eager_search_starts(m, labels=None):
+def eager_search_starts(m, labels):
     """The search over start darts with every best code built in full:
     each start that goes below the best code runs to the end.  Returns
     the code and the two BFS orders ``(best_seq, seq)`` of each tie, as
     ``_search_starts`` does."""
     n = m.n_darts
     rot, ep = m.rotation, m.edge_pairing
-    lab = labels if labels else [None] * n
     order = [-1] * n
     best = [None] * n
     best_seq = None
@@ -123,7 +120,7 @@ def eager_search_starts(m, labels=None):
             if order[e] < 0:
                 order[e] = len(seq)
                 seq.append(e)
-            entry = (order[r], order[e], lab[d])
+            entry = (order[r], order[e], labels[d])
             if below:
                 best[i] = entry
             elif entry != best[i]:
@@ -146,7 +143,7 @@ def eager_search_starts(m, labels=None):
     return tuple(best), ties
 
 
-def all_images_automorphisms(m, labels=None):
+def all_images_automorphisms(m, labels):
     """Every label-preserving automorphism of a connected map, by trying
     each image of dart 0, ascending by that image."""
     out = []
@@ -157,7 +154,7 @@ def all_images_automorphisms(m, labels=None):
     return out
 
 
-def all_images_isomorphism(m1, m2, labels1=None, labels2=None):
+def all_images_isomorphism(m1, m2, labels1, labels2):
     for d2 in range(m2.n_darts):
         f = _propagate(m1, m2, labels1, labels2, 0, d2)
         if f is not None:
@@ -174,11 +171,9 @@ def relabel_map(m, perm):
 def relabeled(m, labels, seed):
     perm = list(range(m.n_darts))
     random.Random(seed).shuffle(perm)
-    new_labels = None
-    if labels is not None:
-        new_labels = [None] * m.n_darts
-        for d in range(m.n_darts):
-            new_labels[perm[d]] = labels[d]
+    new_labels = [None] * m.n_darts
+    for d in range(m.n_darts):
+        new_labels[perm[d]] = labels[d]
     return relabel_map(m, perm), new_labels
 
 
@@ -206,7 +201,7 @@ def q8_lift(k):
 def test_pruned_canonical_matches_all_starts(build, labelled):
     d = build()
     m = d.surface
-    labels = d.dart_labels() if labelled else None
+    labels = d.dart_labels() if labelled else bytes(m.n_darts)
     code = canonical_form(m, labels)
     assert code == all_starts_canonical(m, labels)
     if labelled:
@@ -220,14 +215,14 @@ def test_pruned_canonical_matches_all_starts(build, labelled):
 def test_seeded_isomorphism_search_matches_all_images(name):
     d = entry(name).diagram
     m = d.surface
-    for labels in (d.dart_labels(), None):
+    for labels in (d.dart_labels(), bytes(m.n_darts)):
         m2, labels2 = relabeled(m, labels, 7)
         f = is_isomorphic(m, m2, labels, labels2)
         assert f is not None
         assert f == all_images_isomorphism(m, m2, labels, labels2)
 
 
-def tie_closure(m, labels=None):
+def tie_closure(m, labels):
     """The closure of the canonical form's ties, sorted; the identity
     alone when there are no ties."""
     code, ties = canonical_search(m, labels)
@@ -246,7 +241,7 @@ def tie_closure(m, labels=None):
 @pytest.mark.parametrize("labelled", [True, False], ids=["labels", "bare"])
 def test_ties_generate_every_automorphism(build, labelled):
     d = build()
-    labels = d.dart_labels() if labelled else None
+    labels = d.dart_labels() if labelled else bytes(d.surface.n_darts)
     want = sorted(tuple(f) for f in all_images_automorphisms(d.surface, labels))
     assert tie_closure(d.surface, labels) == want
     if labelled:
@@ -278,11 +273,11 @@ def test_genus1_automorphisms_are_the_affine_action(m):
 def test_canonical_form_rejects_disconnected_maps():
     two_tori = CombMap(8, [2, 3, 0, 1, 6, 7, 4, 5], [1, 2, 3, 0, 5, 6, 7, 4])
     with pytest.raises(NotConnected):
-        canonical_form(two_tori)
+        canonical_form(two_tori, bytes(8))
     with pytest.raises(NotConnected):
         canonical_form(two_tori, list(range(8)))
     with pytest.raises(NotConnected):
-        canonical_search(two_tori)
+        canonical_search(two_tori, bytes(8))
 
 
 def disjoint_union(m1, m2):
@@ -303,7 +298,7 @@ def test_canonical_search_rejects_components_of_different_sizes(small_first, lab
     torus = CombMap(4, [2, 3, 0, 1], [1, 2, 3, 0])
     grid = natural_genus1(2).diagram.surface
     m = disjoint_union(torus, grid) if small_first else disjoint_union(grid, torus)
-    labels = [0] * m.n_darts if labelled else None
+    labels = [0] * m.n_darts if labelled else bytes(m.n_darts)
     for search in (canonical_form, canonical_search, eager_search_starts):
         with pytest.raises(NotConnected):
             search(m, labels)
@@ -321,9 +316,8 @@ class CountingLabels(list):
 
 
 def counted_search(search, m, labels):
-    """``search(m, labels)`` and the number of code entries it built;
-    bare maps get labels that are all None, which give the bare code."""
-    counting = CountingLabels(labels if labels is not None else [None] * m.n_darts)
+    """``search(m, labels)`` and the number of code entries it built."""
+    counting = CountingLabels(labels)
     return search(m, counting), counting.reads
 
 
@@ -331,7 +325,7 @@ def counted_search(search, m, labels):
 @pytest.mark.parametrize("labelled", [True, False], ids=["labels", "bare"])
 def test_lazy_best_code_matches_eager_search(build, labelled):
     d = build()
-    labels = d.dart_labels() if labelled else None
+    labels = d.dart_labels() if labelled else bytes(d.surface.n_darts)
     maps = [(d.surface, labels)] + [relabeled(d.surface, labels, seed) for seed in (1, 2)]
     for m, lab in maps:
         want, eager_reads = counted_search(eager_search_starts, m, lab)
@@ -348,7 +342,7 @@ def test_lazy_best_code_halves_the_entries_on_the_largest_lift(labelled):
     # beaten again soon after; only the final best and the best each tie
     # runs against are built to the end (eager: 20,831 entries labelled)
     d = q8_lift(4)
-    labels = d.dart_labels() if labelled else None
+    labels = d.dart_labels() if labelled else bytes(d.surface.n_darts)
     want, eager_reads = counted_search(eager_search_starts, d.surface, labels)
     got, lazy_reads = counted_search(_search_starts, d.surface, labels)
     assert got == want
@@ -363,7 +357,7 @@ def test_lazy_best_code_halves_the_entries_on_the_largest_lift(labelled):
 @pytest.mark.parametrize("labelled", [True, False], ids=["labels", "bare"])
 def test_orbit_skip_matches_prefix_pruning(build, labelled):
     d = build()
-    labels = d.dart_labels() if labelled else None
+    labels = d.dart_labels() if labelled else bytes(d.surface.n_darts)
     code = canonical_form(d.surface, labels)
     assert code == prefix_pruned_canonical(d.surface, labels)
     for seed in (1, 2):

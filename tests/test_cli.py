@@ -201,9 +201,15 @@ def test_lift_validates_the_voltages_once(tmp_path, capsys, monkeypatch, label):
     _, va, report = next(r for r in reds if r[0] == label)
     calls, cli_calls = [], []
     validated = VoltageAssignment.validated
-    monkeypatch.setattr(
-        VoltageAssignment, "validated", lambda self, d: calls.append(d) or validated(self, d)
-    )
+
+    def counted(self, d):
+        # a checked assignment asked again gives back itself: count the checks
+        out = validated(self, d)
+        if out is not self:
+            calls.append(d)
+        return out
+
+    monkeypatch.setattr(VoltageAssignment, "validated", counted)
     # both run under their names in the CLI namespace, the ones
     # bench/tracing.py times as cover.expected_lift and cover.derived_cover
     for name in ("expected_lift_parameters", "derived_cover"):
@@ -219,10 +225,7 @@ def test_lift_validates_the_voltages_once(tmp_path, capsys, monkeypatch, label):
     assert main(["lift", str(p), "--check-expected", "--out", str(out)]) == 0
     assert "expected (%d; %s): ok" % (report.genus, report.k) in capsys.readouterr().out
     assert len(calls) == 1  # the reader's
-    assert cli_calls == [
-        ("expected_lift_parameters", {"validated": True}),
-        ("derived_cover", {"validated": True}),
-    ]
+    assert cli_calls == [("expected_lift_parameters", {}), ("derived_cover", {})]
     # the library entry points still validate what they are given
     calls.clear()
     assert expected_lift_parameters(base.diagram, va)[0] == report.genus

@@ -19,6 +19,7 @@ from etd.cmap import (
     build_from_faces,
     canonical_form,
     is_isomorphic,
+    is_permutation,
     subdivide_edges,
 )
 from etd.surgery import tube
@@ -316,20 +317,46 @@ def random_relabel(m, rng):
     return relabel_map(m, perm), perm
 
 
+@pytest.mark.parametrize(
+    "p, n",
+    [
+        ((), 0), ([], 0), ((0,), 0), ((), 1),
+        ((2, 0, 1), 3), ((0, 0, 1), 3), ((0, 1, 3), 3), ((0, 1, -1), 3), ((-1, 0, 1, 2), 3),
+        ((0, 1), 3), ((0, 1, 2, 2), 3), ((1, 0, 1), 2),
+        ((True, 0), 2), ((1.0, 0), 2), ((0, 1.5), 2), ((True, True), 2),
+    ],
+)
+def test_is_permutation_agrees_with_the_sorted_rule(p, n):
+    assert is_permutation(p, n) == (sorted(p) == list(range(n)))
+
+
+def test_is_permutation_agrees_with_the_sorted_rule_on_random_rows():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randrange(8)
+        p = list(range(n))
+        rng.shuffle(p)
+        if p and rng.random() < 0.6:
+            p[rng.randrange(n)] = rng.randrange(-2, n + 2)
+        if rng.random() < 0.2:
+            p.append(rng.randrange(n + 1))
+        assert is_permutation(p, n) == (sorted(p) == list(range(n)))
+
+
 def test_canonical_form_relabel_invariance():
     rng = random.Random(7)
     for m in (square_torus(), octahedron()):
-        base = canonical_form(m)
+        base = canonical_form(m, bytes(m.n_darts))
         for _ in range(25):
             m2, _ = random_relabel(m, rng)
-            assert canonical_form(m2) == base
+            assert canonical_form(m2, bytes(m2.n_darts)) == base
 
 
 def test_is_isomorphic_self_relabel():
     rng = random.Random(3)
     m = octahedron()
     m2, perm = random_relabel(m, rng)
-    f = is_isomorphic(m, m2)
+    f = is_isomorphic(m, m2, bytes(m.n_darts), bytes(m2.n_darts))
     assert f is not None
     # verify it is a genuine structure map
     for d in range(m.n_darts):
@@ -378,20 +405,21 @@ def test_octahedron_two_presentations():
         [(4, "25"), (1, "12"), (5, "15")],
     ]
     m2, _ = build_from_faces(faces)
-    assert is_isomorphic(m1, m2) is not None
-    assert canonical_form(m1) == canonical_form(m2)
+    bare = bytes(m1.n_darts)
+    assert is_isomorphic(m1, m2, bare, bare) is not None
+    assert canonical_form(m1, bare) == canonical_form(m2, bare)
 
 
 def test_automorphisms_octahedron():
     m = octahedron()
-    auts = all_images_automorphisms(m)
+    auts = all_images_automorphisms(m, bytes(m.n_darts))
     # orientation-preserving symmetries of the octahedron: order 24
     assert len(auts) == 24
 
 
 def test_automorphism_group_closure():
     m = octahedron()
-    auts = all_images_automorphisms(m)
+    auts = all_images_automorphisms(m, bytes(m.n_darts))
     keyed = {tuple(a) for a in auts}
     for a in auts[:6]:
         for b in auts[:6]:

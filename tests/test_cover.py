@@ -206,6 +206,27 @@ def test_voltage_validation_errors():
         ).validated(d)
 
 
+def test_a_checked_assignment_is_checked_once_per_diagram():
+    d = theta_sphere_diagram()
+    g = cyclic(4)
+    v0, v1 = sorted(d.marked, key=lambda v: v.dart)
+    va = VoltageAssignment(g, edge_voltages(d, g, {0: 3}), {v0: 1, v1: 3})
+    checked = va.validated(d)
+    assert checked is not va and checked == va
+    assert checked.validated(d) is checked
+    # a different diagram, even an equal one, is checked again
+    again = checked.validated(theta_sphere_diagram())
+    assert again is not checked and again == checked
+    # the constructor, equality and repr see the fields only
+    assert VoltageAssignment(g, checked.voltage, checked.meridians) == checked
+    assert repr(checked) == repr(VoltageAssignment(g, checked.voltage, checked.meridians))
+    # a failure is not remembered
+    bad = VoltageAssignment(g, {**checked.voltage, 1: 3}, checked.meridians)
+    for _ in range(2):
+        with pytest.raises(VoltageIncompatible):
+            bad.validated(d)
+
+
 def per_dart_lift(d, va):
     """The cover's pairing, rotation, projection and deck generators,
     built one lifted dart at a time: dart x*|G| + i is (x, elements[i]),

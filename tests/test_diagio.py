@@ -12,7 +12,7 @@ from etd.catalog import (
 from etd import diagio
 from etd.cli import main
 from etd.cmap import CombMap
-from etd.cover import derived_cover
+from etd.cover import VoltageAssignment, VoltageIncompatible, derived_cover
 from etd.diagio import (
     FileFormatError,
     _element_token,
@@ -89,6 +89,18 @@ def test_group_block_round_trip():
     assert df.voltages.voltage[1] == 1  # partner dart gets the inverse
     out = serialize_diagram(df.diagram, voltages=df.voltages)
     assert out == text
+
+
+@pytest.mark.parametrize(
+    "voltage",
+    [{0: 3}, {0: 3, 1: 3, 2: 0, 3: 0, 4: 0, 5: 0}],
+    ids=["one_sided", "inconsistent"],
+)
+def test_serializer_writes_only_a_checked_assignment(voltage):
+    df = parse_diagram_file(theta_text() + "group cyclic 4\nvoltage 0 3\n")
+    va = VoltageAssignment(df.voltages.group, voltage)
+    with pytest.raises(VoltageIncompatible):
+        serialize_diagram(df.diagram, voltages=va)
 
 
 def test_expected_block_round_trip():

@@ -12,7 +12,9 @@ its name with a reached attribute, such as a field of another class,
 passes unseen, and a definition's references to itself do not count."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 
 import etd
 
@@ -99,6 +101,23 @@ def test_every_public_name_is_reached():
     found = set(unreached(sources()))
     assert sorted(found - ALLOWED) == [], "reached only from tests: reach them or delete them"
     assert sorted(ALLOWED - found) == [], "reached now: take them off ALLOWED"
+
+
+def test_every_etd_error_derives_from_etd_error():
+    """One root class for every error etd raises, so that a caller (the
+    CLI's exit code) tells an etd error from a bug without a list."""
+    classes = []
+    for info in pkgutil.iter_modules(etd.__path__):
+        module = importlib.import_module("etd." + info.name)
+        classes += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+    assert len(classes) > 30
+    stray = [c.__name__ for c in classes if not issubclass(c, etd.EtdError)]
+    assert stray == ["DisconnectedCoverWarning"]
 
 
 def test_surface_guard_sees_every_form():

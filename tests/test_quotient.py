@@ -78,7 +78,7 @@ def test_free_translation_quotient_is_smaller_torus():
     mq = q.diagram.surface
     assert mq.genus() == 1
     assert len(mq.vertices()) == 1 and len(mq.edges()) == 2
-    assert is_isomorphic(mq, square_torus()) is not None
+    assert is_isomorphic(mq, square_torus(), bytes(4), bytes(4)) is not None
     # chi scales by the group order for a free action
     assert d.surface.euler_characteristic() == 4 * mq.euler_characteristic()
     assert len(q.induced_action.closure()) == 2

@@ -76,7 +76,7 @@ def test_matches_hand_built_map():
     arr = arrangement(
         [line(1, 0, 0), line(0, 1, Fraction(1, 4)), line(1, 1, Fraction(1, 2))]
     )
-    assert is_isomorphic(arr.map, hand) is not None
+    assert is_isomorphic(arr.map, hand, bytes(12), bytes(12)) is not None
 
 
 def test_parallel_lines_with_transversal():

@@ -70,9 +70,11 @@ def test_oracle_agrees_on_spheres():
 
 @pytest.mark.parametrize("name", ["double_4_simplex", "boundary_5_simplex", "cyclic_7_5"])
 def test_triang_with_the_oracle_validates_once(tmp_path, capsys, monkeypatch, name):
+    # count the validation's work, not its calls: the reader's glue check
+    # and one validation each build the facet multiset once
     calls, oracle_calls = [], []
-    validate = triang_mod.validate_triangulation
-    monkeypatch.setattr(triang_mod, "validate_triangulation", lambda K: calls.append(K) or validate(K))
+    facets = triang_mod._facet_multiset
+    monkeypatch.setattr(triang_mod, "_facet_multiset", lambda K: calls.append(K) or facets(K))
     # the oracle still runs under its name in the CLI namespace, the one
     # bench/tracing.py times as triang.sigma_oracle
     oracle = etd.cli.sigma_oracle
@@ -83,12 +85,15 @@ def test_triang_with_the_oracle_validates_once(tmp_path, capsys, monkeypatch, na
     p.write_text(frozen_text(name + ".tri"))
     assert main(["triang", str(p), "--oracle"]) == 0
     assert "oracle genus" in capsys.readouterr().out
-    assert len(calls) == 1
-    assert oracle_calls == [{"validated": True}]
-    # the library entry point still validates what it is given
-    calls.clear()
-    assert sigma_oracle(frozen_tri(name)) == trisection_parameters(frozen_tri(name)).genus
     assert len(calls) == 2
+    assert oracle_calls == [{}]
+    # the library entry point validates what it is given, once per K
+    K = frozen_tri(name)
+    calls.clear()
+    assert sigma_oracle(K) == trisection_parameters(K).genus
+    assert len(calls) == 1
+    assert sigma_oracle(frozen_tri(name)) == trisection_parameters(frozen_tri(name)).genus
+    assert len(calls) == 1 + 2 * 2  # two readers, two validations
 
 
 def test_oracle_agrees_on_cyclic_polytope():
@@ -141,8 +146,24 @@ def test_disconnected_rejected():
 def test_non_simplicial_generator_rejected():
     K = frozen_tri("double_4_simplex")
     bad = GTriangulation(5, K.pentachora, [(0, 1, 2, 3, 3)], ["bad"])
-    with pytest.raises(NonSimplicialAction):
-        validate_triangulation(bad)
+    # a failure is not remembered: it raises every time
+    for check in (validate_triangulation, validate_triangulation, sigma_oracle):
+        with pytest.raises(NonSimplicialAction):
+            check(bad)
+
+
+def test_a_valid_triangulation_is_validated_once(monkeypatch):
+    K = frozen_tri("double_4_simplex")
+    twin = frozen_tri("double_4_simplex")
+    assert validate_triangulation(K)
+    # the record is not a field: the constructor, equality and repr are as before
+    assert K == twin and repr(K) == repr(twin)
+    assert K == GTriangulation(K.n_vertices, K.pentachora, K.generators, K.generator_names, K.surfaces)
+    calls = []
+    facets = triang_mod._facet_multiset
+    monkeypatch.setattr(triang_mod, "_facet_multiset", lambda K: calls.append(K) or facets(K))
+    assert validate_triangulation(K) and calls == []
+    assert validate_triangulation(twin) and calls == [twin]
 
 
 def test_non_pentachoron_preserving_generator_rejected():
