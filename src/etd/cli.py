@@ -11,11 +11,7 @@ exit-code contract so batch runs can triage:
     2  any other :class:`etd.EtdError`: invalid diagram, mismatch, ...
 
 ``--json`` emits a structured report instead of text; JSON reports carry
-a ``format`` key ("etd-report 1").  The environment variable
-``ETD_TIER2_BUDGET`` overrides the default search budget of the
-curve-standardization tier of validation, for ``validate`` and ``lift``
-(unless ``--tier2-budget`` is given) and for the quotient that
-``quotient`` validates.
+a ``format`` key ("etd-report 1").
 
 Each module that one verb alone needs loads when that verb first runs:
 :mod:`etd.cover` with ``lift`` and :mod:`etd.triang` with ``triang``.
@@ -72,20 +68,6 @@ def __getattr__(name):
             _load(module)
             return globals()[name]
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def _tier2_budget(given=None):
-    """The tier-2 budget: ``given`` (from ``--tier2-budget``) if set, else
-    ``ETD_TIER2_BUDGET``, else 10000."""
-    if given is not None:
-        return given
-    raw = os.environ.get("ETD_TIER2_BUDGET")
-    if raw is None:
-        return 10_000
-    try:
-        return int(raw)
-    except ValueError:
-        raise FileFormatError("ETD_TIER2_BUDGET must be an integer, got %r" % raw)
 
 
 def _read(path):
@@ -164,7 +146,7 @@ def _expected_block(report, expected):
 
 def cmd_validate(args) -> int:
     df = parse_diagram_file(_read(args.path))
-    report = validate_trisection(df.diagram, tier2_budget=_tier2_budget(args.tier2_budget))
+    report = validate_trisection(df.diagram)
     payload = _report_dict(report)
     if df.expected is not None:
         payload["expected"] = _expected_block(report, df.expected)
@@ -232,7 +214,7 @@ def cmd_quotient(args) -> int:
             return SEMANTIC_ERROR
         subgroup = [by_name[n] for n in args.subgroup]
     q = quotient(df.diagram, df.action, subgroup)
-    verdict, report = quotient_is_trisection(q, tier2_budget=_tier2_budget())
+    verdict, report = quotient_is_trisection(q)
     out = _out_path(args, "quotient")
     _write(
         out, serialize_diagram(demoted_diagram(q), cones=q.cone_points, action=q.induced_action)
@@ -261,7 +243,7 @@ def cmd_lift(args) -> int:
         return SEMANTIC_ERROR
     expected_genus, _ = expected_lift_parameters(df.diagram, df.voltages)
     cover = derived_cover(df.diagram, df.voltages)
-    report = validate_trisection(cover.diagram, tier2_budget=_tier2_budget(args.tier2_budget))
+    report = validate_trisection(cover.diagram)
     out = _out_path(args, "lift")
     _write(out, serialize_diagram(cover.diagram))
     payload = _report_dict(report)
@@ -326,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a diagram file")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tier2-budget", type=int, default=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("invariants", help="homology of a diagram file")
@@ -351,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-expected", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tier2-budget", type=int, default=None)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("triang", help="trisection parameters of a triangulation file")

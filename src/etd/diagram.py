@@ -528,14 +528,12 @@ def _crossing_counts(d: ShadowDiagram, i: int, j: int):
     return Counter((index[x], index[y]) for x, y in pairs if (colors[x], colors[y]) == (ci, cj))
 
 
-def _perfect_matching(n_left, n_right, allowed):
-    """Simple augmenting-path bipartite matching; returns matching or None."""
-    if n_left != n_right:
-        return None
-    match_r = [-1] * n_right
+def _perfect_matching(n, allowed):
+    """Augmenting-path perfect matching of n left to n right vertices, or None."""
+    match_r = [-1] * n
 
     def augment(u, seen):
-        for v in range(n_right):
+        for v in range(n):
             if (u, v) in allowed and v not in seen:
                 seen.add(v)
                 if match_r[v] == -1 or augment(match_r[v], seen):
@@ -543,18 +541,20 @@ def _perfect_matching(n_left, n_right, allowed):
                     return True
         return False
 
-    for u in range(n_left):
+    for u in range(n):
         if not augment(u, set()):
             return None
     return match_r
 
 
-def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int = 10_000) -> HeegaardVerdict:
+def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int) -> HeegaardVerdict:
     """Certify that the pair (alpha_i, alpha_j) presents #^k(S1 x S2).
 
     Tier 1 computes k from homology and fails on torsion.  Tier 2 upgrades
     to Verified by destabilizing dual pairs and recognizing parallel
-    systems; it is sound but incomplete, and exhaustion is not an error.
+    systems; it is sound but incomplete.  A dual pair, one curve of each
+    family crossing once and nothing else, carries no other crossing, so
+    one pass over the crossing counts finds every pair to peel.
     """
     vi = validate_cut_system(d, i)
     vj = validate_cut_system(d, j)
@@ -569,41 +569,23 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
     m = d.surface
     curves_i, curves_j = _curves(d, i), _curves(d, j)
     counts = _crossing_counts(d, i, j)
-    active_i = set(range(len(curves_i)))
-    active_j = set(range(len(curves_j)))
-    budget = tier2_budget
-
-    def cross_total(side, idx):
-        if side == "i":
-            return sum(counts.get((idx, b), 0) for b in active_j)
-        return sum(counts.get((a, idx), 0) for a in active_i)
-
-    changed = True
-    while changed and budget > 0:
-        changed = False
-        for a in sorted(active_i):
-            budget -= 1
-            if budget <= 0:
-                break
-            partners = [b for b in active_j if counts.get((a, b), 0)]
-            if len(partners) == 1 and counts.get((a, partners[0]), 0) == 1:
-                b = partners[0]
-                if cross_total("i", a) == 1 and cross_total("j", b) == 1:
-                    active_i.discard(a)
-                    active_j.discard(b)
-                    changed = True
-    if budget <= 0:
-        return HeegaardVerdict(HOMOLOGY_CERTIFIED, k, "tier-2 budget exhausted")
-
-    if not active_i and not active_j:
+    partners_i, partners_j = {}, {}
+    for a, b in counts:
+        partners_i.setdefault(a, []).append(b)
+        partners_j.setdefault(b, []).append(a)
+    peeled = [
+        a for a, bs in partners_i.items()
+        if len(bs) == 1 and counts[a, bs[0]] == 1 and partners_j[bs[0]] == [a]
+    ]
+    if len(peeled) == len(curves_i) == len(curves_j):
         return HeegaardVerdict(VERIFIED, k)
+    # an unpeeled curve crosses only unpeeled curves
+    if len(peeled) < len(partners_i):
+        return HeegaardVerdict(HOMOLOGY_CERTIFIED, k, "tier-2 inconclusive")
 
-    # remaining curves must be crossing-free and matched by annuli
-    for a in active_i:
-        if cross_total("i", a):
-            return HeegaardVerdict(HOMOLOGY_CERTIFIED, k, "tier-2 inconclusive")
-    ai = sorted(active_i)
-    aj = sorted(active_j)
+    # the remaining curves are crossing-free and must be matched by annuli
+    ai = [a for a in range(len(curves_i)) if a not in partners_i]
+    aj = [b for b in range(len(curves_j)) if b not in partners_j]
     if len(ai) != len(aj):
         return HeegaardVerdict(HOMOLOGY_CERTIFIED, k, "tier-2 inconclusive")
     circle_owner = {}
@@ -626,7 +608,7 @@ def validate_heegaard_pair(d: ShadowDiagram, i: int, j: int, tier2_budget: int =
                     allowed.add((ai.index(x1), aj.index(x2)))
                 elif s1 == "j" and s2 == "i":
                     allowed.add((ai.index(x2), aj.index(x1)))
-    if _perfect_matching(len(ai), len(aj), allowed) is not None:
+    if _perfect_matching(len(ai), allowed) is not None:
         return HeegaardVerdict(VERIFIED, k)
     return HeegaardVerdict(HOMOLOGY_CERTIFIED, k, "tier-2 inconclusive")
 
@@ -817,7 +799,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_trisection(d: ShadowDiagram, tier2_budget: int = 10_000) -> ValidationReport:
+def validate_trisection(d: ShadowDiagram) -> ValidationReport:
     errs = d.well_formed_errors()
     g = d.surface.genus()
     cuts = {}
@@ -830,7 +812,7 @@ def validate_trisection(d: ShadowDiagram, tier2_budget: int = 10_000) -> Validat
     for i in (1, 2, 3):
         j = i % 3 + 1
         try:
-            pairs[i] = validate_heegaard_pair(d, i, j, tier2_budget=tier2_budget)
+            pairs[i] = validate_heegaard_pair(d, i, j)
         except MalformedColoring as e:
             pairs[i] = HeegaardVerdict(FAILED, None, str(e))
     shadow_v = None

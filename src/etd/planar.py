@@ -11,6 +11,8 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
 
 from . import EtdError
 from .cmap import CombMap
@@ -37,15 +39,18 @@ def _int_points(points, what):
     return out
 
 
-def _angle_key(d):
-    """An exact sort key for the counterclockwise angle of direction ``d``
-    from the positive x-axis: the half-plane (angles [0, pi) or
-    [pi, 2 pi)), then whether d is off the x-axis, then -x/y, which grows
-    with the angle inside each open half-plane.  Parallel directions get
-    equal keys."""
-    x, y = d
-    upper = y > 0 or (y == 0 and x > 0)
-    return (0 if upper else 1, y != 0, Fraction(-x, y) if y else 0)
+def _angle_ranks(dirs):
+    """Each distinct direction in ``dirs`` -> its rank in counterclockwise
+    angle order from the positive x-axis: by half-plane (angles [0, pi)
+    or [pi, 2 pi)), then inside one by the sign of the cross product.
+    Parallel directions share a rank."""
+
+    def lower(d):
+        return d[1] < 0 or (d[1] == 0 and d[0] < 0)
+
+    order = cmp_to_key(lambda u, v: lower(u) - lower(v) or -_cross(u, v))
+    groups = groupby(sorted(set(dirs), key=order), key=order)
+    return {u: r for r, (_, parallel) in enumerate(groups) for u in parallel}
 
 
 def rotation_by_angle(n, dart_point, dart_dir):
@@ -53,16 +58,14 @@ def rotation_by_angle(n, dart_point, dart_dir):
     outgoing direction counterclockwise around its point.  Raises
     PlanarError when two darts leave one point in the same direction.
 
-    The distinct directions are ranked once by :func:`_angle_key`, with
-    parallel directions sharing a rank, so each point sorts its darts
-    by an integer."""
+    The distinct directions are ranked once by :func:`_angle_ranks`, so
+    each point sorts its darts by an integer."""
     at_point = {}
     for d in range(n):
         at_point.setdefault(dart_point[d], []).append(d)
     dirs = [dart_dir[d] for d in range(n)]
-    keys = {u: _angle_key(u) for u in set(dirs)}
-    rank = {k: r for r, k in enumerate(sorted(set(keys.values())))}
-    key = [rank[keys[u]] for u in dirs]
+    rank = _angle_ranks(dirs)
+    key = [rank[u] for u in dirs]
     rotation = [0] * n
     for pt, ds in at_point.items():
         keyed = sorted(ds, key=key.__getitem__)
@@ -118,10 +121,9 @@ class Strand:
 
     points: list
     closed: bool = False
-    label: object = None
 
     def __post_init__(self):
-        self.points = _int_points(self.points, "strand %r" % (self.label,))
+        self.points = _int_points(self.points, "strand")
         if self.closed:
             if len(self.points) < 3:
                 raise PlanarError("closed strands need at least 3 points")
@@ -136,12 +138,12 @@ class Strand:
         return list(zip(pts[:-1], pts[1:]))
 
 
-def arc(points, label=None):
-    return Strand(list(points), False, label)
+def arc(points):
+    return Strand(list(points), False)
 
 
-def loop(points, label=None):
-    return Strand(list(points), True, label)
+def loop(points):
+    return Strand(list(points), True)
 
 
 @dataclass

@@ -229,12 +229,12 @@ def demoted_diagram(q: QuotientResult) -> ShadowDiagram:
     return ShadowDiagram.from_darts(m, colors, [v.dart for v in d.marked])
 
 
-def quotient_is_trisection(q: QuotientResult, tier2_budget: int = 10_000):
+def quotient_is_trisection(q: QuotientResult):
     """Validate the quotient as a plain diagram (cone points demoted to
     ordinary cells, folded half-curves to scaffold).  Yes = all pair
     checks Verified; Certified = valid at the homology tier; No = some
     check fails."""
-    report = validate_trisection(demoted_diagram(q), tier2_budget=tier2_budget)
+    report = validate_trisection(demoted_diagram(q))
     if not report.ok:
         return NO, report
     if all(report.pair_verdicts[i].tier == "Verified" for i in (1, 2, 3)):

@@ -97,17 +97,26 @@ def test_validate_json_report(tmp_path, capsys):
     assert payload["expected"]["matches"] is True
 
 
-def test_tier2_budget_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("ETD_TIER2_BUDGET", "50")
+def test_no_tier2_budget_option(tmp_path, monkeypatch, capsys):
+    """Tier 2 runs to the end: the old budget flag is an unknown
+    argument, and the old budget variable changes no output."""
     p = write_catalog(tmp_path, "cp2")
-    assert main(["validate", str(p)]) == 0
-    monkeypatch.setenv("ETD_TIER2_BUDGET", "many")
-    assert main(["validate", str(p)]) == 1
+    with pytest.raises(SystemExit) as exit_:
+        main(["validate", str(p), "--tier2-budget", "5"])
+    assert exit_.value.code == 1
+    assert "unrecognized arguments: --tier2-budget 5" in capsys.readouterr().err
     q = write_catalog(tmp_path, "s2xs2_genus2")
     out = tmp_path / "q.diagram"
-    assert main(["quotient", str(q), "--subgroup", "g1", "--out", str(out)]) == 1
-    monkeypatch.setenv("ETD_TIER2_BUDGET", "50")
-    assert main(["quotient", str(q), "--subgroup", "g1", "--out", str(out)]) == 0
+
+    def run():
+        codes = [main(["validate", str(p)])]
+        codes.append(main(["quotient", str(q), "--subgroup", "g1", "--out", str(out)]))
+        return codes, capsys.readouterr(), out.read_text()
+
+    plain = run()
+    monkeypatch.setenv("ETD_TIER2_BUDGET", "many")
+    assert run() == plain
+    assert plain[0] == [0, 0]
 
 
 def test_invariants_s1xs3(tmp_path, capsys):

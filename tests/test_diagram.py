@@ -1,22 +1,26 @@
 import ast
 import pathlib
+import random
 import re
+from collections import Counter
 
 import pytest
 
 import etd
-from etd.catalog import entry
-from etd.cmap import CombMap
+from etd.catalog import FROZEN_NAMES, STANDARD_NAMES, entry, mirror, natural_genus1
+from etd.cmap import CombMap, CutSurface
 from etd.diagram import (
     COLOR_NAMES,
     ArcOutsideComplementaryDisk,
     DiagramError,
+    HeegaardVerdict,
     MalformedColoring,
     OddMarkedCount,
     SCAFFOLD,
     ShadowDiagram,
     _crossing_counts,
     _curves,
+    _perfect_matching,
     alpha,
     family_cycles,
     parse_color,
@@ -26,6 +30,8 @@ from etd.diagram import (
     validate_shadow,
     validate_trisection,
 )
+from etd.invariants import h1_mod_curves
+from etd.surgery import tube
 
 
 def edge_cell(m, dart):
@@ -271,11 +277,130 @@ def test_lens_pair_fails_on_torsion():
     assert "Z/2" in v.reason
 
 
-def test_budget_exhaustion_downgrades():
-    d = standard_torus_diagram()
-    v = validate_heegaard_pair(d, 1, 2, tier2_budget=1)
-    assert v.tier == "HomologyCertified"
-    assert v.k == 0
+def ref_validate_heegaard_pair(d, i, j):
+    """The pair check as it was with a tier-2 step budget of 10 000: the
+    dual pairs are peeled until a pass peels nothing.  Returns the
+    verdict and the step that decided it."""
+    budget = 10_000
+    if not (validate_cut_system(d, i) and validate_cut_system(d, j)):
+        return HeegaardVerdict("Failed", None, "not a cut system"), "tier 1"
+    h = h1_mod_curves(d, (i, j))
+    if not h.is_free:
+        return HeegaardVerdict("Failed", None, "torsion %s in curve quotient" % (h,)), "tier 1"
+    k = h.rank
+    m = d.surface
+    curves_i, curves_j = _curves(d, i), _curves(d, j)
+    counts = _crossing_counts(d, i, j)
+    active_i = set(range(len(curves_i)))
+    active_j = set(range(len(curves_j)))
+
+    def cross_total(side, idx):
+        if side == "i":
+            return sum(counts.get((idx, b), 0) for b in active_j)
+        return sum(counts.get((a, idx), 0) for a in active_i)
+
+    changed = True
+    while changed and budget > 0:
+        changed = False
+        for a in sorted(active_i):
+            budget -= 1
+            if budget <= 0:
+                break
+            partners = [b for b in active_j if counts.get((a, b), 0)]
+            if len(partners) == 1 and counts.get((a, partners[0]), 0) == 1:
+                b = partners[0]
+                if cross_total("i", a) == 1 and cross_total("j", b) == 1:
+                    active_i.discard(a)
+                    active_j.discard(b)
+                    changed = True
+    if budget <= 0:
+        return HeegaardVerdict("HomologyCertified", k, "tier-2 budget exhausted"), "budget"
+    if not active_i and not active_j:
+        return HeegaardVerdict("Verified", k), "peel"
+    inconclusive = HeegaardVerdict("HomologyCertified", k, "tier-2 inconclusive"), "inconclusive"
+    for a in active_i:
+        if cross_total("i", a):
+            return inconclusive
+    ai = sorted(active_i)
+    aj = sorted(active_j)
+    if len(ai) != len(aj):
+        return inconclusive
+    circle_owner = {}
+    for side, active, curves in (("i", ai, curves_i), ("j", aj, curves_j)):
+        for a in active:
+            for x in curves[a]:
+                circle_owner[x] = circle_owner[m.edge_pairing[x]] = (side, a)
+    allowed = set()
+    for comp in CutSurface(m, circle_owner).components:
+        if comp.chi == 0 and comp.n_boundary == 2:
+            owners = []
+            for circ in comp.boundary_circles:
+                who = {circle_owner[x] for x in circ}
+                if len(who) == 1:
+                    owners.append(who.pop())
+            if len(owners) == 2:
+                (s1, x1), (s2, x2) = owners
+                if s1 == "i" and s2 == "j":
+                    allowed.add((ai.index(x1), aj.index(x2)))
+                elif s1 == "j" and s2 == "i":
+                    allowed.add((ai.index(x2), aj.index(x1)))
+    if _perfect_matching(len(ai), allowed) is not None:
+        return HeegaardVerdict("Verified", k), "annulus"
+    return inconclusive
+
+
+GENUS1_SLOPES = [
+    ((1, 0), (0, 1), (1, 1)),
+    ((1, 0), (1, 0), (1, 0)),
+    ((1, 0), (0, 1), (1, 0)),
+    ((1, 0), (1, 0), (0, 1)),
+    ((0, 1), (1, 0), (1, -1)),
+    ((2, 1), (1, 0), (1, 1)),
+]
+
+
+def genus1_pieces():
+    """Genus-one tori with one or two curves per family, and their mirrors."""
+    pieces = [natural_genus1(m, slopes).diagram for m in (1, 2) for slopes in GENUS1_SLOPES]
+    return pieces + [mirror(d) for d in pieces]
+
+
+def tube_chain(pieces, rng):
+    """Two to four random pieces joined in a row by tubes between random
+    faces of equal length."""
+
+    def faces(d):
+        return [(len(d.surface.orbit(f)), f) for f in d.surface.faces()]
+
+    d = rng.choice(pieces)
+    for _ in range(rng.randint(1, 3)):
+        ends = faces(d)
+        lengths = {n for n, _ in ends}
+        nxt = rng.choice([p for p in pieces if any(n in lengths for n, _ in faces(p))])
+        n, f2 = rng.choice([(n, f) for n, f in faces(nxt) if n in lengths])
+        f1 = rng.choice([f for k, f in ends if k == n])
+        d, _ = tube(d, f1, nxt, f2)
+    return d
+
+
+def test_one_pass_peel_matches_the_fix_point_peel():
+    """Every pair of every catalog entry, genus-one piece and seeded tube
+    chain of pieces gets the verdict the fix-point peel gave, and the
+    inputs reach every step that decides a verdict."""
+    pieces = genus1_pieces()
+    rng = random.Random(31)
+    diagrams = [entry(n).diagram for n in STANDARD_NAMES + FROZEN_NAMES] + pieces
+    diagrams += [tube_chain(pieces, rng) for _ in range(120)]
+    steps = Counter()
+    for d in diagrams:
+        for i in (1, 2, 3):
+            j = i % 3 + 1
+            want, step = ref_validate_heegaard_pair(d, i, j)
+            got = validate_heegaard_pair(d, i, j)
+            assert (got.tier, got.k, got.reason) == (want.tier, want.k, want.reason)
+            steps[step] += 1
+    assert steps["budget"] == 0
+    assert min(steps[s] for s in ("peel", "annulus", "inconclusive")) >= 10, steps
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,9 @@ from etd.planar import (
 )
 
 
-def edges_labelled(pd, label):
-    """The edges of the strands labelled ``label``."""
-    return {
-        pd.map.cell_of("edge", x)
-        for x, i in enumerate(pd.dart_strand)
-        if pd.strands[i].label == label
-    }
+def edges_of_strand(pd, index):
+    """The edges of strand ``index``."""
+    return {pd.map.cell_of("edge", x) for x, i in enumerate(pd.dart_strand) if i == index}
 
 
 def test_segment_intersection_basic():
@@ -41,10 +37,10 @@ def test_segment_intersection_basic():
         segment_intersection((0, 0), (2, 0), (1, 0), (3, 0))
 
 
-def test_fractions_only_at_crossings_and_angles():
+def test_fractions_only_at_crossings():
     """Planar geometry is on integer points: no Fraction conversion of
     inputs, no edge polylines, and Fraction is named only where a crossing
-    point or an angle key is built."""
+    point is built."""
     assert not hasattr(etd.planar, "_frac_point")
     assert not hasattr(PlanarDiagram, "edge_path")
     tree = ast.parse(inspect.getsource(etd.planar))
@@ -53,28 +49,28 @@ def test_fractions_only_at_crossings_and_angles():
         for stmt in tree.body
         if any(isinstance(n, ast.Name) and n.id == "Fraction" for n in ast.walk(stmt))
     }
-    assert users == {"segment_intersection", "_angle_key"}
+    assert users == {"segment_intersection"}
 
 
 def test_two_crossing_arcs_with_frame():
     # two diameters of a square frame: 5 vertices, sphere
-    frame = loop([(-2, -2), (2, -2), (2, 2), (-2, 2)], label="frame")
-    d1 = arc([(-2, -2), (2, 2)], label="d1")
-    d2 = arc([(-2, 2), (2, -2)], label="d2")
+    frame = loop([(-2, -2), (2, -2), (2, 2), (-2, 2)])
+    d1 = arc([(-2, -2), (2, 2)])
+    d2 = arc([(-2, 2), (2, -2)])
     pd = build_planar([frame, d1, d2])
     m = pd.map
     assert m.euler_characteristic() == 2
     assert len(m.vertices()) == 5
     assert len(m.edges()) == 8
-    assert len(edges_labelled(pd, "d1")) == 2
+    assert len(edges_of_strand(pd, 1)) == 2
     center = pd.vertex_at((0, 0))
     assert len(m.orbit(center)) == 4
 
 
 def test_theta_from_coordinates():
-    top = arc([(0, 0), (1, 1), (2, 0)], label="a")
-    mid = arc([(0, 0), (2, 0)], label="b")
-    bot = arc([(0, 0), (1, -1), (2, 0)], label="c")
+    top = arc([(0, 0), (1, 1), (2, 0)])
+    mid = arc([(0, 0), (2, 0)])
+    bot = arc([(0, 0), (1, -1), (2, 0)])
     pd = build_planar([top, mid, bot])
     m = pd.map
     assert len(m.vertices()) == 2
@@ -90,16 +86,16 @@ def test_anchored_circle_needs_connection():
 
 
 def test_nested_loops_connected_by_arc():
-    inner = loop([(0, 0), (2, 0), (2, 2), (0, 2)], label="in")
-    outer = loop([(-2, -2), (4, -2), (4, 4), (-2, 4)], label="out")
-    tie = arc([(2, 1), (4, 1)], label="tie")
+    inner = loop([(0, 0), (2, 0), (2, 2), (0, 2)])
+    outer = loop([(-2, -2), (4, -2), (4, 4), (-2, 4)])
+    tie = arc([(2, 1), (4, 1)])
     pd = build_planar([inner, outer, tie])
     m = pd.map
     # tie ends subdivide each loop: 2 vertices, loops contribute 1 edge each
     assert len(m.vertices()) == 2
     assert len(m.edges()) == 3
     assert m.genus() == 0
-    assert len(edges_labelled(pd, "tie")) == 1
+    assert len(edges_of_strand(pd, 2)) == 1
 
 
 def test_triple_point_rejected():
@@ -127,8 +123,8 @@ def test_self_intersection_rejected():
 
 
 def cross_in_frame():
-    frame = loop([(-2, -2), (2, -2), (2, 2), (-2, 2)], label="frame")
-    diam = arc([(-2, 0), (2, 0)], label="diam")
+    frame = loop([(-2, -2), (2, -2), (2, 2), (-2, 2)])
+    diam = arc([(-2, 0), (2, 0)])
     return build_planar([frame, diam])
 
 
@@ -166,7 +162,7 @@ def test_branch_cut_voltage_on_crossed_edge():
 def test_branch_cut_sign_tracks_crossing_direction():
     pd = cross_in_frame()
     m = pd.map
-    diam = edges_labelled(pd, "diam")
+    diam = edges_of_strand(pd, 1)
 
     def diam_signs(cut):
         cs = branch_cut_crossings(pd, [cut])
@@ -183,9 +179,9 @@ def test_branch_cut_sign_tracks_crossing_direction():
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, Fraction(2)])
 def test_non_integer_coordinates_rejected(bad):
-    with pytest.raises(PlanarError, match="strand 'x'"):
-        arc([(0, 0), (bad, 1)], label="x")
-    with pytest.raises(PlanarError, match="strand None"):
+    with pytest.raises(PlanarError, match="strand has a non-integer point"):
+        arc([(0, 0), (bad, 1)])
+    with pytest.raises(PlanarError, match="strand has a non-integer point"):
         loop([(0, 0), (1, 0), (0, bad)])
     pd = cross_in_frame()
     with pytest.raises(PlanarError, match="cut 1"):
@@ -601,13 +597,43 @@ def test_branch_cuts_on_strand_segments_match_the_polyline_walker():
     assert min(kinds.values()) >= 20, kinds
 
 
+def ref_angle_key(d):
+    """The exact angle key the directions were once sorted by: the
+    half-plane (angles [0, pi) or [pi, 2 pi)), then whether d is off the
+    x-axis, then -x/y, which grows with the angle inside each open
+    half-plane.  Parallel directions get equal keys."""
+    x, y = d
+    upper = y > 0 or (y == 0 and x > 0)
+    return (0 if upper else 1, y != 0, Fraction(-x, y) if y else 0)
+
+
+def ref_angle_ranks(dirs):
+    """Each distinct direction -> the rank of its ``ref_angle_key``."""
+    keys = sorted({ref_angle_key(u) for u in dirs})
+    return {u: keys.index(ref_angle_key(u)) for u in dirs}
+
+
+def test_angle_ranks_match_the_reference_key():
+    """Ranked by half-plane and cross product, the directions with
+    |x|, |y| <= 8, and random samples of them, rank as the Fraction key
+    ranks them; parallel directions share a rank."""
+    dirs = [(x, y) for x in range(-8, 9) for y in range(-8, 9) if (x, y) != (0, 0)]
+    want = ref_angle_ranks(dirs)
+    assert etd.planar._angle_ranks(dirs) == want
+    assert len(set(want.values())) < len(dirs)  # parallel directions occur
+    rng = random.Random(12)
+    for _ in range(200):
+        some = rng.sample(dirs, rng.randint(1, 12))
+        assert etd.planar._angle_ranks(some) == ref_angle_ranks(some)
+
+
 def ref_rotation_by_angle(n, dart_point, dart_dir):
     """The rotation as it was computed before directions were ranked:
-    each point sorts its darts by their ``_angle_key`` tuples."""
+    each point sorts its darts by their ``ref_angle_key`` tuples."""
     at_point = {}
     for d in range(n):
         at_point.setdefault(dart_point[d], []).append(d)
-    key = [etd.planar._angle_key(dart_dir[d]) for d in range(n)]
+    key = [ref_angle_key(dart_dir[d]) for d in range(n)]
     rotation = [0] * n
     for pt, ds in at_point.items():
         keyed = sorted(ds, key=key.__getitem__)

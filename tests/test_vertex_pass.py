@@ -315,7 +315,7 @@ def _outputs(d):
             continue
         counts[(i, j)] = diagram_mod._crossing_counts(d, i, j)
     return (
-        validate_trisection(d, tier2_budget=200).summary(),
+        validate_trisection(d).summary(),
         d.well_formed_errors(),
         [diagram_mod.color_components(d, c) for c in SIX],
         [sorted(quotient_mod.folded_curve_edges(d, i)) for i in (1, 2, 3)],
