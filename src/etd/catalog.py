@@ -7,19 +7,17 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import EtdError
 from .cmap import CombMap, build_from_faces, inverse
 from .diagram import SCAFFOLD, ShadowDiagram, alpha, shadow
 from .groups import greedy_generators
 from .invariants import AbelianGroup
-from .symmetry import DiagramAction, automorphism_group
+from .symmetry import DiagramAction, automorphism_group, check_automorphism
 
-# torus and surgery load with the builders that use them, so that
-# importing etd does not load them
-if TYPE_CHECKING:
-    from .torus import TorusArrangement
+# torus, surgery, planar and cover load with the builders that use them,
+# so that importing etd does not load them
 
 
 class CatalogError(EtdError):
@@ -93,10 +91,11 @@ def _transversal_slope(pq):
     raise CatalogError("no transversal slope for %r" % (pq,))
 
 
-def _grid_torus(m: int, slopes):
-    """The m x m grid torus: the full translation/negation orbit of each
-    slope, colored alpha1..3, plus scaffold transversals when all three
-    slopes are parallel.  Returns (arrangement, diagram)."""
+def _grid_torus(slopes):
+    """The unit grid torus: one line of each slope at offset 1/2 (0 for a
+    repeated slope), colored alpha1..3; when all three slopes are
+    parallel, lines f at offsets +-f/8 and a scaffold transversal at 1/2.
+    Returns (arrangement, diagram)."""
     from .torus import arrangement, line
 
     slopes = [_normalize_slope(s) for s in slopes]
@@ -108,56 +107,49 @@ def _grid_torus(m: int, slopes):
                     "slopes %r and %r cross more than once" % (slopes[a], slopes[b])
                 )
 
-    half = [Fraction(2 * t + 1, 2 * m) for t in range(m)]
-    whole = [Fraction(t, m) for t in range(m)]
     lines = []
     family_of = []
-    seen_slope = {}
     all_equal = len(set(slopes)) == 1
     for f, pq in enumerate(slopes, start=1):
         if all_equal:
-            offs = [
-                sign * Fraction(f, 8 * m) + Fraction(t, m)
-                for t in range(m)
-                for sign in (1, -1)
-            ]
-        elif pq in seen_slope:
-            offs = whole
+            offs = [Fraction(f, 8), Fraction(-f, 8)]
+        elif pq in slopes[: f - 1]:
+            offs = [0]
         else:
-            seen_slope[pq] = f
-            offs = half
+            offs = [Fraction(1, 2)]
         for c in offs:
             lines.append(line(pq[0], pq[1], c))
             family_of.append(f)
     if all_equal:
-        r, s = _transversal_slope(slopes[0])
-        for c in half:
-            lines.append(line(r, s, c))
-            family_of.append(0)
+        lines.append(line(*_transversal_slope(slopes[0]), Fraction(1, 2)))
+        family_of.append(0)
 
     arr = arrangement(lines)
     color = [SCAFFOLD if f == 0 else alpha(f) for f in family_of]
     return arr, ShadowDiagram.from_darts(arr.map, [color[i] for i in arr.dart_line])
 
 
-def natural_torus_action(arr: TorusArrangement, m: int) -> DiagramAction:
-    """Translations by 1/m and negation, as dart permutations."""
-    from .torus import affine_dart_map
-
-    tx = affine_dart_map(arr, ((1, 0), (0, 1)), (Fraction(1, m), 0))
-    ty = affine_dart_map(arr, ((1, 0), (0, 1)), (0, Fraction(1, m)))
-    nu = affine_dart_map(arr, ((-1, 0), (0, -1)))
-    return DiagramAction([tx, ty, nu], ["tx", "ty", "nu"])
-
-
 def natural_genus1(m: int, slopes=((1, 0), (0, 1), (1, 1))) -> CatalogEntry:
     """Genus-one diagram on the m x m grid torus carrying the natural
     order-2m^2 translation/negation action; the first two action
-    generators span the translation subgroup."""
+    generators span the translation subgroup.
+
+    The grid torus is the Z_m x Z_m cover of the unit torus of
+    :func:`_grid_torus` under x -> m x, lifted by
+    :func:`etd.torus.grid_cover`: dart x*m^2 + a*m + b is base dart x on
+    sheet (a, b), and tx, ty and nu lift u -> u + (1, 0), u + (0, 1) and
+    -u."""
+    from .torus import grid_cover
+
     if m < 1:
         raise CatalogError("m must be positive")
-    arr, d = _grid_torus(m, slopes)
-    action = natural_torus_action(arr, m)
+    arr, base = _grid_torus(slopes)
+    lifted, gens = grid_cover(arr, m)
+    action = DiagramAction(gens, ["tx", "ty", "nu"])
+    for g, name in zip(gens, action.names):
+        check_automorphism(lifted, g, name)
+    d = ShadowDiagram.from_darts(lifted, [c for c in base.dart_colors for _ in range(m * m)])
+
     slopes_n = [_normalize_slope(s) for s in slopes]
     k = tuple(
         1 if slopes_n[i - 1] == slopes_n[i % 3] else 0 for i in (1, 2, 3)
@@ -238,17 +230,10 @@ def _s2xs2_genus2() -> CatalogEntry:
     hexagonal faces; the diagram's color-preserving symmetry group is
     Z2 x Z2 (negation on both factors, and the factor swap)."""
     from .surgery import tube
-    from .torus import arrangement, line
 
-    arr = arrangement(
-        [line(1, 0, Fraction(1, 2)), line(0, 1, Fraction(1, 2)), line(1, 1, Fraction(1, 2))]
-    )
-
-    def colored(fams):
-        return ShadowDiagram.from_darts(arr.map, [alpha(fams[i]) for i in arr.dart_line])
-
-    d1 = colored((1, 2, 3))
-    d2 = mirror(colored((2, 1, 3)))
+    arr, d1 = _grid_torus(((1, 0), (0, 1), (1, 1)))
+    # the mirror image, with the first two families swapped
+    d2 = mirror(ShadowDiagram.from_darts(arr.map, [alpha((2, 1, 3)[i]) for i in arr.dart_line]))
     hexes1 = [f for f in d1.surface.faces() if len(d1.surface.orbit(f)) == 6]
     hexes2 = [f for f in d2.surface.faces() if len(d2.surface.orbit(f)) == 6]
     d, _ = tube(d1, hexes1[0], d2, hexes2[0])
@@ -532,10 +517,18 @@ def entry(name: str) -> CatalogEntry:
     if name.startswith("natural_genus1"):
         import re
 
-        match = re.fullmatch(r"natural_genus1\(m=(\d+)\)", name)
+        from .symmetry import CLOSURE_CAP
+
+        match = re.fullmatch(r"natural_genus1\(m=(0|[1-9][0-9]*)\)", name)
         if not match:
             raise UnknownName(name)
-        return natural_genus1(int(match.group(1)))
+        m = int(match.group(1))
+        # the action has order 2m^2, and check_action closes no more than the cap
+        if 2 * m * m > CLOSURE_CAP:
+            raise CatalogError(
+                "m = %d: the order-2m^2 action exceeds %d elements" % (m, CLOSURE_CAP)
+            )
+        return natural_genus1(m)
     return standard(name)
 
 

@@ -25,7 +25,9 @@ connectivity).  Both number their classes by least element.
 :func:`spanning_forest` is the one rooted spanning tree, of the graph or
 of its dual (components, homology coordinates and the H1 cotree,
 shadow-arc cycles), and :func:`compose` and :func:`inverse` are the one
-product and inverse of dart permutations.
+product and inverse of dart permutations.  :func:`lift_permutation` is
+the one sheet lift, of voltage covers and grid tori (``cover``,
+``torus``); angle ordering, for straight-line drawings, is ``angles``.
 
 :class:`CutSurface` slices a map along a set of edges on flat arrays:
 its pieces are the face classes glued across the uncut edges, found in
@@ -114,6 +116,11 @@ def inverse(p):
     for i, x in enumerate(p):
         inv[x] = i
     return tuple(inv)
+
+
+def lift_permutation(p, sheets: int, rows):
+    """Dart x on sheet i, numbered x*sheets + i, -> dart p[x] on sheet rows[x][i]."""
+    return [y * sheets + j for y, row in zip(p, rows) for j in row]
 
 
 def spanning_forest(m: CombMap, darts=None, dual=False):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from . import EtdError
-from .cmap import CellId, CombMap
+from .cmap import CellId, CombMap, lift_permutation
 from .diagram import ShadowDiagram
 from .groups import Group, greedy_generators
 from .invariants import branching_defect
@@ -256,13 +256,8 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
     row = {w: [idx[mul(w, e)] for e in elements] for w in {*va.voltage.values(), *twist.values()}}
 
     # lifted dart x*|G| + i is (base dart x, elements[i])
-    ep, rot = [], []
-    pairing, rotation, voltage = m.edge_pairing, m.rotation, va.voltage
-    for x in range(n):
-        b = pairing[x] * order
-        ep += [b + j for j in row[voltage[x]]]
-        b = rotation[x] * order
-        rot += [b + j for j in row[twist[x]]]
+    ep = lift_permutation(m.edge_pairing, order, [row[va.voltage[x]] for x in range(n)])
+    rot = lift_permutation(m.rotation, order, [row[twist[x]] for x in range(n)])
     proj = dict(enumerate(itertools.product(range(n), elements)))
     lifted = CombMap(n * order, ep, rot)
 
@@ -290,7 +285,7 @@ def derived_cover(d: ShadowDiagram, va: VoltageAssignment) -> CoverResult:
     names = []
     for h in greedy_generators(elements, g.identity, mul) or [g.identity]:
         right_h = [idx[mul(e, h)] for e in elements]
-        gens.append(tuple(b + r for b in range(0, n * order, order) for r in right_h))
+        gens.append(lift_permutation(range(n), order, [right_h] * n))
         names.append(str(h))
     comps = lifted.components()
     deck = DiagramAction(gens, names, base_darts(lifted))

@@ -2,7 +2,7 @@
 
 Strands are polylines (open arcs or closed polygons) with integer
 coordinates.  Crossings are computed exactly; the resulting graph, with
-rotations from sorting directions counterclockwise, is a combinatorial
+rotations from the one angle ordering (``angles``), is a combinatorial
 map on the sphere (the unbounded face closes up for free).
 """
 
@@ -11,15 +11,9 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import groupby
 
-from . import EtdError
+from .angles import PlanarError, rotation_by_angle
 from .cmap import CombMap
-
-
-class PlanarError(EtdError):
-    pass
 
 
 def _sub(a, b):
@@ -37,44 +31,6 @@ def _int_points(points, what):
         if any(type(c) is not int for c in p):
             raise PlanarError("%s has a non-integer point %r" % (what, p))
     return out
-
-
-def _angle_ranks(dirs):
-    """Each distinct direction in ``dirs`` -> its rank in counterclockwise
-    angle order from the positive x-axis: by half-plane (angles [0, pi)
-    or [pi, 2 pi)), then inside one by the sign of the cross product.
-    Parallel directions share a rank."""
-
-    def lower(d):
-        return d[1] < 0 or (d[1] == 0 and d[0] < 0)
-
-    order = cmp_to_key(lambda u, v: lower(u) - lower(v) or -_cross(u, v))
-    groups = groupby(sorted(set(dirs), key=order), key=order)
-    return {u: r for r, (_, parallel) in enumerate(groups) for u in parallel}
-
-
-def rotation_by_angle(n, dart_point, dart_dir):
-    """The rotation of darts 0..n-1 that turns each dart to the next
-    outgoing direction counterclockwise around its point.  Raises
-    PlanarError when two darts leave one point in the same direction.
-
-    The distinct directions are ranked once by :func:`_angle_ranks`, so
-    each point sorts its darts by an integer."""
-    at_point = {}
-    for d in range(n):
-        at_point.setdefault(dart_point[d], []).append(d)
-    dirs = [dart_dir[d] for d in range(n)]
-    rank = _angle_ranks(dirs)
-    key = [rank[u] for u in dirs]
-    rotation = [0] * n
-    for pt, ds in at_point.items():
-        keyed = sorted(ds, key=key.__getitem__)
-        # parallel darts sort next to each other
-        if any(key[a] == key[b] for a, b in zip(keyed, keyed[1:])):
-            raise PlanarError("parallel darts at %r" % (pt,))
-        for k, d in enumerate(keyed):
-            rotation[d] = keyed[(k + 1) % len(keyed)]
-    return rotation
 
 
 def segment_intersection(p1, p2, q1, q2):

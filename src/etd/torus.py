@@ -5,18 +5,23 @@ geodesic q*x - p*y = c (mod 1).  An arrangement lives on one grid
 (1/N)Z^2 mod 1, where N is the lcm of the offsets' denominators times the
 lcm of the crossing determinants: every crossing is an integer pair
 (X, Y) = N*(x, y) mod N, so incidence is exact integer arithmetic.  The
-arrangement is returned as a combinatorial map whose rotation comes from
-sorting outgoing directions counterclockwise.
+arrangement is returned as a combinatorial map whose rotation is the one
+angle ordering (``angles``).  The m x m grid tori are not arranged
+line by line: :func:`grid_cover` lifts an arrangement to its pullback
+under x -> m x sheet by sheet, with the one sheet lift
+``cmap.lift_permutation``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import EtdError
-from .cmap import CombMap
+from .angles import rotation_by_angle
+from .cmap import CombMap, lift_permutation
 
 
 class ArrangementError(EtdError):
@@ -72,8 +77,6 @@ def arrangement(lines) -> TorusArrangement:
     Requires: distinct lines, no triple points, and every line crossed at
     least once (otherwise the complement is not a union of disks).
     """
-    from .planar import rotation_by_angle  # here, so that importing etd does not load planar
-
     lines = list(lines)
     if len(set(lines)) != len(lines):
         raise ArrangementError("duplicate lines")
@@ -132,8 +135,8 @@ def arrangement(lines) -> TorusArrangement:
     return TorusArrangement(m, lines, N, dart_point, dart_dir, dart_line)
 
 
-def affine_dart_map(arr: TorusArrangement, matrix, translation=(0, 0)):
-    """The dart permutation induced by x -> A x + t, if it maps the
+def affine_dart_map(arr: TorusArrangement, matrix):
+    """The dart permutation induced by x -> A x, if it maps the
     arrangement to itself; raises ArrangementError otherwise.
 
     A must be integral with determinant +-1 (a torus diffeomorphism).
@@ -144,15 +147,11 @@ def affine_dart_map(arr: TorusArrangement, matrix, translation=(0, 0)):
     if a * d - b * c not in (1, -1):
         raise ArrangementError("matrix is not unimodular")
     N = arr.N
-    tx, ty = (Fraction(t) * N for t in translation)
     darts = list(enumerate(zip(arr.dart_point, arr.dart_dir)))
-    # A maps the grid to itself, so a translation off the grid hits no dart
-    on_grid = tx.denominator == ty.denominator == 1
-    lookup = {key: x for x, key in darts} if on_grid else {}
-    tx, ty = int(tx), int(ty)
+    lookup = {key: x for x, key in darts}
     perm = []
     for x, ((X, Y), (dx, dy)) in darts:
-        key = (((a * X + b * Y + tx) % N, (c * X + d * Y + ty) % N), (a * dx + b * dy, c * dx + d * dy))
+        key = (((a * X + b * Y) % N, (c * X + d * Y) % N), (a * dx + b * dy, c * dx + d * dy))
         try:
             perm.append(lookup[key])
         except KeyError:
@@ -160,3 +159,46 @@ def affine_dart_map(arr: TorusArrangement, matrix, translation=(0, 0)):
                 "affine map does not preserve the arrangement (dart %d)" % x
             )
     return tuple(perm)
+
+
+def grid_cover(arr: TorusArrangement, m: int):
+    """The arrangement's pullback under x -> m x, the Z_m x Z_m cover
+    lifted sheet by sheet: dart x*m^2 + a*m + b is dart x on sheet
+    (a, b), the unit square shifted by (a, b) and scaled by 1/m.  Each
+    edge shifts the sheet by the lattice vector its segment adds, and the
+    rotation keeps the sheet.  Returns the lifted map and [tx, ty, nu]:
+    the lifts of u -> u + (1, 0), u + (0, 1) and -u, which are the
+    translations by 1/m and the negation, as dart permutations."""
+    n, N, point = arr.map.n_darts, arr.N, arr.dart_point
+
+    @functools.cache
+    def row(sign, s, t):
+        """Sheet (a, b) -> sign*(a, b) + (s, t) mod m, by sheet index."""
+        return [(sign * a + s) % m * m + (sign * b + t) % m for a in range(m) for b in range(m)]
+
+    def lift(image, sign=1, offset=lambda x: (0, 0)):
+        """The lift of the dart map that takes dart x, drawn at sign*P_x +
+        offset(x) in grid units, to dart image[x], at P_image[x] plus N
+        times a lattice vector v: sheet u goes to sheet sign*u + v."""
+        rows = []
+        for x, y in enumerate(image):
+            (X, Y), (dX, dY), (QX, QY) = point[x], offset(x), point[y]
+            rows.append(row(sign, (sign * X + dX - QX) // N, (sign * Y + dY - QY) // N))
+        return lift_permutation(image, m * m, rows)
+
+    def segment(x):
+        """Dart x's segment in grid units: k >= 1 steps along its
+        direction, to the first point congruent to its partner's."""
+        (X, Y), (dx, dy) = point[x], arr.dart_dir[x]
+        QX, QY = point[arr.map.edge_pairing[x]]
+        k = next(k for k in range(1, N + 1) if (X + k * dx - QX) % N == (Y + k * dy - QY) % N == 0)
+        return (k * dx, k * dy)
+
+    lifted = CombMap(n * m * m, lift(arr.map.edge_pairing, offset=segment), lift(arr.map.rotation))
+    if lifted.genus() != 1:
+        raise ArrangementError("grid cover did not close up to a torus")
+    return lifted, [
+        lift(range(n), offset=lambda x: (N, 0)),
+        lift(range(n), offset=lambda x: (0, N)),
+        lift(affine_dart_map(arr, ((-1, 0), (0, -1))), -1),
+    ]

@@ -2,9 +2,11 @@ from importlib import resources
 
 import pytest
 
+from etd import symmetry
 from etd.catalog import (
     FROZEN_NAMES,
     STANDARD_NAMES,
+    CatalogError,
     NonStandardSlopes,
     UnknownName,
     entry,
@@ -177,3 +179,23 @@ def test_unknown_names_raise():
         standard("t4_flat")
     with pytest.raises(UnknownName):
         entry("natural_genus1(m=two)")
+
+
+def test_natural_genus1_names_read_m_in_ascii_without_leading_zeros(monkeypatch):
+    """m is 0 or an ASCII numeral without leading zeros; an m whose
+    order-2m^2 action the closure cap cannot hold is refused before
+    anything is built."""
+    for name in ("natural_genus1(m=\u0662)", "natural_genus1(m=02)", "natural_genus1(m=+2)",
+                 "natural_genus1(m= 2)", "natural_genus1(m=2)\n"):
+        with pytest.raises(UnknownName):
+            entry(name)
+    assert entry("natural_genus1(m=10)").expected.action_order == 200
+    with pytest.raises(CatalogError, match="m must be positive"):
+        entry("natural_genus1(m=0)")
+    with pytest.raises(CatalogError, match="exceeds 100000 elements") as err:
+        entry("natural_genus1(m=99999999999999999999)")
+    assert not isinstance(err.value, UnknownName)
+    monkeypatch.setattr(symmetry, "CLOSURE_CAP", 50)
+    assert entry("natural_genus1(m=5)").expected.action_order == 50
+    with pytest.raises(CatalogError, match="m = 6: the order-2m\\^2 action exceeds 50 elements"):
+        entry("natural_genus1(m=6)")

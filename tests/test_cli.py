@@ -139,6 +139,20 @@ def test_catalog_unknown_name():
     assert main(["catalog", "does_not_exist"]) == 2
 
 
+def test_catalog_refuses_m_past_ascii_and_the_closure_cap(capsys):
+    """A non-ASCII digit or a leading zero is no name; an m whose action
+    exceeds the closure cap exits 2 at once instead of building it."""
+    for name in ("natural_genus1(m=\u0662)", "natural_genus1(m=02)"):
+        assert main(["catalog", name]) == 2
+        assert capsys.readouterr().err == "unknown catalog name: %s\n" % name
+    assert main(["catalog", "natural_genus1(m=99999999999999999999)"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: m = 99999999999999999999: the order-2m^2 action exceeds 100000 elements\n"
+    )
+
+
 def test_quotient_hyperelliptic(tmp_path, capsys):
     p = write_catalog(tmp_path, "s2xs2_genus2")
     out = tmp_path / "q.diagram"

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 # what bench/run.py imports at set-up
 HARNESS = ("cli", "catalog", "diagio", "diagram", "invariants", "quotient", "symmetry")
-DEFERRED = ("etd.cover", "etd.triang", "etd.torus", "etd.surgery", "etd.planar")
+DEFERRED = ("etd.cover", "etd.triang", "etd.torus", "etd.surgery", "etd.planar", "etd.angles")
 
 
 def python(*argv, stdin=None):
@@ -46,6 +46,27 @@ def test_every_traced_name_resolves_before_a_verb_runs():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[] False\n"
+
+
+def loaded_by(call):
+    """The deferred modules loaded after ``import etd.catalog`` and ``call``."""
+    run = python(
+        "-c",
+        "import sys, etd.catalog\n"
+        "etd.catalog.%s\n"
+        "print(' '.join(sorted(m for m in %r if m in sys.modules)))\n" % (call, DEFERRED)
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+def test_the_grid_torus_loads_neither_planar_nor_cover():
+    """natural_genus1(m) lifts the unit torus: the torus arrangement and
+    its angle ordering load, the planar builder and the voltage cover do
+    not."""
+    for m in (1, 4, 10):
+        assert loaded_by("natural_genus1(%d)" % m) == ["etd.angles", "etd.torus"]
+    assert "etd.planar" in loaded_by("q8_link_base()")
 
 
 def test_a_deferred_error_class_exits_2_whoever_loaded_its_module():

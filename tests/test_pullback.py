@@ -3,8 +3,8 @@ dart map.  Each site is compared with a test-only copy of the edge-dict
 construction it replaced, which named every edge and vertex of the new
 map through ``cell_of``; the two must give the same ``dart_colors`` and
 ``marked``.  Also: the checks of ``ShadowDiagram.from_darts``, the one
-strand walk ``color_components``, and the one angle ordering
-``rotation_by_angle``."""
+strand walk ``color_components``, and that the torus rotations turn
+counterclockwise (the angle ordering itself is in test_angles)."""
 
 import functools
 import math
@@ -15,7 +15,6 @@ import pytest
 from etd.catalog import (
     FROZEN_NAMES,
     STANDARD_NAMES,
-    _grid_torus,
     entry,
     mirror,
     natural_genus1,
@@ -32,10 +31,11 @@ from etd.diagram import (
     shadow,
 )
 from etd.groups import cyclic, hom_from_generator_images
-from etd.planar import PlanarError, rotation_by_angle
 from etd.quotient import _subdivided_diagram, demoted_diagram, folded_curve_edges, quotient
 from etd.surgery import tube
+from etd.torus import arrangement
 from test_cover import component_diagrams
+from test_torus_grid import ref_grid_lines
 
 NAMES = STANDARD_NAMES + FROZEN_NAMES
 
@@ -332,14 +332,6 @@ def atan2_rotation(n, dart_point, dart_dir):
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_torus_rotation_is_counterclockwise(m):
-    arr, _ = _grid_torus(m, ((1, 0), (0, 1), (1, 1)))
+    arr = arrangement(ref_grid_lines(m, ((1, 0), (0, 1), (1, 1)))[0])
     n = arr.map.n_darts
     assert list(arr.map.rotation) == atan2_rotation(n, arr.dart_point, arr.dart_dir)
-
-
-def test_rotation_by_angle_rejects_parallel_darts():
-    points = {0: (0, 0), 1: (0, 0), 2: (0, 0)}
-    with pytest.raises(PlanarError, match="parallel darts"):
-        rotation_by_angle(3, points, {0: (1, 0), 1: (2, 0), 2: (0, 1)})
-    dirs = {0: (1, 0), 1: (-1, 1), 2: (0, -3)}
-    assert rotation_by_angle(3, points, dirs) == [1, 2, 0]

@@ -28,9 +28,9 @@ from etd.symmetry import (
     check_automorphism,
 )
 from etd.torus import affine_dart_map, arrangement, line
+from test_torus import translation_dart_map
 
 F = Fraction
-I2 = ((1, 0), (0, 1))
 NEG = ((-1, 0), (0, -1))
 
 
@@ -45,8 +45,8 @@ def grid2_diagram(arr):
 
 
 def full_action(arr):
-    tx = affine_dart_map(arr, I2, (F(1, 2), 0))
-    ty = affine_dart_map(arr, I2, (0, F(1, 2)))
+    tx = translation_dart_map(arr, (F(1, 2), 0))
+    ty = translation_dart_map(arr, (0, F(1, 2)))
     nu = affine_dart_map(arr, NEG)
     return DiagramAction([tx, ty, nu], ["tx", "ty", "nu"])
 
@@ -145,8 +145,8 @@ def test_projection_commutes_with_structure():
 def test_rejects_foreign_generator():
     arr = grid2()
     d = grid2_diagram(arr)
-    a = DiagramAction([affine_dart_map(arr, I2, (F(1, 2), 0))], ["tx"])
-    ty = affine_dart_map(arr, I2, (0, F(1, 2)))
+    a = DiagramAction([translation_dart_map(arr, (F(1, 2), 0))], ["tx"])
+    ty = translation_dart_map(arr, (0, F(1, 2)))
     with pytest.raises(NotNormal):
         quotient(d, a, [ty])
 
@@ -414,8 +414,8 @@ def test_the_reference_reaches_both_outcomes():
 def torus_with_foreign_generator():
     arr = grid2()
     d = grid2_diagram(arr)
-    a = DiagramAction([affine_dart_map(arr, I2, (F(1, 2), 0))], ["tx"])
-    return d, a, [affine_dart_map(arr, I2, (0, F(1, 2)))]
+    a = DiagramAction([translation_dart_map(arr, (F(1, 2), 0))], ["tx"])
+    return d, a, [translation_dart_map(arr, (0, F(1, 2)))]
 
 
 def torus_with_non_normal_generator():

@@ -17,9 +17,9 @@ from etd.symmetry import (
     singular_locus,
 )
 from etd.torus import affine_dart_map, arrangement, line
+from test_torus import translation_dart_map
 
 F = Fraction
-I2 = ((1, 0), (0, 1))
 NEG = ((-1, 0), (0, -1))
 ROT90 = ((0, -1), (1, 0))
 
@@ -39,8 +39,8 @@ def grid2_diagram(arr=None, colored=True):
 
 
 def grid2_generators(arr):
-    tx = affine_dart_map(arr, I2, (F(1, 2), 0))
-    ty = affine_dart_map(arr, I2, (0, F(1, 2)))
+    tx = translation_dart_map(arr, (F(1, 2), 0))
+    ty = translation_dart_map(arr, (0, F(1, 2)))
     nu = affine_dart_map(arr, NEG)
     return tx, ty, nu
 

@@ -6,6 +6,23 @@ from etd.cmap import is_isomorphic
 from etd.torus import ArrangementError, TorusLine, affine_dart_map, arrangement, line
 
 
+def translation_dart_map(arr, t):
+    """The dart permutation of the translation x -> x + t, or the
+    ArrangementError that affine_dart_map raises for a matrix, naming the
+    first dart the translation misses (every dart, off the grid)."""
+    N = arr.N
+    tx, ty = (Fraction(c) * N for c in t)
+    keys = list(zip(arr.dart_point, arr.dart_dir))
+    lookup = {key: x for x, key in enumerate(keys)}
+    perm = []
+    for x, ((X, Y), u) in enumerate(keys):
+        try:
+            perm.append(lookup[((X + tx) % N, (Y + ty) % N), u])
+        except KeyError:
+            raise ArrangementError("affine map does not preserve the arrangement (dart %d)" % x)
+    return tuple(perm)
+
+
 def grid2():
     # 2x2 grid: horizontals y = 0, 1/2 and verticals x = 0, 1/2
     return arrangement(
@@ -107,7 +124,7 @@ def test_rejects_bad_arrangements():
 
 def test_affine_translation_action():
     arr = grid2()
-    t = affine_dart_map(arr, ((1, 0), (0, 1)), (Fraction(1, 2), 0))
+    t = translation_dart_map(arr, (Fraction(1, 2), 0))
     m = arr.map
     for d in range(m.n_darts):
         assert t[m.edge_pairing[d]] == m.edge_pairing[t[d]]
@@ -118,10 +135,12 @@ def test_affine_translation_action():
 
 def test_affine_rejects_non_symmetry():
     arr = grid2()
-    with pytest.raises(ArrangementError):
-        affine_dart_map(arr, ((1, 0), (0, 1)), (Fraction(1, 3), 0))
-    with pytest.raises(ArrangementError):
+    with pytest.raises(ArrangementError, match="dart 0"):
+        translation_dart_map(arr, (Fraction(1, 3), 0))
+    with pytest.raises(ArrangementError, match="not unimodular"):
         affine_dart_map(arr, ((2, 0), (0, 1)))
+    with pytest.raises(ArrangementError, match="does not preserve"):
+        affine_dart_map(arr, ((1, 1), (0, 1)))  # shears the verticals off the grid lines
 
 
 def test_negation_fixes_grid_vertices():
